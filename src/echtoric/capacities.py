@@ -35,10 +35,11 @@ from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 class CapacitySeq:
     """Exact values c_0..c_K plus a flag telling whether they are final.
 
-    certified=False means a truncated search produced the values; they
-    are still valid upper bounds for nothing and lower bounds for
-    nothing in general, so callers should treat uncertified sequences
-    as tentative.
+    certified=False means a truncated complement min produced the
+    values and the doubled budget did not confirm them.  A min over
+    l <= L can only be at least the min over all l, and max-plus sums
+    of upper bounds stay upper bounds, so each value is still a valid
+    upper bound on the true capacity; it may just not be attained.
     """
 
     values: tuple[Fraction, ...]

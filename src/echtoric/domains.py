@@ -59,23 +59,24 @@ def _collapse(points: Sequence[Point]) -> list[Point]:
     return out
 
 
-def _edge_zone(e: Point) -> int:
-    """Clockwise sectors a convex boundary edge may point into.
+def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction]) -> int:
+    """Clockwise sectors a convex boundary edge (dx, dy) may point into.
 
     0 up-right, 1 right, 2 down-right, 3 down, 4 down-left.  Anything
     else (left, up, up-left) cannot occur on a valid boundary.
     """
-    if e.x > 0 and e.y > 0:
+    if dx > 0 and dy > 0:
         return 0
-    if e.x > 0 and e.y == 0:
+    if dx > 0 and dy == 0:
         return 1
-    if e.x > 0 and e.y < 0:
+    if dx > 0 and dy < 0:
         return 2
-    if e.x == 0 and e.y < 0:
+    if dx == 0 and dy < 0:
         return 3
-    if e.x < 0 and e.y < 0:
+    if dx < 0 and dy < 0:
         return 4
-    raise DomainError(f"boundary edge {e!r} points out of the allowed sectors")
+    raise DomainError(
+        f"boundary edge ({dx}, {dy}) points out of the allowed sectors")
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class ToricDomain:
                 if cross(e1, e2) <= 0:
                     raise DomainError("concave boundary slopes must strictly increase")
         else:
-            zones = [_edge_zone(e) for e in edges]
+            zones = [_edge_zone(e.x, e.y) for e in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:
                     raise DomainError("convex boundary direction must rotate clockwise")

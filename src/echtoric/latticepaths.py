@@ -20,12 +20,15 @@ are what the tests lean on.
 
 oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
-calculus, and returns witness paths.
+calculus, and returns witness paths.  Its search runs on plain
+integers throughout, set-up included: the region's vertices are scaled
+to integers once per call, the clockwise step directions are generated
+as integer pairs in order, once per search box, and each direction's
+support is an integer cross product maximum.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -73,7 +76,7 @@ class LatticePath:
                 if cross(e1, e2) < 0:
                     raise DomainError("concave paths turn counterclockwise")
         else:
-            zones = [_edge_zone(e) for e in edges]
+            zones = [_edge_zone(e.x, e.y) for e in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:
                     raise DomainError("convex path direction must rotate clockwise")
@@ -185,66 +188,53 @@ def split_path(path: LatticePath, level=None) -> PathSplit:
     return PathSplit(a, head, left, right)
 
 
-def _clockwise_primitives(box: int) -> list[Point]:
-    dirs = [Point(dx, dy)
-            for dx in range(1, box + 1) for dy in range(1, box + 1)
-            if gcd(dx, dy) == 1]
-    dirs += [Point(1, 0)]
-    dirs += [Point(dx, dy)
-             for dx in range(1, box + 1) for dy in range(-box, 0)
-             if gcd(dx, -dy) == 1]
-    dirs += [Point(0, -1)]
-    dirs += [Point(dx, dy)
-             for dx in range(-box, 0) for dy in range(-box, 0)
-             if gcd(-dx, -dy) == 1]
+def _clockwise_directions(box: int) -> list[tuple[int, int]]:
+    """Primitive (dx, dy) with max(|dx|, |dy|) <= box, in path order.
 
-    def cmp(u: Point, v: Point) -> int:
-        zu, zv = _edge_zone(u), _edge_zone(v)
-        if zu != zv:
-            return -1 if zu < zv else 1
-        c = cross(u, v)
-        return -1 if c < 0 else (1 if c > 0 else 0)
-
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    The order is the one convex paths turn through: up-right, right,
+    down-right, down, down-left, clockwise within each sector.  The
+    up-right sector runs from steep to flat, i.e. (p, q), (1, 1), (q, p)
+    for the reduced fractions 0 < p/q < 1 with q <= box, taken in
+    increasing order and then in decreasing order; the Farey recurrence
+    produces them in that order.  The down-right and down-left sectors
+    are that run turned a quarter and a half turn clockwise.
+    """
+    farey: list[tuple[int, int]] = []
+    a, b, c, d = 0, 1, 1, box
+    while c < d:
+        farey.append((c, d))
+        t = (box + b) // d
+        a, b, c, d = c, d, t * c - a, t * d - b
+    upright = farey + [(1, 1)] + [(q, p) for p, q in reversed(farey)]
+    return (upright + [(1, 0)]
+            + [(y, -x) for x, y in upright] + [(0, -1)]
+            + [(-x, -y) for x, y in upright])
 
 
 # best candidate per point-count slot: scaled integer value plus vertices
-_Best = Optional[tuple[Fraction, tuple[tuple[int, int], ...]]]
+_Best = Optional[tuple[int, tuple[tuple[int, int], ...]]]
 
 
-def _search(domain: ToricDomain, kmax: int, box: int,
-            radius: Optional[int] = None,
+def _search(verts: list[tuple[int, int]], kmax: int, box: int,
+            dirs: list[tuple[int, int]],
             initial: Optional[list[_Best]] = None) -> list[_Best]:
     """Branch-and-bound over clockwise paths in a box.
 
     Returns, per point count k = 0..kmax, the least functional value
     among paths whose closed region has k+1 lattice points, with a
-    witness.  radius restricts the direction set (used for a cheap
-    seeding pass); initial primes the incumbent table with known paths.
+    witness.  verts are the region's vertices scaled to integers, and
+    values are scaled by the same factor.  dirs are the allowed steps in
+    clockwise order (a subset makes a cheap seeding pass); initial
+    primes the incumbent table with known paths.
 
-    The whole walk runs on plain integers: direction supports are
-    scaled by a common denominator and vertices stay integer pairs.
+    The whole walk runs on plain integers.
     """
-    poly = domain.region_polygon()
-    dirs = _clockwise_primitives(box)
-    if radius is not None:
-        dirs = [d for d in dirs
-                if max(abs(int(d.x)), abs(int(d.y))) <= radius]
-    sup = [support_max(poly, d) for d in dirs]
-    den = lcm(*(s.denominator for s in sup))
-    sup_i = [int(s * den) for s in sup]
+    sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
     assert all(s > 0 for s in sup_i)
-    dvec = [(int(d.x), int(d.y)) for d in dirs]
     ndirs = len(dirs)
 
-    best: list[Optional[tuple[int, tuple[tuple[int, int], ...]]]]
-    best = [None] * (kmax + 1)
-    if initial is not None:
-        for k, cand in enumerate(initial):
-            if cand is not None:
-                scaled = cand[0] * den
-                assert scaled.denominator == 1
-                best[k] = (int(scaled), cand[1])
+    best: list[_Best] = ([None] * (kmax + 1) if initial is None
+                          else list(initial))
 
     # suff[j] = worst incumbent over slots >= j, None while one is open;
     # a partial path with p points on it can only ever land in slots
@@ -291,16 +281,16 @@ def _search(domain: ToricDomain, kmax: int, box: int,
             # fall through: an axis run may still extend to the right
         base_kmin = len(onpath) - 1
         for di in range(last_dir + 1, ndirs):
-            ddx, ddy = dvec[di]
+            ddx, ddy = dirs[di]
             if last_dir >= 0:
-                pdx, pdy = dvec[last_dir]
+                pdx, pdy = dirs[last_dir]
                 if pdx * ddy - pdy * ddx > 0:
                     break  # over 180 degrees clockwise; only gets worse
             step_ell = sup_i[di]
             fan = cx * ddy - cy * ddx
             nx, ny = cx, cy
             m = 0
-            gained: list[tuple[int, int]] = []
+            added: list[tuple[int, int]] = []
             while True:
                 m += 1
                 nx += ddx
@@ -313,21 +303,23 @@ def _search(domain: ToricDomain, kmax: int, box: int,
                 e = ell + step_ell * m
                 if pruned(e, base_kmin):
                     break
-                gained.append((nx, ny))
-                added = [p for p in gained if p not in onpath]
-                if pruned(e, len(onpath) + len(added) - 1):
+                # the path now runs through every point of this edge;
+                # added remembers which of them were new to it
+                if (nx, ny) not in onpath:
+                    onpath.add((nx, ny))
+                    added.append((nx, ny))
+                if pruned(e, len(onpath) - 1):
                     break
                 path.append((nx, ny))
-                onpath.update(added)
                 walk(path, onpath, di, s2, e, steps + m)
-                onpath.difference_update(added)
                 path.pop()
+            if added:
+                onpath.difference_update(added)
 
     for y0 in range(kmax + 1):
         onpath = {(0, t) for t in range(y0 + 1)}
         walk([(0, y0)], onpath, -1, 0, 0, 0)
-    return [None if b is None else (Fraction(b[0], den), b[1])
-            for b in best]
+    return best
 
 
 def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
@@ -344,17 +336,22 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
         raise DomainError("the path oracle works on convex domains")
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
+    poly = domain.region_polygon()
+    den = lcm(*(c.denominator for p in poly for c in (p.x, p.y)))
+    verts = [(int(p.x * den), int(p.y * den)) for p in poly]
     box = 2 * (kmax + 1)
     best: Optional[list[_Best]] = None
     for _ in range(3):
-        best = _search(domain, kmax, box, radius=3, initial=best)
+        dirs = _clockwise_directions(box)
+        seed_dirs = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
+        best = _search(verts, kmax, box, seed_dirs, initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")
-        best = _search(domain, kmax, box, initial=best)
+        best = _search(verts, kmax, box, dirs, initial=best)
         hits = any(x == box or y == box
                    for b in best for x, y in b[1])  # type: ignore[index]
         if not hits:
-            return [(b[0], LatticePath.convex(b[1]))
+            return [(Fraction(b[0], den), LatticePath.convex(b[1]))
                     for b in best]  # type: ignore[index]
         box *= 2
     raise LimitError("optimal paths keep touching the search box")

@@ -12,8 +12,8 @@ from echtoric import (PackingInstance, EmbeddingProblem, ToricDomain, c1,
                       capacity_obstruction, concave_caps, concave_weights,
                       convex_caps, convex_weights, cremona_step,
                       decide_embedding, decide_packing, intersection,
-                      oracle_convex_cap, optimal_embedding_scale, pairing,
-                      sphere_chain_concave, sphere_chain_convex,
+                      optimal_embedding_scale, oracle_convex_caps_upto,
+                      pairing, sphere_chain_concave, sphere_chain_convex,
                       symplectic_class)
 
 from generators import random_concave, random_convex, random_instance
@@ -88,8 +88,9 @@ def test_criterion_5_capacity_formula_matches_path_oracle():
     for dom in (square, delta2, OMEGA2):
         seq = convex_caps(dom, 12)
         assert seq.certified
+        oracle = oracle_convex_caps_upto(dom, 12)
         for k in range(13):
-            value, _ = oracle_convex_cap(dom, k)
+            value, _ = oracle[k]
             assert seq[k] == value
     assert time.perf_counter() - start < 300
 

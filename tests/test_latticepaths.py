@@ -1,5 +1,8 @@
+import json
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -7,7 +10,10 @@ from echtoric import (DomainError, LatticePath, Point, ToricDomain,
                       convex_caps, convex_weights, count_concave,
                       count_convex, ell_concave, ell_convex,
                       oracle_convex_cap, oracle_convex_caps_upto, split_path)
+from echtoric.domains import _edge_zone
+from echtoric.fileio import load_domain
 from echtoric.geometry import cross
+from echtoric.latticepaths import _clockwise_directions
 
 from generators import random_convex, random_convex_path
 
@@ -186,3 +192,38 @@ def test_oracle_agrees_with_formula_small_k():
             assert value == seq[k]
             assert count_convex(witness) == k + 1
             assert ell_convex(dom, witness) == value
+
+
+def test_oracle_golden_reference_targets(data_dir):
+    # exact values and witnesses; the witnesses pin the (value, vertices)
+    # tie-breaking that the caps --oracle report prints
+    golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
+    assert sorted(golden) == ["delta1", "delta2", "e12_convex", "omega2",
+                              "overhang", "square"]
+    for name, expected in golden.items():
+        dom = load_domain(data_dir / f"{name}.json")
+        got = [[str(value), [[int(p.x), int(p.y)] for p in witness.vertices]]
+               for value, witness in oracle_convex_caps_upto(dom, 6)]
+        assert got == expected, name
+
+
+def _clockwise_cmp(u, v):
+    zu, zv = _edge_zone(*u), _edge_zone(*v)
+    if zu != zv:
+        return -1 if zu < zv else 1
+    c = u[0] * v[1] - u[1] * v[0]
+    return -1 if c < 0 else (1 if c > 0 else 0)
+
+
+def test_clockwise_directions_every_box():
+    for box in range(1, 25):
+        dirs = _clockwise_directions(box)
+        # primitive, inside the box, and pointing into a convex sector
+        expected = [(dx, dy) for dx in range(-box, box + 1)
+                    for dy in range(-box, box + 1)
+                    if gcd(dx, dy) == 1 and (dx > 0 or dy < 0)]
+        assert len(dirs) == len(set(dirs)) == len(expected)
+        assert set(dirs) == set(expected)
+        assert dirs == sorted(expected, key=cmp_to_key(_clockwise_cmp))
+        seed = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
+        assert seed == _clockwise_directions(min(box, 3))
