@@ -7,6 +7,8 @@ exhaustive lattice path oracle, sphere chains with their homology
 classes, and inner and outer polygonal approximations.
 """
 
+import types as _types
+
 from .blowups import (HomologyClass, SphereChain, SymplecticClass, c1,
                       chain_classes_concave, chain_classes_convex,
                       inner_approximation, intersection, outer_approximation,
@@ -39,4 +41,7 @@ from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule's names binds the submodule too; leave those out
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_")
+           and not isinstance(value, _types.ModuleType)]

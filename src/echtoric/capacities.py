@@ -14,12 +14,25 @@ budget L and certify the answer by running the min again with budget
 2L.  If both agree the truncation did not bite and the sequence is
 marked certified.
 
-Convolutions are done on integers after clearing denominators, which
-keeps the exact arithmetic cheap.
+All three run in one integer kernel.  Each call clears denominators
+once, by one lcm over the ball sizes or over its input values, builds
+the ball staircases directly as int lists, folds, subtracts and
+certifies on them, and turns only the final K + 1 values into
+Fractions.
+
+The kernel tries only run starts.  Capacity sequences are
+nondecreasing, so in max over i of s_i + t_(k-i) the max across a flat
+run of s sits at the run's first index in range, and in min over l of
+s_(k+l) - t_l the min across a flat run of t sits at the run's first
+index.  A ball staircase up to horizon n has about sqrt(2n) runs, so
+folding a ball into a union at horizon n costs O(n sqrt(n)) cells
+instead of O(n^2), and the complement costs K + 1 cells per run start
+of T up to 2L.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,13 +89,7 @@ def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
     ra = rational(a)
     if ra <= 0:
         raise DomainError("ball size must be positive")
-    vals = []
-    d = 0
-    for k in range(K + 1):
-        while (d + 1) * (d + 2) // 2 <= k:
-            d += 1
-        vals.append(d * ra)
-    return CapacitySeq(tuple(vals))
+    return CapacitySeq(tuple(_ball_ints(ra, K)))
 
 
 def ellipsoid_caps(a: RationalLike, b: RationalLike, K: int) -> CapacitySeq:
@@ -99,40 +106,112 @@ def ellipsoid_caps(a: RationalLike, b: RationalLike, K: int) -> CapacitySeq:
     return CapacitySeq(tuple(vals[:K + 1]))
 
 
+def _ball_ints(a, K: int) -> list:
+    """Ball staircase 0, a, a, 2a, 2a, 2a, ... as a list of length K + 1.
+
+    The kernel passes an int size; ball_caps passes its Fraction.
+    """
+    out: list = []
+    d = 0
+    while len(out) <= K:
+        out.extend([d * a] * (d + 1))
+        d += 1
+    del out[K + 1:]
+    return out
+
+
+def _run_starts(s: list[int]) -> list[int]:
+    """Indices i >= 1 where a new run begins, s[i] != s[i - 1]."""
+    return [i for i in range(1, len(s)) if s[i] != s[i - 1]]
+
+
+def _maxplus(s: list[int], t: list[int], K: int) -> list[int]:
+    """out[k] = max over i of s[i] + t[k - i], for k <= K <= horizons' sum.
+
+    The operands are nondecreasing, so across a flat run of s the term
+    t[k - i] only falls: the max sits at the run's first index inside
+    the range.  Only index 0, the lowest admissible index and the run
+    starts of s are tried, and s is the operand with fewer runs.
+    """
+    rs, rt = _run_starts(s), _run_starts(t)
+    if len(rt) < len(rs):
+        s, t, rs = t, s, rt
+    n = len(t) - 1
+    # run start 0 covers k <= n; past it the lowest index is k - n
+    out = [s[0] + x for x in t[:K + 1]]
+    if K > n:
+        out += [x + t[n] for x in s[1:K - n + 1]]
+    for r in rs:
+        if r > K:
+            break
+        c = s[r]
+        stop = min(K, r + n) + 1
+        out[r:stop] = [o if o >= c + x else c + x
+                       for o, x in zip(out[r:stop], t)]
+    return out
+
+
+def _minplus(s: list[int], t: list[int], L: int,
+             K: int) -> tuple[list[int], bool]:
+    """out[k] = min over l <= L of s[k + l] - t[l], and its certificate.
+
+    Across a flat run of t the term s[k + l] only grows, so the min
+    sits at the run's first index and only run starts are tried.  The
+    certificate holds when the run starts in (L, 2L] lower no value,
+    which is the min over l <= 2L agreeing with the min over l <= L.
+    It needs s out to K + 2L and t out to 2L, and is False otherwise.
+    """
+    starts = _run_starts(t[:2 * L + 1])
+    cut = bisect.bisect_right(starts, L)
+    c = t[0]
+    out = [x - c for x in s[:K + 1]]
+    for l in starts[:cut]:
+        c = t[l]
+        out = [o if o <= x - c else x - c
+               for o, x in zip(out, s[l:l + K + 1])]
+    if len(s) <= K + 2 * L or len(t) <= 2 * L:
+        return out, False
+    for l in starts[cut:]:
+        c = t[l]
+        if any(x - c < o for o, x in zip(out, s[l:l + K + 1])):
+            return out, False
+    return out, True
+
+
+def _common_den(values: Iterable[Fraction]) -> int:
+    return math.lcm(1, *(v.denominator for v in values))
+
+
 def _integerised(seqs: Sequence[CapacitySeq]) -> tuple[list[list[int]], int]:
-    den = 1
-    for s in seqs:
-        for v in s.values:
-            den = math.lcm(den, v.denominator)
-    scaled = [[int(v * den) for v in s.values] for s in seqs]
-    return scaled, den
+    den = _common_den(v for s in seqs for v in s.values)
+    return [[int(v * den) for v in s.values] for s in seqs], den
+
+
+def _union(seqs: list[list[int]], K: int) -> list[int]:
+    acc = seqs[0][:K + 1]
+    for t in seqs[1:]:
+        acc = _maxplus(acc, t, K)
+    return acc
+
+
+def _rationals(vals: list[int], den: int, certified: bool) -> CapacitySeq:
+    return CapacitySeq(tuple(Fraction(v, den) for v in vals), certified)
 
 
 def seq_sum(S: CapacitySeq, T: CapacitySeq,
             K: Optional[int] = None) -> CapacitySeq:
     """Disjoint union: max-plus convolution, valid out to both horizons."""
-    k1, k2 = S.horizon, T.horizon
-    if K is None:
-        K = k1 + k2
-    if K > k1 + k2:
-        raise DomainError("requested horizon exceeds what the inputs support")
-    (s, t), den = _integerised([S, T])
-    out = []
-    for k in range(K + 1):
-        lo = max(0, k - k2)
-        hi = min(k, k1)
-        out.append(max(s[i] + t[k - i] for i in range(lo, hi + 1)))
-    return CapacitySeq(tuple(Fraction(v, den) for v in out),
-                       S.certified and T.certified)
+    return seq_sum_many((S, T), S.horizon + T.horizon if K is None else K)
 
 
 def seq_sum_many(seqs: Iterable[CapacitySeq], K: int) -> CapacitySeq:
-    acc: Optional[CapacitySeq] = None
-    for s in seqs:
-        acc = s if acc is None else seq_sum(acc, s, K)
-    if acc is None:
+    seqs = list(seqs)
+    if not seqs:
         raise DomainError("empty union has no capacity sequence")
-    return acc.truncate(min(K, acc.horizon))
+    if len(seqs) > 1 and K > seqs[0].horizon + seqs[1].horizon:
+        raise DomainError("requested horizon exceeds what the inputs support")
+    ints, den = _integerised(seqs)
+    return _rationals(_union(ints, K), den, all(s.certified for s in seqs))
 
 
 def seq_sub(S: CapacitySeq, T: CapacitySeq, L: int, K: int) -> CapacitySeq:
@@ -148,14 +227,8 @@ def seq_sub(S: CapacitySeq, T: CapacitySeq, L: int, K: int) -> CapacitySeq:
     if S.horizon < K + L or T.horizon < L:
         raise DomainError("input horizons too short for the requested budget")
     (s, t), den = _integerised([S, T])
-    vals = [min(s[k + l] - t[l] for l in range(L + 1)) for k in range(K + 1)]
-    can_check = S.horizon >= K + 2 * L and T.horizon >= 2 * L
-    certified = False
-    if can_check:
-        doubled = [min(s[k + l] - t[l] for l in range(2 * L + 1))
-                   for k in range(K + 1)]
-        certified = doubled == vals and S.certified and T.certified
-    return CapacitySeq(tuple(Fraction(v, den) for v in vals), certified)
+    vals, certified = _minplus(s, t, L, K)
+    return _rationals(vals, den, certified and S.certified and T.certified)
 
 
 def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
@@ -168,7 +241,9 @@ def concave_caps(domain: ToricDomain, K: int,
                  max_nodes: int = DEFAULT_MAX_NODES) -> CapacitySeq:
     """Capacities of a concave domain through its weight expansion."""
     expansion, _ = concave_weights(domain, max_nodes)
-    return seq_sum_many((ball_caps(w, K) for w in expansion.weights), K)
+    den = _common_den(expansion.weights)
+    balls = [_ball_ints(int(w * den), K) for w in expansion.weights]
+    return _rationals(_union(balls, K), den, True)
 
 
 def default_sub_budget(K: int, head: Fraction) -> int:
@@ -185,6 +260,10 @@ def convex_caps(domain: ToricDomain, K: int, L: Optional[int] = None,
         return ball_caps(b, K)
     if L is None:
         L = default_sub_budget(K, b)
-    S = ball_caps(b, K + 2 * L)
-    T = seq_sum_many((ball_caps(w, 2 * L) for w in expansion.weights), 2 * L)
-    return seq_sub(S, T, L, K)
+    if L < 0 or K < 0:
+        raise DomainError("budgets must be nonnegative")
+    den = _common_den((b, *expansion.weights))
+    T = _union([_ball_ints(int(w * den), 2 * L)
+                for w in expansion.weights], 2 * L)
+    vals, certified = _minplus(_ball_ints(int(b * den), K + 2 * L), T, L, K)
+    return _rationals(vals, den, certified)

@@ -1,11 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from echtoric import (CapacitySeq, ToricDomain, ball_caps, concave_caps,
-                      contains, convex_caps, ellipsoid_caps, seq_leq, seq_sub,
-                      seq_sum, seq_sum_many)
+from echtoric import (CapacitySeq, DomainError, ToricDomain, ball_caps,
+                      concave_caps, contains, convex_caps, ellipsoid_caps,
+                      seq_leq, seq_sub, seq_sum, seq_sum_many)
 
 from generators import random_concave, random_convex
 
@@ -21,7 +22,9 @@ def brute_ellipsoid(a, b, K):
 
 
 def brute_sum(S, T, K):
-    return [max(S[i] + T[k - i] for i in range(k + 1)) for k in range(K + 1)]
+    return [max(S[i] + T[k - i]
+                for i in range(max(0, k - len(T) + 1), min(k, len(S) - 1) + 1))
+            for k in range(K + 1)]
 
 
 def brute_sub(S, T, L, K):
@@ -151,3 +154,119 @@ def test_capacity_seq_container_behaviour():
     cut = seq.truncate(1)
     assert cut.values == (0, 1)
     assert seq_leq(cut, cut)
+
+
+# c_0..c_20 of OMEGA2; they agree with the lattice-path oracle for k <= 9
+OMEGA2 = ToricDomain.convex([(0, 1), (1, 2), (5, 0)])
+OMEGA2_VALUES = tuple(F(v) for v in (
+    0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 11, 12, 13, 13, 14, 15, 15, 16, 16,
+    17, 17))
+
+
+def test_convex_caps_scaling_full_size():
+    # default budget L = 8(K + b^2): b = 20 at s = 4, so 2L = 6720
+    for s in (1, 2, 3, 4):
+        got = convex_caps(OMEGA2.scale(s), 20)
+        assert got.certified
+        assert got.values == tuple(s * v for v in OMEGA2_VALUES)
+
+
+def test_caps_golden(data_dir):
+    # values and certified flags recorded before the integer kernel
+    golden = json.loads((data_dir / "caps_golden.json").read_text())
+    assert len(golden) == 21
+    for entry in golden:
+        if entry["type"] == "convex":
+            dom, caps = ToricDomain.convex(entry["boundary"]), convex_caps
+        else:
+            dom, caps = ToricDomain.concave(entry["boundary"]), concave_caps
+        got = caps(dom, entry["K"])
+        assert [str(v) for v in got.values] == entry["values"], entry["name"]
+        assert got.certified == entry["certified"], entry["name"]
+
+
+def _flat_runs(rng, n):
+    """Random nondecreasing rationals from 0 with long flat runs."""
+    vals = [F(0)]
+    while len(vals) <= n:
+        step = F(rng.randint(1, 9), rng.randint(1, 4))
+        vals += [vals[-1] + step] * rng.randint(1, 8)
+    return CapacitySeq(tuple(vals[:n + 1]), rng.random() < 0.9)
+
+
+def test_kernel_against_brute_force():
+    rng = random.Random(41)
+    for _ in range(150):
+        S = _flat_runs(rng, rng.randint(0, 40))
+        T = _flat_runs(rng, rng.randint(0, 40))
+        k1, k2 = S.horizon, T.horizon
+        for A, B in ((S, T), (T, S)):
+            full = seq_sum(A, B)
+            assert full.horizon == k1 + k2
+            assert list(full.values) == brute_sum(A.values, B.values, k1 + k2)
+            assert full.certified == (S.certified and T.certified)
+            K = rng.randint(0, k1 + k2)
+            assert seq_sum(A, B, K).values == full.values[:K + 1]
+        U = _flat_runs(rng, rng.randint(0, 10))
+        K = rng.randint(0, k1 + k2)
+        many = seq_sum_many([S, T, U], K)
+        assert list(many.values) == brute_sum(
+            brute_sum(S.values, T.values, K), U.values, K)
+        assert many.certified == (S.certified and T.certified
+                                  and U.certified)
+        assert seq_sum_many([S], K).values == S.values[:K + 1]
+        # the union dominates each part, so its complement starts at 0
+        for A, B in ((S, T), (T, S), (seq_sum(S, T), T), (seq_sum(T, S), S)):
+            L = rng.randint(0, B.horizon)
+            K = rng.randint(0, A.horizon - L) if A.horizon >= L else None
+            if K is None:
+                continue
+            want = brute_sub(A.values, B.values, L, K)
+            if want[0] != 0:
+                # a complement below 0 at k = 0 is no capacity sequence
+                with pytest.raises(DomainError):
+                    seq_sub(A, B, L, K)
+                continue
+            got = seq_sub(A, B, L, K)
+            assert list(got.values) == want
+            can_check = A.horizon >= K + 2 * L and B.horizon >= 2 * L
+            assert got.certified == (
+                can_check and A.certified and B.certified
+                and brute_sub(A.values, B.values, 2 * L, K) == want)
+
+
+def test_kernel_edge_cases():
+    zero = CapacitySeq((0,))
+    S = ball_caps(F(3, 2), 9)
+    assert seq_sum(zero, zero).values == (0,)
+    assert seq_sum(zero, S).values == S.values == seq_sum(S, zero).values
+    assert seq_sum(S, S, 18).values == tuple(brute_sum(S.values, S.values, 18))
+    assert seq_sub(zero, zero, 0, 0).values == (0,)
+    assert seq_sub(S, zero, 0, 9).values == S.values
+    got = seq_sub(S, ball_caps(1, 4), 0, 4)
+    assert got.values == S.values[:5] and got.certified
+    # the certificate needs horizons out to K + 2L and 2L
+    assert not seq_sub(S, ball_caps(1, 3), 3, 6).certified
+
+
+def test_kernel_errors():
+    S = ball_caps(1, 5)
+    with pytest.raises(DomainError):
+        seq_sum(S, S, 11)
+    with pytest.raises(DomainError):
+        seq_sum_many([], 3)
+    with pytest.raises(DomainError):
+        seq_sum_many([S, S], 11)
+    with pytest.raises(DomainError):
+        seq_sub(S, S, -1, 0)
+    with pytest.raises(DomainError):
+        seq_sub(S, S, 0, -1)
+    with pytest.raises(DomainError):
+        seq_sub(S, S, 3, 3)  # S must reach K + L
+    with pytest.raises(DomainError):
+        seq_sub(S, ball_caps(1, 2), 3, 0)  # T must reach L
+    with pytest.raises(DomainError):
+        # c_0 != 0 fails before seq_sub sees it
+        seq_sub(S, CapacitySeq((1, 2)), 0, 0)
+    with pytest.raises(DomainError):
+        convex_caps(OMEGA2, 3, -1)
