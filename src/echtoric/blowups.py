@@ -272,6 +272,8 @@ def outer_approximation(tree: DecompositionNode,
     edge per node, in chain order.  Perturbations are consumed in
     preorder.  A perturbation too large to keep the tree shape raises.
     """
+    if tree.domain is None:
+        raise DomainError("outer approximation needs the root of a tree")
     ds = _delta_list(deltas, node_count(tree))
     # two passes: cut pieces root-down recording frames, then assemble
     # the perturbed boundaries bottom-up; children point at parent slots
@@ -342,8 +344,7 @@ def _reroot(node: DecompositionNode, domain: ToricDomain) -> DecompositionNode:
     """The same tree shape hung onto a perturbed root domain."""
     return DecompositionNode(
         value=node.value, x1=node.x1, x2=node.x2, domain=domain,
-        to_original=node.to_original, left_map=node.left_map,
-        right_map=node.right_map, left=node.left, right=node.right)
+        to_original=node.to_original, left=node.left, right=node.right)
 
 
 def inner_approximation(decomp: ConvexDecomposition,

@@ -19,12 +19,12 @@ from typing import Optional, Sequence
 from .blowups import inner_approximation, outer_approximation
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
-from .embeddings import (EmbeddingProblem, capacity_report,
-                         optimal_embedding_scale, reduce_to_packing)
+from .embeddings import (EmbeddingProblem, _instance_and_source,
+                         capacity_report)
 from .errors import DomainError, GeometryError, LimitError
 from .fileio import canonical_json, digest_file, load_domain, parse_rational
 from .latticepaths import oracle_convex_caps_upto
-from .packing import PackingInstance, Verdict, decide_packing
+from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
 from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
@@ -179,7 +179,8 @@ def cmd_embed(args) -> dict:
     mn = _max_nodes()
     problem = EmbeddingProblem(load_domain(args.source),
                                load_domain(args.target))
-    instance = reduce_to_packing(problem, mn)
+    # the scale search reuses the expansions behind the instance
+    instance, source_weights = _instance_and_source(problem, mn)
     verdict = decide_packing(instance)
     report = {
         "command": "embed",
@@ -202,7 +203,7 @@ def cmd_embed(args) -> dict:
         }
     if args.scale_search is not None:
         precision = parse_rational(args.scale_search)
-        lo, hi = optimal_embedding_scale(problem, precision, mn)
+        lo, hi = optimal_scale(instance, source_weights, precision)
         report["scale"] = {
             "precision": str(precision),
             "feasible_at": str(lo),

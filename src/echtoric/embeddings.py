@@ -33,6 +33,15 @@ class EmbeddingProblem:
             raise DomainError("embedding targets must be convex domains")
 
 
+def _instance_and_source(problem: EmbeddingProblem, max_nodes: int,
+                         ) -> tuple[PackingInstance, tuple[Fraction, ...]]:
+    """The packing instance and the source's weight balls within it."""
+    src, _ = concave_weights(problem.source, max_nodes)
+    tgt, _ = convex_weights(problem.target, max_nodes)
+    assert tgt.head is not None
+    return PackingInstance(tgt.head, src.weights + tgt.weights), src.weights
+
+
 def reduce_to_packing(problem: EmbeddingProblem,
                       max_nodes: int = DEFAULT_MAX_NODES) -> PackingInstance:
     """Ball instance equivalent to the embedding question.
@@ -41,10 +50,7 @@ def reduce_to_packing(problem: EmbeddingProblem,
     all-enclosing ball minus its own weight balls, which join the list
     of balls to pack.
     """
-    src, _ = concave_weights(problem.source, max_nodes)
-    tgt, _ = convex_weights(problem.target, max_nodes)
-    assert tgt.head is not None
-    return PackingInstance(tgt.head, src.weights + tgt.weights)
+    return _instance_and_source(problem, max_nodes)[0]
 
 
 def decide_embedding(problem: EmbeddingProblem,
@@ -102,8 +108,5 @@ def optimal_embedding_scale(problem: EmbeddingProblem,
     the source's balls inside the reduced instance and keeps the
     target's own balls fixed.
     """
-    src, _ = concave_weights(problem.source, max_nodes)
-    tgt, _ = convex_weights(problem.target, max_nodes)
-    assert tgt.head is not None
-    instance = PackingInstance(tgt.head, src.weights + tgt.weights)
-    return optimal_scale(instance, src.weights, rational(precision))
+    instance, scaled = _instance_and_source(problem, max_nodes)
+    return optimal_scale(instance, scaled, rational(precision))

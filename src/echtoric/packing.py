@@ -12,6 +12,14 @@ negative.
 The packing exists exactly when the reduction ends nonnegative and the
 squared sizes fit into the head square.  Each verdict carries the whole
 trace so a reduction can be replayed and audited step by step.
+
+The moves run on integers: each call clears the common denominator of
+its vector once and hands the integer vector to one reduction kernel,
+so only the trace rows a caller gets back are turned into fractions.
+A scale search clears the denominators of its instance once as well and
+probes t = p/q on the integer vector (q*b; p*a_i for the scaled balls,
+q*a_j for the fixed ones): a positive factor changes neither the sign of
+a defect, nor which entries are negative, nor the sign of the slack.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -93,6 +102,44 @@ def cremona_step(vec: Sequence[RationalLike]) -> Vector:
     return _canonical(moved)
 
 
+def _slack(v: Sequence[int]) -> int:
+    return v[0] * v[0] - sum(a * a for a in v[1:])
+
+
+def _reduce(v: list[int]) -> list[tuple[int, ...]]:
+    """Trace of defect moves on a canonical integer vector.
+
+    v is (b; a_1, ..., a_n) with the sizes sorted nonincreasing and at
+    least three of them.  The head drops by at least one per move, and
+    a negative head already counts as a negative entry, so this ends.
+    """
+    slack = _slack(v)
+    trace = [tuple(v)]
+    while min(v[0], v[-1]) >= 0:
+        d = v[1] + v[2] + v[3] - v[0]
+        if d <= 0:
+            break
+        head = v[0] - d
+        assert head < v[0]
+        v = [head] + sorted([v[1] - d, v[2] - d, v[3] - d] + v[4:],
+                            reverse=True)
+        assert _slack(v) == slack
+        trace.append(tuple(v))
+    return trace
+
+
+def _integral(vec: Vector) -> tuple[int, list[int]]:
+    """Common denominator D of vec and the integer vector D * vec."""
+    D = lcm(*(v.denominator for v in vec))
+    return D, [v.numerator * (D // v.denominator) for v in vec]
+
+
+def _fraction_rows(rows: list[tuple[int, ...]], D: int) -> tuple[Vector, ...]:
+    # entries repeat across rows, so build each Fraction once
+    frac = {n: Fraction(n, D) for n in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
+
+
 def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
     """Trace of vectors from the input down to a terminal one.
 
@@ -101,38 +148,27 @@ def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
     least one grid unit of the common denominator per move and a
     negative head already counts as a negative entry.
     """
-    cur = _canonical(vec)
-    grid = lcm(*(v.denominator for v in cur))
-    slack = cur[0] ** 2 - sum((a * a for a in cur[1:]), Fraction(0))
-    trace = [cur]
-    while min(cur) >= 0 and defect(cur) > 0:
-        nxt = cremona_step(cur)
-        assert nxt[0] < cur[0]
-        assert all(grid % v.denominator == 0 for v in nxt)
-        assert nxt[0] ** 2 - sum((a * a for a in nxt[1:]),
-                                 Fraction(0)) == slack
-        cur = nxt
-        trace.append(cur)
-    return tuple(trace)
+    D, v = _integral(_canonical(vec))
+    return _fraction_rows(_reduce(v), D)
 
 
 def decide_packing(instance: PackingInstance) -> Verdict:
     """Reduce the instance vector and read off feasibility."""
-    vec = instance.vector()
-    trace = cremona_reduce(vec)
-    terminal = trace[-1]
-    slack = vec[0] ** 2 - sum((a * a for a in vec[1:]), Fraction(0))
+    D, v = _integral(instance.vector())
+    rows = _reduce(v)
     failures = []
-    if min(terminal) < 0:
+    if min(rows[-1]) < 0:
         failures.append("negative-entry")
+    slack = _slack(v)
     if slack < 0:
         failures.append("volume")
+    trace = _fraction_rows(rows, D)
     return Verdict(
         feasible=not failures,
         trace=trace,
         failures=tuple(failures),
-        terminal=terminal,
-        volume_slack=slack,
+        terminal=trace[-1],
+        volume_slack=Fraction(slack, D * D),
     )
 
 
@@ -150,6 +186,22 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
         if union[k] > target[k]:
             return k
     return None
+
+
+def _scaled_feasible(target: int, scaled: Sequence[int],
+                     fixed: Sequence[int], t: Fraction) -> bool:
+    """Whether t*scaled and fixed pack into target, all sizes times D.
+
+    The probe reduces the instance at scale t multiplied by
+    D * t.denominator, which is integral.
+    """
+    p, q = t.numerator, t.denominator
+    balls = [q * a for a in fixed]
+    if p:
+        balls += [p * a for a in scaled]
+    balls.sort(reverse=True)
+    v = [q * target] + balls + [0] * (3 - len(balls))
+    return min(_reduce(v)[-1]) >= 0 and _slack(v) >= 0
 
 
 def optimal_scale(instance: PackingInstance,
@@ -173,12 +225,13 @@ def optimal_scale(instance: PackingInstance,
     remaining.subtract(Counter(scaled_sizes))
     if any(c < 0 for c in remaining.values()):
         raise DomainError("scaled sizes are not among the instance's balls")
-    fixed_sizes = tuple(remaining.elements())
+    _, ints = _integral((instance.target, *scaled_sizes,
+                         *remaining.elements()))
+    n = 1 + len(scaled_sizes)
+    target, scaled_ints, fixed_ints = ints[0], ints[1:n], ints[n:]
 
     def feasible(t: Fraction) -> bool:
-        balls = tuple(t * a for a in scaled_sizes) + fixed_sizes
-        return decide_packing(PackingInstance(instance.target,
-                                              balls)).feasible
+        return _scaled_feasible(target, scaled_ints, fixed_ints, t)
 
     if not feasible(Fraction(0)):
         raise DomainError("infeasible already at scale zero")

@@ -6,8 +6,15 @@ at one vertex or one edge of slope -1.  The parts left and right of the
 cut are normalised back into standard position by integral shears and
 peeled again, which terminates for rational data.  The multiset of cut
 levels is the weight sequence; the recursion tree remembers enough to
-rebuild everything (domains per node, the shear used on each side and
-the accumulated map back to the input coordinates).
+rebuild every triangle: each node keeps its cut level, where the cut
+meets the boundary and the accumulated map back to the input
+coordinates, and the root also keeps the domain it peeled.
+
+The cuts run on integers.  Both shears (x, y) -> (x, x + y - a) and
+(x, y) -> (x + y - a, y) are unimodular with integer translations, so
+after one common denominator D is cleared from the root boundary and
+the root map, every piece, cut level and map stays integral; only the
+finished nodes divide by D again.
 
 A convex domain is handled dually: the head weight is the maximum of
 x + y, the two boundary pieces beyond the cut line are folded into
@@ -23,23 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterator, Optional, Sequence
 
 from .domains import ToricDomain
 from .errors import DomainError, GeometryError, LimitError
 from .geometry import AffineUnimodularMap, Point, RationalLike, rational
 
 DEFAULT_MAX_NODES = 10_000
-
-
-def left_cut_map(a: Fraction) -> AffineUnimodularMap:
-    """(x, y) -> (x, x + y - a): part of a concave boundary left of the cut."""
-    return AffineUnimodularMap(1, 0, 1, 1, Point(0, -a))
-
-
-def right_cut_map(a: Fraction) -> AffineUnimodularMap:
-    """(x, y) -> (x + y - a, y): part of a concave boundary right of the cut."""
-    return AffineUnimodularMap(1, 1, 0, 1, Point(-a, 0))
 
 
 def left_piece_map(b: Fraction) -> AffineUnimodularMap:
@@ -79,18 +77,19 @@ class DecompositionNode:
 
     value is the cut level, x1 and x2 the x-coordinates of the first and
     last boundary vertex on the cut line (they differ exactly when the
-    boundary has an edge of slope -1 there).  domain is the normalised
-    domain this node peeled, to_original maps its coordinates back to
-    the coordinates of the domain the recursion started from.
+    boundary has an edge of slope -1 there), all in the normalised
+    coordinates of the piece this node peeled.  to_original maps those
+    coordinates back to the coordinates of the domain the recursion
+    started from.  domain is that piece as a ToricDomain at the root of
+    a tree and None below it, where the pieces exist only inside the
+    integer cut kernel.
     """
 
     value: Fraction
     x1: Fraction
     x2: Fraction
-    domain: ToricDomain
+    domain: Optional[ToricDomain]
     to_original: AffineUnimodularMap
-    left_map: Optional[AffineUnimodularMap]
-    right_map: Optional[AffineUnimodularMap]
     left: Optional["DecompositionNode"]
     right: Optional["DecompositionNode"]
 
@@ -103,30 +102,40 @@ class ConvexDecomposition:
     x1: Fraction
     x2: Fraction
     domain: ToricDomain
-    left_map: Optional[AffineUnimodularMap]
-    right_map: Optional[AffineUnimodularMap]
     left: Optional[DecompositionNode]
     right: Optional[DecompositionNode]
 
 
-def _min_cut(domain: ToricDomain) -> tuple[Fraction, int, int]:
-    s = [p.x + p.y for p in domain.boundary]
-    a = min(s)
-    i = s.index(a)
-    j = len(s) - 1 - s[::-1].index(a)
+def _cut(sums: list, extreme: Callable) -> tuple:
+    """Level extreme(sums) with the first and last index attaining it.
+
+    Along a valid boundary x + y is unimodal, so the level is attained
+    at one vertex or at the two ends of one edge.
+    """
+    a = extreme(sums)
+    i = sums.index(a)
+    j = len(sums) - 1 - sums[::-1].index(a)
     if j - i > 1:
         raise GeometryError("x + y is not unimodal along the boundary")
     return a, i, j
 
 
-def _max_cut(domain: ToricDomain) -> tuple[Fraction, int, int]:
-    s = [p.x + p.y for p in domain.boundary]
-    b = max(s)
-    i = s.index(b)
-    j = len(s) - 1 - s[::-1].index(b)
-    if j - i > 1:
-        raise GeometryError("x + y is not unimodal along the boundary")
-    return b, i, j
+def _check_concave(pts: list[tuple[int, int]]) -> None:
+    """The concave-boundary rules of ToricDomain, on integer vertices."""
+    (x0, y0), (xn, yn) = pts[0], pts[-1]
+    if x0 != 0 or y0 <= 0:
+        raise DomainError("boundary must start on the positive y-axis")
+    if yn != 0 or xn <= 0:
+        raise DomainError("boundary must end on the positive x-axis")
+    pdx, pdy = 0, -1  # straight down: every edge turns left from it
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        dx, dy = qx - px, qy - py
+        if dx <= 0 or dy >= 0:
+            raise DomainError(
+                "concave boundary edges must go strictly down-right")
+        if pdx * dy - pdy * dx <= 0:
+            raise DomainError("concave boundary slopes must strictly increase")
+        pdx, pdy = dx, dy
 
 
 class _Budget:
@@ -143,42 +152,59 @@ class _Budget:
 
 def _concave_tree(domain: ToricDomain, to_original: AffineUnimodularMap,
                   budget: _Budget) -> DecompositionNode:
-    # explicit stack with parent back-links so that very unbalanced
-    # trees (long Euclid runs) cannot overflow the interpreter stack
-    entries: list[dict] = []
-    work = [(domain, to_original, -1, "left")]
+    m, bd = to_original, domain.boundary
+    D = lcm(m.t.x.denominator, m.t.y.denominator,
+            *(p.x.denominator for p in bd), *(p.y.denominator for p in bd))
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (D // v.denominator)
+
+    root_pts = [(scaled(p.x), scaled(p.y)) for p in bd]
+    root_map = (m.a, m.b, m.c, m.d, scaled(m.t.x), scaled(m.t.y))
+    # nodes in preorder as (a, x1, x2, map, left, right), children as
+    # indices; an explicit stack keeps very unbalanced trees (long
+    # Euclid runs) off the interpreter stack
+    rows: list[list] = []
+    work = [(root_pts, root_map, -1, 4)]
     while work:
-        dom, to_orig, parent, side = work.pop()
+        pts, (ma, mb, mc, md, tx, ty), parent, slot = work.pop()
         budget.tick()
-        idx = len(entries)
+        idx = len(rows)
         if parent >= 0:
-            entries[parent][side] = idx
-        a, i, j = _min_cut(dom)
-        bd = dom.boundary
-        n = len(bd) - 1
-        lm = rm = None
+            rows[parent][slot] = idx
+        a, i, j = _cut([x + y for x, y in pts], min)
         if i > 0:
-            lm = left_cut_map(a)
-            ldom = ToricDomain.concave([lm.apply(p) for p in bd[:i + 1]])
-            work.append((ldom, to_orig.compose(lm.inverse()), idx, "left"))
-        if j < n:
-            rm = right_cut_map(a)
-            rdom = ToricDomain.concave([rm.apply(p) for p in bd[j:]])
-            work.append((rdom, to_orig.compose(rm.inverse()), idx, "right"))
-        entries.append({
-            "value": a, "x1": bd[i].x, "x2": bd[j].x, "domain": dom,
-            "to_original": to_orig, "left_map": lm, "right_map": rm,
-            "left": None, "right": None,
-        })
-    nodes: list[Optional[DecompositionNode]] = [None] * len(entries)
-    for idx in range(len(entries) - 1, -1, -1):
-        e = entries[idx]
+            # the piece goes through (x, y) -> (x, x + y - a), so its map
+            # back is to_original after (x, y) -> (x, y - x + a)
+            piece = [(x, x + y - a) for x, y in pts[:i + 1]]
+            _check_concave(piece)
+            work.append((piece, (ma - mb, mb, mc - md, md,
+                                 tx + mb * a, ty + md * a), idx, 4))
+        if j < len(pts) - 1:
+            # (x, y) -> (x + y - a, y), back through (x - y + a, y)
+            piece = [(x + y - a, y) for x, y in pts[j:]]
+            _check_concave(piece)
+            work.append((piece, (ma, mb - ma, mc, md - mc,
+                                 tx + ma * a, ty + mc * a), idx, 5))
+        rows.append([a, pts[i][0], pts[j][0], (ma, mb, mc, md, tx, ty),
+                     None, None])
+
+    # levels and coordinates repeat across nodes, so build each
+    # Fraction once
+    numerators: set[int] = set()
+    for a, x1, x2, (_, _, _, _, tx, ty), _, _ in rows:
+        numerators.update((a, x1, x2, tx, ty))
+    frac = {n: Fraction(n, D) for n in numerators}
+    nodes: list[Optional[DecompositionNode]] = [None] * len(rows)
+    for idx in range(len(rows) - 1, -1, -1):
+        a, x1, x2, (ma, mb, mc, md, tx, ty), left, right = rows[idx]
         nodes[idx] = DecompositionNode(
-            value=e["value"], x1=e["x1"], x2=e["x2"], domain=e["domain"],
-            to_original=e["to_original"],
-            left_map=e["left_map"], right_map=e["right_map"],
-            left=None if e["left"] is None else nodes[e["left"]],
-            right=None if e["right"] is None else nodes[e["right"]],
+            value=frac[a], x1=frac[x1], x2=frac[x2],
+            domain=domain if idx == 0 else None,
+            to_original=AffineUnimodularMap(ma, mb, mc, md,
+                                            Point(frac[tx], frac[ty])),
+            left=None if left is None else nodes[left],
+            right=None if right is None else nodes[right],
         )
     root = nodes[0]
     assert root is not None
@@ -222,25 +248,23 @@ def convex_weights(domain: ToricDomain,
                    ) -> tuple[WeightExpansion, ConvexDecomposition]:
     if domain.kind != "convex":
         raise DomainError("convex_weights needs a convex domain")
-    b, i, j = _max_cut(domain)
     bd = domain.boundary
-    n = len(bd) - 1
+    b, i, j = _cut([p.x + p.y for p in bd], max)
     budget = _Budget(max_nodes)
     budget.tick()  # the head takes one slot
-    lm = rm = None
     left = right = None
     if i > 0:
         lm = left_piece_map(b)
         # folding reverses the orientation of the piece
         ldom = ToricDomain.concave([lm.apply(p) for p in bd[i::-1]])
         left = _concave_tree(ldom, lm.inverse(), budget)
-    if j < n:
+    if j < len(bd) - 1:
         rm = right_piece_map(b)
         rdom = ToricDomain.concave([rm.apply(p) for p in reversed(bd[j:])])
         right = _concave_tree(rdom, rm.inverse(), budget)
     decomp = ConvexDecomposition(
         head=b, x1=bd[i].x, x2=bd[j].x, domain=domain,
-        left_map=lm, right_map=rm, left=left, right=right)
+        left=left, right=right)
     weights = tree_values(left) + tree_values(right)
     return WeightExpansion(b, weights), decomp
 

@@ -140,6 +140,22 @@ def test_embed_full_report(data_dir, capsys):
     assert code == 0 and out2 == out1
 
 
+def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
+                                                    monkeypatch):
+    import echtoric.embeddings as emb
+    calls = []
+    for name in ("concave_weights", "convex_weights"):
+        def counted(*args, _name=name, _fn=getattr(emb, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(emb, name, counted)
+    code, rep, _, _ = run(capsys, "embed", str(data_dir / "omega1.json"),
+                          str(data_dir / "omega2.json"),
+                          "--scale-search", "1/100")
+    assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
+    assert sorted(calls) == ["concave_weights", "convex_weights"]
+
+
 def test_embed_rejects_wrong_kinds(data_dir, capsys):
     code, _, _, err = run(capsys, "embed", str(data_dir / "omega2.json"),
                           str(data_dir / "omega2.json"))

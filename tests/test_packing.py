@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from echtoric import (DomainError, PackingInstance, capacity_obstruction,
-                      cremona_reduce, cremona_step, decide_packing, defect,
-                      optimal_scale)
+from echtoric import (DomainError, EmbeddingProblem, PackingInstance,
+                      ToricDomain, capacity_obstruction, cremona_reduce,
+                      cremona_step, decide_packing, defect,
+                      optimal_embedding_scale, optimal_scale)
+
+from echtoric.packing import _integral, _scaled_feasible
 
 from generators import random_instance
 
@@ -48,6 +52,8 @@ def test_step_hand_traces():
                                        F(1, 3), 0, 0)
     with pytest.raises(DomainError):
         cremona_step((2, 1, 1))  # defect 0, nothing to do
+    # a negative head is a negative entry: the trace ends at once
+    assert cremona_reduce((-1, 1, 1, 1)) == ((-1, 1, 1, 1),)
 
 
 def test_step_conserves_volume_slack():
@@ -200,3 +206,57 @@ def test_optimal_scale_rejections():
         optimal_scale(inst, (1,), 0)
     with pytest.raises(DomainError):
         optimal_scale(PackingInstance(1, (2, 2)), (2,), F(1, 16))
+
+
+def test_packing_golden(data_dir):
+    # recorded before the integer reduction kernel: seeded random
+    # instances covering both failure kinds and the zero padding, and
+    # 1/1000 scale brackets of the McDuff-Schlenk staircase sources
+    # E(1,a) into B(3) and the square and of random domain pairs
+    golden = json.loads((data_dir / "packing_golden.json").read_text())
+    assert len(golden["decide"]) == 73 and len(golden["scale"]) == 22
+    for entry in golden["decide"]:
+        v = decide_packing(PackingInstance(F(entry["target"]),
+                                           tuple(map(F, entry["balls"]))))
+        assert v.feasible == entry["feasible"]
+        assert list(v.failures) == entry["failures"]
+        assert str(v.volume_slack) == entry["volume_slack"]
+        assert [[str(a) for a in vec] for vec in v.trace] == entry["trace"]
+        assert v.terminal == v.trace[-1]
+    for entry in golden["scale"]:
+        problem = EmbeddingProblem(
+            ToricDomain.concave(entry["source"]),
+            ToricDomain.convex(entry["target"]))
+        lo, hi = optimal_embedding_scale(problem, F(entry["precision"]))
+        assert [str(lo), str(hi)] == entry["bracket"], entry["name"]
+
+
+def _fraction_feasible(target, balls):
+    """Reduction on Fractions by single moves, as a reference."""
+    vec = PackingInstance(target, balls).vector()
+    slack = vec[0] ** 2 - sum(a * a for a in vec[1:])
+    while min(vec) >= 0 and defect(vec) > 0:
+        vec = cremona_step(vec)
+    return min(vec) >= 0 and slack >= 0
+
+
+def test_scale_probe_matches_fraction_decisions():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(400):
+        inst = random_instance(rng, max_balls=rng.choice((2, 4, 9)))
+        cut = rng.randint(1, len(inst.balls))
+        scaled, fixed = inst.balls[:cut], inst.balls[cut:]
+        _, ints = _integral((inst.target,) + scaled + fixed)
+        n = 1 + len(scaled)
+        for t in (F(0), F(1), F(rng.randint(0, 40), rng.randint(1, 24))):
+            balls = tuple(t * a for a in scaled) + fixed
+            ref = decide_packing(PackingInstance(inst.target, balls))
+            got = _scaled_feasible(ints[0], ints[1:n], ints[n:], t)
+            assert got == ref.feasible == _fraction_feasible(inst.target,
+                                                             balls)
+            seen.add((t == 0, len(ref.trace[0]) - 1 - len(balls) > 0,
+                      "negative-entry" in ref.failures))
+    # scale zero, zero padding and negative terminals all occurred
+    assert {s[0] for s in seen} == {s[1] for s in seen} == \
+        {s[2] for s in seen} == {False, True}

@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from echtoric import (DomainError, LimitError, ToricDomain,
-                      build_short_concave, concave_weights, convex_weights,
-                      node_count, tree_values)
+from echtoric import (DEFAULT_MAX_NODES, DomainError, LimitError,
+                      ToricDomain, build_short_concave, concave_weights,
+                      convex_weights, inorder, node_count, tree_values)
 from echtoric.errors import GeometryError
+from echtoric.weights import _check_concave, _cut
 
 from generators import random_concave, random_convex
 
@@ -95,9 +97,33 @@ def test_scaling_equivariance_random():
 
 
 def test_long_euclid_run_stays_iterative():
-    exp, tree = concave_weights(ToricDomain.ellipsoid(1, 400))
-    assert node_count(tree) == 400
+    dom = ToricDomain.ellipsoid(1, 5000)
+    exp, tree = concave_weights(dom, DEFAULT_MAX_NODES)
+    assert node_count(tree) == 5000
     assert set(exp.weights) == {1}
+    assert exp.weight_squares() == 2 * dom.area()
+
+
+def test_piece_check_matches_domain_rules():
+    good = [(0, 5), (1, 2), (3, 0)]
+    _check_concave(good)
+    ToricDomain.concave(good)
+    for bad in ([(1, 5), (3, 0)], [(0, 0), (3, 0)], [(0, 5), (3, 1)],
+                [(0, 5), (0, 3), (3, 0)], [(0, 5), (2, 5), (3, 0)],
+                [(0, 5), (2, 3), (3, 0)], [(0, 5), (2, 4), (3, 0)]):
+        with pytest.raises(DomainError):
+            _check_concave(bad)
+        with pytest.raises(DomainError):
+            ToricDomain.concave(bad)
+
+
+def test_cut_levels_and_unimodality():
+    assert _cut([5, 2, 2, 7], min) == (2, 1, 2)
+    assert _cut([F(1, 2), 3, F(5, 2)], max) == (3, 1, 1)
+    with pytest.raises(GeometryError):
+        _cut([5, 2, 2, 2, 7], min)
+    with pytest.raises(GeometryError):
+        _cut([4, 1, 3, 4], max)
 
 
 def test_node_budget_guard():
@@ -132,3 +158,35 @@ def test_weight_expansion_normalizes_order():
     from echtoric import WeightExpansion
     exp = WeightExpansion(None, (F(1, 3), 2, F(2, 3)))
     assert exp.weights == (2, F(2, 3), F(1, 3))
+
+
+def _node_rows(tree):
+    rows = []
+    for n in inorder(tree):
+        m = n.to_original
+        rows.append([str(n.value), str(n.x1), str(n.x2),
+                     [m.a, m.b, m.c, m.d, str(m.t.x), str(m.t.y)]])
+    return rows
+
+
+def test_weights_golden(data_dir):
+    # every node of every tree, recorded before the integer cut kernel:
+    # the reference domains, E(1,N) for N <= 40, Fibonacci ellipsoids
+    # E(F_k, F_k+1) for k <= 20, 20 random concave and 20 random convex
+    # domains (five of them overhang)
+    golden = json.loads((data_dir / "weights_golden.json").read_text())
+    assert len(golden) == 110
+    for entry in golden:
+        dom = ToricDomain(entry["type"],
+                          tuple(tuple(p) for p in entry["boundary"]))
+        if dom.kind == "concave":
+            exp, tree = concave_weights(dom)
+            assert _node_rows(tree) == entry["nodes"], entry["name"]
+        else:
+            exp, decomp = convex_weights(dom)
+            head = [str(decomp.head), str(decomp.x1), str(decomp.x2)]
+            assert head == entry["head"], entry["name"]
+            assert _node_rows(decomp.left) == entry["left"], entry["name"]
+            assert _node_rows(decomp.right) == entry["right"], entry["name"]
+        assert [str(w) for w in exp.weights] == entry["weights"], \
+            entry["name"]
