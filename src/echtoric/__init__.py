@@ -24,8 +24,8 @@ from .embeddings import (CapacityReport, EmbeddingProblem, ReportRow,
 from .errors import DomainError, GeometryError, LimitError
 from .fileio import (canonical_json, digest_bytes, digest_file,
                      domain_from_json, domain_to_json, load_domain,
-                     parse_rational, rational_str, save_domain)
-from .geometry import AffineUnimodularMap, Point
+                     rational_str, save_domain)
+from .geometry import AffineUnimodularMap, Point, rational
 from .latticepaths import (LatticePath, count_concave, count_convex,
                            ell_concave, ell_convex, oracle_convex_cap,
                            oracle_convex_caps_upto, split_path)

@@ -22,7 +22,13 @@ with one boundary edge per tree node; lowering a convex head and
 enlarging the side pieces produces a slightly smaller convex domain.
 Perturbation sizes are given per node in preorder (or one scalar for
 all) and must be small enough to keep the tree shape, otherwise the
-construction reports the mismatch.
+construction reports the mismatch.  One walk down the tree cuts each
+piece at its raised level and composes the piece's map back to the
+input coordinates; every leaf side then puts out one vertex, so the
+result is assembled without re-mapping any child boundary.  Unlike the
+weight recursion this stays in Fractions: a raised level cuts edges
+between vertices, and the interpolated points bring new denominators
+at every level.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from typing import Optional, Sequence, Union
 
 from .domains import ToricDomain
 from .errors import DomainError
-from .geometry import Point, RationalLike, rational
-from .weights import (ConvexDecomposition, DecompositionNode, inorder,
-                      node_count, tree_values)
+from .geometry import RationalLike, rational
+from .weights import (ConvexDecomposition, DecompositionNode, _check_concave,
+                      inorder, node_count, tree_values)
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,7 @@ def symplectic_class(source_tree: DecompositionNode,
 
 
 Deltas = Union[RationalLike, Sequence[RationalLike]]
+Vertex = tuple[Fraction, Fraction]
 
 
 def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
@@ -201,66 +208,87 @@ def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
     return vals
 
 
-def _min_s(domain: ToricDomain) -> Fraction:
-    return min(p.x + p.y for p in domain.boundary)
+def _clip(bd: list[Vertex], lam: Fraction, below: bool) -> list[Vertex]:
+    """Boundary prefix ending where x + y first reaches lam.
 
-
-def _sink_forward(bd: Sequence[Point], lam: Fraction) -> list[Point]:
-    """Boundary prefix ending where x + y first sinks to lam."""
-    for t, p in enumerate(bd):
-        s = p.x + p.y
+    below: x + y sinks to lam from above; otherwise it rises to lam from
+    below.  Suffixes come from clipping the reversed boundary.
+    """
+    for t, (x, y) in enumerate(bd):
+        s = x + y
         if s == lam:
-            return list(bd[:t + 1])
-        if s < lam:
-            prev = bd[t - 1]
-            sp = prev.x + prev.y
-            theta = (sp - lam) / (sp - s)
-            return list(bd[:t]) + [prev + (p - prev).scale(theta)]
+            return bd[:t + 1]
+        if (s < lam) == below:
+            px, py = bd[t - 1]
+            theta = (px + py - lam) / (px + py - s)
+            return bd[:t] + [(px + (x - px) * theta, py + (y - py) * theta)]
     raise DomainError("cut level never reached along the boundary")
 
 
-def _sink_backward(bd: Sequence[Point], lam: Fraction) -> list[Point]:
-    """Boundary suffix starting where x + y last sinks to lam."""
-    for t in range(len(bd) - 1, -1, -1):
-        p = bd[t]
-        s = p.x + p.y
-        if s == lam:
-            return list(bd[t:])
-        if s < lam:
-            nxt = bd[t + 1]
-            sn = nxt.x + nxt.y
-            theta = (sn - lam) / (sn - s)
-            return [nxt + (p - nxt).scale(theta)] + list(bd[t + 1:])
-    raise DomainError("cut level never reached along the boundary")
+def _grow(shape: DecompositionNode, pts: list[Vertex],
+          ds: list[Fraction]) -> ToricDomain:
+    """Concave piece pts with every cut of shape pushed up by its delta.
 
-
-def _rise_forward(bd: Sequence[Point], lam: Fraction) -> list[Point]:
-    """Boundary prefix ending where x + y first rises to lam."""
-    for t, p in enumerate(bd):
-        s = p.x + p.y
-        if s == lam:
-            return list(bd[:t + 1])
-        if s > lam:
-            prev = bd[t - 1]
-            sp = prev.x + prev.y
-            theta = (lam - sp) / (s - sp)
-            return list(bd[:t]) + [prev + (p - prev).scale(theta)]
-    raise DomainError("cut level never reached along the boundary")
-
-
-def _rise_backward(bd: Sequence[Point], lam: Fraction) -> list[Point]:
-    """Boundary suffix starting where x + y last rises to lam."""
-    for t in range(len(bd) - 1, -1, -1):
-        p = bd[t]
-        s = p.x + p.y
-        if s == lam:
-            return list(bd[t:])
-        if s > lam:
-            nxt = bd[t + 1]
-            sn = nxt.x + nxt.y
-            theta = (lam - sn) / (s - sn)
-            return [nxt + (p - nxt).scale(theta)] + list(bd[t + 1:])
-    raise DomainError("cut level never reached along the boundary")
+    One in-order walk: a node is cut when it is first reached (so ds is
+    consumed in preorder), its pieces are sheared into standard position
+    and each piece's map back to the coordinates of pts is composed as
+    (a, b, c, d, tx, ty), as in the weight recursion.  Each leaf side
+    puts out one vertex, (0, lam) or (lam, 0) mapped back.
+    """
+    out: list[Vertex] = []
+    # M (1, -1) of every node in in-order, which is the order of the gaps
+    # between consecutive output vertices
+    seams: list[tuple[int, int]] = []
+    stack: list[tuple] = []
+    cur: Optional[tuple] = (shape, pts, (1, 0, 0, 1, 0, 0))
+    order = 0
+    while stack or cur is not None:
+        while cur is not None:
+            node, bd, m = cur
+            ma, mb, mc, md, tx, ty = m
+            lam = min(x + y for x, y in bd) + ds[order]
+            order += 1
+            left = right = None
+            if node.left is not None:
+                if sum(bd[0]) <= lam:
+                    raise DomainError(
+                        "perturbation too large: left part of a cut vanished")
+                piece = [(x, x + y - lam) for x, y in _clip(bd, lam, True)]
+                _check_concave(piece)
+                left = (node.left, piece, (ma - mb, mb, mc - md, md,
+                                           tx + mb * lam, ty + md * lam))
+            elif sum(bd[0]) > lam:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the left")
+            if node.right is not None:
+                if sum(bd[-1]) <= lam:
+                    raise DomainError(
+                        "perturbation too large: right part of a cut vanished")
+                piece = [(x + y - lam, y)
+                         for x, y in reversed(_clip(bd[::-1], lam, True))]
+                _check_concave(piece)
+                right = (node.right, piece, (ma, mb - ma, mc, md - mc,
+                                             tx + ma * lam, ty + mc * lam))
+            elif sum(bd[-1]) > lam:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the right")
+            stack.append((lam, m, left, right))
+            cur = left
+        lam, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
+        if left is None:
+            out.append((mb * lam + tx, md * lam + ty))
+        seams.append((ma - mb, mc - md))
+        if right is None:
+            out.append((ma * lam + tx, mc * lam + ty))
+        cur = right
+    # both ends of a node's gap sit on its cut line, whose direction
+    # maps to (ux, uy); the gap edge must still run down-right, which is
+    # forward along that direction
+    for (ux, uy), (ax, ay), (bx, by) in zip(seams, out, out[1:]):
+        if (bx - ax) * ux + (by - ay) * uy < 0:
+            raise DomainError(
+                "perturbation too large: child pieces overlap across a cut")
+    return ToricDomain.concave(out)
 
 
 def outer_approximation(tree: DecompositionNode,
@@ -275,76 +303,7 @@ def outer_approximation(tree: DecompositionNode,
     if tree.domain is None:
         raise DomainError("outer approximation needs the root of a tree")
     ds = _delta_list(deltas, node_count(tree))
-    # two passes: cut pieces root-down recording frames, then assemble
-    # the perturbed boundaries bottom-up; children point at parent slots
-    frames: list[dict] = []
-    work: list[tuple[DecompositionNode, ToricDomain, int, str]] = [
-        (tree, tree.domain, -1, "left")]
-    order = 0
-    while work:
-        node, dom, parent, side = work.pop()
-        idx = len(frames)
-        if parent >= 0:
-            frames[parent][side] = idx
-        lam = _min_s(dom) + ds[order]
-        order += 1
-        bd = dom.boundary
-        frames.append({"lam": lam, "left": None, "right": None})
-        left_item = right_item = None
-        if node.left is not None:
-            if bd[0].x + bd[0].y <= lam:
-                raise DomainError(
-                    "perturbation too large: left part of a cut vanished")
-            chain = _sink_forward(bd, lam)
-            piece = ToricDomain.concave(
-                [Point(p.x, p.x + p.y - lam) for p in chain])
-            left_item = (node.left, piece, idx, "left")
-        elif bd[0].x + bd[0].y > lam:
-            raise DomainError(
-                "boundary rises above the cut of a leaf on the left")
-        if node.right is not None:
-            if bd[-1].x + bd[-1].y <= lam:
-                raise DomainError(
-                    "perturbation too large: right part of a cut vanished")
-            chain = _sink_backward(bd, lam)
-            piece = ToricDomain.concave(
-                [Point(p.x + p.y - lam, p.y) for p in chain])
-            right_item = (node.right, piece, idx, "right")
-        elif bd[-1].x + bd[-1].y > lam:
-            raise DomainError(
-                "boundary rises above the cut of a leaf on the right")
-        # left must pop first so perturbations are consumed in preorder
-        if right_item is not None:
-            work.append(right_item)
-        if left_item is not None:
-            work.append(left_item)
-
-    chains: list[Optional[list[Point]]] = [None] * len(frames)
-    for idx in range(len(frames) - 1, -1, -1):
-        f = frames[idx]
-        lam = f["lam"]
-        if f["left"] is None:
-            left = [Point(0, lam)]
-        else:
-            left = [Point(p.x, p.y - p.x + lam) for p in chains[f["left"]]]
-        if f["right"] is None:
-            right = [Point(lam, 0)]
-        else:
-            right = [Point(p.x - p.y + lam, p.y) for p in chains[f["right"]]]
-        # both seam points sit on x + y = lam; the gap edge between the
-        # perturbed children must still run down-right
-        if left[-1].x > right[0].x:
-            raise DomainError(
-                "perturbation too large: child pieces overlap across a cut")
-        chains[idx] = left + right
-    return ToricDomain.concave(chains[0])
-
-
-def _reroot(node: DecompositionNode, domain: ToricDomain) -> DecompositionNode:
-    """The same tree shape hung onto a perturbed root domain."""
-    return DecompositionNode(
-        value=node.value, x1=node.x1, x2=node.x2, domain=domain,
-        to_original=node.to_original, left=node.left, right=node.right)
+    return _grow(tree, [(p.x, p.y) for p in tree.domain.boundary], ds)
 
 
 def inner_approximation(decomp: ConvexDecomposition,
@@ -361,35 +320,30 @@ def inner_approximation(decomp: ConvexDecomposition,
     lam = decomp.head - ds[0]
     if lam <= 0:
         raise DomainError("perturbation swallows the whole head")
-    bd = decomp.domain.boundary
+    bd = [(p.x, p.y) for p in decomp.domain.boundary]
     if decomp.left is not None:
-        if bd[0].x + bd[0].y >= lam:
+        if sum(bd[0]) >= lam:
             raise DomainError(
                 "perturbation too large: left piece reaches the y-axis")
-        chain = _rise_forward(bd, lam)[::-1]
-        piece = ToricDomain.concave(
-            [Point(lam - p.x - p.y, p.x) for p in chain])
-        grown = outer_approximation(_reroot(decomp.left, piece),
-                                    ds[1:1 + n_left])
-        left_chain = [Point(p.y, lam - p.x - p.y)
-                      for p in reversed(grown.boundary)]
+        # folding reverses the orientation of the piece
+        piece = [(lam - x - y, x) for x, y in reversed(_clip(bd, lam, False))]
+        _check_concave(piece)
+        grown = _grow(decomp.left, piece, ds[1:1 + n_left])
+        left_chain = [(p.y, lam - p.x - p.y) for p in reversed(grown.boundary)]
     else:
-        left_chain = [Point(0, lam)]
+        left_chain = [(0, lam)]
     if decomp.right is not None:
-        if bd[-1].x + bd[-1].y >= lam:
+        if sum(bd[-1]) >= lam:
             raise DomainError(
                 "perturbation too large: right piece reaches the x-axis")
-        chain = _rise_backward(bd, lam)
-        piece = ToricDomain.concave(
-            [Point(p.y, lam - p.x - p.y) for p in reversed(chain)])
-        grown = outer_approximation(_reroot(decomp.right, piece),
-                                    ds[1 + n_left:])
-        right_chain = [Point(lam - p.x - p.y, p.x)
-                       for p in reversed(grown.boundary)]
+        piece = [(y, lam - x - y) for x, y in _clip(bd[::-1], lam, False)]
+        _check_concave(piece)
+        grown = _grow(decomp.right, piece, ds[1 + n_left:])
+        right_chain = [(lam - p.x - p.y, p.x) for p in reversed(grown.boundary)]
     else:
-        right_chain = [Point(lam, 0)]
+        right_chain = [(lam, 0)]
     # seam points lie on x + y = lam; grown sides must leave room between
-    if left_chain[-1].x > right_chain[0].x:
+    if left_chain[-1][0] > right_chain[0][0]:
         raise DomainError(
             "perturbation too large: grown side pieces overlap")
     return ToricDomain.convex(left_chain + right_chain)

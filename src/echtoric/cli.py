@@ -9,6 +9,7 @@ under an "approx" key when --approx asks for them, marked inexact.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -22,7 +23,8 @@ from .domains import ToricDomain, contains
 from .embeddings import (EmbeddingProblem, _instance_and_source,
                          capacity_report)
 from .errors import DomainError, GeometryError, LimitError
-from .fileio import canonical_json, digest_file, load_domain, parse_rational
+from .fileio import canonical_json, digest_file, load_domain
+from .geometry import rational
 from .latticepaths import oracle_convex_caps_upto
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
 from .svgout import (decomposition_polygons, render_approximation,
@@ -62,7 +64,7 @@ def _parse_balls(text: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or parts == [""]:
         raise DomainError("ball list is empty")
-    return tuple(parse_rational(p) for p in parts)
+    return tuple(rational(p) for p in parts)
 
 
 def _file_input(path: str) -> dict:
@@ -150,7 +152,7 @@ def cmd_caps(args) -> dict:
 
 
 def cmd_pack(args) -> dict:
-    instance = PackingInstance(parse_rational(args.target),
+    instance = PackingInstance(rational(args.target),
                                _parse_balls(args.balls))
     verdict = decide_packing(instance)
     report = {
@@ -202,7 +204,7 @@ def cmd_embed(args) -> dict:
                       r.ok, r.certified] for r in caps.rows],
         }
     if args.scale_search is not None:
-        precision = parse_rational(args.scale_search)
+        precision = rational(args.scale_search)
         lo, hi = optimal_scale(instance, source_weights, precision)
         report["scale"] = {
             "precision": str(precision),
@@ -230,7 +232,7 @@ def cmd_svg(args) -> dict:
         report["mode"] = "decomposition"
         report["polygons"] = len(polys)
     else:
-        delta = parse_rational(args.approximation)
+        delta = rational(args.approximation)
         if dom.kind == "concave":
             _, tree = concave_weights(dom, mn)
             approx = outer_approximation(tree, delta)
@@ -252,7 +254,9 @@ def cmd_svg(args) -> dict:
 
 # -- wiring -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = _Parser(
         prog="echtoric",
         description="Exact embedding, packing and capacity computations "

@@ -9,29 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .domains import ToricDomain
 from .errors import DomainError
-
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def parse_rational(text: Union[str, int]) -> Fraction:
-    """Exact rational from "p/q" or integer text; floats never pass."""
-    if isinstance(text, bool):
-        raise DomainError("booleans are not rationals")
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL.match(text):
-        raise DomainError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise DomainError(f"not a rational literal: {text!r}") from None
+from .geometry import rational
 
 
 def rational_str(value: Fraction) -> str:
@@ -58,7 +42,7 @@ def domain_from_json(obj: object) -> ToricDomain:
     for entry in boundary:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DomainError(f"boundary entry {entry!r} is not an [x, y] pair")
-        points.append((parse_rational(entry[0]), parse_rational(entry[1])))
+        points.append((rational(entry[0]), rational(entry[1])))
     if kind == "concave":
         return ToricDomain.concave(points)
     return ToricDomain.convex(points)

@@ -8,18 +8,25 @@ Floats are rejected at the boundary so no rounding can creep in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import GeometryError
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
+_RATIONAL = re.compile(r"-?\d+(/\d+)?")
+
 
 def rational(value: RationalLike) -> Fraction:
-    """Coerce to an exact rational, refusing floats outright."""
+    """Coerce to an exact rational, refusing floats outright.
+
+    Text must be "n" or "p/q" with an optional minus sign: decimals,
+    exponents, spaces and a plus sign are refused.
+    """
     if isinstance(value, bool):
         raise GeometryError(f"not a rational value: {value!r}")
     if isinstance(value, Fraction):
@@ -28,9 +35,11 @@ def rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GeometryError(f"not a rational value: {value!r}") from exc
+            if _RATIONAL.fullmatch(value):
+                return Fraction(value)
+        except ZeroDivisionError:
+            pass
+        raise GeometryError(f"not a rational value: {value!r}")
     raise GeometryError(f"not a rational value: {value!r} (floats are not accepted)")
 
 
@@ -79,29 +88,6 @@ def polygon_area(vertices: Sequence[Point]) -> Fraction:
         p, q = vertices[i], vertices[(i + 1) % n]
         twice += cross(p, q)
     return abs(twice) / 2
-
-
-def support_max(vertices: Iterable[Point], direction: Point) -> Fraction:
-    """max over the vertices of cross(direction, p)."""
-    best = None
-    for p in vertices:
-        value = cross(direction, p)
-        if best is None or value > best:
-            best = value
-    if best is None:
-        raise GeometryError("support of an empty vertex set")
-    return best
-
-
-def support_min(vertices: Iterable[Point], direction: Point) -> Fraction:
-    best = None
-    for p in vertices:
-        value = cross(direction, p)
-        if best is None or value < best:
-            best = value
-    if best is None:
-        raise GeometryError("support of an empty vertex set")
-    return best
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 from .domains import PointLike, ToricDomain, _as_point, _edge_zone
 from .errors import DomainError, LimitError
-from .geometry import Point, cross, rational, support_max, support_min
+from .geometry import Point, cross, rational
 from .weights import left_piece_map, right_piece_map
 
 
@@ -133,7 +133,8 @@ def ell_convex(domain: ToricDomain, path: LatticePath) -> Fraction:
     if domain.kind != "convex":
         raise DomainError("ell_convex expects a convex domain")
     poly = domain.region_polygon()
-    return sum((support_max(poly, e) for e in path.edges()), Fraction(0))
+    return sum((max(cross(e, p) for p in poly) for e in path.edges()),
+               Fraction(0))
 
 
 def ell_concave(domain: Optional[ToricDomain], path: LatticePath) -> Fraction:
@@ -147,8 +148,8 @@ def ell_concave(domain: Optional[ToricDomain], path: LatticePath) -> Fraction:
         return Fraction(0)
     if domain.kind != "concave":
         raise DomainError("ell_concave expects a concave domain or None")
-    return sum((support_min(domain.boundary, e) for e in path.edges()),
-               Fraction(0))
+    return sum((min(cross(e, p) for p in domain.boundary)
+                for e in path.edges()), Fraction(0))
 
 
 @dataclass(frozen=True)

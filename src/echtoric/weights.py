@@ -120,8 +120,12 @@ def _cut(sums: list, extreme: Callable) -> tuple:
     return a, i, j
 
 
-def _check_concave(pts: list[tuple[int, int]]) -> None:
-    """The concave-boundary rules of ToricDomain, on integer vertices."""
+def _check_concave(pts: list[tuple]) -> None:
+    """The concave-boundary rules of ToricDomain, on (x, y) vertex pairs.
+
+    The pairs are ints in the weight recursion and Fractions in the
+    boundary approximations.
+    """
     (x0, y0), (xn, yn) = pts[0], pts[-1]
     if x0 != 0 or y0 <= 0:
         raise DomainError("boundary must start on the positive y-axis")

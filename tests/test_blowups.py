@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -249,6 +251,46 @@ def test_inner_square_uneven_deltas():
         (0, F(31, 32)), (F(29, 32), F(31, 32)), (F(31, 32), F(29, 32)),
         (F(31, 32), 0))
     assert contains(SQUARE, inner)
+
+
+def _approx_outcome(fn, arg, deltas):
+    try:
+        dom = fn(arg, deltas)
+    except DomainError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    pts = [[str(p.x), str(p.y)] for p in dom.boundary]
+    # the long Euclid runs carry huge denominators: those keep a digest
+    text = ";".join(f"{x},{y}" for x, y in pts)
+    if len(text) <= 2000:
+        return {"approx": pts}
+    return {"vertices": len(pts),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_approx_golden(data_dir):
+    # boundaries or error messages recorded before the approximations
+    # moved onto composed maps: outer approximations of the reference
+    # domains, E(1,N) for N <= 200, Fibonacci ellipsoids and 30 random
+    # concave domains; inner approximations of the reference targets,
+    # (0,1),(1,1),(N,0), (0,N),(1,1),(1,0) and 30 random convex domains;
+    # scalar deltas and two per-node mixes each
+    golden = json.loads((data_dir / "approx_golden.json").read_text())
+    assert len(golden) == 1132
+    for entry in golden:
+        dom = ToricDomain(entry["type"],
+                          tuple(tuple(p) for p in entry["domain"]))
+        deltas = entry["deltas"]
+        if isinstance(deltas, list):
+            deltas = [F(d) for d in deltas]
+        else:
+            deltas = F(deltas)
+        if entry["op"] == "outer":
+            got = _approx_outcome(outer_approximation, src_tree(dom), deltas)
+        else:
+            got = _approx_outcome(inner_approximation, tgt_decomp(dom), deltas)
+        want = {k: v for k, v in entry.items()
+                if k in ("approx", "vertices", "sha256", "error")}
+        assert got == want, (entry["name"], entry["deltas"])
 
 
 def test_inner_rejections():

@@ -5,7 +5,7 @@ from xml.dom import minidom
 import pytest
 
 from echtoric import canonical_json, load_domain
-from echtoric.cli import main
+from echtoric.cli import build_parser, main
 
 F = Fraction
 
@@ -223,6 +223,16 @@ def test_timing_flag(data_dir, capsys):
                           str(data_dir / "omega1.json"))
     assert code == 0
     assert isinstance(rep["timing_seconds"], float)
+
+
+def test_parser_is_built_once(data_dir, capsys):
+    # every call shares one parser, and no flag carries over to the next
+    assert build_parser() is build_parser()
+    omega1 = str(data_dir / "omega1.json")
+    code, rep, _, _ = run(capsys, "--timing", "weights", omega1)
+    assert code == 0 and "timing_seconds" in rep
+    code, rep, _, _ = run(capsys, "weights", omega1)
+    assert code == 0 and "timing_seconds" not in rep
 
 
 def test_round_trip_with_library(data_dir, capsys, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echtoric import AffineUnimodularMap, Point
-from echtoric.errors import GeometryError
-from echtoric.geometry import cross, polygon_area, rational, support_max, support_min
+from echtoric.errors import DomainError, GeometryError
+from echtoric.geometry import cross, polygon_area, rational
 
 UNITS = [(1, 0, 0, 1), (0, -1, 1, 0), (1, 1, 0, 1), (2, 1, 1, 1),
          (1, 0, 1, 1), (0, 1, 1, 0), (-1, -1, 1, 0), (3, 2, 1, 1)]
@@ -23,8 +23,16 @@ def test_rational_accepts_exact_types_only():
     assert rational(3) == 3
     assert rational(Fraction(2, 3)) == Fraction(2, 3)
     assert rational("7/2") == Fraction(7, 2)
-    with pytest.raises(GeometryError):
-        rational(0.5)
+    assert rational("2/3") == Fraction(2, 3)
+    assert rational("-7/2") == Fraction(-7, 2)
+    assert rational("10") == 10
+    # the one grammar is -?\d+(/\d+)?, matched in full; a GeometryError
+    # is a DomainError, which the file reader and the CLI report
+    for bad in ("1.5", "1e-3", " 3", "+3", "3\n", "2 / 3", "a/b", "1/0",
+                "", "2/3/4", 0.5, 1.5, True, None):
+        with pytest.raises(GeometryError):
+            rational(bad)
+    assert issubclass(GeometryError, DomainError)
 
 
 def test_point_arithmetic():
@@ -46,17 +54,6 @@ def test_polygon_area_shoelace_hand_cases():
     assert polygon_area(square) == 1
     tri = [Point(0, 0), Point(0, 3), Point(4, 0)]
     assert polygon_area(tri) == 6
-
-
-def test_support_values():
-    # cross(direction, vertex), extremized over the vertex set
-    tri = [Point(0, 0), Point(0, 2), Point(2, 0)]
-    assert support_max(tri, Point(1, -1)) == 2
-    assert support_min(tri, Point(1, -1)) == 0
-    assert support_max(tri, Point(1, 0)) == 2
-    assert support_min(tri, Point(-1, 0)) == -2
-    with pytest.raises(GeometryError):
-        support_max([], Point(1, 0))
 
 
 def test_non_unimodular_matrix_rejected():

@@ -96,6 +96,8 @@ def test_ell_reference_values():
     cdom = ToricDomain.ball(1)
     assert ell_concave(cdom, cdiag) == 1
     assert ell_concave(cdom, LatticePath.concave([(0, 2), (2, 0)])) == 2
+    # cross((1, -1), p) is 2 at (0, 2) and 1 at (1, 0): the minimum counts
+    assert ell_concave(ToricDomain.ellipsoid(1, 2), cdiag) == 1
     assert ell_concave(None, cdiag) == 0
     with pytest.raises(DomainError):
         ell_convex(ToricDomain.ball(1), diag)  # concave domain, wrong kind
