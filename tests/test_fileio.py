@@ -9,6 +9,21 @@ from echtoric import (DomainError, ToricDomain, canonical_json, digest_bytes,
 F = Fraction
 
 
+def test_parse_rational():
+    # coordinates in domain files are parsed by geometry.rational; its
+    # errors are DomainErrors, which load_domain reports
+    assert rational("2/3") == F(2, 3)
+    assert rational("-7/2") == F(-7, 2)
+    assert rational("10") == 10
+    assert rational(5) == 5
+    for bad in ("1.5", "2 / 3", "a/b", "1/0", "", "2/3/4", 1.5, True, None):
+        with pytest.raises(DomainError):
+            rational(bad)
+    with pytest.raises(DomainError):
+        domain_from_json({"type": "concave",
+                          "boundary": [["0", "1.5"], ["1", "0"]]})
+
+
 def test_rational_str_roundtrip():
     for v in (F(2, 3), F(-7, 2), F(4), F(0)):
         assert rational(rational_str(v)) == v
