@@ -23,7 +23,7 @@ from .domains import ToricDomain, contains
 from .embeddings import (EmbeddingProblem, _instance_and_source,
                          capacity_report)
 from .errors import DomainError, GeometryError, LimitError
-from .fileio import canonical_json, digest_file, load_domain
+from .fileio import canonical_json, read_domain
 from .geometry import rational
 from .latticepaths import oracle_convex_caps_upto
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
@@ -67,8 +67,10 @@ def _parse_balls(text: str) -> tuple[Fraction, ...]:
     return tuple(rational(p) for p in parts)
 
 
-def _file_input(path: str) -> dict:
-    return {"path": path, "sha256": digest_file(path)}
+def _load(path: str) -> tuple[ToricDomain, dict]:
+    """The domain in a file, and the report's record of that file."""
+    dom, sha256 = read_domain(path)
+    return dom, {"path": path, "sha256": sha256}
 
 
 def _verdict_payload(verdict: Verdict) -> dict:
@@ -89,14 +91,14 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_weights(args) -> dict:
     mn = _max_nodes()
-    dom = load_domain(args.file)
+    dom, record = _load(args.file)
     if dom.kind == "concave":
-        exp, _ = concave_weights(dom, mn)
+        exp, tree = concave_weights(dom, mn)
     else:
-        exp, _ = convex_weights(dom, mn)
+        exp, tree = convex_weights(dom, mn)
     report = {
         "command": "weights",
-        "input": _file_input(args.file),
+        "input": record,
         "domain_type": dom.kind,
         "head": None if exp.head is None else str(exp.head),
         "weights": _sv(exp.weights),
@@ -104,8 +106,8 @@ def cmd_weights(args) -> dict:
         "area": str(dom.area()),
     }
     if args.svg:
-        polys = decomposition_polygons(dom, mn)
-        _write_text(args.svg, render_decomposition(dom, mn))
+        polys = decomposition_polygons(dom, tree=tree)
+        _write_text(args.svg, render_decomposition(dom, polys=polys))
         report["svg"] = {"path": args.svg, "polygons": len(polys)}
     if args.approx:
         report["approx"] = {
@@ -118,7 +120,7 @@ def cmd_weights(args) -> dict:
 
 def cmd_caps(args) -> dict:
     mn = _max_nodes()
-    dom = load_domain(args.file)
+    dom, record = _load(args.file)
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
     if dom.kind == "concave":
@@ -129,7 +131,7 @@ def cmd_caps(args) -> dict:
         seq = convex_caps(dom, args.k, None, mn)
     report = {
         "command": "caps",
-        "input": _file_input(args.file),
+        "input": record,
         "domain_type": dom.kind,
         "k": args.k,
         "values": _sv(seq.values),
@@ -179,15 +181,15 @@ def cmd_pack(args) -> dict:
 
 def cmd_embed(args) -> dict:
     mn = _max_nodes()
-    problem = EmbeddingProblem(load_domain(args.source),
-                               load_domain(args.target))
+    source, source_record = _load(args.source)
+    target, target_record = _load(args.target)
+    problem = EmbeddingProblem(source, target)
     # the scale search reuses the expansions behind the instance
     instance, source_weights = _instance_and_source(problem, mn)
     verdict = decide_packing(instance)
     report = {
         "command": "embed",
-        "inputs": {"source": _file_input(args.source),
-                   "target": _file_input(args.target)},
+        "inputs": {"source": source_record, "target": target_record},
         "instance": {"target": str(instance.target),
                      "balls": _sv(instance.balls)},
         **_verdict_payload(verdict),
@@ -219,16 +221,16 @@ def cmd_embed(args) -> dict:
 
 def cmd_svg(args) -> dict:
     mn = _max_nodes()
-    dom = load_domain(args.file)
+    dom, record = _load(args.file)
     report = {
         "command": "svg",
-        "input": _file_input(args.file),
+        "input": record,
         "domain_type": dom.kind,
         "output": args.out,
     }
     if args.decomposition:
         polys = decomposition_polygons(dom, mn)
-        _write_text(args.out, render_decomposition(dom, mn))
+        _write_text(args.out, render_decomposition(dom, polys=polys))
         report["mode"] = "decomposition"
         report["polygons"] = len(polys)
     else:

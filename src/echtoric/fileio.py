@@ -48,13 +48,23 @@ def domain_from_json(obj: object) -> ToricDomain:
     return ToricDomain.convex(points)
 
 
-def load_domain(path: Union[str, Path]) -> ToricDomain:
-    raw = Path(path).read_text(encoding="utf-8")
+def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
+    """The domain in a file and the sha256 of the bytes it was read from.
+
+    The file is opened once.  Its bytes are decoded as a text-mode read
+    would decode them: UTF-8, with universal newlines.
+    """
+    data = Path(path).read_bytes()
+    raw = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    return domain_from_json(obj)
+    return domain_from_json(obj), digest_bytes(data)
+
+
+def load_domain(path: Union[str, Path]) -> ToricDomain:
+    return read_domain(path)[0]
 
 
 def save_domain(domain: ToricDomain, path: Union[str, Path]) -> None:

@@ -29,6 +29,7 @@ support is an integer cross product maximum.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -228,11 +229,47 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     clockwise order (a subset makes a cheap seeding pass); initial
     primes the incumbent table with known paths.
 
-    The whole walk runs on plain integers.
+    Ties: the witness is the first least-value path the search meets,
+    not the least (value, vertices) pair.  Paths are met start height
+    by start height upwards, each walk trying directions clockwise and
+    edge lengths shortest first, after the incumbents in initial.  A
+    partial path is dropped once its value reaches (>=) the worst
+    incumbent of every slot it can still land in, so a path that only
+    ties an incumbent rarely gets as far as the comparison; when one
+    does, the smaller vertex tuple wins.  The caps --oracle report
+    prints these witnesses, so this order is part of the output.
+
+    The whole walk runs on plain integers.  Each vertex p the walk
+    visits gets, once per call, a table of the directions d whose
+    first step stays in the box and whose fan |cross(p, d)| is at most
+    4 kmax, and the walk tries only those, from the one after its last
+    direction up to the first that turns more than 180 degrees.  It
+    enters every vertex with twice its area at most 2 kmax, so any
+    other direction would fail its first step on the box or area
+    check, before it could change the path or an incumbent; the walk
+    meets the same paths in the same order as one trying every
+    direction.
     """
     sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
     assert all(s > 0 for s in sup_i)
-    ndirs = len(dirs)
+    n = len(dirs)
+    lim = 2 * kmax
+    fan_max = 2 * lim
+    # turn_end[i]: the first index after i whose direction lies more
+    # than 180 degrees clockwise of direction i; so does every later
+    # one.  turn_end[-1] = n leaves the first step free.
+    turn_end: list[int] = []
+    j = 0
+    for i, (pdx, pdy) in enumerate(dirs):
+        j = max(j, i + 1)
+        while j < n and pdx * dirs[j][1] - pdy * dirs[j][0] <= 0:
+            j += 1
+        turn_end.append(j)
+    turn_end.append(n)
+    # vertex -> (direction indices, rows (index, dx, dy, support, fan))
+    # of the steps the walk can take from it, in clockwise order
+    steps_at: dict[tuple[int, int],
+                   tuple[list[int], list[tuple[int, ...]]]] = {}
 
     best: list[_Best] = ([None] * (kmax + 1) if initial is None
                           else list(initial))
@@ -281,14 +318,17 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
             consider(path, abs(signed2), ell, steps)
             # fall through: an axis run may still extend to the right
         base_kmin = len(onpath) - 1
-        for di in range(last_dir + 1, ndirs):
-            ddx, ddy = dirs[di]
-            if last_dir >= 0:
-                pdx, pdy = dirs[last_dir]
-                if pdx * ddy - pdy * ddx > 0:
-                    break  # over 180 degrees clockwise; only gets worse
-            step_ell = sup_i[di]
-            fan = cx * ddy - cy * ddx
+        here = steps_at.get((cx, cy))
+        if here is None:
+            table = [(di, dx, dy, sup_i[di], cx * dy - cy * dx)
+                     for di, (dx, dy) in enumerate(dirs)
+                     if 0 <= cx + dx <= box and 0 <= cy + dy <= box
+                     and -fan_max <= cx * dy - cy * dx <= fan_max]
+            here = steps_at[cx, cy] = ([row[0] for row in table], table)
+        keys, table = here
+        lo = bisect_right(keys, last_dir)
+        hi = bisect_left(keys, turn_end[last_dir], lo)
+        for di, ddx, ddy, step_ell, fan in table[lo:hi]:
             nx, ny = cx, cy
             m = 0
             added: list[tuple[int, int]] = []
@@ -299,7 +339,7 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
                 if nx < 0 or ny < 0 or nx > box or ny > box:
                     break
                 s2 = signed2 + fan * m
-                if abs(s2) > 2 * kmax:
+                if not -lim <= s2 <= lim:
                     break
                 e = ell + step_ell * m
                 if pruned(e, base_kmin):

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .domains import ToricDomain
 from .geometry import Point
-from .weights import (DEFAULT_MAX_NODES, DecompositionNode, concave_weights,
-                      convex_weights, inorder)
+from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition,
+                      DecompositionNode, concave_weights, convex_weights,
+                      inorder)
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
@@ -35,15 +36,23 @@ def _triangle(node: DecompositionNode) -> tuple[Point, Point, Point]:
 
 def decomposition_polygons(domain: ToricDomain,
                            max_nodes: int = DEFAULT_MAX_NODES,
+                           tree: Union[DecompositionNode, ConvexDecomposition,
+                                       None] = None,
                            ) -> list[tuple[Point, ...]]:
-    """One triangle per weight; a convex domain adds its head simplex first."""
+    """One triangle per weight; a convex domain adds its head simplex first.
+
+    tree is the decomposition that concave_weights or convex_weights
+    returned for the domain; without it the domain is expanded here.
+    """
     if domain.kind == "concave":
-        _, tree = concave_weights(domain, max_nodes)
+        if tree is None:
+            _, tree = concave_weights(domain, max_nodes)
         return [_triangle(n) for n in inorder(tree)]
-    _, decomp = convex_weights(domain, max_nodes)
-    b = decomp.head
+    if tree is None:
+        _, tree = convex_weights(domain, max_nodes)
+    b = tree.head
     polys: list[tuple[Point, ...]] = [(Point(0, 0), Point(0, b), Point(b, 0))]
-    for node in chain(inorder(decomp.left), inorder(decomp.right)):
+    for node in chain(inorder(tree.left), inorder(tree.right)):
         polys.append(_triangle(node))
     return polys
 
@@ -94,8 +103,12 @@ def _axes(canvas: _Canvas, xmax: Fraction, ymax: Fraction) -> list[str]:
 
 
 def render_decomposition(domain: ToricDomain,
-                         max_nodes: int = DEFAULT_MAX_NODES) -> str:
-    polys = decomposition_polygons(domain, max_nodes)
+                         max_nodes: int = DEFAULT_MAX_NODES,
+                         polys: Optional[list[tuple[Point, ...]]] = None,
+                         ) -> str:
+    """The decomposition drawn from polys, or from a fresh expansion."""
+    if polys is None:
+        polys = decomposition_polygons(domain, max_nodes)
     canvas = _Canvas(chain(domain.boundary, *polys))
     body = _axes(canvas, max(p.x for poly in polys for p in poly),
                  max(p.y for poly in polys for p in poly))

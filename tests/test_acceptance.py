@@ -4,17 +4,18 @@ Each test carries its own wall clock budget; all equalities are exact
 rational comparisons, never approximate.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
 
 from echtoric import (PackingInstance, EmbeddingProblem, ToricDomain, c1,
                       capacity_obstruction, concave_caps, concave_weights,
-                      convex_caps, convex_weights, cremona_step,
-                      decide_embedding, decide_packing, intersection,
-                      optimal_embedding_scale, oracle_convex_caps_upto,
-                      pairing, sphere_chain_concave, sphere_chain_convex,
-                      symplectic_class)
+                      convex_caps, convex_weights, count_convex,
+                      cremona_step, decide_embedding, decide_packing,
+                      ell_convex, intersection, optimal_embedding_scale,
+                      oracle_convex_caps_upto, pairing, sphere_chain_concave,
+                      sphere_chain_convex, symplectic_class)
 
 from generators import random_concave, random_convex, random_instance
 
@@ -81,18 +82,25 @@ def test_criterion_4_square_and_triangle_targets_coincide():
     assert time.perf_counter() - start < 30
 
 
-def test_criterion_5_capacity_formula_matches_path_oracle():
+def test_criterion_5_capacity_formula_matches_path_oracle(data_dir):
     start = time.perf_counter()
+    # the witnesses the oracle printed before its per-vertex step tables
+    golden = {e["name"]: e["caps"] for e in json.loads(
+        (data_dir / "oracle_golden_k12.json").read_text())}
     square = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
     delta2 = ToricDomain.convex([(0, 2), (2, 0)])
-    for dom in (square, delta2, OMEGA2):
+    for name, dom in (("square", square), ("delta2", delta2),
+                      ("omega2", OMEGA2)):
         seq = convex_caps(dom, 12)
         assert seq.certified
         oracle = oracle_convex_caps_upto(dom, 12)
-        for k in range(13):
-            value, _ = oracle[k]
+        for k, (value, witness) in enumerate(oracle):
             assert seq[k] == value
-    assert time.perf_counter() - start < 300
+            assert count_convex(witness) == k + 1
+            assert ell_convex(dom, witness) == value
+            assert ([[int(p.x), int(p.y)] for p in witness.vertices]
+                    == golden[name][k][1]), (name, k)
+    assert time.perf_counter() - start < 20
 
 
 def test_criterion_6_ellipsoid_capacities_are_the_weighted_multiset():

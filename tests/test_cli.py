@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
+import sys
 from fractions import Fraction
 from xml.dom import minidom
 
 import pytest
 
-from echtoric import canonical_json, load_domain
+from echtoric import (canonical_json, concave_weights, convex_weights,
+                      load_domain)
 from echtoric.cli import build_parser, main
 
 F = Fraction
@@ -154,6 +158,73 @@ def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
                           "--scale-search", "1/100")
     assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
     assert sorted(calls) == ["concave_weights", "convex_weights"]
+
+
+@pytest.mark.parametrize("name", ["omega1", "omega2"])
+def test_svg_output_expands_each_domain_once(data_dir, capsys, monkeypatch,
+                                             tmp_path, name):
+    import echtoric.weights as w
+    calls = []
+    build = w._concave_tree
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+    monkeypatch.setattr(w, "_concave_tree", counted)
+    path = data_dir / f"{name}.json"
+    dom = load_domain(path)
+    (concave_weights if dom.kind == "concave" else convex_weights)(dom)
+    once = len(calls)  # a convex domain grows one tree per side piece
+    assert once >= 1
+    for argv in (["weights", str(path), "--svg", str(tmp_path / "w.svg")],
+                 ["svg", str(path), str(tmp_path / "d.svg"),
+                  "--decomposition"]):
+        calls.clear()
+        code, _, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == once, argv
+
+
+def test_file_commands_open_each_input_once(data_dir, capsys, tmp_path):
+    source = str(data_dir / "omega1.json")
+    target = str(data_dir / "omega2.json")
+    opened = []
+    recording = [True]
+
+    def hook(event, args):
+        if (recording[0] and event == "open"
+                and isinstance(args[0], (str, os.PathLike))):
+            opened.append(os.fspath(args[0]))
+    # an audit hook sees every open, however the file is read; it cannot
+    # be removed, so it goes quiet after this test
+    sys.addaudithook(hook)
+    try:
+        runs = [(["embed", source, target], [source, target]),
+                (["caps", target, "--k", "3"], [target]),
+                (["weights", source, "--svg", str(tmp_path / "w.svg")],
+                 [source]),
+                (["svg", source, str(tmp_path / "d.svg"), "--decomposition"],
+                 [source])]
+        for argv, inputs in runs:
+            opened.clear()
+            code, _, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert sorted(p for p in opened if p in inputs) == sorted(inputs)
+    finally:
+        recording[0] = False
+
+
+def test_reports_hash_the_bytes_they_parse(capsys, tmp_path):
+    # CRLF line ends parse as LF would, and the digest covers the bytes
+    # on disk
+    text = '{"type": "convex",\r\n "boundary": [["0", "1"], ["1", "0"]]}\r\n'
+    path = tmp_path / "crlf.json"
+    path.write_bytes(text.encode())
+    code, rep, _, _ = run(capsys, "caps", str(path), "--k", "2")
+    assert code == 0 and rep["values"] == ["0", "1", "1"]
+    assert rep["input"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    path.write_bytes(b'\xff{"type": "convex"}')
+    with pytest.raises(UnicodeDecodeError):
+        main(["caps", str(path), "--k", "2"])
 
 
 def test_embed_rejects_wrong_kinds(data_dir, capsys):

@@ -197,8 +197,9 @@ def test_oracle_agrees_with_formula_small_k():
 
 
 def test_oracle_golden_reference_targets(data_dir):
-    # exact values and witnesses; the witnesses pin the (value, vertices)
-    # tie-breaking that the caps --oracle report prints
+    # exact values and witnesses; the witnesses pin the tie-breaking
+    # that the caps --oracle report prints: the first least-value path
+    # the search meets, not the least (value, vertices) pair
     golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
     assert sorted(golden) == ["delta1", "delta2", "e12_convex", "omega2",
                               "overhang", "square"]
@@ -207,6 +208,39 @@ def test_oracle_golden_reference_targets(data_dir):
         got = [[str(value), [[int(p.x), int(p.y)] for p in witness.vertices]]
                for value, witness in oracle_convex_caps_upto(dom, 6)]
         assert got == expected, name
+
+
+def test_oracle_golden_k12(data_dir):
+    # values and witnesses recorded before the per-vertex step tables:
+    # criterion 5's targets at k = 12 and 30 random convex targets at
+    # k = 6
+    golden = json.loads((data_dir / "oracle_golden_k12.json").read_text())
+    assert len(golden) == 33
+    for entry in golden:
+        dom = ToricDomain.convex(entry["boundary"])
+        got = [[str(value), [[int(p.x), int(p.y)] for p in witness.vertices]]
+               for value, witness in oracle_convex_caps_upto(dom,
+                                                             entry["kmax"])]
+        assert got == entry["caps"], entry["name"]
+
+
+def test_oracle_witness_is_not_the_least_vertex_tuple():
+    # at a tie the search keeps the path it met first; in both cases a
+    # lexicographically smaller path of the same value and count exists
+    cases = [
+        (ToricDomain.convex([(0, 1), (1, 1), (1, 0)]), 12, 6,
+         [(0, 0), (1, 3), (3, 3), (3, 0)], [(0, 0), (1, 2), (4, 2), (4, 0)]),
+        (ToricDomain.convex([(0, F(3, 4)), (F(1, 2), F(1, 2)), (F(1, 4), 0)]),
+         4, F(3, 2),
+         [(0, 2), (1, 2), (1, 1), (0, 0)], [(0, 2), (1, 1), (1, 0)]),
+    ]
+    for dom, k, value, witness, least in cases:
+        got, path = oracle_convex_caps_upto(dom, k)[k]
+        assert got == value
+        assert [(int(p.x), int(p.y)) for p in path.vertices] == witness
+        assert least < witness
+        other = LatticePath.convex(least)
+        assert count_convex(other) == k + 1 and ell_convex(dom, other) == value
 
 
 def _clockwise_cmp(u, v):
