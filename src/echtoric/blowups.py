@@ -25,10 +25,11 @@ all) and must be small enough to keep the tree shape, otherwise the
 construction reports the mismatch.  One walk down the tree cuts each
 piece at its raised level and composes the piece's map back to the
 input coordinates; every leaf side then puts out one vertex, so the
-result is assembled without re-mapping any child boundary.  Unlike the
-weight recursion this stays in Fractions: a raised level cuts edges
-between vertices, and the interpolated points bring new denominators
-at every level.
+result is assembled without re-mapping any child boundary.  The cut at
+a raised level and the fold at a lowered head are the weight
+recursion's own _shear_cut and _fold.  Unlike the weight recursion
+this stays in Fractions: a raised level cuts edges between vertices,
+and the interpolated points bring new denominators at every level.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .domains import ToricDomain
+from .domains import ToricDomain, _check_concave
 from .errors import DomainError
 from .geometry import RationalLike, rational
-from .weights import (ConvexDecomposition, DecompositionNode, _check_concave,
-                      inorder, node_count, tree_values)
+from .weights import (ConvexDecomposition, DecompositionNode, _fold,
+                      _shear_cut, inorder, node_count, tree_values)
 
 
 @dataclass(frozen=True)
@@ -96,40 +97,38 @@ class SphereChain:
     line_index: Optional[int] = None
 
 
-def _right_spine(node: Optional[DecompositionNode],
-                 pos: dict[int, int]) -> list[int]:
+def _spine(node: Optional[DecompositionNode], side: str,
+           pos: dict[int, int]) -> list[int]:
+    """Positions along the spine from node down its side, "left" or "right"."""
     out = []
     while node is not None:
         out.append(pos[id(node)])
-        node = node.right
+        node = getattr(node, side)
     return out
 
 
-def _left_spine(node: Optional[DecompositionNode],
-                pos: dict[int, int]) -> list[int]:
-    out = []
-    while node is not None:
-        out.append(pos[id(node)])
-        node = node.left
-    return out
+def _class_rows(nodes: list[DecompositionNode],
+                pos: dict[int, int]) -> list[tuple[int, ...]]:
+    """Each node's own class minus the classes of its cutters.
 
-
-def _cutters(node: DecompositionNode, pos: dict[int, int]) -> list[int]:
-    return _right_spine(node.left, pos) + _left_spine(node.right, pos)
+    The cutters are the right-spine of the left subtree and the
+    left-spine of the right subtree.
+    """
+    rows = []
+    for node in nodes:
+        coeff = [0] * len(pos)
+        coeff[pos[id(node)]] = 1
+        for j in (_spine(node.left, "right", pos)
+                  + _spine(node.right, "left", pos)):
+            coeff[j] -= 1
+        rows.append(tuple(coeff))
+    return rows
 
 
 def chain_classes_concave(tree: DecompositionNode) -> list[HomologyClass]:
     nodes = list(inorder(tree))
     pos = {id(n): i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    classes = []
-    for i, node in enumerate(nodes):
-        coeff = [0] * n
-        coeff[i] = 1
-        for j in _cutters(node, pos):
-            coeff[j] -= 1
-        classes.append(HomologyClass(0, tuple(coeff), ()))
-    return classes
+    return [HomologyClass(0, row, ()) for row in _class_rows(nodes, pos)]
 
 
 def sphere_chain_concave(tree: DecompositionNode) -> SphereChain:
@@ -140,26 +139,14 @@ def sphere_chain_concave(tree: DecompositionNode) -> SphereChain:
 def chain_classes_convex(decomp: ConvexDecomposition) -> list[HomologyClass]:
     left_nodes = list(inorder(decomp.left))[::-1]
     right_nodes = list(inorder(decomp.right))[::-1]
-    ordered = left_nodes + right_nodes
-    pos = {id(n): i for i, n in enumerate(ordered)}
-    m = len(ordered)
-    classes = []
-    for node in left_nodes:
-        coeff = [0] * m
-        coeff[pos[id(node)]] = 1
-        for j in _cutters(node, pos):
-            coeff[j] -= 1
-        classes.append(HomologyClass(0, (), tuple(coeff)))
-    line = [0] * m
-    for j in _left_spine(decomp.left, pos) + _right_spine(decomp.right, pos):
+    nodes = left_nodes + right_nodes
+    pos = {id(n): i for i, n in enumerate(nodes)}
+    classes = [HomologyClass(0, (), row) for row in _class_rows(nodes, pos)]
+    line = [0] * len(nodes)
+    for j in (_spine(decomp.left, "left", pos)
+              + _spine(decomp.right, "right", pos)):
         line[j] -= 1
-    classes.append(HomologyClass(1, (), tuple(line)))
-    for node in right_nodes:
-        coeff = [0] * m
-        coeff[pos[id(node)]] = 1
-        for j in _cutters(node, pos):
-            coeff[j] -= 1
-        classes.append(HomologyClass(0, (), tuple(coeff)))
+    classes.insert(len(left_nodes), HomologyClass(1, (), tuple(line)))
     return classes
 
 
@@ -208,32 +195,15 @@ def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
     return vals
 
 
-def _clip(bd: list[Vertex], lam: Fraction, below: bool) -> list[Vertex]:
-    """Boundary prefix ending where x + y first reaches lam.
-
-    below: x + y sinks to lam from above; otherwise it rises to lam from
-    below.  Suffixes come from clipping the reversed boundary.
-    """
-    for t, (x, y) in enumerate(bd):
-        s = x + y
-        if s == lam:
-            return bd[:t + 1]
-        if (s < lam) == below:
-            px, py = bd[t - 1]
-            theta = (px + py - lam) / (px + py - s)
-            return bd[:t] + [(px + (x - px) * theta, py + (y - py) * theta)]
-    raise DomainError("cut level never reached along the boundary")
-
-
 def _grow(shape: DecompositionNode, pts: list[Vertex],
           ds: list[Fraction]) -> ToricDomain:
     """Concave piece pts with every cut of shape pushed up by its delta.
 
     One in-order walk: a node is cut when it is first reached (so ds is
-    consumed in preorder), its pieces are sheared into standard position
-    and each piece's map back to the coordinates of pts is composed as
-    (a, b, c, d, tx, ty), as in the weight recursion.  Each leaf side
-    puts out one vertex, (0, lam) or (lam, 0) mapped back.
+    consumed in preorder) by the weight recursion's _shear_cut, which
+    gives its pieces in standard position with their maps back to the
+    coordinates of pts.  Each leaf side puts out one vertex, (0, lam) or
+    (lam, 0) mapped back.
     """
     out: list[Vertex] = []
     # M (1, -1) of every node in in-order, which is the order of the gaps
@@ -245,31 +215,23 @@ def _grow(shape: DecompositionNode, pts: list[Vertex],
     while stack or cur is not None:
         while cur is not None:
             node, bd, m = cur
-            ma, mb, mc, md, tx, ty = m
             lam = min(x + y for x, y in bd) + ds[order]
             order += 1
-            left = right = None
+            left, right = _shear_cut(bd, lam, m)
             if node.left is not None:
-                if sum(bd[0]) <= lam:
+                if left is None:
                     raise DomainError(
                         "perturbation too large: left part of a cut vanished")
-                piece = [(x, x + y - lam) for x, y in _clip(bd, lam, True)]
-                _check_concave(piece)
-                left = (node.left, piece, (ma - mb, mb, mc - md, md,
-                                           tx + mb * lam, ty + md * lam))
-            elif sum(bd[0]) > lam:
+                left = (node.left, *left)
+            elif left is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the left")
             if node.right is not None:
-                if sum(bd[-1]) <= lam:
+                if right is None:
                     raise DomainError(
                         "perturbation too large: right part of a cut vanished")
-                piece = [(x + y - lam, y)
-                         for x, y in reversed(_clip(bd[::-1], lam, True))]
-                _check_concave(piece)
-                right = (node.right, piece, (ma, mb - ma, mc, md - mc,
-                                             tx + ma * lam, ty + mc * lam))
-            elif sum(bd[-1]) > lam:
+                right = (node.right, *right)
+            elif right is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the right")
             stack.append((lam, m, left, right))
@@ -320,25 +282,22 @@ def inner_approximation(decomp: ConvexDecomposition,
     lam = decomp.head - ds[0]
     if lam <= 0:
         raise DomainError("perturbation swallows the whole head")
-    bd = [(p.x, p.y) for p in decomp.domain.boundary]
+    lpiece, rpiece = _fold([(p.x, p.y) for p in decomp.domain.boundary], lam)
     if decomp.left is not None:
-        if sum(bd[0]) >= lam:
+        if lpiece is None:
             raise DomainError(
                 "perturbation too large: left piece reaches the y-axis")
-        # folding reverses the orientation of the piece
-        piece = [(lam - x - y, x) for x, y in reversed(_clip(bd, lam, False))]
-        _check_concave(piece)
-        grown = _grow(decomp.left, piece, ds[1:1 + n_left])
+        _check_concave(lpiece)
+        grown = _grow(decomp.left, lpiece, ds[1:1 + n_left])
         left_chain = [(p.y, lam - p.x - p.y) for p in reversed(grown.boundary)]
     else:
         left_chain = [(0, lam)]
     if decomp.right is not None:
-        if sum(bd[-1]) >= lam:
+        if rpiece is None:
             raise DomainError(
                 "perturbation too large: right piece reaches the x-axis")
-        piece = [(y, lam - x - y) for x, y in _clip(bd[::-1], lam, False)]
-        _check_concave(piece)
-        grown = _grow(decomp.right, piece, ds[1 + n_left:])
+        _check_concave(rpiece)
+        grown = _grow(decomp.right, rpiece, ds[1 + n_left:])
         right_chain = [(lam - p.x - p.y, p.x) for p in reversed(grown.boundary)]
     else:
         right_chain = [(lam, 0)]

@@ -208,7 +208,7 @@ def seq_sum_many(seqs: Iterable[CapacitySeq], K: int) -> CapacitySeq:
     seqs = list(seqs)
     if not seqs:
         raise DomainError("empty union has no capacity sequence")
-    if len(seqs) > 1 and K > seqs[0].horizon + seqs[1].horizon:
+    if K > sum(s.horizon for s in seqs):
         raise DomainError("requested horizon exceeds what the inputs support")
     ints, den = _integerised(seqs)
     return _rationals(_union(ints, K), den, all(s.certified for s in seqs))
@@ -256,12 +256,12 @@ def convex_caps(domain: ToricDomain, K: int, L: Optional[int] = None,
     expansion, _ = convex_weights(domain, max_nodes)
     b = expansion.head
     assert b is not None
+    if K < 0 or (L is not None and L < 0):
+        raise DomainError("budgets must be nonnegative")
     if not expansion.weights:
         return ball_caps(b, K)
     if L is None:
         L = default_sub_budget(K, b)
-    if L < 0 or K < 0:
-        raise DomainError("budgets must be nonnegative")
     den = _common_den((b, *expansion.weights))
     T = _union([_ball_ints(int(w * den), 2 * L)
                 for w in expansion.weights], 2 * L)

@@ -79,6 +79,28 @@ def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction]) -> int:
         f"boundary edge ({dx}, {dy}) points out of the allowed sectors")
 
 
+def _check_concave(pts: Sequence[tuple]) -> None:
+    """The concave-boundary rules, on (x, y) pairs of ints or Fractions.
+
+    They check ToricDomain's concave boundaries, the weight recursion's
+    integer pieces and the folded flanks of inner approximations.
+    """
+    (x0, y0), (xn, yn) = pts[0], pts[-1]
+    if x0 != 0 or y0 <= 0:
+        raise DomainError("boundary must start on the positive y-axis")
+    if yn != 0 or xn <= 0:
+        raise DomainError("boundary must end on the positive x-axis")
+    pdx, pdy = 0, -1  # straight down: every edge turns left from it
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        dx, dy = qx - px, qy - py
+        if dx <= 0 or dy >= 0:
+            raise DomainError(
+                "concave boundary edges must go strictly down-right")
+        if pdx * dy - pdy * dx <= 0:
+            raise DomainError("concave boundary slopes must strictly increase")
+        pdx, pdy = dx, dy
+
+
 @dataclass(frozen=True)
 class ToricDomain:
     kind: str
@@ -131,16 +153,10 @@ class ToricDomain:
         for p in bd[1:-1]:
             if p.x <= 0 or p.y <= 0:
                 raise DomainError(f"interior boundary vertex {p} touches an axis")
-        edges = [bd[i + 1] - bd[i] for i in range(len(bd) - 1)]
         if self.kind == "concave":
-            for e in edges:
-                if not (e.x > 0 and e.y < 0):
-                    raise DomainError(
-                        f"concave boundary edge {e} must go strictly down-right")
-            for e1, e2 in zip(edges, edges[1:]):
-                if cross(e1, e2) <= 0:
-                    raise DomainError("concave boundary slopes must strictly increase")
+            _check_concave([(p.x, p.y) for p in bd])
         else:
+            edges = [q - p for p, q in zip(bd, bd[1:])]
             zones = [_edge_zone(e.x, e.y) for e in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:

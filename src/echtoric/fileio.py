@@ -52,10 +52,15 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
     """The domain in a file and the sha256 of the bytes it was read from.
 
     The file is opened once.  Its bytes are decoded as a text-mode read
-    would decode them: UTF-8, with universal newlines.
+    would decode them: UTF-8, with universal newlines; bytes that are not
+    UTF-8 are a DomainError.
     """
     data = Path(path).read_bytes()
-    raw = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc})") from exc
+    raw = raw.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -15,8 +15,10 @@ The functional of a path against a domain adds up, edge by edge, the
 extremal cross product against the region vertices: the maximum for
 convex domains, the minimum over the curved boundary for concave ones.
 Cutting a convex path at its own diagonal level produces a ball path
-plus two concave paths; count and functional identities across that cut
-are what the tests lean on.
+plus two concave paths, its flanks folded by the same fold that splits a
+convex domain for its weight expansion (weights._fold), which takes
+collinear vertices at the peak as they come; count and functional
+identities across that cut are what the tests lean on.
 
 oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
@@ -38,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 from .domains import PointLike, ToricDomain, _as_point, _edge_zone
 from .errors import DomainError, LimitError
 from .geometry import Point, cross, rational
-from .weights import left_piece_map, right_piece_map
+from .weights import _fold
 
 
 def _as_lattice_point(p: PointLike) -> Point:
@@ -171,23 +173,14 @@ class PathSplit:
 def split_path(path: LatticePath, level=None) -> PathSplit:
     if path.kind != "convex":
         raise DomainError("only convex paths are split")
-    s = [p.x + p.y for p in path.vertices]
-    a = max(s)
+    a = max(p.x + p.y for p in path.vertices)
     if level is not None and rational(level) != a:
         raise DomainError(f"path peaks at level {a}, not {level}")
-    i = s.index(a)
-    j = len(s) - 1 - s[::-1].index(a)
-    lm = left_piece_map(a)
-    rm = right_piece_map(a)
-    left = LatticePath.concave(
-        [lm.apply(p) for p in path.vertices[i::-1]])
-    right = LatticePath.concave(
-        [rm.apply(p) for p in reversed(path.vertices[j:])])
-    if a == 0:
-        head = LatticePath.convex([Point(0, 0)])
-    else:
-        head = LatticePath.convex([Point(0, a), Point(a, 0)])
-    return PathSplit(a, head, left, right)
+    left, right = _fold([(p.x, p.y) for p in path.vertices], a)
+    head = [(0, a), (a, 0)] if a else [(0, 0)]
+    return PathSplit(a, LatticePath.convex(head),
+                     LatticePath.concave(left or [(0, 0)]),
+                     LatticePath.concave(right or [(0, 0)]))
 
 
 def _clockwise_directions(box: int) -> list[tuple[int, int]]:

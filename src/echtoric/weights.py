@@ -6,9 +6,9 @@ at one vertex or one edge of slope -1.  The parts left and right of the
 cut are normalised back into standard position by integral shears and
 peeled again, which terminates for rational data.  The multiset of cut
 levels is the weight sequence; the recursion tree remembers enough to
-rebuild every triangle: each node keeps its cut level, where the cut
-meets the boundary and the accumulated map back to the input
-coordinates, and the root also keeps the domain it peeled.
+rebuild every triangle: each node keeps its cut level and the
+accumulated map back to the input coordinates, and the root also keeps
+the domain it peeled.
 
 The cuts run on integers.  Both shears (x, y) -> (x, x + y - a) and
 (x, y) -> (x + y - a, y) are unimodular with integer translations, so
@@ -21,6 +21,13 @@ x + y, the two boundary pieces beyond the cut line are folded into
 standard concave position (this reverses their orientation) and their
 weight sequences are recorded with the head.
 
+The cut and the fold are written once, on (x, y) pairs of ints or
+Fractions: _shear_cut gives the sheared pieces beyond a level with
+their maps back, _fold the folded flanks of a convex chain, and both
+find where the level meets the boundary with _clip.  The boundary
+approximations in blowups cut at raised levels and lower heads with
+them, and latticepaths splits convex paths with _fold.
+
 Sum rules tie the output to area: for a concave domain the squares of
 the weights add up to twice the area, for a convex one the head square
 minus the weight squares does.
@@ -31,23 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .domains import ToricDomain
-from .errors import DomainError, GeometryError, LimitError
+from .domains import ToricDomain, _check_concave
+from .errors import DomainError, LimitError
 from .geometry import AffineUnimodularMap, Point, RationalLike, rational
 
 DEFAULT_MAX_NODES = 10_000
-
-
-def left_piece_map(b: Fraction) -> AffineUnimodularMap:
-    """(x, y) -> (b - x - y, x): convex piece between the y-axis and the cut."""
-    return AffineUnimodularMap(-1, -1, 1, 0, Point(b, 0))
-
-
-def right_piece_map(b: Fraction) -> AffineUnimodularMap:
-    """(x, y) -> (y, b - x - y): convex piece between the cut and the x-axis."""
-    return AffineUnimodularMap(0, 1, -1, -1, Point(0, b))
 
 
 @dataclass(frozen=True)
@@ -75,19 +72,14 @@ class WeightExpansion:
 class DecompositionNode:
     """One corner cut of a concave domain.
 
-    value is the cut level, x1 and x2 the x-coordinates of the first and
-    last boundary vertex on the cut line (they differ exactly when the
-    boundary has an edge of slope -1 there), all in the normalised
-    coordinates of the piece this node peeled.  to_original maps those
-    coordinates back to the coordinates of the domain the recursion
-    started from.  domain is that piece as a ToricDomain at the root of
-    a tree and None below it, where the pieces exist only inside the
-    integer cut kernel.
+    value is the cut level in the normalised coordinates of the piece
+    this node peeled.  to_original maps those coordinates back to the
+    coordinates of the domain the recursion started from.  domain is
+    that piece as a ToricDomain at the root of a tree and None below
+    it, where the pieces exist only inside the integer cut kernel.
     """
 
     value: Fraction
-    x1: Fraction
-    x2: Fraction
     domain: Optional[ToricDomain]
     to_original: AffineUnimodularMap
     left: Optional["DecompositionNode"]
@@ -99,47 +91,70 @@ class ConvexDecomposition:
     """Head cut of a convex domain plus the peeled side pieces."""
 
     head: Fraction
-    x1: Fraction
-    x2: Fraction
     domain: ToricDomain
     left: Optional[DecompositionNode]
     right: Optional[DecompositionNode]
 
 
-def _cut(sums: list, extreme: Callable) -> tuple:
-    """Level extreme(sums) with the first and last index attaining it.
+def _clip(bd: list[tuple], lam) -> list[tuple]:
+    """Boundary prefix ending where x + y first reaches lam.
 
-    Along a valid boundary x + y is unimodal, so the level is attained
-    at one vertex or at the two ends of one edge.
+    x + y starts off lam at bd[0] and moves towards it; the last vertex
+    is interpolated exactly, in Fractions, inside an edge when no vertex
+    sits on the level.  Suffixes come from clipping the reversed
+    boundary.
     """
-    a = extreme(sums)
-    i = sums.index(a)
-    j = len(sums) - 1 - sums[::-1].index(a)
-    if j - i > 1:
-        raise GeometryError("x + y is not unimodal along the boundary")
-    return a, i, j
+    below = sum(bd[0]) > lam
+    for t, (x, y) in enumerate(bd):
+        s = x + y
+        if s == lam:
+            return bd[:t + 1]
+        if (s < lam) == below:
+            px, py = bd[t - 1]
+            theta = Fraction(px + py - lam, px + py - s)
+            return bd[:t] + [(px + (x - px) * theta, py + (y - py) * theta)]
+    raise DomainError("cut level never reached along the boundary")
 
 
-def _check_concave(pts: list[tuple]) -> None:
-    """The concave-boundary rules of ToricDomain, on (x, y) vertex pairs.
+def _shear_cut(bd: list[tuple], lam, m: tuple) -> tuple:
+    """The concave pieces of bd beyond the cut x + y = lam.
 
-    The pairs are ints in the weight recursion and Fractions in the
-    boundary approximations.
+    Each side is (piece, map): the piece sheared into standard position,
+    by (x, y) -> (x, x + y - lam) on the left and (x + y - lam, y) on
+    the right, and the 6-tuple (a, b, c, d, tx, ty) of the map
+    p -> (a p.x + b p.y + tx, c p.x + d p.y + ty) taking it back through
+    m.  A side whose end does not rise above lam gives None.  Integer
+    input cut at its minimum of x + y stays integer, since no vertex is
+    interpolated there.
     """
-    (x0, y0), (xn, yn) = pts[0], pts[-1]
-    if x0 != 0 or y0 <= 0:
-        raise DomainError("boundary must start on the positive y-axis")
-    if yn != 0 or xn <= 0:
-        raise DomainError("boundary must end on the positive x-axis")
-    pdx, pdy = 0, -1  # straight down: every edge turns left from it
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        dx, dy = qx - px, qy - py
-        if dx <= 0 or dy >= 0:
-            raise DomainError(
-                "concave boundary edges must go strictly down-right")
-        if pdx * dy - pdy * dx <= 0:
-            raise DomainError("concave boundary slopes must strictly increase")
-        pdx, pdy = dx, dy
+    ma, mb, mc, md, tx, ty = m
+    left = right = None
+    if sum(bd[0]) > lam:
+        piece = [(x, x + y - lam) for x, y in _clip(bd, lam)]
+        _check_concave(piece)
+        # back through (x, y) -> (x, y - x + lam), then m
+        left = piece, (ma - mb, mb, mc - md, md, tx + mb * lam, ty + md * lam)
+    if sum(bd[-1]) > lam:
+        piece = [(x + y - lam, y) for x, y in reversed(_clip(bd[::-1], lam))]
+        _check_concave(piece)
+        # back through (x, y) -> (x - y + lam, y), then m
+        right = piece, (ma, mb - ma, mc, md - mc, tx + ma * lam, ty + mc * lam)
+    return left, right
+
+
+def _fold(bd: list[tuple], lam) -> tuple:
+    """A convex chain's two flanks beyond x + y = lam, in concave position.
+
+    The left flank goes through (x, y) -> (lam - x - y, x), the right
+    through (x, y) -> (y, lam - x - y); folding reverses the orientation
+    of each.  A flank whose end does not sink below lam gives None.
+    """
+    left = right = None
+    if sum(bd[0]) < lam:
+        left = [(lam - x - y, x) for x, y in reversed(_clip(bd, lam))]
+    if sum(bd[-1]) < lam:
+        right = [(y, lam - x - y) for x, y in _clip(bd[::-1], lam)]
+    return left, right
 
 
 class _Budget:
@@ -165,45 +180,36 @@ def _concave_tree(domain: ToricDomain, to_original: AffineUnimodularMap,
 
     root_pts = [(scaled(p.x), scaled(p.y)) for p in bd]
     root_map = (m.a, m.b, m.c, m.d, scaled(m.t.x), scaled(m.t.y))
-    # nodes in preorder as (a, x1, x2, map, left, right), children as
-    # indices; an explicit stack keeps very unbalanced trees (long
-    # Euclid runs) off the interpreter stack
+    # nodes in preorder as (a, map, left, right), children as indices; an
+    # explicit stack keeps very unbalanced trees (long Euclid runs) off
+    # the interpreter stack
     rows: list[list] = []
-    work = [(root_pts, root_map, -1, 4)]
+    work = [(root_pts, root_map, -1, 2)]
     while work:
-        pts, (ma, mb, mc, md, tx, ty), parent, slot = work.pop()
+        pts, mp, parent, slot = work.pop()
         budget.tick()
         idx = len(rows)
         if parent >= 0:
             rows[parent][slot] = idx
-        a, i, j = _cut([x + y for x, y in pts], min)
-        if i > 0:
-            # the piece goes through (x, y) -> (x, x + y - a), so its map
-            # back is to_original after (x, y) -> (x, y - x + a)
-            piece = [(x, x + y - a) for x, y in pts[:i + 1]]
-            _check_concave(piece)
-            work.append((piece, (ma - mb, mb, mc - md, md,
-                                 tx + mb * a, ty + md * a), idx, 4))
-        if j < len(pts) - 1:
-            # (x, y) -> (x + y - a, y), back through (x - y + a, y)
-            piece = [(x + y - a, y) for x, y in pts[j:]]
-            _check_concave(piece)
-            work.append((piece, (ma, mb - ma, mc, md - mc,
-                                 tx + ma * a, ty + mc * a), idx, 5))
-        rows.append([a, pts[i][0], pts[j][0], (ma, mb, mc, md, tx, ty),
-                     None, None])
+        a = min(x + y for x, y in pts)
+        left, right = _shear_cut(pts, a, mp)
+        if left is not None:
+            work.append((*left, idx, 2))
+        if right is not None:
+            work.append((*right, idx, 3))
+        rows.append([a, mp, None, None])
 
     # levels and coordinates repeat across nodes, so build each
     # Fraction once
     numerators: set[int] = set()
-    for a, x1, x2, (_, _, _, _, tx, ty), _, _ in rows:
-        numerators.update((a, x1, x2, tx, ty))
+    for a, (_, _, _, _, tx, ty), _, _ in rows:
+        numerators.update((a, tx, ty))
     frac = {n: Fraction(n, D) for n in numerators}
     nodes: list[Optional[DecompositionNode]] = [None] * len(rows)
     for idx in range(len(rows) - 1, -1, -1):
-        a, x1, x2, (ma, mb, mc, md, tx, ty), left, right = rows[idx]
+        a, (ma, mb, mc, md, tx, ty), left, right = rows[idx]
         nodes[idx] = DecompositionNode(
-            value=frac[a], x1=frac[x1], x2=frac[x2],
+            value=frac[a],
             domain=domain if idx == 0 else None,
             to_original=AffineUnimodularMap(ma, mb, mc, md,
                                             Point(frac[tx], frac[ty])),
@@ -252,23 +258,21 @@ def convex_weights(domain: ToricDomain,
                    ) -> tuple[WeightExpansion, ConvexDecomposition]:
     if domain.kind != "convex":
         raise DomainError("convex_weights needs a convex domain")
-    bd = domain.boundary
-    b, i, j = _cut([p.x + p.y for p in bd], max)
+    b = max(p.x + p.y for p in domain.boundary)
     budget = _Budget(max_nodes)
     budget.tick()  # the head takes one slot
+    lpiece, rpiece = _fold([(p.x, p.y) for p in domain.boundary], b)
     left = right = None
-    if i > 0:
-        lm = left_piece_map(b)
-        # folding reverses the orientation of the piece
-        ldom = ToricDomain.concave([lm.apply(p) for p in bd[i::-1]])
-        left = _concave_tree(ldom, lm.inverse(), budget)
-    if j < len(bd) - 1:
-        rm = right_piece_map(b)
-        rdom = ToricDomain.concave([rm.apply(p) for p in reversed(bd[j:])])
-        right = _concave_tree(rdom, rm.inverse(), budget)
-    decomp = ConvexDecomposition(
-        head=b, x1=bd[i].x, x2=bd[j].x, domain=domain,
-        left=left, right=right)
+    if lpiece is not None:
+        # (x, y) -> (y, b - x - y) undoes the left fold
+        back = AffineUnimodularMap(0, 1, -1, -1, Point(0, b))
+        left = _concave_tree(ToricDomain.concave(lpiece), back, budget)
+    if rpiece is not None:
+        # (x, y) -> (b - x - y, x) undoes the right fold
+        back = AffineUnimodularMap(-1, -1, 1, 0, Point(b, 0))
+        right = _concave_tree(ToricDomain.concave(rpiece), back, budget)
+    decomp = ConvexDecomposition(head=b, domain=domain, left=left,
+                                 right=right)
     weights = tree_values(left) + tree_values(right)
     return WeightExpansion(b, weights), decomp
 

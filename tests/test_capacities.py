@@ -214,7 +214,8 @@ def test_kernel_against_brute_force():
             brute_sum(S.values, T.values, K), U.values, K)
         assert many.certified == (S.certified and T.certified
                                   and U.certified)
-        assert seq_sum_many([S], K).values == S.values[:K + 1]
+        k = min(K, k1)  # one input supports only its own horizon
+        assert seq_sum_many([S], k).values == S.values[:k + 1]
         # the union dominates each part, so its complement starts at 0
         for A, B in ((S, T), (T, S), (seq_sum(S, T), T), (seq_sum(T, S), S)):
             L = rng.randint(0, B.horizon)
@@ -249,6 +250,15 @@ def test_kernel_edge_cases():
     assert not seq_sub(S, ball_caps(1, 3), 3, 6).certified
 
 
+def test_union_reaches_the_sum_of_all_horizons():
+    seqs = [ball_caps(1, 5), ellipsoid_caps(1, 2, 3), ball_caps(F(1, 2), 4)]
+    many = seq_sum_many(seqs, 12)
+    assert list(many.values) == brute_sum(
+        brute_sum(seqs[0].values, seqs[1].values, 8), seqs[2].values, 12)
+    with pytest.raises(DomainError):
+        seq_sum_many(seqs, 13)
+
+
 def test_kernel_errors():
     S = ball_caps(1, 5)
     with pytest.raises(DomainError):
@@ -270,3 +280,7 @@ def test_kernel_errors():
         seq_sub(S, CapacitySeq((1, 2)), 0, 0)
     with pytest.raises(DomainError):
         convex_caps(OMEGA2, 3, -1)
+    with pytest.raises(DomainError, match="budgets must be nonnegative"):
+        convex_caps(ToricDomain.ball(2, "convex"), 3, -1)  # head only
+    with pytest.raises(DomainError, match="exceeds what the inputs support"):
+        seq_sum_many([ball_caps(1, 3)], 10)

@@ -223,8 +223,8 @@ def test_reports_hash_the_bytes_they_parse(capsys, tmp_path):
     assert code == 0 and rep["values"] == ["0", "1", "1"]
     assert rep["input"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
     path.write_bytes(b'\xff{"type": "convex"}')
-    with pytest.raises(UnicodeDecodeError):
-        main(["caps", str(path), "--k", "2"])
+    code, _, _, err = run(capsys, "caps", str(path), "--k", "2")
+    assert code == 3 and "not UTF-8" in err
 
 
 def test_embed_rejects_wrong_kinds(data_dir, capsys):
@@ -265,6 +265,10 @@ def test_invalid_files(data_dir, capsys, tmp_path):
     bad.write_text('{"type": "concave", "boundary": [[0.5, 1], [1, 0]]}')
     code, _, _, err = run(capsys, "weights", str(bad))
     assert code == 3 and "invalid input" in err
+    raw = tmp_path / "notutf8.json"
+    raw.write_bytes(b'\xff\xfe{"type":"concave"}')
+    code, _, _, err = run(capsys, "weights", str(raw))
+    assert code == 3 and "not UTF-8" in err
 
 
 def test_argparse_usage_is_exit_one(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from echtoric import (DomainError, ToricDomain, canonical_json, digest_bytes,
                       digest_file, domain_from_json, domain_to_json,
-                      load_domain, rational, rational_str, save_domain)
+                      load_domain, rational, rational_str, read_domain,
+                      save_domain)
 
 F = Fraction
 
@@ -74,6 +75,10 @@ def test_bad_files_rejected(tmp_path):
             load_domain(path)
     with pytest.raises((DomainError, OSError)):
         load_domain(tmp_path / "missing.json")
+    path = tmp_path / "notutf8.json"
+    path.write_bytes(b'\xff\xfe{"type":"concave"}')
+    with pytest.raises(DomainError, match="not UTF-8"):
+        read_domain(path)
 
 
 def test_canonical_json_is_stable():

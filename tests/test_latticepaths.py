@@ -126,6 +126,16 @@ def test_split_path_reference_cases():
     assert sp.level == 0
     assert len(sp.head.vertices) == 1
 
+    # three vertices sit on the peak diagonal x + y = 3
+    peak = LatticePath.convex([(0, 1), (1, 2), (2, 1), (3, 0)])
+    sp = split_path(peak)
+    assert sp.head.vertices == (Point(0, 3), Point(3, 0))
+    assert sp.left.vertices == (Point(0, 1), Point(2, 0))
+    assert sp.right.vertices == (Point(0, 0),)
+    assert count_convex(sp.head) == (count_convex(peak)
+                                     + count_concave(sp.left)
+                                     + count_concave(sp.right))
+
     with pytest.raises(DomainError):
         split_path(corner, level=3)
     with pytest.raises(DomainError):
