@@ -1,6 +1,9 @@
 """Capacity sequences of toric domains and their max-plus calculus.
 
 A capacity sequence is the list c_0, c_1, ..., c_K of exact rationals.
+The capacities of a concave or convex toric domain are a function of
+its weight expansion alone, so concave_caps and convex_caps take the
+expansion, not the domain: whoever expanded the domain passes it on.
 Only three primitives are needed and everything else is composition:
 
 * the staircase sequence of a ball or an ellipsoid,
@@ -38,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, rational
-from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
+from .weights import WeightExpansion
 
 
 @dataclass(frozen=True)
@@ -237,10 +239,10 @@ def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
     return all(S.values[k] <= T.values[k] for k in range(n))
 
 
-def concave_caps(domain: ToricDomain, K: int,
-                 max_nodes: int = DEFAULT_MAX_NODES) -> CapacitySeq:
-    """Capacities of a concave domain through its weight expansion."""
-    expansion, _ = concave_weights(domain, max_nodes)
+def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
+    """Capacities of a concave domain: the union of its weight balls."""
+    if expansion.head is not None:
+        raise DomainError("concave_caps needs a concave domain's expansion")
     den = _common_den(expansion.weights)
     balls = [_ball_ints(int(w * den), K) for w in expansion.weights]
     return _rationals(_union(balls, K), den, True)
@@ -250,12 +252,12 @@ def default_sub_budget(K: int, head: Fraction) -> int:
     return math.ceil(8 * (K + head * head))
 
 
-def convex_caps(domain: ToricDomain, K: int, L: Optional[int] = None,
-                max_nodes: int = DEFAULT_MAX_NODES) -> CapacitySeq:
-    """Capacities of a convex domain through its weight expansion."""
-    expansion, _ = convex_weights(domain, max_nodes)
+def convex_caps(expansion: WeightExpansion, K: int,
+                L: Optional[int] = None) -> CapacitySeq:
+    """Capacities of a convex domain: its head ball less its weight balls."""
     b = expansion.head
-    assert b is not None
+    if b is None:
+        raise DomainError("convex_caps needs a convex domain's expansion")
     if K < 0 or (L is not None and L < 0):
         raise DomainError("budgets must be nonnegative")
     if not expansion.weights:

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 from .blowups import inner_approximation, outer_approximation
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
-from .embeddings import (EmbeddingProblem, _instance_and_source,
-                         capacity_report)
+from .embeddings import EmbeddingProblem, capacity_report, reduce_to_packing
 from .errors import DomainError, GeometryError, LimitError
 from .fileio import canonical_json, read_domain
 from .geometry import rational
@@ -73,6 +72,12 @@ def _load(path: str) -> tuple[ToricDomain, dict]:
     return dom, {"path": path, "sha256": sha256}
 
 
+def _expand(dom: ToricDomain, mn: int):
+    """The weight expansion of dom and its decomposition tree."""
+    return (concave_weights if dom.kind == "concave"
+            else convex_weights)(dom, mn)
+
+
 def _verdict_payload(verdict: Verdict) -> dict:
     return {
         "feasible": verdict.feasible,
@@ -92,10 +97,7 @@ def _write_text(path: str, text: str) -> None:
 def cmd_weights(args) -> dict:
     mn = _max_nodes()
     dom, record = _load(args.file)
-    if dom.kind == "concave":
-        exp, tree = concave_weights(dom, mn)
-    else:
-        exp, tree = convex_weights(dom, mn)
+    exp, tree = _expand(dom, mn)
     report = {
         "command": "weights",
         "input": record,
@@ -106,8 +108,8 @@ def cmd_weights(args) -> dict:
         "area": str(dom.area()),
     }
     if args.svg:
-        polys = decomposition_polygons(dom, tree=tree)
-        _write_text(args.svg, render_decomposition(dom, polys=polys))
+        polys = decomposition_polygons(tree)
+        _write_text(args.svg, render_decomposition(dom, polys))
         report["svg"] = {"path": args.svg, "polygons": len(polys)}
     if args.approx:
         report["approx"] = {
@@ -123,12 +125,10 @@ def cmd_caps(args) -> dict:
     dom, record = _load(args.file)
     if args.k < 0:
         raise UsageError("--k must be nonnegative")
-    if dom.kind == "concave":
-        if args.oracle:
-            raise UsageError("--oracle applies to convex domains only")
-        seq = concave_caps(dom, args.k, mn)
-    else:
-        seq = convex_caps(dom, args.k, None, mn)
+    if dom.kind == "concave" and args.oracle:
+        raise UsageError("--oracle applies to convex domains only")
+    exp, _ = _expand(dom, mn)
+    seq = (concave_caps if dom.kind == "concave" else convex_caps)(exp, args.k)
     report = {
         "command": "caps",
         "input": record,
@@ -183,9 +183,8 @@ def cmd_embed(args) -> dict:
     mn = _max_nodes()
     source, source_record = _load(args.source)
     target, target_record = _load(args.target)
-    problem = EmbeddingProblem(source, target)
-    # the scale search reuses the expansions behind the instance
-    instance, source_weights = _instance_and_source(problem, mn)
+    problem = EmbeddingProblem(source, target, mn)
+    instance = reduce_to_packing(problem)
     verdict = decide_packing(instance)
     report = {
         "command": "embed",
@@ -197,7 +196,7 @@ def cmd_embed(args) -> dict:
     if args.report is not None:
         if args.report < 0:
             raise UsageError("--report must be nonnegative")
-        caps = capacity_report(problem, args.report, None, mn)
+        caps = capacity_report(problem, args.report)
         report["capacities"] = {
             "k_max": args.report,
             "all_ok": caps.all_ok,
@@ -207,7 +206,9 @@ def cmd_embed(args) -> dict:
         }
     if args.scale_search is not None:
         precision = rational(args.scale_search)
-        lo, hi = optimal_scale(instance, source_weights, precision)
+        # optimal_embedding_scale would build the instance a second time
+        lo, hi = optimal_scale(instance, problem.source_weights.weights,
+                               precision)
         report["scale"] = {
             "precision": str(precision),
             "feasible_at": str(lo),
@@ -228,20 +229,19 @@ def cmd_svg(args) -> dict:
         "domain_type": dom.kind,
         "output": args.out,
     }
+    delta = None if args.decomposition else rational(args.approximation)
+    _, tree = _expand(dom, mn)
     if args.decomposition:
-        polys = decomposition_polygons(dom, mn)
-        _write_text(args.out, render_decomposition(dom, polys=polys))
+        polys = decomposition_polygons(tree)
+        _write_text(args.out, render_decomposition(dom, polys))
         report["mode"] = "decomposition"
         report["polygons"] = len(polys)
     else:
-        delta = rational(args.approximation)
         if dom.kind == "concave":
-            _, tree = concave_weights(dom, mn)
             approx = outer_approximation(tree, delta)
             ok = contains(approx, dom)
         else:
-            _, decomp = convex_weights(dom, mn)
-            approx = inner_approximation(decomp, delta)
+            approx = inner_approximation(tree, delta)
             ok = contains(dom, approx)
         _write_text(args.out, render_approximation(dom, approx))
         report["mode"] = "approximation"

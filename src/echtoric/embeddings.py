@@ -5,11 +5,15 @@ balls, the target contributes its head minus its own weight balls, and
 the embedding exists exactly when all those balls pack into the head
 ball together.  Capacity sequences give an independent necessary test
 that is reported alongside for cross-checking.
+
+An EmbeddingProblem expands both domains once, when it is built; the
+packing instance, the capacity report and the scale search all read
+those two expansions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -18,44 +22,49 @@ from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, rational
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
-from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
+from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_weights,
+                      convex_weights)
 
 
 @dataclass(frozen=True)
 class EmbeddingProblem:
+    """A concave source and a convex target, each with its expansion.
+
+    max_nodes caps each expansion's decomposition; LimitError is raised
+    here, when the problem is built, if either exceeds it.
+    """
+
     source: ToricDomain
     target: ToricDomain
+    max_nodes: int = DEFAULT_MAX_NODES
+    source_weights: WeightExpansion = field(init=False)
+    target_weights: WeightExpansion = field(init=False)
 
     def __post_init__(self) -> None:
         if self.source.kind != "concave":
             raise DomainError("embedding sources must be concave domains")
         if self.target.kind != "convex":
             raise DomainError("embedding targets must be convex domains")
+        object.__setattr__(self, "source_weights",
+                           concave_weights(self.source, self.max_nodes)[0])
+        object.__setattr__(self, "target_weights",
+                           convex_weights(self.target, self.max_nodes)[0])
 
 
-def _instance_and_source(problem: EmbeddingProblem, max_nodes: int,
-                         ) -> tuple[PackingInstance, tuple[Fraction, ...]]:
-    """The packing instance and the source's weight balls within it."""
-    src, _ = concave_weights(problem.source, max_nodes)
-    tgt, _ = convex_weights(problem.target, max_nodes)
-    assert tgt.head is not None
-    return PackingInstance(tgt.head, src.weights + tgt.weights), src.weights
-
-
-def reduce_to_packing(problem: EmbeddingProblem,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> PackingInstance:
+def reduce_to_packing(problem: EmbeddingProblem) -> PackingInstance:
     """Ball instance equivalent to the embedding question.
 
     The source contributes its weight balls, the target its head as the
     all-enclosing ball minus its own weight balls, which join the list
     of balls to pack.
     """
-    return _instance_and_source(problem, max_nodes)[0]
+    tgt = problem.target_weights
+    return PackingInstance(tgt.head,
+                           problem.source_weights.weights + tgt.weights)
 
 
-def decide_embedding(problem: EmbeddingProblem,
-                     max_nodes: int = DEFAULT_MAX_NODES) -> Verdict:
-    return decide_packing(reduce_to_packing(problem, max_nodes))
+def decide_embedding(problem: EmbeddingProblem) -> Verdict:
+    return decide_packing(reduce_to_packing(problem))
 
 
 @dataclass(frozen=True)
@@ -87,10 +96,9 @@ class CapacityReport:
 
 
 def capacity_report(problem: EmbeddingProblem, K: int,
-                    L: Optional[int] = None,
-                    max_nodes: int = DEFAULT_MAX_NODES) -> CapacityReport:
-    src = concave_caps(problem.source, K, max_nodes)
-    tgt = convex_caps(problem.target, K, L, max_nodes)
+                    L: Optional[int] = None) -> CapacityReport:
+    src = concave_caps(problem.source_weights, K)
+    tgt = convex_caps(problem.target_weights, K, L)
     rows = tuple(
         ReportRow(k, src[k], tgt[k], src[k] <= tgt[k],
                   src.certified and tgt.certified)
@@ -100,7 +108,6 @@ def capacity_report(problem: EmbeddingProblem, K: int,
 
 def optimal_embedding_scale(problem: EmbeddingProblem,
                             precision: RationalLike,
-                            max_nodes: int = DEFAULT_MAX_NODES,
                             ) -> tuple[Fraction, Fraction]:
     """Bracket the largest factor by which the source still embeds.
 
@@ -108,5 +115,5 @@ def optimal_embedding_scale(problem: EmbeddingProblem,
     the source's balls inside the reduced instance and keeps the
     target's own balls fixed.
     """
-    instance, scaled = _instance_and_source(problem, max_nodes)
-    return optimal_scale(instance, scaled, rational(precision))
+    return optimal_scale(reduce_to_packing(problem),
+                         problem.source_weights.weights, rational(precision))

@@ -15,7 +15,6 @@ from typing import Sequence, Union
 
 from .errors import GeometryError
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 _RATIONAL = re.compile(r"-?\d+(/\d+)?")
@@ -64,9 +63,6 @@ class Point:
     def scale(self, factor: RationalLike) -> "Point":
         f = rational(factor)
         return Point(f * self.x, f * self.y)
-
-    def as_tuple(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
 
 
 def cross(v: Point, w: Point) -> Fraction:

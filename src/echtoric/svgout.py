@@ -1,5 +1,7 @@
 """Plain SVG 1.1 renderings of decompositions and approximations.
 
+A decomposition is drawn from the tree that concave_weights or
+convex_weights returned, so drawing never expands a domain again.
 Documents are built by string assembly, no markup library.  Model
 coordinates are exact rationals until the last step, where they are
 quantised to four decimals with integer arithmetic, so the output bytes
@@ -10,13 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .domains import ToricDomain
 from .geometry import Point
-from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition,
-                      DecompositionNode, concave_weights, convex_weights,
-                      inorder)
+from .weights import ConvexDecomposition, DecompositionNode, inorder
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
@@ -34,22 +34,12 @@ def _triangle(node: DecompositionNode) -> tuple[Point, Point, Point]:
     return (m.apply(Point(0, 0)), m.apply(Point(0, a)), m.apply(Point(a, 0)))
 
 
-def decomposition_polygons(domain: ToricDomain,
-                           max_nodes: int = DEFAULT_MAX_NODES,
-                           tree: Union[DecompositionNode, ConvexDecomposition,
-                                       None] = None,
+def decomposition_polygons(tree: Union[DecompositionNode,
+                                       ConvexDecomposition],
                            ) -> list[tuple[Point, ...]]:
-    """One triangle per weight; a convex domain adds its head simplex first.
-
-    tree is the decomposition that concave_weights or convex_weights
-    returned for the domain; without it the domain is expanded here.
-    """
-    if domain.kind == "concave":
-        if tree is None:
-            _, tree = concave_weights(domain, max_nodes)
+    """One triangle per weight; a convex tree adds its head simplex first."""
+    if isinstance(tree, DecompositionNode):
         return [_triangle(n) for n in inorder(tree)]
-    if tree is None:
-        _, tree = convex_weights(domain, max_nodes)
     b = tree.head
     polys: list[tuple[Point, ...]] = [(Point(0, 0), Point(0, b), Point(b, 0))]
     for node in chain(inorder(tree.left), inorder(tree.right)):
@@ -103,12 +93,8 @@ def _axes(canvas: _Canvas, xmax: Fraction, ymax: Fraction) -> list[str]:
 
 
 def render_decomposition(domain: ToricDomain,
-                         max_nodes: int = DEFAULT_MAX_NODES,
-                         polys: Optional[list[tuple[Point, ...]]] = None,
-                         ) -> str:
-    """The decomposition drawn from polys, or from a fresh expansion."""
-    if polys is None:
-        polys = decomposition_polygons(domain, max_nodes)
+                         polys: list[tuple[Point, ...]]) -> str:
+    """The domain's outline over its decomposition_polygons."""
     canvas = _Canvas(chain(domain.boundary, *polys))
     body = _axes(canvas, max(p.x for poly in polys for p in poly),
                  max(p.y for poly in polys for p in poly))

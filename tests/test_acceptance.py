@@ -91,7 +91,7 @@ def test_criterion_5_capacity_formula_matches_path_oracle(data_dir):
     delta2 = ToricDomain.convex([(0, 2), (2, 0)])
     for name, dom in (("square", square), ("delta2", delta2),
                       ("omega2", OMEGA2)):
-        seq = convex_caps(dom, 12)
+        seq = convex_caps(convex_weights(dom)[0], 12)
         assert seq.certified
         oracle = oracle_convex_caps_upto(dom, 12)
         for k, (value, witness) in enumerate(oracle):
@@ -107,7 +107,7 @@ def test_criterion_6_ellipsoid_capacities_are_the_weighted_multiset():
     start = time.perf_counter()
     for p, q in ((1, 1), (1, 2), (2, 3), (3, 7)):
         dom = ToricDomain.ellipsoid(p, q)
-        seq = concave_caps(dom, 50)
+        seq = concave_caps(concave_weights(dom)[0], 50)
         brute = sorted(p * m + q * n
                        for m in range(51) for n in range(51 - m))[:51]
         assert list(seq.values) == brute

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from echtoric import (CapacitySeq, DomainError, ToricDomain, ball_caps,
-                      concave_caps, contains, convex_caps, ellipsoid_caps,
-                      seq_leq, seq_sub, seq_sum, seq_sum_many)
+                      concave_caps, concave_weights, contains, convex_caps,
+                      convex_weights, ellipsoid_caps, seq_leq, seq_sub,
+                      seq_sum, seq_sum_many)
 
 from generators import random_concave, random_convex
 
@@ -79,7 +80,7 @@ def test_seq_sub_matches_brute_force_and_certifies():
 def test_concave_caps_is_weight_ball_union():
     omega1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
                                   ("4/3", "2/3"), ("7/3", "0")])
-    seq = concave_caps(omega1, 6)
+    seq = concave_caps(concave_weights(omega1)[0], 6)
     assert seq[0] == 0
     assert seq[1] == 2  # the largest weight ball dominates at k = 1
     union = seq_sum_many([ball_caps(w, 6) for w in
@@ -90,20 +91,22 @@ def test_concave_caps_is_weight_ball_union():
 def test_concave_caps_of_ellipsoid_triangles():
     for p, q in [(1, 1), (1, 2), (2, 3)]:
         tri = ToricDomain.ellipsoid(p, q)
-        assert concave_caps(tri, 25).values == tuple(brute_ellipsoid(p, q, 25))
+        assert concave_caps(concave_weights(tri)[0], 25).values == \
+            tuple(brute_ellipsoid(p, q, 25))
 
 
 def test_convex_caps_reference_values():
     square = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
-    assert convex_caps(square, 3).values == (0, 1, 2, 2)
+    assert convex_caps(convex_weights(square)[0], 3).values == (0, 1, 2, 2)
     delta2 = ToricDomain.convex([(0, 2), (2, 0)])
-    assert convex_caps(delta2, 3).values == (0, 2, 2, 4)
-    assert convex_caps(delta2, 10).values == ball_caps(2, 10).values
+    assert convex_caps(convex_weights(delta2)[0], 3).values == (0, 2, 2, 4)
+    assert convex_caps(convex_weights(delta2)[0], 10).values == \
+        ball_caps(2, 10).values
 
 
 def test_convex_caps_wide_triangle_equals_ellipsoid():
     tri = ToricDomain.convex([(0, 1), (2, 0)])
-    got = convex_caps(tri, 20)
+    got = convex_caps(convex_weights(tri)[0], 20)
     assert got.values == ellipsoid_caps(1, 2, 20).values
     assert got.certified
 
@@ -124,11 +127,13 @@ def test_capacity_monotonicity_under_containment():
         dom = random_concave(rng)
         inner = dom.scale(F(3, 4))
         assert contains(dom, inner)
-        assert seq_leq(concave_caps(inner, 8), concave_caps(dom, 8))
+        assert seq_leq(concave_caps(concave_weights(inner)[0], 8),
+                       concave_caps(concave_weights(dom)[0], 8))
     for _ in range(8):
         dom = _small_convex(rng)
         inner = dom.scale(F(3, 4))
-        assert seq_leq(convex_caps(inner, 8), convex_caps(dom, 8))
+        assert seq_leq(convex_caps(convex_weights(inner)[0], 8),
+                       convex_caps(convex_weights(dom)[0], 8))
 
 
 def test_capacity_scaling_random():
@@ -136,14 +141,14 @@ def test_capacity_scaling_random():
     for _ in range(6):
         dom = random_concave(rng)
         lam = F(rng.randint(1, 5), rng.randint(1, 3))
-        base = concave_caps(dom, 8)
-        scaled = concave_caps(dom.scale(lam), 8)
+        base = concave_caps(concave_weights(dom)[0], 8)
+        scaled = concave_caps(concave_weights(dom.scale(lam))[0], 8)
         assert scaled.values == tuple(lam * v for v in base.values)
     for _ in range(6):
         dom = _small_convex(rng)
         lam = F(rng.randint(1, 3), rng.randint(3, 4))
-        base = convex_caps(dom, 8)
-        scaled = convex_caps(dom.scale(lam), 8)
+        base = convex_caps(convex_weights(dom)[0], 8)
+        scaled = convex_caps(convex_weights(dom.scale(lam))[0], 8)
         assert base.certified and scaled.certified
         assert scaled.values == tuple(lam * v for v in base.values)
 
@@ -156,6 +161,8 @@ def test_capacity_seq_container_behaviour():
     assert seq_leq(cut, cut)
 
 
+OMEGA1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
+                              ("4/3", "2/3"), ("7/3", "0")])
 # c_0..c_20 of OMEGA2; they agree with the lattice-path oracle for k <= 9
 OMEGA2 = ToricDomain.convex([(0, 1), (1, 2), (5, 0)])
 OMEGA2_VALUES = tuple(F(v) for v in (
@@ -166,7 +173,7 @@ OMEGA2_VALUES = tuple(F(v) for v in (
 def test_convex_caps_scaling_full_size():
     # default budget L = 8(K + b^2): b = 20 at s = 4, so 2L = 6720
     for s in (1, 2, 3, 4):
-        got = convex_caps(OMEGA2.scale(s), 20)
+        got = convex_caps(convex_weights(OMEGA2.scale(s))[0], 20)
         assert got.certified
         assert got.values == tuple(s * v for v in OMEGA2_VALUES)
 
@@ -178,9 +185,11 @@ def test_caps_golden(data_dir):
     for entry in golden:
         if entry["type"] == "convex":
             dom, caps = ToricDomain.convex(entry["boundary"]), convex_caps
+            expansion, _ = convex_weights(dom)
         else:
             dom, caps = ToricDomain.concave(entry["boundary"]), concave_caps
-        got = caps(dom, entry["K"])
+            expansion, _ = concave_weights(dom)
+        got = caps(expansion, entry["K"])
         assert [str(v) for v in got.values] == entry["values"], entry["name"]
         assert got.certified == entry["certified"], entry["name"]
 
@@ -279,8 +288,13 @@ def test_kernel_errors():
         # c_0 != 0 fails before seq_sub sees it
         seq_sub(S, CapacitySeq((1, 2)), 0, 0)
     with pytest.raises(DomainError):
-        convex_caps(OMEGA2, 3, -1)
+        convex_caps(convex_weights(OMEGA2)[0], 3, -1)
     with pytest.raises(DomainError, match="budgets must be nonnegative"):
-        convex_caps(ToricDomain.ball(2, "convex"), 3, -1)  # head only
+        # head only
+        convex_caps(convex_weights(ToricDomain.ball(2, "convex"))[0], 3, -1)
+    with pytest.raises(DomainError, match="concave domain's expansion"):
+        concave_caps(convex_weights(OMEGA2)[0], 3)
+    with pytest.raises(DomainError, match="convex domain's expansion"):
+        convex_caps(concave_weights(OMEGA1)[0], 3)
     with pytest.raises(DomainError, match="exceeds what the inputs support"):
         seq_sum_many([ball_caps(1, 3)], 10)

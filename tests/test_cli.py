@@ -144,25 +144,13 @@ def test_embed_full_report(data_dir, capsys):
     assert code == 0 and out2 == out1
 
 
-def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
-                                                    monkeypatch):
-    import echtoric.embeddings as emb
-    calls = []
-    for name in ("concave_weights", "convex_weights"):
-        def counted(*args, _name=name, _fn=getattr(emb, name)):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(emb, name, counted)
-    code, rep, _, _ = run(capsys, "embed", str(data_dir / "omega1.json"),
-                          str(data_dir / "omega2.json"),
-                          "--scale-search", "1/100")
-    assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
-    assert sorted(calls) == ["concave_weights", "convex_weights"]
+@pytest.fixture
+def trees(monkeypatch):
+    """Pieces handed to the concave tree builder while a test runs.
 
-
-@pytest.mark.parametrize("name", ["omega1", "omega2"])
-def test_svg_output_expands_each_domain_once(data_dir, capsys, monkeypatch,
-                                             tmp_path, name):
+    A concave domain's expansion builds one tree, a convex domain's one
+    per side piece, so the list counts expansions whoever calls them.
+    """
     import echtoric.weights as w
     calls = []
     build = w._concave_tree
@@ -171,17 +159,47 @@ def test_svg_output_expands_each_domain_once(data_dir, capsys, monkeypatch,
         calls.append(args[0])
         return build(*args)
     monkeypatch.setattr(w, "_concave_tree", counted)
+    return calls
+
+
+def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
+                                                    monkeypatch, trees):
+    import echtoric.embeddings as emb
+    calls = []
+    for name in ("concave_weights", "convex_weights"):
+        def counted(*args, _name=name, _fn=getattr(emb, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(emb, name, counted)
+    source, target = data_dir / "omega1.json", data_dir / "omega2.json"
+    concave_weights(load_domain(source))
+    convex_weights(load_domain(target))
+    once = len(trees)
+    trees.clear()
+    code, rep, _, _ = run(capsys, "embed", str(source), str(target),
+                          "--report", "12", "--scale-search", "1/100")
+    assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
+    assert sorted(calls) == ["concave_weights", "convex_weights"]
+    assert len(trees) == once
+
+
+@pytest.mark.parametrize("name", ["omega1", "omega2"])
+def test_svg_output_expands_each_domain_once(data_dir, capsys, tmp_path,
+                                             trees, name):
     path = data_dir / f"{name}.json"
     dom = load_domain(path)
     (concave_weights if dom.kind == "concave" else convex_weights)(dom)
-    once = len(calls)  # a convex domain grows one tree per side piece
+    once = len(trees)  # a convex domain grows one tree per side piece
     assert once >= 1
     for argv in (["weights", str(path), "--svg", str(tmp_path / "w.svg")],
+                 ["caps", str(path), "--k", "5"],
                  ["svg", str(path), str(tmp_path / "d.svg"),
-                  "--decomposition"]):
-        calls.clear()
+                  "--decomposition"],
+                 ["svg", str(path), str(tmp_path / "a.svg"),
+                  "--approximation", "1/100"]):
+        trees.clear()
         code, _, _, _ = run(capsys, *argv)
-        assert code == 0 and len(calls) == once, argv
+        assert code == 0 and len(trees) == once, argv
 
 
 def test_file_commands_open_each_input_once(data_dir, capsys, tmp_path):
@@ -278,10 +296,19 @@ def test_argparse_usage_is_exit_one(capsys):
     assert code == 1
 
 
-def test_node_budget_env(data_dir, capsys, monkeypatch):
+def test_node_budget_env(data_dir, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TDE_MAX_NODES", "2")
-    code, _, _, err = run(capsys, "weights", str(data_dir / "omega1.json"))
-    assert code == 4 and "resource guard" in err
+    omega1 = str(data_dir / "omega1.json")
+    omega2 = str(data_dir / "omega2.json")
+    for argv in (["weights", omega1],
+                 ["caps", omega2, "--k", "5"],
+                 ["embed", omega1, omega2, "--report", "3",
+                  "--scale-search", "1/100"],
+                 ["svg", omega1, str(tmp_path / "d.svg"), "--decomposition"],
+                 ["svg", omega1, str(tmp_path / "a.svg"),
+                  "--approximation", "1/100"]):
+        code, _, _, err = run(capsys, *argv)
+        assert code == 4 and "resource guard" in err, argv
     monkeypatch.setenv("TDE_MAX_NODES", "zork")
     code, _, _, _ = run(capsys, "weights", str(data_dir / "omega1.json"))
     assert code == 1

@@ -138,4 +138,4 @@ def test_scale_bracket_matches_direct_decisions():
 
 def test_node_budget_propagates():
     with pytest.raises(LimitError):
-        decide_embedding(EmbeddingProblem(OMEGA1, OMEGA2), max_nodes=2)
+        EmbeddingProblem(OMEGA1, OMEGA2, max_nodes=2)

@@ -199,7 +199,7 @@ def test_oracle_agrees_with_formula_small_k():
             doms.append(dom)
     for dom in doms:
         K = 5
-        seq = convex_caps(dom, K)
+        seq = convex_caps(convex_weights(dom)[0], K)
         for k, (value, witness) in enumerate(oracle_convex_caps_upto(dom, K)):
             assert value == seq[k]
             assert count_convex(witness) == k + 1
