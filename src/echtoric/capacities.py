@@ -12,10 +12,36 @@ Only three primitives are needed and everything else is composition:
   capacities S and the capacities T of the removed pieces,
   c_k = min over l of S_(k+l) - T_l.
 
-The min in the complement rule runs over all l >= 0; we truncate at a
-budget L and certify the answer by running the min again with budget
-2L.  If both agree the truncation did not bite and the sequence is
-marked certified.
+The min in the complement rule runs over all l >= 0.  convex_caps
+stops it at a horizon H that it proves per call, in integers.  Write b
+and w_1, ..., w_m for the head and the weights as integer multiples of
+their largest common unit, so that every scaling of a domain gives the
+same integers, and W1 = sum of w_i, W2 = sum of w_i^2.  The ball
+staircase 0, a, a, 2a, 2a, 2a, ... is c_n = d(n) a with
+
+    (sqrt(9 + 8n) - 3) / 2 <= d(n) <= (sqrt(1 + 8n) - 1) / 2,
+
+and Cauchy-Schwarz over l_1 + ... + l_m = l bounds the union of the
+weight balls by 2 T_l <= sqrt(W2 (m + 8l)) - W1.  Hence
+
+    2 (S_(k+l) - T_l) >= g_k(l) - 3b + W1,
+    g_k(l) = b sqrt(9 + 8(k + l)) - sqrt(W2 (m + 8l)),
+
+and g_k increases once 8l (b^2 - W2) >= W2 (9 + 8k) - m b^2, which
+holds from some l on because b^2 - W2, twice the area, is positive.
+So an H past that point with
+
+    isqrt(b^2 (9 + 8(k + H))) - isqrt(W2 (m + 8H)) - 1 >= 2 c_k + 3b - W1
+
+for every k <= K proves that no l >= H lowers any c_k.  The min first
+runs over l <= 2K + 2, H is derived from it, and the range grows
+towards H, at most fourfold a round, until it covers H.  H depends on
+the shape of the domain and on K, not on its scale.
+
+seq_sub takes arbitrary sequences, where no such horizon exists.  It
+truncates the min at a budget L and certifies the answer by running the
+min again with budget 2L: if both agree the truncation did not bite.
+It is the only source of certified=False.
 
 All three run in one integer kernel.  Each call clears denominators
 once, by one lcm over the ball sizes or over its input values, builds
@@ -30,7 +56,8 @@ s_(k+l) - t_l the min across a flat run of t sits at the run's first
 index.  A ball staircase up to horizon n has about sqrt(2n) runs, so
 folding a ball into a union at horizon n costs O(n sqrt(n)) cells
 instead of O(n^2), and the complement costs K + 1 cells per run start
-of T up to 2L.
+of T up to its horizon.  convex_caps builds a union once: when its
+range grows, each partial union computes only its new entries.
 """
 
 from __future__ import annotations
@@ -41,20 +68,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, LimitError
 from .geometry import RationalLike, rational
 from .weights import WeightExpansion
+
+# Ball staircase entries one concave_caps or convex_caps call may build,
+# counted as balls times horizon; past it the call raises LimitError.
+MAX_STAIRCASE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
 class CapacitySeq:
     """Exact values c_0..c_K plus a flag telling whether they are final.
 
-    certified=False means a truncated complement min produced the
-    values and the doubled budget did not confirm them.  A min over
-    l <= L can only be at least the min over all l, and max-plus sums
-    of upper bounds stay upper bounds, so each value is still a valid
-    upper bound on the true capacity; it may just not be attained.
+    concave_caps and convex_caps always certify.  certified=False starts
+    only in seq_sub, when a truncated complement min produced the values
+    and the doubled budget did not confirm them; seq_sum and seq_sum_many
+    pass it on from their inputs.  A min over l <= L can only be at
+    least the min over all l, and max-plus sums of upper bounds stay
+    upper bounds, so each value is still a valid upper bound on the
+    true capacity; it may just not be attained.
     """
 
     values: tuple[Fraction, ...]
@@ -127,29 +160,43 @@ def _run_starts(s: list[int]) -> list[int]:
     return [i for i in range(1, len(s)) if s[i] != s[i - 1]]
 
 
-def _maxplus(s: list[int], t: list[int], K: int) -> list[int]:
-    """out[k] = max over i of s[i] + t[k - i], for k <= K <= horizons' sum.
+def _maxplus(s: list[int], t: list[int], K: int, lo: int = 0) -> list[int]:
+    """out[k] = max over i of s[i] + t[k - i], for lo <= k <= K.
 
-    The operands are nondecreasing, so across a flat run of s the term
-    t[k - i] only falls: the max sits at the run's first index inside
-    the range.  Only index 0, the lowest admissible index and the run
-    starts of s are tried, and s is the operand with fewer runs.
+    K is at most the sum of the horizons, and the list returned starts
+    at out[lo], so that a union can grow.  The operands are
+    nondecreasing, so across a flat run of s the term t[k - i] only
+    falls: the max sits at the run's first index inside the range.
+    Only index 0, the lowest admissible index and the run starts of s
+    are tried, and s is the operand with fewer runs.
     """
     rs, rt = _run_starts(s), _run_starts(t)
     if len(rt) < len(rs):
         s, t, rs = t, s, rt
     n = len(t) - 1
     # run start 0 covers k <= n; past it the lowest index is k - n
-    out = [s[0] + x for x in t[:K + 1]]
+    out = [s[0] + x for x in t[lo:K + 1]]
     if K > n:
-        out += [x + t[n] for x in s[1:K - n + 1]]
+        out += [x + t[n] for x in s[max(1, lo - n):K - n + 1]]
     for r in rs:
         if r > K:
             break
         c = s[r]
-        stop = min(K, r + n) + 1
-        out[r:stop] = [o if o >= c + x else c + x
-                       for o, x in zip(out[r:stop], t)]
+        start, stop = max(r, lo), min(K, r + n) + 1
+        out[start - lo:stop - lo] = [
+            o if o >= c + x else c + x
+            for o, x in zip(out[start - lo:stop - lo],
+                            t if start == r else t[start - r:stop - r])]
+    return out
+
+
+def _lower(out: list[int], s: list[int], t: list[int],
+           starts: Iterable[int]) -> list[int]:
+    """Lower each out[k] to s[k + l] - t[l] for every l in starts."""
+    for l in starts:
+        c = t[l]
+        out = [o if o <= x - c else x - c
+               for o, x in zip(out, s[l:l + len(out)])]
     return out
 
 
@@ -165,12 +212,7 @@ def _minplus(s: list[int], t: list[int], L: int,
     """
     starts = _run_starts(t[:2 * L + 1])
     cut = bisect.bisect_right(starts, L)
-    c = t[0]
-    out = [x - c for x in s[:K + 1]]
-    for l in starts[:cut]:
-        c = t[l]
-        out = [o if o <= x - c else x - c
-               for o, x in zip(out, s[l:l + K + 1])]
+    out = _lower([x - t[0] for x in s[:K + 1]], s, t, starts[:cut])
     if len(s) <= K + 2 * L or len(t) <= 2 * L:
         return out, False
     for l in starts[cut:]:
@@ -184,20 +226,32 @@ def _common_den(values: Iterable[Fraction]) -> int:
     return math.lcm(1, *(v.denominator for v in values))
 
 
-def _integerised(seqs: Sequence[CapacitySeq]) -> tuple[list[list[int]], int]:
+def _integerised(seqs: Sequence[CapacitySeq]
+                 ) -> tuple[list[list[int]], Fraction]:
     den = _common_den(v for s in seqs for v in s.values)
-    return [[int(v * den) for v in s.values] for s in seqs], den
+    return [[int(v * den) for v in s.values] for s in seqs], Fraction(1, den)
+
+
+def _grow(parts: list[list[int]], seqs: list[list[int]], K: int) -> list[int]:
+    """Grow each partial union parts[j] of seqs[:j + 1] out to K.
+
+    Only the entries past a part's present end are computed, and the
+    whole union, the last part, is returned.
+    """
+    parts[0] = seqs[0][:K + 1]
+    for j in range(1, len(seqs)):
+        parts[j] += _maxplus(parts[j - 1], seqs[j], K, len(parts[j]))
+    return parts[-1]
 
 
 def _union(seqs: list[list[int]], K: int) -> list[int]:
-    acc = seqs[0][:K + 1]
-    for t in seqs[1:]:
-        acc = _maxplus(acc, t, K)
-    return acc
+    return _grow([[] for _ in seqs], seqs, K)
 
 
-def _rationals(vals: list[int], den: int, certified: bool) -> CapacitySeq:
-    return CapacitySeq(tuple(Fraction(v, den) for v in vals), certified)
+def _rationals(vals: list[int], unit: Fraction,
+               certified: bool) -> CapacitySeq:
+    n, d = unit.numerator, unit.denominator
+    return CapacitySeq(tuple(Fraction(v * n, d) for v in vals), certified)
 
 
 def seq_sum(S: CapacitySeq, T: CapacitySeq,
@@ -212,8 +266,8 @@ def seq_sum_many(seqs: Iterable[CapacitySeq], K: int) -> CapacitySeq:
         raise DomainError("empty union has no capacity sequence")
     if K > sum(s.horizon for s in seqs):
         raise DomainError("requested horizon exceeds what the inputs support")
-    ints, den = _integerised(seqs)
-    return _rationals(_union(ints, K), den, all(s.certified for s in seqs))
+    ints, unit = _integerised(seqs)
+    return _rationals(_union(ints, K), unit, all(s.certified for s in seqs))
 
 
 def seq_sub(S: CapacitySeq, T: CapacitySeq, L: int, K: int) -> CapacitySeq:
@@ -222,15 +276,18 @@ def seq_sub(S: CapacitySeq, T: CapacitySeq, L: int, K: int) -> CapacitySeq:
     Certification reruns the min with budget 2L; if nothing changes the
     tail of the search cannot matter and the result is exact (assuming
     the inputs were).  The inputs must reach at least k = K + L and
-    l = L; the certificate additionally wants K + 2L and 2L.
+    l = L; the certificate additionally wants K + 2L and 2L.  For
+    arbitrary sequences no horizon can be proved, so this doubling
+    check is a heuristic, and seq_sub is where certified=False starts;
+    convex_caps proves its horizon instead.
     """
     if L < 0 or K < 0:
         raise DomainError("budgets must be nonnegative")
     if S.horizon < K + L or T.horizon < L:
         raise DomainError("input horizons too short for the requested budget")
-    (s, t), den = _integerised([S, T])
+    (s, t), unit = _integerised([S, T])
     vals, certified = _minplus(s, t, L, K)
-    return _rationals(vals, den, certified and S.certified and T.certified)
+    return _rationals(vals, unit, certified and S.certified and T.certified)
 
 
 def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
@@ -239,33 +296,110 @@ def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
     return all(S.values[k] <= T.values[k] for k in range(n))
 
 
+def _sizes(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """The values as integer multiples of the largest unit that allows it.
+
+    The integers depend only on the ratios of the values, so a scaled
+    domain gets the same integers and the same horizon.
+    """
+    den = _common_den(values)
+    ints = [int(v * den) for v in values]
+    g = math.gcd(*ints)
+    return [v // g for v in ints], Fraction(g, den)
+
+
+def _guard(balls: int, horizon: int) -> None:
+    if balls * horizon > MAX_STAIRCASE_CELLS:
+        raise LimitError(
+            f"{balls} ball staircases out to {horizon} exceed "
+            f"{MAX_STAIRCASE_CELLS} entries")
+
+
 def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a concave domain: the union of its weight balls."""
     if expansion.head is not None:
         raise DomainError("concave_caps needs a concave domain's expansion")
-    den = _common_den(expansion.weights)
-    balls = [_ball_ints(int(w * den), K) for w in expansion.weights]
-    return _rationals(_union(balls, K), den, True)
+    _guard(len(expansion.weights), K)
+    ws, unit = _sizes(expansion.weights)
+    return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit, True)
 
 
-def default_sub_budget(K: int, head: Fraction) -> int:
-    return math.ceil(8 * (K + head * head))
+def _horizon(out: list[int], b: int, ws: list[int]) -> int:
+    """An H past which no l lowers any out[k], proved as in the docstring."""
+    m, w1, w2 = len(ws), sum(ws), sum(w * w for w in ws)
+    gap = b * b - w2
+    if gap <= 0:
+        raise DomainError("a convex expansion needs head^2 > sum of weights^2")
+    H = 0
+    for k in reversed(range(len(out))):  # the top k tends to need the most
+        need = 2 * out[k] + 3 * b - w1
+
+        def low(h: int) -> int:
+            return (math.isqrt(b * b * (9 + 8 * (k + h)))
+                    - math.isqrt(w2 * (m + 8 * h)) - 1)
+
+        # g_k increases from the least h with 8h * gap >= w2(9 + 8k) - m b^2
+        H = max(H, -((m * b * b - w2 * (9 + 8 * k)) // (8 * gap)))
+        if low(H) >= need:
+            continue
+        lo, hi = H, 2 * H + 1
+        while low(hi) < need:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if low(mid) < need else (lo, mid)
+        H = hi
+    return H
 
 
-def convex_caps(expansion: WeightExpansion, K: int,
-                L: Optional[int] = None) -> CapacitySeq:
-    """Capacities of a convex domain: its head ball less its weight balls."""
-    b = expansion.head
-    if b is None:
+def _complement(expansion: WeightExpansion, K: int
+                ) -> tuple[list[int], Fraction, int]:
+    """The complement min on integers, its unit and its proved horizon.
+
+    The min runs over l <= R from R = 2K + 2.  While the horizon H it
+    proves lies past R, R grows to H, but at most fourfold a round: a
+    min over a short range can be far above the final one on a thin
+    domain, and H shrinks as the min falls.  Each round computes only
+    the union entries and the terms l past the previous R.
+    """
+    (b, *ws), unit = _sizes((expansion.head, *expansion.weights))
+    parts: list[list[int]] = [[] for _ in ws]
+    out, done, R = None, 0, 2 * K + 2
+    while True:
+        _guard(len(ws) + 1, K + R)
+        s = _ball_ints(b, K + R)
+        t = _grow(parts, [_ball_ints(w, R) for w in ws], R)
+        out = _lower(s[:K + 1] if out is None else out, s, t,  # l = 0 first
+                     (l for l in range(done + 1, R + 1) if t[l] != t[l - 1]))
+        H = _horizon(out, b, ws)
+        if H <= R:
+            return out, unit, H
+        done, R = R, min(H, 4 * R)
+
+
+def _convex_check(expansion: WeightExpansion, K: int) -> None:
+    if expansion.head is None:
         raise DomainError("convex_caps needs a convex domain's expansion")
-    if K < 0 or (L is not None and L < 0):
-        raise DomainError("budgets must be nonnegative")
+    if K < 0:
+        raise DomainError("K must be nonnegative")
+
+
+def convex_horizon(expansion: WeightExpansion, K: int) -> int:
+    """The horizon H that proves convex_caps(expansion, K).
+
+    No l >= H lowers any c_k with k <= K in the complement min.  H
+    depends only on the ratios of the head and the weights, so every
+    scaling of a domain gets the same H.  A head ball alone has H = 0.
+    """
+    _convex_check(expansion, K)
+    return _complement(expansion, K)[2] if expansion.weights else 0
+
+
+def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
+    """Capacities of a convex domain: its head ball less its weight balls."""
+    _convex_check(expansion, K)
     if not expansion.weights:
-        return ball_caps(b, K)
-    if L is None:
-        L = default_sub_budget(K, b)
-    den = _common_den((b, *expansion.weights))
-    T = _union([_ball_ints(int(w * den), 2 * L)
-                for w in expansion.weights], 2 * L)
-    vals, certified = _minplus(_ball_ints(int(b * den), K + 2 * L), T, L, K)
-    return _rationals(vals, den, certified)
+        _guard(1, K)
+        return ball_caps(expansion.head, K)
+    vals, unit, _ = _complement(expansion, K)
+    return _rationals(vals, unit, True)

@@ -95,10 +95,9 @@ class CapacityReport:
         return None
 
 
-def capacity_report(problem: EmbeddingProblem, K: int,
-                    L: Optional[int] = None) -> CapacityReport:
+def capacity_report(problem: EmbeddingProblem, K: int) -> CapacityReport:
     src = concave_caps(problem.source_weights, K)
-    tgt = convex_caps(problem.target_weights, K, L)
+    tgt = convex_caps(problem.target_weights, K)
     rows = tuple(
         ReportRow(k, src[k], tgt[k], src[k] <= tgt[k],
                   src.certified and tgt.certified)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from echtoric import (CapacitySeq, DomainError, ToricDomain, ball_caps,
-                      concave_caps, concave_weights, contains, convex_caps,
-                      convex_weights, ellipsoid_caps, seq_leq, seq_sub,
-                      seq_sum, seq_sum_many)
+from echtoric import (CapacitySeq, DomainError, ToricDomain, WeightExpansion,
+                      ball_caps, concave_caps, concave_weights, contains,
+                      convex_caps, convex_horizon, convex_weights,
+                      ellipsoid_caps, load_domain, seq_leq, seq_sub, seq_sum,
+                      seq_sum_many)
 
 from generators import random_concave, random_convex
 
@@ -111,16 +112,6 @@ def test_convex_caps_wide_triangle_equals_ellipsoid():
     assert got.certified
 
 
-def _small_convex(rng):
-    # the default complement budget grows like head^2, so keep random
-    # capacity inputs at a modest head by an integer shrink
-    dom = random_convex(rng)
-    head = max(p.x + p.y for p in dom.boundary)
-    if head > 4:
-        dom = dom.scale(F(1, (head / 4).__ceil__()))
-    return dom
-
-
 def test_capacity_monotonicity_under_containment():
     rng = random.Random(19)
     for _ in range(8):
@@ -130,7 +121,7 @@ def test_capacity_monotonicity_under_containment():
         assert seq_leq(concave_caps(concave_weights(inner)[0], 8),
                        concave_caps(concave_weights(dom)[0], 8))
     for _ in range(8):
-        dom = _small_convex(rng)
+        dom = random_convex(rng)
         inner = dom.scale(F(3, 4))
         assert seq_leq(convex_caps(convex_weights(inner)[0], 8),
                        convex_caps(convex_weights(dom)[0], 8))
@@ -145,7 +136,7 @@ def test_capacity_scaling_random():
         scaled = concave_caps(concave_weights(dom.scale(lam))[0], 8)
         assert scaled.values == tuple(lam * v for v in base.values)
     for _ in range(6):
-        dom = _small_convex(rng)
+        dom = random_convex(rng)
         lam = F(rng.randint(1, 3), rng.randint(3, 4))
         base = convex_caps(convex_weights(dom)[0], 8)
         scaled = convex_caps(convex_weights(dom.scale(lam))[0], 8)
@@ -171,11 +162,52 @@ OMEGA2_VALUES = tuple(F(v) for v in (
 
 
 def test_convex_caps_scaling_full_size():
-    # default budget L = 8(K + b^2): b = 20 at s = 4, so 2L = 6720
-    for s in (1, 2, 3, 4):
-        got = convex_caps(convex_weights(OMEGA2.scale(s))[0], 20)
+    # the complement horizon depends on the shape alone, so every scale
+    # runs the min out to the same l
+    for s in (1, 2, 3, 4, 12):
+        expansion = convex_weights(OMEGA2.scale(s))[0]
+        got = convex_caps(expansion, 20)
         assert got.certified
         assert got.values == tuple(s * v for v in OMEGA2_VALUES)
+        assert convex_horizon(expansion, 20) == \
+            convex_horizon(convex_weights(OMEGA2)[0], 20)
+
+
+def complement_terms(expansion, K, n):
+    """Rows k <= K of S_(k+l) - T_l for l <= n: the head ball's
+    staircase S less the union T of the weight balls."""
+    S = ball_caps(expansion.head, K + n).values
+    T = seq_sum_many([ball_caps(w, n) for w in expansion.weights], n).values
+    return [[S[k + l] - T[l] for l in range(n + 1)] for k in range(K + 1)]
+
+
+REFERENCE_TARGETS = ("delta1", "delta2", "e12_convex", "omega2", "overhang",
+                     "square")
+
+
+def test_convex_horizon_is_a_proof(data_dir):
+    # the min over l <= 3 max(H, 2K + 2) agrees with convex_caps, and no
+    # l >= H lowers a value; H is the same integer for every scaling
+    rng = random.Random(47)
+    cases = [(load_domain(data_dir / f"{name}.json"), 20)
+             for name in REFERENCE_TARGETS]
+    cases += [(ToricDomain.convex([(0, 1), (1, 1), (N, 0)]), 20)
+              for N in range(2, 13)]
+    cases += [(random_convex(rng), rng.randint(0, 20)) for _ in range(40)]
+    for dom, K in cases:
+        expansion = convex_weights(dom)[0]
+        H = convex_horizon(expansion, K)
+        got = convex_caps(expansion, K)
+        assert got.certified
+        if not expansion.weights:  # a ball: nothing to subtract
+            assert H == 0 and got.values == ball_caps(expansion.head, K).values
+            continue
+        n = 3 * max(H, 2 * K + 2)
+        for k, terms in enumerate(complement_terms(expansion, K, n)):
+            assert min(terms) == got[k], (dom, k)
+            assert min(terms[H:]) >= got[k], (dom, k)
+        for lam in (F(1, 3), F(3, 2), 4, 12):
+            assert convex_horizon(convex_weights(dom.scale(lam))[0], K) == H
 
 
 def test_caps_golden(data_dir):
@@ -287,11 +319,14 @@ def test_kernel_errors():
     with pytest.raises(DomainError):
         # c_0 != 0 fails before seq_sub sees it
         seq_sub(S, CapacitySeq((1, 2)), 0, 0)
-    with pytest.raises(DomainError):
-        convex_caps(convex_weights(OMEGA2)[0], 3, -1)
-    with pytest.raises(DomainError, match="budgets must be nonnegative"):
+    with pytest.raises(DomainError, match="K must be nonnegative"):
+        convex_caps(convex_weights(OMEGA2)[0], -1)
+    with pytest.raises(DomainError, match="K must be nonnegative"):
         # head only
-        convex_caps(convex_weights(ToricDomain.ball(2, "convex"))[0], 3, -1)
+        convex_caps(convex_weights(ToricDomain.ball(2, "convex"))[0], -1)
+    with pytest.raises(DomainError, match="head\\^2 > sum of weights"):
+        # no positive area, so no horizon exists
+        convex_caps(WeightExpansion(3, (2, 2, 1)), 3)
     with pytest.raises(DomainError, match="concave domain's expansion"):
         concave_caps(convex_weights(OMEGA2)[0], 3)
     with pytest.raises(DomainError, match="convex domain's expansion"):

@@ -320,6 +320,30 @@ def test_node_budget_env(data_dir, capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_capacity_guard(data_dir, capsys, monkeypatch, tmp_path):
+    # balls times horizon past MAX_STAIRCASE_CELLS is refused before the
+    # staircases are built: a concave source, a convex target with
+    # weights and a head ball alone
+    omega1 = str(data_dir / "omega1.json")
+    omega2 = str(data_dir / "omega2.json")
+    for argv in (["caps", omega1, "--k", "10000000"],
+                 ["caps", omega2, "--k", "10000000"],
+                 ["caps", str(data_dir / "delta1.json"), "--k", "10000000"],
+                 ["embed", omega1, omega2, "--report", "10000000"]):
+        code, _, _, err = run(capsys, *argv)
+        assert code == 4 and "resource guard" in err, argv
+    # a thin target grows its complement range over several rounds; the
+    # guard also stops a later round
+    thin = tmp_path / "thin.json"
+    thin.write_text(json.dumps({"type": "convex",
+                                "boundary": [[0, 1], [1, 1], [30, 0]]}))
+    code, rep, _, _ = run(capsys, "caps", str(thin), "--k", "5")
+    assert code == 0 and rep["certified"]
+    monkeypatch.setattr("echtoric.capacities.MAX_STAIRCASE_CELLS", 10_000)
+    code, _, _, err = run(capsys, "caps", str(thin), "--k", "5")
+    assert code == 4 and "resource guard" in err
+
+
 def test_timing_flag(data_dir, capsys):
     code, rep, _, _ = run(capsys, "--timing", "weights",
                           str(data_dir / "omega1.json"))
