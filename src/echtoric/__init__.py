@@ -15,8 +15,8 @@ from .blowups import (HomologyClass, SphereChain, SymplecticClass, c1,
                       pairing, sphere_chain_concave, sphere_chain_convex,
                       symplectic_class)
 from .capacities import (CapacitySeq, ball_caps, concave_caps, convex_caps,
-                         convex_horizon, ellipsoid_caps, seq_leq, seq_sub,
-                         seq_sum, seq_sum_many)
+                         convex_horizon, ellipsoid_caps, seq_leq, seq_sum,
+                         seq_sum_many)
 from .domains import ToricDomain, contains
 from .embeddings import (CapacityReport, EmbeddingProblem, ReportRow,
                          capacity_report, decide_embedding,

@@ -38,16 +38,10 @@ runs over l <= 2K + 2, H is derived from it, and the range grows
 towards H, at most fourfold a round, until it covers H.  H depends on
 the shape of the domain and on K, not on its scale.
 
-seq_sub takes arbitrary sequences, where no such horizon exists.  It
-truncates the min at a budget L and certifies the answer by running the
-min again with budget 2L: if both agree the truncation did not bite.
-It is the only source of certified=False.
-
-All three run in one integer kernel.  Each call clears denominators
+Both rules run in one integer kernel.  Each call clears denominators
 once, by one lcm over the ball sizes or over its input values, builds
-the ball staircases directly as int lists, folds, subtracts and
-certifies on them, and turns only the final K + 1 values into
-Fractions.
+the ball staircases directly as int lists, folds and subtracts on them,
+and turns only the final K + 1 values into Fractions.
 
 The kernel tries only run starts.  Capacity sequences are
 nondecreasing, so in max over i of s_i + t_(k-i) the max across a flat
@@ -62,7 +56,6 @@ range grows, each partial union computes only its new entries.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,15 +72,11 @@ MAX_STAIRCASE_CELLS = 1_000_000
 
 @dataclass(frozen=True)
 class CapacitySeq:
-    """Exact values c_0..c_K plus a flag telling whether they are final.
+    """Exact values c_0..c_K plus a flag telling whether they are proved.
 
-    concave_caps and convex_caps always certify.  certified=False starts
-    only in seq_sub, when a truncated complement min produced the values
-    and the doubled budget did not confirm them; seq_sum and seq_sum_many
-    pass it on from their inputs.  A min over l <= L can only be at
-    least the min over all l, and max-plus sums of upper bounds stay
-    upper bounds, so each value is still a valid upper bound on the
-    true capacity; it may just not be attained.
+    Every sequence the package computes is proved, so certified is True
+    on all of them.  False can only come from a sequence a caller built
+    with it, and seq_sum and seq_sum_many pass it on from their inputs.
     """
 
     values: tuple[Fraction, ...]
@@ -114,6 +103,8 @@ class CapacitySeq:
         return len(self.values)
 
     def truncate(self, K: int) -> "CapacitySeq":
+        if K < 0:
+            raise DomainError("K must be nonnegative")
         if K > self.horizon:
             raise DomainError(f"cannot extend horizon {self.horizon} to {K}")
         return CapacitySeq(self.values[:K + 1], self.certified)
@@ -200,28 +191,6 @@ def _lower(out: list[int], s: list[int], t: list[int],
     return out
 
 
-def _minplus(s: list[int], t: list[int], L: int,
-             K: int) -> tuple[list[int], bool]:
-    """out[k] = min over l <= L of s[k + l] - t[l], and its certificate.
-
-    Across a flat run of t the term s[k + l] only grows, so the min
-    sits at the run's first index and only run starts are tried.  The
-    certificate holds when the run starts in (L, 2L] lower no value,
-    which is the min over l <= 2L agreeing with the min over l <= L.
-    It needs s out to K + 2L and t out to 2L, and is False otherwise.
-    """
-    starts = _run_starts(t[:2 * L + 1])
-    cut = bisect.bisect_right(starts, L)
-    out = _lower([x - t[0] for x in s[:K + 1]], s, t, starts[:cut])
-    if len(s) <= K + 2 * L or len(t) <= 2 * L:
-        return out, False
-    for l in starts[cut:]:
-        c = t[l]
-        if any(x - c < o for o, x in zip(out, s[l:l + K + 1])):
-            return out, False
-    return out, True
-
-
 def _common_den(values: Iterable[Fraction]) -> int:
     return math.lcm(1, *(v.denominator for v in values))
 
@@ -264,30 +233,12 @@ def seq_sum_many(seqs: Iterable[CapacitySeq], K: int) -> CapacitySeq:
     seqs = list(seqs)
     if not seqs:
         raise DomainError("empty union has no capacity sequence")
+    if K < 0:
+        raise DomainError("K must be nonnegative")
     if K > sum(s.horizon for s in seqs):
         raise DomainError("requested horizon exceeds what the inputs support")
     ints, unit = _integerised(seqs)
     return _rationals(_union(ints, K), unit, all(s.certified for s in seqs))
-
-
-def seq_sub(S: CapacitySeq, T: CapacitySeq, L: int, K: int) -> CapacitySeq:
-    """Complement rule c_k = min over l <= L of S_(k+l) - T_l.
-
-    Certification reruns the min with budget 2L; if nothing changes the
-    tail of the search cannot matter and the result is exact (assuming
-    the inputs were).  The inputs must reach at least k = K + L and
-    l = L; the certificate additionally wants K + 2L and 2L.  For
-    arbitrary sequences no horizon can be proved, so this doubling
-    check is a heuristic, and seq_sub is where certified=False starts;
-    convex_caps proves its horizon instead.
-    """
-    if L < 0 or K < 0:
-        raise DomainError("budgets must be nonnegative")
-    if S.horizon < K + L or T.horizon < L:
-        raise DomainError("input horizons too short for the requested budget")
-    (s, t), unit = _integerised([S, T])
-    vals, certified = _minplus(s, t, L, K)
-    return _rationals(vals, unit, certified and S.certified and T.certified)
 
 
 def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
@@ -319,6 +270,10 @@ def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a concave domain: the union of its weight balls."""
     if expansion.head is not None:
         raise DomainError("concave_caps needs a concave domain's expansion")
+    if not expansion.weights:
+        raise DomainError("a concave expansion needs at least one weight")
+    if K < 0:
+        raise DomainError("K must be nonnegative")
     _guard(len(expansion.weights), K)
     ws, unit = _sizes(expansion.weights)
     return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit, True)

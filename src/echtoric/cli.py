@@ -164,13 +164,8 @@ def cmd_pack(args) -> dict:
         **_verdict_payload(verdict),
     }
     if args.trace:
-        certificate = {
-            "instance": report["instance"],
-            "feasible": verdict.feasible,
-            "failures": list(verdict.failures),
-            "trace": [_sv(vec) for vec in verdict.trace],
-            "terminal": _sv(verdict.terminal),
-        }
+        certificate = {key: report[key] for key in (
+            "instance", "feasible", "failures", "trace", "terminal")}
         _write_text(args.trace, canonical_json(certificate))
         report["trace_file"] = args.trace
     if args.approx:

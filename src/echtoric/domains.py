@@ -82,8 +82,8 @@ def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction]) -> int:
 def _check_concave(pts: Sequence[tuple]) -> None:
     """The concave-boundary rules, on (x, y) pairs of ints or Fractions.
 
-    They check ToricDomain's concave boundaries, the weight recursion's
-    integer pieces and the folded flanks of inner approximations.
+    They check ToricDomain's concave boundaries and the folded flanks of
+    inner approximations.
     """
     (x0, y0), (xn, yn) = pts[0], pts[-1]
     if x0 != 0 or y0 <= 0:

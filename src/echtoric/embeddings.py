@@ -69,6 +69,8 @@ def decide_embedding(problem: EmbeddingProblem) -> Verdict:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One index of a capacity report; certified is always True here."""
+
     k: int
     source_value: Fraction
     target_value: Fraction

@@ -31,9 +31,10 @@ from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
-from .capacities import ball_caps, seq_sum_many
+from .capacities import ball_caps, concave_caps
 from .errors import DomainError
 from .geometry import RationalLike, rational
+from .weights import WeightExpansion
 
 Vector = tuple[Fraction, ...]
 
@@ -176,12 +177,13 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
     """First k <= K where the balls' capacities exceed the target's.
 
     A necessary test only: None means nothing found up to K, a hit
-    certifies the packing impossible.
+    certifies the packing impossible.  The balls' union is concave_caps
+    of their expansion, so capacities.MAX_STAIRCASE_CELLS bounds K.
     """
     if not instance.balls:
         return None
+    union = concave_caps(WeightExpansion(None, instance.balls), K)
     target = ball_caps(instance.target, K)
-    union = seq_sum_many((ball_caps(a, K) for a in instance.balls), K)
     for k in range(K + 1):
         if union[k] > target[k]:
             return k

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .domains import ToricDomain, _check_concave
+from .domains import ToricDomain
 from .errors import DomainError, LimitError
 from .geometry import AffineUnimodularMap, Point, RationalLike, rational
 
@@ -126,17 +126,27 @@ def _shear_cut(bd: list[tuple], lam, m: tuple) -> tuple:
     m.  A side whose end does not rise above lam gives None.  Integer
     input cut at its minimum of x + y stays integer, since no vertex is
     interpolated there.
+
+    A valid concave chain cut at any level from its minimum of x + y up
+    gives valid concave pieces, so they are not checked again.  Its
+    slopes dy/dx strictly increase, so x + y strictly falls along the
+    edges of slope below -1, stays level along at most one edge of
+    slope -1 and strictly rises after it.  The left piece therefore
+    runs from bd[0], above lam, along falling edges to where x + y
+    first reaches lam; (x, y) -> (x, x + y - lam) takes it from the
+    positive y-axis to the positive x-axis and an edge of slope s to
+    one of slope 1 + s < 0, which keeps the slopes strictly
+    increasing.  The right piece mirrors it along rising edges, where
+    s/(1 + s) < 0 increases with s.
     """
     ma, mb, mc, md, tx, ty = m
     left = right = None
     if sum(bd[0]) > lam:
         piece = [(x, x + y - lam) for x, y in _clip(bd, lam)]
-        _check_concave(piece)
         # back through (x, y) -> (x, y - x + lam), then m
         left = piece, (ma - mb, mb, mc - md, md, tx + mb * lam, ty + md * lam)
     if sum(bd[-1]) > lam:
         piece = [(x + y - lam, y) for x, y in reversed(_clip(bd[::-1], lam))]
-        _check_concave(piece)
         # back through (x, y) -> (x - y + lam, y), then m
         right = piece, (ma, mb - ma, mc, md - mc, tx + ma * lam, ty + mc * lam)
     return left, right

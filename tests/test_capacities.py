@@ -7,8 +7,9 @@ import pytest
 from echtoric import (CapacitySeq, DomainError, ToricDomain, WeightExpansion,
                       ball_caps, concave_caps, concave_weights, contains,
                       convex_caps, convex_horizon, convex_weights,
-                      ellipsoid_caps, load_domain, seq_leq, seq_sub, seq_sum,
+                      ellipsoid_caps, load_domain, seq_leq, seq_sum,
                       seq_sum_many)
+from echtoric.capacities import _lower, _run_starts
 
 from generators import random_concave, random_convex
 
@@ -31,6 +32,14 @@ def brute_sum(S, T, K):
 
 def brute_sub(S, T, L, K):
     return [min(S[k + l] - T[l] for l in range(L + 1)) for k in range(K + 1)]
+
+
+def kernel_sub(S, T, L, K):
+    """The kernel's complement min over l <= L: l = 0, then the run
+    starts of T up to L."""
+    s, t = list(S), list(T)
+    return _lower([x - t[0] for x in s[:K + 1]], s, t,
+                  _run_starts(t[:L + 1]))
 
 
 def test_ball_caps_against_enumeration():
@@ -68,14 +77,6 @@ def test_seq_sum_many_is_order_independent():
     forward = seq_sum_many(seqs, 12)
     backward = seq_sum_many(list(reversed(seqs)), 12)
     assert forward.values == backward.values
-
-
-def test_seq_sub_matches_brute_force_and_certifies():
-    S = ball_caps(3, 80)
-    T = ball_caps(1, 60)
-    got = seq_sub(S, T, 30, 10)
-    assert list(got.values) == brute_sub(S.values, T.values, 30, 10)
-    assert got.certified  # doubling the budget does not change the values
 
 
 def test_concave_caps_is_weight_ball_union():
@@ -150,6 +151,12 @@ def test_capacity_seq_container_behaviour():
     cut = seq.truncate(1)
     assert cut.values == (0, 1)
     assert seq_leq(cut, cut)
+    assert seq.truncate(0).values == (0,)
+    for K in (-1, -3):
+        with pytest.raises(DomainError, match="K must be nonnegative"):
+            ball_caps(1, 10).truncate(K)
+    with pytest.raises(DomainError, match="cannot extend"):
+        seq.truncate(3)
 
 
 OMEGA1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
@@ -257,24 +264,15 @@ def test_kernel_against_brute_force():
                                   and U.certified)
         k = min(K, k1)  # one input supports only its own horizon
         assert seq_sum_many([S], k).values == S.values[:k + 1]
-        # the union dominates each part, so its complement starts at 0
+        # the complement min, with run starts anywhere in T, also where
+        # the min is below 0 and no capacity sequence
         for A, B in ((S, T), (T, S), (seq_sum(S, T), T), (seq_sum(T, S), S)):
             L = rng.randint(0, B.horizon)
-            K = rng.randint(0, A.horizon - L) if A.horizon >= L else None
-            if K is None:
+            if A.horizon < L:
                 continue
-            want = brute_sub(A.values, B.values, L, K)
-            if want[0] != 0:
-                # a complement below 0 at k = 0 is no capacity sequence
-                with pytest.raises(DomainError):
-                    seq_sub(A, B, L, K)
-                continue
-            got = seq_sub(A, B, L, K)
-            assert list(got.values) == want
-            can_check = A.horizon >= K + 2 * L and B.horizon >= 2 * L
-            assert got.certified == (
-                can_check and A.certified and B.certified
-                and brute_sub(A.values, B.values, 2 * L, K) == want)
+            K = rng.randint(0, A.horizon - L)
+            assert kernel_sub(A.values, B.values, L, K) == \
+                brute_sub(A.values, B.values, L, K)
 
 
 def test_kernel_edge_cases():
@@ -283,12 +281,15 @@ def test_kernel_edge_cases():
     assert seq_sum(zero, zero).values == (0,)
     assert seq_sum(zero, S).values == S.values == seq_sum(S, zero).values
     assert seq_sum(S, S, 18).values == tuple(brute_sum(S.values, S.values, 18))
-    assert seq_sub(zero, zero, 0, 0).values == (0,)
-    assert seq_sub(S, zero, 0, 9).values == S.values
-    got = seq_sub(S, ball_caps(1, 4), 0, 4)
-    assert got.values == S.values[:5] and got.certified
-    # the certificate needs horizons out to K + 2L and 2L
-    assert not seq_sub(S, ball_caps(1, 3), 3, 6).certified
+    assert kernel_sub(zero.values, zero.values, 0, 0) == [0]
+    assert kernel_sub(S.values, zero.values, 0, 9) == list(S.values)
+    # L = 0 tries no run start
+    assert kernel_sub(S.values, ball_caps(1, 4).values, 0, 4) == \
+        list(S.values[:5])
+    # a run start at L itself counts
+    T = CapacitySeq((0,) * 7 + (8,) * 27)
+    assert kernel_sub(ball_caps(3, 40).values, T.values, 6, 1) == [0, 3]
+    assert kernel_sub(ball_caps(3, 40).values, T.values, 7, 1) == [0, 1]
 
 
 def test_union_reaches_the_sum_of_all_horizons():
@@ -308,17 +309,17 @@ def test_kernel_errors():
         seq_sum_many([], 3)
     with pytest.raises(DomainError):
         seq_sum_many([S, S], 11)
-    with pytest.raises(DomainError):
-        seq_sub(S, S, -1, 0)
-    with pytest.raises(DomainError):
-        seq_sub(S, S, 0, -1)
-    with pytest.raises(DomainError):
-        seq_sub(S, S, 3, 3)  # S must reach K + L
-    with pytest.raises(DomainError):
-        seq_sub(S, ball_caps(1, 2), 3, 0)  # T must reach L
-    with pytest.raises(DomainError):
-        # c_0 != 0 fails before seq_sub sees it
-        seq_sub(S, CapacitySeq((1, 2)), 0, 0)
+    for K in (-1, -5):
+        with pytest.raises(DomainError, match="K must be nonnegative"):
+            seq_sum_many([S], K)
+        with pytest.raises(DomainError, match="K must be nonnegative"):
+            seq_sum(S, S, K)
+    with pytest.raises(DomainError, match="start at 0"):
+        CapacitySeq((1, 2))
+    with pytest.raises(DomainError, match="K must be nonnegative"):
+        concave_caps(concave_weights(OMEGA1)[0], -1)
+    with pytest.raises(DomainError, match="at least one weight"):
+        concave_caps(WeightExpansion(None, ()), 3)
     with pytest.raises(DomainError, match="K must be nonnegative"):
         convex_caps(convex_weights(OMEGA2)[0], -1)
     with pytest.raises(DomainError, match="K must be nonnegative"):

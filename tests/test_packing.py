@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from echtoric import (DomainError, EmbeddingProblem, PackingInstance,
-                      ToricDomain, capacity_obstruction, cremona_reduce,
-                      cremona_step, decide_packing, defect,
-                      optimal_embedding_scale, optimal_scale)
+from echtoric import (DomainError, EmbeddingProblem, LimitError,
+                      PackingInstance, ToricDomain, capacities,
+                      capacity_obstruction, cremona_reduce, cremona_step,
+                      decide_packing, defect, optimal_embedding_scale,
+                      optimal_scale)
 
 from echtoric.packing import _integral, _scaled_feasible
 
@@ -144,6 +145,16 @@ def test_capacity_obstruction_goldens():
     assert capacity_obstruction(PackingInstance(F(7, 3), (F(7, 3),)),
                                 30) is None
     assert capacity_obstruction(PackingInstance(1, ()), 10) is None
+
+
+def test_capacity_obstruction_guard(monkeypatch):
+    # the ball union runs on concave_caps, under its staircase guard
+    inst = PackingInstance(2, (1, 1, 1, 1))
+    monkeypatch.setattr(capacities, "MAX_STAIRCASE_CELLS", 4 * 50 - 1)
+    with pytest.raises(LimitError):
+        capacity_obstruction(inst, 50)
+    monkeypatch.setattr(capacities, "MAX_STAIRCASE_CELLS", 4 * 50)
+    assert capacity_obstruction(inst, 50) is None
 
 
 def test_feasible_implies_no_obstruction():

@@ -117,6 +117,31 @@ def test_piece_check_matches_domain_rules():
             ToricDomain.concave(bad)
 
 
+def test_shear_cut_pieces_stay_concave():
+    # _shear_cut checks no piece: cut at the minimum of x + y, as the
+    # weight recursion does, or at a raised level, as the boundary
+    # approximations do, a valid chain gives valid pieces
+    rng = random.Random(53)
+    identity = (1, 0, 0, 1, 0, 0)
+    seen = [0, 0]
+    for _ in range(40):
+        work = [[(p.x, p.y) for p in random_concave(rng).boundary]]
+        while work:
+            bd = work.pop()
+            low = min(x + y for x, y in bd)
+            top = max(sum(bd[0]), sum(bd[-1]))
+            levels = {x + y for x, y in bd if x + y < top}
+            levels |= {low + (top - low) * F(i, 5) for i in range(5)}
+            for lam in sorted(levels):
+                for j, side in enumerate(_shear_cut(bd, lam, identity)):
+                    if side is not None:
+                        _check_concave(side[0])
+                        seen[j] += 1
+                        if lam == low:
+                            work.append(side[0])
+    assert min(seen) > 100
+
+
 def test_shear_cut_and_fold_hand_cases():
     pts = [(0, 5), (1, 2), (3, 1), (6, 0)]  # x + y: 5, 3, 4, 6
     identity = (1, 0, 0, 1, 0, 0)
