@@ -1,15 +1,17 @@
-"""Capacity sequences of toric domains and their max-plus calculus.
+"""Capacity sequences of concave and convex toric domains.
 
 A capacity sequence is the list c_0, c_1, ..., c_K of exact rationals.
-The capacities of a concave or convex toric domain are a function of
-its weight expansion alone, so concave_caps and convex_caps take the
-expansion, not the domain: whoever expanded the domain passes it on.
-Only three primitives are needed and everything else is composition:
+The capacities of a concave or convex toric domain are set by a
+collection of balls, its weight expansion, so concave_caps and
+convex_caps take the expansion, not the domain: whoever expanded the
+domain passes it on.  Both entry points run on one kernel over the
+staircases 0, a, a, 2a, 2a, 2a, ... of those balls:
 
-* the staircase sequence of a ball or an ellipsoid,
-* the disjoint-union rule (c(X u Y))_k = max over i+j=k of c_i + c_j,
-* the complement rule for a convex domain: writing the ambient ball
-  capacities S and the capacities T of the removed pieces,
+* concave_caps is the union of the weight balls, folded in one at a
+  time by the disjoint-union rule (c(X u Y))_k = max over i+j=k of
+  c_i + c_j;
+* convex_caps is the head ball less its weight balls: writing the head
+  ball's capacities S and the union T of the weight balls,
   c_k = min over l of S_(k+l) - T_l.
 
 The min in the complement rule runs over all l >= 0.  convex_caps
@@ -38,10 +40,10 @@ runs over l <= 2K + 2, H is derived from it, and the range grows
 towards H, at most fourfold a round, until it covers H.  H depends on
 the shape of the domain and on K, not on its scale.
 
-Both rules run in one integer kernel.  Each call clears denominators
-once, by one lcm over the ball sizes or over its input values, builds
-the ball staircases directly as int lists, folds and subtracts on them,
-and turns only the final K + 1 values into Fractions.
+Both rules run on integers.  Each call writes its ball sizes as
+integer multiples of one unit, builds the ball staircases directly as
+int lists, folds and subtracts on them, and turns only the final K + 1
+values into Fractions.
 
 The kernel tries only run starts.  Capacity sequences are
 nondecreasing, so in max over i of s_i + t_(k-i) the max across a flat
@@ -59,28 +61,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, LimitError
 from .geometry import RationalLike, rational
 from .weights import WeightExpansion
 
-# Ball staircase entries one concave_caps or convex_caps call may build,
-# counted as balls times horizon; past it the call raises LimitError.
+# Ball staircase entries one ball_caps, concave_caps or convex_caps call
+# may build, counted as balls times horizon; past it the call raises
+# LimitError.
 MAX_STAIRCASE_CELLS = 1_000_000
+
+
+def _guard(balls: int, horizon: int) -> None:
+    if balls * horizon > MAX_STAIRCASE_CELLS:
+        raise LimitError(
+            f"{balls} ball staircases out to {horizon} exceed "
+            f"{MAX_STAIRCASE_CELLS} entries")
 
 
 @dataclass(frozen=True)
 class CapacitySeq:
-    """Exact values c_0..c_K plus a flag telling whether they are proved.
+    """Exact values c_0..c_K, each proved.
 
-    Every sequence the package computes is proved, so certified is True
-    on all of them.  False can only come from a sequence a caller built
-    with it, and seq_sum and seq_sum_many pass it on from their inputs.
+    certified is a class constant, not a field: every sequence the
+    package computes is proved.  It stays readable for the
+    "certified": true key of the caps report and for the benchmark
+    tracer.
     """
 
     values: tuple[Fraction, ...]
-    certified: bool = True
+    certified = True
 
     def __post_init__(self) -> None:
         vals = tuple(rational(v) for v in self.values)
@@ -92,22 +103,11 @@ class CapacitySeq:
             raise DomainError("capacity sequences are nondecreasing")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def truncate(self, K: int) -> "CapacitySeq":
-        if K < 0:
-            raise DomainError("K must be nonnegative")
-        if K > self.horizon:
-            raise DomainError(f"cannot extend horizon {self.horizon} to {K}")
-        return CapacitySeq(self.values[:K + 1], self.certified)
 
 
 def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
@@ -115,21 +115,10 @@ def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
     ra = rational(a)
     if ra <= 0:
         raise DomainError("ball size must be positive")
+    if K < 0:
+        raise DomainError("K must be nonnegative")
+    _guard(1, K)
     return CapacitySeq(tuple(_ball_ints(ra, K)))
-
-
-def ellipsoid_caps(a: RationalLike, b: RationalLike, K: int) -> CapacitySeq:
-    """Sorted values of a*m + b*n.
-
-    Restricting to m + n <= K is enough: any value with m + n > K
-    strictly exceeds the K+1 multiples of min(a, b) already present.
-    """
-    ra, rb = rational(a), rational(b)
-    if ra <= 0 or rb <= 0:
-        raise DomainError("ellipsoid radii must be positive")
-    vals = sorted(ra * m + rb * n
-                  for m in range(K + 1) for n in range(K + 1 - m))
-    return CapacitySeq(tuple(vals[:K + 1]))
 
 
 def _ball_ints(a, K: int) -> list:
@@ -172,6 +161,8 @@ def _maxplus(s: list[int], t: list[int], K: int, lo: int = 0) -> list[int]:
     for r in rs:
         if r > K:
             break
+        if r + n < lo:  # t is too short for this run to reach out[lo]
+            continue
         c = s[r]
         start, stop = max(r, lo), min(K, r + n) + 1
         out[start - lo:stop - lo] = [
@@ -191,16 +182,6 @@ def _lower(out: list[int], s: list[int], t: list[int],
     return out
 
 
-def _common_den(values: Iterable[Fraction]) -> int:
-    return math.lcm(1, *(v.denominator for v in values))
-
-
-def _integerised(seqs: Sequence[CapacitySeq]
-                 ) -> tuple[list[list[int]], Fraction]:
-    den = _common_den(v for s in seqs for v in s.values)
-    return [[int(v * den) for v in s.values] for s in seqs], Fraction(1, den)
-
-
 def _grow(parts: list[list[int]], seqs: list[list[int]], K: int) -> list[int]:
     """Grow each partial union parts[j] of seqs[:j + 1] out to K.
 
@@ -217,34 +198,9 @@ def _union(seqs: list[list[int]], K: int) -> list[int]:
     return _grow([[] for _ in seqs], seqs, K)
 
 
-def _rationals(vals: list[int], unit: Fraction,
-               certified: bool) -> CapacitySeq:
+def _rationals(vals: list[int], unit: Fraction) -> CapacitySeq:
     n, d = unit.numerator, unit.denominator
-    return CapacitySeq(tuple(Fraction(v * n, d) for v in vals), certified)
-
-
-def seq_sum(S: CapacitySeq, T: CapacitySeq,
-            K: Optional[int] = None) -> CapacitySeq:
-    """Disjoint union: max-plus convolution, valid out to both horizons."""
-    return seq_sum_many((S, T), S.horizon + T.horizon if K is None else K)
-
-
-def seq_sum_many(seqs: Iterable[CapacitySeq], K: int) -> CapacitySeq:
-    seqs = list(seqs)
-    if not seqs:
-        raise DomainError("empty union has no capacity sequence")
-    if K < 0:
-        raise DomainError("K must be nonnegative")
-    if K > sum(s.horizon for s in seqs):
-        raise DomainError("requested horizon exceeds what the inputs support")
-    ints, unit = _integerised(seqs)
-    return _rationals(_union(ints, K), unit, all(s.certified for s in seqs))
-
-
-def seq_leq(S: CapacitySeq, T: CapacitySeq) -> bool:
-    """Pointwise comparison over the common horizon."""
-    n = min(len(S), len(T))
-    return all(S.values[k] <= T.values[k] for k in range(n))
+    return CapacitySeq(tuple(Fraction(v * n, d) for v in vals))
 
 
 def _sizes(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
@@ -253,17 +209,10 @@ def _sizes(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     The integers depend only on the ratios of the values, so a scaled
     domain gets the same integers and the same horizon.
     """
-    den = _common_den(values)
+    den = math.lcm(1, *(v.denominator for v in values))
     ints = [int(v * den) for v in values]
     g = math.gcd(*ints)
     return [v // g for v in ints], Fraction(g, den)
-
-
-def _guard(balls: int, horizon: int) -> None:
-    if balls * horizon > MAX_STAIRCASE_CELLS:
-        raise LimitError(
-            f"{balls} ball staircases out to {horizon} exceed "
-            f"{MAX_STAIRCASE_CELLS} entries")
 
 
 def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
@@ -276,7 +225,7 @@ def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
         raise DomainError("K must be nonnegative")
     _guard(len(expansion.weights), K)
     ws, unit = _sizes(expansion.weights)
-    return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit, True)
+    return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit)
 
 
 def _horizon(out: list[int], b: int, ws: list[int]) -> int:
@@ -354,7 +303,6 @@ def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a convex domain: its head ball less its weight balls."""
     _convex_check(expansion, K)
     if not expansion.weights:
-        _guard(1, K)
         return ball_caps(expansion.head, K)
     vals, unit, _ = _complement(expansion, K)
-    return _rationals(vals, unit, True)
+    return _rationals(vals, unit)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .capacities import CapacitySeq, concave_caps, convex_caps
+from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, rational
@@ -69,13 +69,12 @@ def decide_embedding(problem: EmbeddingProblem) -> Verdict:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One index of a capacity report; certified is always True here."""
+    """One index of a capacity report."""
 
     k: int
     source_value: Fraction
     target_value: Fraction
     ok: bool
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,6 @@ class CapacityReport:
     """Pointwise capacity comparison c_k(source) <= c_k(target)."""
 
     rows: tuple[ReportRow, ...]
-    source_seq: CapacitySeq
-    target_seq: CapacitySeq
 
     @property
     def all_ok(self) -> bool:
@@ -100,11 +97,8 @@ class CapacityReport:
 def capacity_report(problem: EmbeddingProblem, K: int) -> CapacityReport:
     src = concave_caps(problem.source_weights, K)
     tgt = convex_caps(problem.target_weights, K)
-    rows = tuple(
-        ReportRow(k, src[k], tgt[k], src[k] <= tgt[k],
-                  src.certified and tgt.certified)
-        for k in range(K + 1))
-    return CapacityReport(rows, src, tgt)
+    return CapacityReport(tuple(
+        ReportRow(k, src[k], tgt[k], src[k] <= tgt[k]) for k in range(K + 1)))
 
 
 def optimal_embedding_scale(problem: EmbeddingProblem,

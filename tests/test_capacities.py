@@ -1,15 +1,20 @@
+import dataclasses
+import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from echtoric import (CapacitySeq, DomainError, ToricDomain, WeightExpansion,
-                      ball_caps, concave_caps, concave_weights, contains,
-                      convex_caps, convex_horizon, convex_weights,
-                      ellipsoid_caps, load_domain, seq_leq, seq_sum,
-                      seq_sum_many)
-from echtoric.capacities import _lower, _run_starts
+from echtoric import (CapacitySeq, DomainError, LimitError, PackingInstance,
+                      ToricDomain, WeightExpansion, ball_caps,
+                      capacity_obstruction, concave_caps, concave_weights,
+                      contains, convex_caps, convex_horizon, convex_weights,
+                      load_domain)
+from echtoric import capacities
+from echtoric.capacities import (_ball_ints, _lower, _maxplus, _run_starts,
+                                 _union)
 
 from generators import random_concave, random_convex
 
@@ -34,10 +39,9 @@ def brute_sub(S, T, L, K):
     return [min(S[k + l] - T[l] for l in range(L + 1)) for k in range(K + 1)]
 
 
-def kernel_sub(S, T, L, K):
+def kernel_sub(s, t, L, K):
     """The kernel's complement min over l <= L: l = 0, then the run
-    starts of T up to L."""
-    s, t = list(S), list(T)
+    starts of t up to L."""
     return _lower([x - t[0] for x in s[:K + 1]], s, t,
                   _run_starts(t[:L + 1]))
 
@@ -49,34 +53,10 @@ def test_ball_caps_against_enumeration():
     assert ball_caps(1, 5).values == (0, 1, 1, 2, 2, 2)
 
 
-def test_ellipsoid_caps_against_enumeration():
-    for a, b in [(1, 2), (2, 3), (F(3, 2), F(5, 3)), (3, 7)]:
-        assert list(ellipsoid_caps(a, b, 20).values) == brute_ellipsoid(a, b, 20)
-
-
-def test_ellipsoid_caps_symmetry_and_scaling():
-    K = 15
-    assert ellipsoid_caps(2, 3, K).values == ellipsoid_caps(3, 2, K).values
-    lam = F(5, 7)
-    scaled = ellipsoid_caps(2 * lam, 3 * lam, K)
-    assert scaled.values == tuple(lam * v for v in ellipsoid_caps(2, 3, K).values)
-
-
-def test_seq_sum_matches_brute_force():
-    rng = random.Random(3)
-    for _ in range(20):
-        S = ball_caps(F(rng.randint(1, 9), rng.randint(1, 3)), 15)
-        T = ellipsoid_caps(rng.randint(1, 4), rng.randint(1, 4), 15)
-        got = seq_sum(S, T, 15)
-        assert list(got.values) == brute_sum(S.values, T.values, 15)
-        assert got.certified
-
-
-def test_seq_sum_many_is_order_independent():
-    seqs = [ball_caps(a, 12) for a in (2, F(2, 3), F(2, 3), F(1, 3))]
-    forward = seq_sum_many(seqs, 12)
-    backward = seq_sum_many(list(reversed(seqs)), 12)
-    assert forward.values == backward.values
+def test_union_is_order_independent():
+    # the balls 2, 2/3, 2/3, 1/3 in units of 1/3
+    seqs = [_ball_ints(a, 12) for a in (6, 2, 2, 1)]
+    assert _union(seqs, 12) == _union(seqs[::-1], 12)
 
 
 def test_concave_caps_is_weight_ball_union():
@@ -85,13 +65,17 @@ def test_concave_caps_is_weight_ball_union():
     seq = concave_caps(concave_weights(omega1)[0], 6)
     assert seq[0] == 0
     assert seq[1] == 2  # the largest weight ball dominates at k = 1
-    union = seq_sum_many([ball_caps(w, 6) for w in
-                          (2, F(2, 3), F(2, 3), F(1, 3), F(1, 3))], 6)
-    assert seq.values == union.values
+    union = functools.reduce(
+        lambda S, T: brute_sum(S, T, 6),
+        [ball_caps(w, 6).values for w in
+         (2, F(2, 3), F(2, 3), F(1, 3), F(1, 3))])
+    assert list(seq.values) == union
 
 
 def test_concave_caps_of_ellipsoid_triangles():
-    for p, q in [(1, 1), (1, 2), (2, 3)]:
+    lam = F(5, 7)
+    for p, q in [(1, 1), (1, 2), (2, 3), (3, 2), (F(3, 2), F(5, 3)), (3, 7),
+                 (2 * lam, 3 * lam)]:
         tri = ToricDomain.ellipsoid(p, q)
         assert concave_caps(concave_weights(tri)[0], 25).values == \
             tuple(brute_ellipsoid(p, q, 25))
@@ -109,7 +93,7 @@ def test_convex_caps_reference_values():
 def test_convex_caps_wide_triangle_equals_ellipsoid():
     tri = ToricDomain.convex([(0, 1), (2, 0)])
     got = convex_caps(convex_weights(tri)[0], 20)
-    assert got.values == ellipsoid_caps(1, 2, 20).values
+    assert list(got.values) == brute_ellipsoid(1, 2, 20)
     assert got.certified
 
 
@@ -119,13 +103,15 @@ def test_capacity_monotonicity_under_containment():
         dom = random_concave(rng)
         inner = dom.scale(F(3, 4))
         assert contains(dom, inner)
-        assert seq_leq(concave_caps(concave_weights(inner)[0], 8),
-                       concave_caps(concave_weights(dom)[0], 8))
+        assert all(a <= b for a, b in zip(
+            concave_caps(concave_weights(inner)[0], 8).values,
+            concave_caps(concave_weights(dom)[0], 8).values))
     for _ in range(8):
         dom = random_convex(rng)
         inner = dom.scale(F(3, 4))
-        assert seq_leq(convex_caps(convex_weights(inner)[0], 8),
-                       convex_caps(convex_weights(dom)[0], 8))
+        assert all(a <= b for a, b in zip(
+            convex_caps(convex_weights(inner)[0], 8).values,
+            convex_caps(convex_weights(dom)[0], 8).values))
 
 
 def test_capacity_scaling_random():
@@ -146,17 +132,14 @@ def test_capacity_scaling_random():
 
 
 def test_capacity_seq_container_behaviour():
-    seq = CapacitySeq((0, 1, 2))
-    assert len(seq) == 3 and seq.horizon == 2 and seq[2] == 2
-    cut = seq.truncate(1)
-    assert cut.values == (0, 1)
-    assert seq_leq(cut, cut)
-    assert seq.truncate(0).values == (0,)
-    for K in (-1, -3):
-        with pytest.raises(DomainError, match="K must be nonnegative"):
-            ball_caps(1, 10).truncate(K)
-    with pytest.raises(DomainError, match="cannot extend"):
-        seq.truncate(3)
+    seq = CapacitySeq((0, 1, F(5, 2)))
+    assert len(seq) == 3 and seq[2] == F(5, 2)
+    assert seq.values == (0, 1, F(5, 2))
+    # certified is a constant every sequence reads, not a field to set
+    assert [f.name for f in dataclasses.fields(CapacitySeq)] == ["values"]
+    assert seq.certified is True
+    with pytest.raises(TypeError):
+        CapacitySeq((0, 1), False)
 
 
 OMEGA1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
@@ -183,9 +166,13 @@ def test_convex_caps_scaling_full_size():
 def complement_terms(expansion, K, n):
     """Rows k <= K of S_(k+l) - T_l for l <= n: the head ball's
     staircase S less the union T of the weight balls."""
-    S = ball_caps(expansion.head, K + n).values
-    T = seq_sum_many([ball_caps(w, n) for w in expansion.weights], n).values
-    return [[S[k + l] - T[l] for l in range(n + 1)] for k in range(K + 1)]
+    sizes = (expansion.head, *expansion.weights)
+    den = math.lcm(*(v.denominator for v in sizes))
+    b, *ws = (int(v * den) for v in sizes)
+    S = _ball_ints(b, K + n)
+    T = _union([_ball_ints(w, n) for w in ws], n)
+    return [[F(S[k + l] - T[l], den) for l in range(n + 1)]
+            for k in range(K + 1)]
 
 
 REFERENCE_TARGETS = ("delta1", "delta2", "e12_convex", "omega2", "overhang",
@@ -234,12 +221,11 @@ def test_caps_golden(data_dir):
 
 
 def _flat_runs(rng, n):
-    """Random nondecreasing rationals from 0 with long flat runs."""
-    vals = [F(0)]
+    """Random nondecreasing ints from 0 with long flat runs."""
+    vals = [0]
     while len(vals) <= n:
-        step = F(rng.randint(1, 9), rng.randint(1, 4))
-        vals += [vals[-1] + step] * rng.randint(1, 8)
-    return CapacitySeq(tuple(vals[:n + 1]), rng.random() < 0.9)
+        vals += [vals[-1] + rng.randint(1, 36)] * rng.randint(1, 8)
+    return vals[:n + 1]
 
 
 def test_kernel_against_brute_force():
@@ -247,73 +233,61 @@ def test_kernel_against_brute_force():
     for _ in range(150):
         S = _flat_runs(rng, rng.randint(0, 40))
         T = _flat_runs(rng, rng.randint(0, 40))
-        k1, k2 = S.horizon, T.horizon
+        k1, k2 = len(S) - 1, len(T) - 1
         for A, B in ((S, T), (T, S)):
-            full = seq_sum(A, B)
-            assert full.horizon == k1 + k2
-            assert list(full.values) == brute_sum(A.values, B.values, k1 + k2)
-            assert full.certified == (S.certified and T.certified)
+            full = _maxplus(A, B, k1 + k2)
+            assert full == brute_sum(A, B, k1 + k2)
             K = rng.randint(0, k1 + k2)
-            assert seq_sum(A, B, K).values == full.values[:K + 1]
+            assert _maxplus(A, B, K) == full[:K + 1]
+            # a growing union computes only its entries from lo on
+            lo = rng.randint(1, K + 1)
+            assert _maxplus(A, B, K, lo) == full[lo:K + 1]
         U = _flat_runs(rng, rng.randint(0, 10))
         K = rng.randint(0, k1 + k2)
-        many = seq_sum_many([S, T, U], K)
-        assert list(many.values) == brute_sum(
-            brute_sum(S.values, T.values, K), U.values, K)
-        assert many.certified == (S.certified and T.certified
-                                  and U.certified)
+        assert _union([S, T, U], K) == brute_sum(brute_sum(S, T, K), U, K)
         k = min(K, k1)  # one input supports only its own horizon
-        assert seq_sum_many([S], k).values == S.values[:k + 1]
+        assert _union([S], k) == S[:k + 1]
         # the complement min, with run starts anywhere in T, also where
         # the min is below 0 and no capacity sequence
-        for A, B in ((S, T), (T, S), (seq_sum(S, T), T), (seq_sum(T, S), S)):
-            L = rng.randint(0, B.horizon)
-            if A.horizon < L:
+        for A, B in ((S, T), (T, S), (_maxplus(S, T, k1 + k2), T),
+                     (_maxplus(T, S, k1 + k2), S)):
+            L = rng.randint(0, len(B) - 1)
+            if len(A) - 1 < L:
                 continue
-            K = rng.randint(0, A.horizon - L)
-            assert kernel_sub(A.values, B.values, L, K) == \
-                brute_sub(A.values, B.values, L, K)
+            K = rng.randint(0, len(A) - 1 - L)
+            assert kernel_sub(A, B, L, K) == brute_sub(A, B, L, K)
 
 
 def test_kernel_edge_cases():
-    zero = CapacitySeq((0,))
-    S = ball_caps(F(3, 2), 9)
-    assert seq_sum(zero, zero).values == (0,)
-    assert seq_sum(zero, S).values == S.values == seq_sum(S, zero).values
-    assert seq_sum(S, S, 18).values == tuple(brute_sum(S.values, S.values, 18))
-    assert kernel_sub(zero.values, zero.values, 0, 0) == [0]
-    assert kernel_sub(S.values, zero.values, 0, 9) == list(S.values)
+    zero = [0]
+    S = _ball_ints(3, 9)
+    assert _maxplus(zero, zero, 0) == [0]
+    assert _maxplus(zero, S, 9) == S == _maxplus(S, zero, 9)
+    assert _maxplus(S, S, 18) == brute_sum(S, S, 18)
+    # t is too short for the run start 1 of s to reach out[5]
+    s, t = [0, 1, 1, 1, 1, 1, 1, 5, 5], [0, 3, 7]
+    assert _maxplus(s, t, 8, 5) == brute_sum(s, t, 8)[5:] == [8] * 4
+    assert kernel_sub(zero, zero, 0, 0) == [0]
+    assert kernel_sub(S, zero, 0, 9) == S
     # L = 0 tries no run start
-    assert kernel_sub(S.values, ball_caps(1, 4).values, 0, 4) == \
-        list(S.values[:5])
+    assert kernel_sub(S, _ball_ints(1, 4), 0, 4) == S[:5]
     # a run start at L itself counts
-    T = CapacitySeq((0,) * 7 + (8,) * 27)
-    assert kernel_sub(ball_caps(3, 40).values, T.values, 6, 1) == [0, 3]
-    assert kernel_sub(ball_caps(3, 40).values, T.values, 7, 1) == [0, 1]
+    T = [0] * 7 + [8] * 27
+    assert kernel_sub(_ball_ints(3, 40), T, 6, 1) == [0, 3]
+    assert kernel_sub(_ball_ints(3, 40), T, 7, 1) == [0, 1]
 
 
 def test_union_reaches_the_sum_of_all_horizons():
-    seqs = [ball_caps(1, 5), ellipsoid_caps(1, 2, 3), ball_caps(F(1, 2), 4)]
-    many = seq_sum_many(seqs, 12)
-    assert list(many.values) == brute_sum(
-        brute_sum(seqs[0].values, seqs[1].values, 8), seqs[2].values, 12)
-    with pytest.raises(DomainError):
-        seq_sum_many(seqs, 13)
+    # the balls 1 and 1/2 and the ellipsoid E(1, 2) in units of 1/2
+    seqs = [_ball_ints(2, 5), brute_ellipsoid(2, 4, 3), _ball_ints(1, 4)]
+    assert _union(seqs, 12) == brute_sum(
+        brute_sum(seqs[0], seqs[1], 8), seqs[2], 12)
 
 
 def test_kernel_errors():
-    S = ball_caps(1, 5)
-    with pytest.raises(DomainError):
-        seq_sum(S, S, 11)
-    with pytest.raises(DomainError):
-        seq_sum_many([], 3)
-    with pytest.raises(DomainError):
-        seq_sum_many([S, S], 11)
     for K in (-1, -5):
         with pytest.raises(DomainError, match="K must be nonnegative"):
-            seq_sum_many([S], K)
-        with pytest.raises(DomainError, match="K must be nonnegative"):
-            seq_sum(S, S, K)
+            ball_caps(1, K)
     with pytest.raises(DomainError, match="start at 0"):
         CapacitySeq((1, 2))
     with pytest.raises(DomainError, match="K must be nonnegative"):
@@ -332,5 +306,40 @@ def test_kernel_errors():
         concave_caps(convex_weights(OMEGA2)[0], 3)
     with pytest.raises(DomainError, match="convex domain's expansion"):
         convex_caps(concave_weights(OMEGA1)[0], 3)
-    with pytest.raises(DomainError, match="exceeds what the inputs support"):
-        seq_sum_many([ball_caps(1, 3)], 10)
+
+
+# the square [0, 3]^2 less two unit corners: head 4, weights 1, 1; its
+# horizon at K = 30 lies inside the first range, so one round suffices
+THICK = convex_weights(ToricDomain.convex([(0, 3), (1, 3), (3, 1), (3, 0)]))[0]
+K_GUARD = 30
+# each public entry point with the staircase cells its guard counts,
+# balls times horizon; a convex complement's first range is K + 2K + 2
+GUARDED = {
+    "ball_caps": (lambda: ball_caps(F(3, 2), K_GUARD), K_GUARD),
+    "concave_caps": (lambda: concave_caps(concave_weights(OMEGA1)[0], K_GUARD),
+                     5 * K_GUARD),
+    "convex_caps_ball": (
+        lambda: convex_caps(WeightExpansion(2, ()), K_GUARD), K_GUARD),
+    "convex_caps": (lambda: convex_caps(THICK, K_GUARD), 3 * (3 * K_GUARD + 2)),
+    "convex_horizon": (lambda: convex_horizon(THICK, K_GUARD),
+                       3 * (3 * K_GUARD + 2)),
+    "capacity_obstruction": (
+        lambda: capacity_obstruction(PackingInstance(3, (1, 1, 1)), K_GUARD),
+        3 * K_GUARD),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_public_capacity_functions_are_guarded(monkeypatch, name):
+    call, cells = GUARDED[name]
+
+    def unbuilt(*args):
+        raise AssertionError("a staircase was built before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(capacities, "MAX_STAIRCASE_CELLS", cells - 1)
+        m.setattr(capacities, "_ball_ints", unbuilt)
+        with pytest.raises(LimitError):
+            call()
+    monkeypatch.setattr(capacities, "MAX_STAIRCASE_CELLS", cells)
+    call()

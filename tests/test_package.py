@@ -9,5 +9,5 @@ def test_all_lists_no_submodule():
         assert not isinstance(getattr(echtoric, name), types.ModuleType), name
     for name in ("blowups", "capacities", "weights", "latticepaths"):
         assert name not in echtoric.__all__
-    assert {"convex_caps", "seq_sum", "ToricDomain",
+    assert {"convex_caps", "convex_horizon", "ToricDomain",
             "DomainError"} <= set(echtoric.__all__)
