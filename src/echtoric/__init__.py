@@ -35,7 +35,8 @@ from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
 from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition,
                       DecompositionNode, WeightExpansion,
-                      build_short_concave, concave_weights, convex_weights,
+                      build_short_concave, concave_expansion,
+                      concave_weights, convex_expansion, convex_weights,
                       inorder, node_count, tree_values)
 
 __version__ = "0.1.0"

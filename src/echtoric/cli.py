@@ -28,7 +28,8 @@ from .latticepaths import oracle_convex_caps_upto
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
 from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
-from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
+from .weights import (DEFAULT_MAX_NODES, concave_expansion, concave_weights,
+                      convex_expansion, convex_weights)
 
 
 class UsageError(Exception):
@@ -72,6 +73,12 @@ def _load(path: str) -> tuple[ToricDomain, dict]:
     return dom, {"path": path, "sha256": sha256}
 
 
+def _expansion(dom: ToricDomain, mn: int):
+    """The weight expansion of dom, with no tree built."""
+    return (concave_expansion if dom.kind == "concave"
+            else convex_expansion)(dom, mn)
+
+
 def _expand(dom: ToricDomain, mn: int):
     """The weight expansion of dom and its decomposition tree."""
     return (concave_weights if dom.kind == "concave"
@@ -97,7 +104,10 @@ def _write_text(path: str, text: str) -> None:
 def cmd_weights(args) -> dict:
     mn = _max_nodes()
     dom, record = _load(args.file)
-    exp, tree = _expand(dom, mn)
+    if args.svg:
+        exp, tree = _expand(dom, mn)
+    else:
+        exp = _expansion(dom, mn)
     report = {
         "command": "weights",
         "input": record,
@@ -127,7 +137,7 @@ def cmd_caps(args) -> dict:
         raise UsageError("--k must be nonnegative")
     if dom.kind == "concave" and args.oracle:
         raise UsageError("--oracle applies to convex domains only")
-    exp, _ = _expand(dom, mn)
+    exp = _expansion(dom, mn)
     seq = (concave_caps if dom.kind == "concave" else convex_caps)(exp, args.k)
     report = {
         "command": "caps",

@@ -6,9 +6,10 @@ the embedding exists exactly when all those balls pack into the head
 ball together.  Capacity sequences give an independent necessary test
 that is reported alongside for cross-checking.
 
-An EmbeddingProblem expands both domains once, when it is built; the
-packing instance, the capacity report and the scale search all read
-those two expansions.
+An EmbeddingProblem expands both domains once, when it is built, with
+concave_expansion and convex_expansion: the packing instance, the
+capacity report and the scale search read only the weights, so no
+decomposition tree is built.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, rational
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
-from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_weights,
-                      convex_weights)
+from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_expansion,
+                      convex_expansion)
 
 
 @dataclass(frozen=True)
 class EmbeddingProblem:
     """A concave source and a convex target, each with its expansion.
 
-    max_nodes caps each expansion's decomposition; LimitError is raised
+    max_nodes caps each expansion's count of cuts; LimitError is raised
     here, when the problem is built, if either exceeds it.
     """
 
@@ -46,9 +47,9 @@ class EmbeddingProblem:
         if self.target.kind != "convex":
             raise DomainError("embedding targets must be convex domains")
         object.__setattr__(self, "source_weights",
-                           concave_weights(self.source, self.max_nodes)[0])
+                           concave_expansion(self.source, self.max_nodes))
         object.__setattr__(self, "target_weights",
-                           convex_weights(self.target, self.max_nodes)[0])
+                           convex_expansion(self.target, self.max_nodes))
 
 
 def reduce_to_packing(problem: EmbeddingProblem) -> PackingInstance:

@@ -2,6 +2,9 @@
 
 A decomposition is drawn from the tree that concave_weights or
 convex_weights returned, so drawing never expands a domain again.
+These two are the expansion entry points that build trees; the
+callers that only need the weights use concave_expansion and
+convex_expansion, which build none.
 Documents are built by string assembly, no markup library.  Model
 coordinates are exact rationals until the last step, where they are
 quantised to four decimals with integer arithmetic, so the output bytes

@@ -5,21 +5,39 @@ the cut level is the minimum of x + y over boundary vertices, attained
 at one vertex or one edge of slope -1.  The parts left and right of the
 cut are normalised back into standard position by integral shears and
 peeled again, which terminates for rational data.  The multiset of cut
-levels is the weight sequence; the recursion tree remembers enough to
-rebuild every triangle: each node keeps its cut level and the
-accumulated map back to the input coordinates, and the root also keeps
-the domain it peeled.
-
-The cuts run on integers.  Both shears (x, y) -> (x, x + y - a) and
-(x, y) -> (x + y - a, y) are unimodular with integer translations, so
-after one common denominator D is cleared from the root boundary and
-the root map, every piece, cut level and map stays integral; only the
-finished nodes divide by D again.
+levels is the weight sequence.
 
 A convex domain is handled dually: the head weight is the maximum of
 x + y, the two boundary pieces beyond the cut line are folded into
 standard concave position (this reverses their orientation) and their
 weight sequences are recorded with the head.
+
+The cuts run on integers, in one kernel, _rows.  Both shears
+(x, y) -> (x, x + y - a) and (x, y) -> (x + y - a, y) are unimodular
+with integer translations, so after one common denominator D is
+cleared from the boundary every piece, cut level and map stays
+integral.  A convex boundary is scaled by D before the fold: its head
+level is a vertex, so the flanks stay integral too.  The kernel puts
+out one row per cut, its level, its integer map back to the input and
+its children, in preorder.
+
+A piece with two vertices, [(0, q), (p, 0)], is the triangle E(p, q),
+and its rows are written in closed form by _euclid.  For p >= q they
+are a right chain of p // q cuts at level q, where cut i has map
+(ma, mb - i ma, mc, md - i mc, tx + i ma q, ty + i mc q) for the
+piece's map (ma, mb, mc, md, tx, ty); for p < q a left chain of q // p
+cuts at level p with map (ma - i mb, mb, mc - i md, md, tx + i mb p,
+ty + i md p).  The remainder of the division carries on, as in
+Euclid's algorithm.  A whole chain is charged to the node budget at
+once, which raises exactly when charging its cuts one by one would.
+
+concave_expansion and convex_expansion read only the rows' levels, for
+the embedding decision and the capacities.  concave_weights and
+convex_weights also turn the same rows into a decomposition tree, for
+the drawings, the sphere chains and the boundary approximations: each
+node keeps its cut level and the accumulated map back to the input
+coordinates, divided by D again, and the root of each tree also keeps
+the domain it peeled.
 
 The cut and the fold are written once, on (x, y) pairs of ints or
 Fractions: _shear_cut gives the sheared pieces beyond a level with
@@ -40,7 +58,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .domains import ToricDomain
+from .domains import ToricDomain, _check_concave
 from .errors import DomainError, LimitError
 from .geometry import AffineUnimodularMap, Point, RationalLike, rational
 
@@ -55,8 +73,8 @@ class WeightExpansion:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(sorted((rational(w) for w in self.weights), reverse=True))
-        if any(w <= 0 for w in ws):
+        ws = tuple(sorted(map(rational, self.weights), reverse=True))
+        if ws and ws[-1] <= 0:
             raise DomainError("weights must be positive")
         head = None if self.head is None else rational(self.head)
         if head is not None and head <= 0:
@@ -77,6 +95,7 @@ class DecompositionNode:
     coordinates of the domain the recursion started from.  domain is
     that piece as a ToricDomain at the root of a tree and None below
     it, where the pieces exist only inside the integer cut kernel.
+    Only concave_weights and convex_weights build nodes.
     """
 
     value: Fraction
@@ -172,49 +191,146 @@ class _Budget:
         self.left = limit
         self.limit = limit
 
-    def tick(self) -> None:
-        if self.left <= 0:
+    def charge(self, nodes: int = 1) -> None:
+        """Take nodes slots at once; raises exactly when as many single
+        slots taken one after the other would."""
+        if nodes > self.left:
             raise LimitError(
                 f"decomposition exceeded the {self.limit} node limit")
-        self.left -= 1
+        self.left -= nodes
 
 
-def _concave_tree(domain: ToricDomain, to_original: AffineUnimodularMap,
-                  budget: _Budget) -> DecompositionNode:
-    m, bd = to_original, domain.boundary
-    D = lcm(m.t.x.denominator, m.t.y.denominator,
-            *(p.x.denominator for p in bd), *(p.y.denominator for p in bd))
+_IDENTITY = (1, 0, 0, 1, 0, 0)
 
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (D // v.denominator)
 
-    root_pts = [(scaled(p.x), scaled(p.y)) for p in bd]
-    root_map = (m.a, m.b, m.c, m.d, scaled(m.t.x), scaled(m.t.y))
-    # nodes in preorder as (a, map, left, right), children as indices; an
-    # explicit stack keeps very unbalanced trees (long Euclid runs) off
-    # the interpreter stack
+def _euclid(p: int, q: int, m: tuple, rows: list, budget: _Budget) -> None:
+    """Append the rows of the triangle [(0, q), (p, 0)] in closed form.
+
+    For p >= q the cut at q leaves only the right piece, the triangle
+    with p - q in place of p, so p // q nodes of level q form a right
+    chain; node i of it has map
+    (ma, mb - i ma, mc, md - i mc, tx + i ma q, ty + i mc q).  For p < q
+    the left chain of q // p nodes of level p mirrors it, with map
+    (ma - i mb, mb, mc - i md, md, tx + i mb p, ty + i md p).  The map
+    after the chain carries on with the remainder, as in Euclid's
+    algorithm.  These are the rows _shear_cut would give one node at a
+    time.
+    """
+    ma, mb, mc, md, tx, ty = m
+    while True:
+        n = len(rows)
+        if p >= q:
+            k, p = divmod(p, q)
+            budget.charge(k)
+            rows += [[q, (ma, mb - i * ma, mc, md - i * mc,
+                          tx + i * ma * q, ty + i * mc * q), None, n + i + 1]
+                     for i in range(k)]
+            mb, md = mb - k * ma, md - k * mc
+            tx, ty = tx + k * ma * q, ty + k * mc * q
+            if p == 0:
+                rows[-1][3] = None
+                return
+        else:
+            k, q = divmod(q, p)
+            budget.charge(k)
+            rows += [[p, (ma - i * mb, mb, mc - i * md, md,
+                          tx + i * mb * p, ty + i * md * p), n + i + 1, None]
+                     for i in range(k)]
+            ma, mc = ma - k * mb, mc - k * md
+            tx, ty = tx + k * mb * p, ty + k * md * p
+            if q == 0:
+                rows[-1][2] = None
+                return
+
+
+def _rows(pts: list[tuple[int, int]], m: tuple,
+          budget: _Budget) -> list[list]:
+    """The cut kernel: every cut of an integer concave chain, as rows.
+
+    A row is [level, map, left, right]: the cut level, the integer map
+    6-tuple back to the input (as in _shear_cut) and the row indices of
+    the children, or None.  Rows come in preorder, so children follow
+    their parent.  An explicit stack keeps very unbalanced trees off the
+    interpreter stack, and triangle pieces are expanded by _euclid.
+    """
     rows: list[list] = []
-    work = [(root_pts, root_map, -1, 2)]
+    work: list[tuple] = [(pts, m, None, 0)]
     while work:
-        pts, mp, parent, slot = work.pop()
-        budget.tick()
-        idx = len(rows)
-        if parent >= 0:
-            rows[parent][slot] = idx
+        pts, m, parent, slot = work.pop()
+        if parent is not None:
+            parent[slot] = len(rows)
+        if len(pts) == 2:
+            _euclid(pts[1][0], pts[0][1], m, rows, budget)
+            continue
+        budget.charge()
         a = min(x + y for x, y in pts)
-        left, right = _shear_cut(pts, a, mp)
-        if left is not None:
-            work.append((*left, idx, 2))
+        left, right = _shear_cut(pts, a, m)
+        row = [a, m, None, None]
+        rows.append(row)
         if right is not None:
-            work.append((*right, idx, 3))
-        rows.append([a, mp, None, None])
+            work.append((*right, row, 3))
+        if left is not None:
+            work.append((*left, row, 2))
+    return rows
 
-    # levels and coordinates repeat across nodes, so build each
-    # Fraction once
-    numerators: set[int] = set()
-    for a, (_, _, _, _, tx, ty), _, _ in rows:
-        numerators.update((a, tx, ty))
-    frac = {n: Fraction(n, D) for n in numerators}
+
+def _integral(domain: ToricDomain) -> tuple[int, list[tuple[int, int]]]:
+    """The boundary's common denominator D and the boundary times D."""
+    bd = domain.boundary
+    D = lcm(*(p.x.denominator for p in bd), *(p.y.denominator for p in bd))
+    return D, [(p.x.numerator * (D // p.x.denominator),
+                p.y.numerator * (D // p.y.denominator)) for p in bd]
+
+
+def _concave_rows(domain: ToricDomain, max_nodes: int,
+                  caller: str) -> tuple[int, list[list]]:
+    if domain.kind != "concave":
+        raise DomainError(f"{caller} needs a concave domain")
+    D, pts = _integral(domain)
+    return D, _rows(pts, _IDENTITY, _Budget(max_nodes))
+
+
+def _convex_rows(domain: ToricDomain, max_nodes: int,
+                 caller: str) -> tuple[int, int, list]:
+    """D, the head times D and per flank None or (folded flank, rows).
+
+    The head level is a vertex of the boundary, so folding the boundary
+    times D interpolates nothing and the flanks stay integral.
+    """
+    if domain.kind != "convex":
+        raise DomainError(f"{caller} needs a convex domain")
+    D, pts = _integral(domain)
+    b = max(x + y for x, y in pts)
+    budget = _Budget(max_nodes)
+    budget.charge()  # the head takes one slot
+    sides = []
+    # (x, y) -> (y, b - x - y) undoes the left fold, (x, y) ->
+    # (b - x - y, x) the right one
+    for flank, back in zip(_fold(pts, b),
+                           ((0, 1, -1, -1, 0, b), (-1, -1, 1, 0, b, 0))):
+        if flank is not None:
+            _check_concave(flank)
+            flank = flank, _rows(flank, back, budget)
+        sides.append(flank)
+    return D, b, sides
+
+
+def _fractions(D: int, numerators) -> dict[int, Fraction]:
+    # levels and coordinates repeat across rows, so build each Fraction
+    # once
+    return {n: Fraction(n, D) for n in set(numerators)}
+
+
+def _levels(D: int, *row_lists: list[list]) -> tuple[Fraction, ...]:
+    levels = sorted((row[0] for rows in row_lists for row in rows),
+                    reverse=True)
+    frac = _fractions(D, levels)
+    return tuple(frac[a] for a in levels)
+
+
+def _tree(D: int, rows: list[list], domain: ToricDomain) -> DecompositionNode:
+    """The rows as nodes, each map divided by D again."""
+    frac = _fractions(D, (n for a, m, _, _ in rows for n in (a, m[4], m[5])))
     nodes: list[Optional[DecompositionNode]] = [None] * len(rows)
     for idx in range(len(rows) - 1, -1, -1):
         a, (ma, mb, mc, md, tx, ty), left, right = rows[idx]
@@ -253,38 +369,42 @@ def tree_values(node: Optional[DecompositionNode]) -> tuple[Fraction, ...]:
     return tuple(n.value for n in inorder(node))
 
 
+def concave_expansion(domain: ToricDomain,
+                      max_nodes: int = DEFAULT_MAX_NODES) -> WeightExpansion:
+    """The weight expansion of a concave domain, with no tree built."""
+    D, rows = _concave_rows(domain, max_nodes, "concave_expansion")
+    return WeightExpansion(None, _levels(D, rows))
+
+
+def convex_expansion(domain: ToricDomain,
+                     max_nodes: int = DEFAULT_MAX_NODES) -> WeightExpansion:
+    """The weight expansion of a convex domain, with no tree built."""
+    D, b, sides = _convex_rows(domain, max_nodes, "convex_expansion")
+    return WeightExpansion(Fraction(b, D),
+                           _levels(D, *(s[1] for s in sides if s)))
+
+
 def concave_weights(domain: ToricDomain,
                     max_nodes: int = DEFAULT_MAX_NODES,
                     ) -> tuple[WeightExpansion, DecompositionNode]:
-    if domain.kind != "concave":
-        raise DomainError("concave_weights needs a concave domain")
-    tree = _concave_tree(domain, AffineUnimodularMap.identity(),
-                         _Budget(max_nodes))
-    return WeightExpansion(None, tree_values(tree)), tree
+    """The weight expansion and the decomposition tree it came from."""
+    D, rows = _concave_rows(domain, max_nodes, "concave_weights")
+    return WeightExpansion(None, _levels(D, rows)), _tree(D, rows, domain)
 
 
 def convex_weights(domain: ToricDomain,
                    max_nodes: int = DEFAULT_MAX_NODES,
                    ) -> tuple[WeightExpansion, ConvexDecomposition]:
-    if domain.kind != "convex":
-        raise DomainError("convex_weights needs a convex domain")
-    b = max(p.x + p.y for p in domain.boundary)
-    budget = _Budget(max_nodes)
-    budget.tick()  # the head takes one slot
-    lpiece, rpiece = _fold([(p.x, p.y) for p in domain.boundary], b)
-    left = right = None
-    if lpiece is not None:
-        # (x, y) -> (y, b - x - y) undoes the left fold
-        back = AffineUnimodularMap(0, 1, -1, -1, Point(0, b))
-        left = _concave_tree(ToricDomain.concave(lpiece), back, budget)
-    if rpiece is not None:
-        # (x, y) -> (b - x - y, x) undoes the right fold
-        back = AffineUnimodularMap(-1, -1, 1, 0, Point(b, 0))
-        right = _concave_tree(ToricDomain.concave(rpiece), back, budget)
-    decomp = ConvexDecomposition(head=b, domain=domain, left=left,
-                                 right=right)
-    weights = tree_values(left) + tree_values(right)
-    return WeightExpansion(b, weights), decomp
+    """The weight expansion and the head cut with its side trees."""
+    D, b, sides = _convex_rows(domain, max_nodes, "convex_weights")
+    left, right = (
+        None if side is None else _tree(D, side[1], ToricDomain.concave(
+            [(Fraction(x, D), Fraction(y, D)) for x, y in side[0]]))
+        for side in sides)
+    head = Fraction(b, D)
+    return (WeightExpansion(head, _levels(D, *(s[1] for s in sides if s))),
+            ConvexDecomposition(head=head, domain=domain, left=left,
+                                right=right))
 
 
 def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:

@@ -145,28 +145,29 @@ def test_embed_full_report(data_dir, capsys):
 
 
 @pytest.fixture
-def trees(monkeypatch):
-    """Pieces handed to the concave tree builder while a test runs.
+def kernel(monkeypatch):
+    """Pieces handed to the row kernel of the weight recursion.
 
-    A concave domain's expansion builds one tree, a convex domain's one
-    per side piece, so the list counts expansions whoever calls them.
+    A concave domain's expansion runs the kernel once, a convex domain's
+    once per side piece, with or without a tree, so the list counts
+    expansions whoever calls them.
     """
     import echtoric.weights as w
     calls = []
-    build = w._concave_tree
+    rows = w._rows
 
     def counted(*args):
         calls.append(args[0])
-        return build(*args)
-    monkeypatch.setattr(w, "_concave_tree", counted)
+        return rows(*args)
+    monkeypatch.setattr(w, "_rows", counted)
     return calls
 
 
 def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
-                                                    monkeypatch, trees):
+                                                    monkeypatch, kernel):
     import echtoric.embeddings as emb
     calls = []
-    for name in ("concave_weights", "convex_weights"):
+    for name in ("concave_expansion", "convex_expansion"):
         def counted(*args, _name=name, _fn=getattr(emb, name)):
             calls.append(_name)
             return _fn(*args)
@@ -174,22 +175,22 @@ def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
     source, target = data_dir / "omega1.json", data_dir / "omega2.json"
     concave_weights(load_domain(source))
     convex_weights(load_domain(target))
-    once = len(trees)
-    trees.clear()
+    once = len(kernel)
+    kernel.clear()
     code, rep, _, _ = run(capsys, "embed", str(source), str(target),
                           "--report", "12", "--scale-search", "1/100")
     assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
-    assert sorted(calls) == ["concave_weights", "convex_weights"]
-    assert len(trees) == once
+    assert sorted(calls) == ["concave_expansion", "convex_expansion"]
+    assert len(kernel) == once
 
 
 @pytest.mark.parametrize("name", ["omega1", "omega2"])
 def test_svg_output_expands_each_domain_once(data_dir, capsys, tmp_path,
-                                             trees, name):
+                                             kernel, name):
     path = data_dir / f"{name}.json"
     dom = load_domain(path)
     (concave_weights if dom.kind == "concave" else convex_weights)(dom)
-    once = len(trees)  # a convex domain grows one tree per side piece
+    once = len(kernel)  # a convex domain runs it once per side piece
     assert once >= 1
     for argv in (["weights", str(path), "--svg", str(tmp_path / "w.svg")],
                  ["caps", str(path), "--k", "5"],
@@ -197,9 +198,9 @@ def test_svg_output_expands_each_domain_once(data_dir, capsys, tmp_path,
                   "--decomposition"],
                  ["svg", str(path), str(tmp_path / "a.svg"),
                   "--approximation", "1/100"]):
-        trees.clear()
+        kernel.clear()
         code, _, _, _ = run(capsys, *argv)
-        assert code == 0 and len(trees) == once, argv
+        assert code == 0 and len(kernel) == once, argv
 
 
 def test_file_commands_open_each_input_once(data_dir, capsys, tmp_path):
@@ -318,6 +319,35 @@ def test_node_budget_env(data_dir, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TDE_MAX_NODES", "100")
     code, _, _, _ = run(capsys, "weights", str(data_dir / "omega1.json"))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["weights", "caps", "embed", "svg"])
+def test_node_budget_boundary(data_dir, capsys, monkeypatch, tmp_path,
+                              command):
+    # E(1,300) has exactly 300 cuts; the thin target has 39 side cuts and
+    # its head takes one more slot
+    source = tmp_path / "e1300.json"
+    source.write_text(json.dumps({"type": "concave",
+                                  "boundary": [[0, 300], [1, 0]]}))
+    thin = tmp_path / "thin.json"
+    thin.write_text(json.dumps({"type": "convex",
+                                "boundary": [[0, 1], [1, 1], [40, 0]]}))
+    omega1 = str(data_dir / "omega1.json")
+    omega2 = str(data_dir / "omega2.json")
+    svg = str(tmp_path / "d.svg")
+    argvs = {"weights": lambda f: ["weights", f],
+             "caps": lambda f: ["caps", f, "--k", "3"],
+             "embed": lambda f: (["embed", f, omega2] if f == str(source)
+                                 else ["embed", omega1, f]),
+             "svg": lambda f: ["svg", f, svg, "--decomposition"]}
+    for path, nodes in ((source, 300), (thin, 40)):
+        argv = argvs[command](str(path))
+        monkeypatch.setenv("TDE_MAX_NODES", str(nodes))
+        code, _, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        monkeypatch.setenv("TDE_MAX_NODES", str(nodes - 1))
+        code, _, _, err = run(capsys, *argv)
+        assert code == 4 and "resource guard" in err, argv
 
 
 def test_capacity_guard(data_dir, capsys, monkeypatch, tmp_path):

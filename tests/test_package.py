@@ -10,4 +10,5 @@ def test_all_lists_no_submodule():
     for name in ("blowups", "capacities", "weights", "latticepaths"):
         assert name not in echtoric.__all__
     assert {"convex_caps", "convex_horizon", "ToricDomain",
-            "DomainError"} <= set(echtoric.__all__)
+            "DomainError", "concave_expansion",
+            "convex_expansion"} <= set(echtoric.__all__)

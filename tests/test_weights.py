@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from echtoric import (DEFAULT_MAX_NODES, DomainError, LimitError,
-                      ToricDomain, build_short_concave, concave_weights,
-                      convex_weights, inorder, node_count, tree_values)
+                      ToricDomain, build_short_concave, concave_expansion,
+                      concave_weights, convex_expansion, convex_weights,
+                      inorder, node_count, tree_values)
 from echtoric.domains import _check_concave
 from echtoric.weights import _fold, _shear_cut
 
@@ -184,10 +185,12 @@ def test_node_budget_guard():
 
 
 def test_kind_mismatch_rejected():
-    with pytest.raises(DomainError):
-        concave_weights(OMEGA2)
-    with pytest.raises(DomainError):
-        convex_weights(OMEGA1)
+    for fn in (concave_weights, concave_expansion):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} needs"):
+            fn(OMEGA2)
+    for fn in (convex_weights, convex_expansion):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} needs"):
+            fn(OMEGA1)
 
 
 def test_build_short_concave_roundtrip():
@@ -247,3 +250,99 @@ def test_weights_golden(data_dir):
                 entry["name"]
         assert [str(w) for w in exp.weights] == entry["weights"], \
             entry["name"]
+
+
+def _walk(pts, m):
+    """In-order (value, map) of every cut, one _shear_cut at a time.
+
+    The reference for the kernel: no common denominator, no closed form
+    for triangles, just the cut at the minimum of x + y on each piece.
+    """
+    out, stack, cur = [], [], (pts, m)
+    while stack or cur is not None:
+        while cur is not None:
+            bd, mp = cur
+            a = min(x + y for x, y in bd)
+            left, right = _shear_cut(bd, a, mp)
+            stack.append((a, mp, right))
+            cur = left
+        a, mp, cur = stack.pop()
+        out.append((a, mp))
+    return out
+
+
+def _tree_rows(tree):
+    return [(n.value, (n.to_original.a, n.to_original.b, n.to_original.c,
+                       n.to_original.d, n.to_original.t.x,
+                       n.to_original.t.y)) for n in inorder(tree)]
+
+
+def _check_against_walk(dom):
+    """Node for node equal to _walk; returns the node count with head."""
+    pts = [(p.x, p.y) for p in dom.boundary]
+    if dom.kind == "concave":
+        tree = concave_weights(dom)[1]
+        assert _tree_rows(tree) == _walk(pts, (1, 0, 0, 1, 0, 0)), dom
+        return node_count(tree)
+    decomp = convex_weights(dom)[1]
+    b = decomp.head
+    flanks = _fold(pts, b)
+    for flank, back, tree in zip(flanks, ((0, 1, -1, -1, 0, b),
+                                          (-1, -1, 1, 0, b, 0)),
+                                 (decomp.left, decomp.right)):
+        assert (flank is None) == (tree is None), dom
+        if flank is not None:
+            assert _tree_rows(tree) == _walk(flank, back), dom
+            assert tree.domain == ToricDomain.concave(flank)
+    return 1 + node_count(decomp.left) + node_count(decomp.right)
+
+
+def test_euclid_runs_match_the_cut_walk():
+    # triangles are expanded in closed form, with no _shear_cut
+    for p in range(1, 41):
+        for q in range(1, 41):
+            for lam in (1, F(2, 3), F(7, 5)):
+                _check_against_walk(ToricDomain.ellipsoid(p * lam, q * lam))
+
+
+def _golden_and_generated(data_dir):
+    golden = json.loads((data_dir / "weights_golden.json").read_text())
+    doms = [ToricDomain(e["type"], tuple(tuple(p) for p in e["boundary"]))
+            for e in golden]
+    rng = random.Random(59)
+    doms += [random_concave(rng) for _ in range(100)]
+    doms += [random_convex(rng) for _ in range(100)]
+    return doms
+
+
+def test_kernel_matches_the_cut_walk_and_the_expansions(data_dir):
+    doms = _golden_and_generated(data_dir)
+    assert len(doms) == 310
+    for dom in doms:
+        _check_against_walk(dom)
+        if dom.kind == "concave":
+            exp, tree = concave_weights(dom)
+            assert concave_expansion(dom) == exp, dom
+            values = tree_values(tree)
+        else:
+            exp, decomp = convex_weights(dom)
+            assert convex_expansion(dom) == exp, dom
+            assert exp.head == decomp.head
+            values = tree_values(decomp.left) + tree_values(decomp.right)
+        assert exp.weights == tuple(sorted(values, reverse=True)), dom
+
+
+def test_node_budget_is_exact(data_dir):
+    # a whole Euclid run is charged at once, and still raises exactly
+    # when one slot per node would
+    doms = _golden_and_generated(data_dir)[::3]
+    doms += [ToricDomain.ellipsoid(1, 300), ToricDomain.ellipsoid(21, 34),
+             ToricDomain.convex([(0, 1), (1, 1), (40, 0)])]
+    for dom in doms:
+        n = _check_against_walk(dom)
+        fns = ((concave_weights, concave_expansion) if dom.kind == "concave"
+               else (convex_weights, convex_expansion))
+        for fn in fns:
+            fn(dom, n)
+            with pytest.raises(LimitError):
+                fn(dom, n - 1)
