@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
-from .geometry import Point, RationalLike, cross, dot, polygon_area, rational
+from .geometry import Point, RationalLike, cross, polygon_area, rational
 
 PointLike = Union[Point, Sequence[RationalLike]]
 
@@ -50,9 +50,10 @@ def _collapse(points: Sequence[Point]) -> list[Point]:
             continue
         out.append(p)
         while len(out) >= 3:
-            e1 = out[-2] - out[-3]
-            e2 = out[-1] - out[-2]
-            if cross(e1, e2) == 0 and dot(e1, e2) > 0:
+            a, b, c = out[-3], out[-2], out[-1]
+            ux, uy = b.x - a.x, b.y - a.y
+            vx, vy = c.x - b.x, c.y - b.y
+            if ux * vy == uy * vx and ux * vx + uy * vy > 0:
                 del out[-2]
             else:
                 break
@@ -234,16 +235,50 @@ class ToricDomain:
 
 
 def contains(outer: ToricDomain, inner: ToricDomain) -> bool:
-    """Exact test that the region of inner sits inside the region of outer."""
+    """Exact test that the region of inner sits inside the region of outer.
+
+    Against a convex outer every vertex of inner's region polygon is
+    tested on every edge of outer's.  Against a concave outer both
+    upper envelopes are piecewise linear, so comparing them at the union
+    of their breakpoints up to inner's xmax is conclusive; one merge
+    walk visits those x in increasing order and interpolates each
+    envelope on its current segment, in O(n + m) for n and m
+    breakpoints.
+    """
     if outer.kind == "convex":
         # the region of inner lies in the convex hull of its polygon
-        # vertices, so vertex membership settles it
-        return all(outer.contains_point(p) for p in inner.region_polygon())
+        # vertices, so vertex membership settles it; the two axis edges
+        # of outer's polygon keep the vertices in the quadrant
+        poly = outer.region_polygon()
+        edges = [(a.x, a.y, b.x - a.x, b.y - a.y)
+                 for a, b in zip(poly, poly[1:] + poly[:1])]
+        return all(ex * (p.y - ay) <= ey * (p.x - ax)
+                   for p in inner.region_polygon()
+                   for ax, ay, ex, ey in edges)
     if inner.xmax() > outer.xmax():
         return False
-    env_in = inner.upper_envelope()
-    xs = {p.x for p in env_in}
-    xs.update(p.x for p in outer.boundary if p.x <= env_in[-1].x)
-    # both envelopes are piecewise linear, so comparing at the union of
-    # their breakpoints is conclusive
-    return all(inner.envelope_value(x) <= outer.envelope_value(x) for x in xs)
+    env = inner.upper_envelope()
+    bd = outer.boundary
+    # env[i] and bd[j] are the first breakpoints not yet compared; both
+    # start at x = 0, and bd cannot run out first since its xmax is at
+    # least env's
+    i = j = 0
+    while i < len(env):
+        p, q = env[i], bd[j]
+        if p.x <= q.x:
+            y_in = p.y
+            y_out = q.y if p.x == q.x else _interpolate(bd[j - 1], q, p.x)
+            j += p.x == q.x
+            i += 1
+        else:
+            y_in = _interpolate(env[i - 1], p, q.x)
+            y_out = q.y
+            j += 1
+        if y_in > y_out:
+            return False
+    return True
+
+
+def _interpolate(p: Point, q: Point, x: Fraction) -> Fraction:
+    """Height at x of the segment pq, for p.x < x < q.x."""
+    return p.y + (q.y - p.y) * (x - p.x) / (q.x - p.x)

@@ -70,10 +70,6 @@ def cross(v: Point, w: Point) -> Fraction:
     return v.x * w.y - v.y * w.x
 
 
-def dot(v: Point, w: Point) -> Fraction:
-    return v.x * w.x + v.y * w.y
-
-
 def polygon_area(vertices: Sequence[Point]) -> Fraction:
     """Absolute shoelace area of a closed polygon given by its vertex cycle."""
     n = len(vertices)

@@ -6,9 +6,11 @@ These two are the expansion entry points that build trees; the
 callers that only need the weights use concave_expansion and
 convex_expansion, which build none.
 Documents are built by string assembly, no markup library.  Model
-coordinates are exact rationals until the last step, where they are
-quantised to four decimals with integer arithmetic, so the output bytes
-depend only on the input.
+coordinates are exact rationals up to the last step.  Each drawing
+fixes its canvas map once, as an integer offset and scale per axis,
+and then quantises every coordinate n/d to four decimals, rounded half
+up, with one integer floor division, so the output bytes depend only
+on the input and no Fraction is made per coordinate.
 """
 
 from __future__ import annotations
@@ -31,10 +33,20 @@ SIZE = 600
 MARGIN = 24
 
 
+def _shift(k: int, a: Fraction, t: Fraction) -> Fraction:
+    """k * a + t, normalised once."""
+    an, ad = a.numerator, a.denominator
+    return Fraction(k * an * t.denominator + t.numerator * ad,
+                    ad * t.denominator)
+
+
 def _triangle(node: DecompositionNode) -> tuple[Point, Point, Point]:
+    # the images of (0, 0), (0, a) and (a, 0) under the node's map
     a = node.value
     m = node.to_original
-    return (m.apply(Point(0, 0)), m.apply(Point(0, a)), m.apply(Point(a, 0)))
+    t = m.t
+    return (t, Point(_shift(m.b, a, t.x), _shift(m.d, a, t.y)),
+            Point(_shift(m.a, a, t.x), _shift(m.c, a, t.y)))
 
 
 def decomposition_polygons(tree: Union[DecompositionNode,
@@ -50,29 +62,58 @@ def decomposition_polygons(tree: Union[DecompositionNode,
     return polys
 
 
-def _quant(v: Fraction) -> str:
-    # round half up at 1e-4; canvas coordinates are nonnegative here
-    q = v * 10000
-    i = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+def _bounds(values: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
+    """The least and the greatest of values, compared in integers."""
+    it = iter(values)
+    lo = hi = next(it)
+    ln, ld = hn, hd = lo.numerator, lo.denominator
+    for v in it:
+        n, d = v.numerator, v.denominator
+        if n * ld < ln * d:
+            lo, ln, ld = v, n, d
+        elif n * hd > hn * d:
+            hi, hn, hd = v, n, d
+    return lo, hi
+
+
+def _axis(offset: Fraction, slope: Fraction) -> tuple[int, int, int]:
+    """Integers (P, Q, R) that round offset + slope * n/d half up.
+
+    The rounded value is (P*d + Q*n) // (R*d): with N/M = offset +
+    slope * n/d over the denominator M = R*d/2 > 0, floor(N/M + 1/2)
+    is (2N + M) // 2M.
+    """
+    on, od = offset.numerator, offset.denominator
+    sn, sd = slope.numerator, slope.denominator
+    return 2 * on * sd + od * sd, 2 * od * sn, 2 * od * sd
+
+
+def _quant(v: Fraction, axis: tuple[int, int, int]) -> str:
+    P, Q, R = axis
+    n, d = v.numerator, v.denominator
+    i = (P * d + Q * n) // (R * d)
     return f"{i // 10000}.{i % 10000:04d}"
 
 
 class _Canvas:
-    """Maps model points onto a square canvas, y axis pointing up."""
+    """Maps model points onto a square canvas, y axis pointing up.
+
+    Canvas coordinates are counted in units of 1e-4: x maps to
+    1e4 * (MARGIN + (x - xmin) * scale), y to
+    1e4 * (SIZE - MARGIN - (y - ymin) * scale), both nonnegative.
+    """
 
     def __init__(self, points: Iterable[Point]) -> None:
         pts = list(points)
-        xs = [p.x for p in pts] + [Fraction(0)]
-        ys = [p.y for p in pts] + [Fraction(0)]
-        self.xmin = min(xs)
-        self.ymin = min(ys)
-        span = max(max(xs) - self.xmin, max(ys) - self.ymin, Fraction(1))
-        self.scale = Fraction(SIZE - 2 * MARGIN) / span
+        xmin, xmax = _bounds(chain((p.x for p in pts), (Fraction(0),)))
+        ymin, ymax = _bounds(chain((p.y for p in pts), (Fraction(0),)))
+        span = max(xmax - xmin, ymax - ymin, Fraction(1))
+        scale = Fraction(10000 * (SIZE - 2 * MARGIN)) / span
+        self._x = _axis(10000 * MARGIN - xmin * scale, scale)
+        self._y = _axis(10000 * (SIZE - MARGIN) + ymin * scale, -scale)
 
     def map(self, p: Point) -> tuple[str, str]:
-        cx = MARGIN + (p.x - self.xmin) * self.scale
-        cy = SIZE - MARGIN - (p.y - self.ymin) * self.scale
-        return _quant(cx), _quant(cy)
+        return _quant(p.x, self._x), _quant(p.y, self._y)
 
     def points_attr(self, poly: Sequence[Point]) -> str:
         return " ".join("%s,%s" % self.map(p) for p in poly)
@@ -99,8 +140,8 @@ def render_decomposition(domain: ToricDomain,
                          polys: list[tuple[Point, ...]]) -> str:
     """The domain's outline over its decomposition_polygons."""
     canvas = _Canvas(chain(domain.boundary, *polys))
-    body = _axes(canvas, max(p.x for poly in polys for p in poly),
-                 max(p.y for poly in polys for p in poly))
+    body = _axes(canvas, _bounds(p.x for poly in polys for p in poly)[1],
+                 _bounds(p.y for poly in polys for p in poly)[1])
     offset = 0
     if domain.kind == "convex":
         body.append(f'<polygon points="{canvas.points_attr(polys[0])}" '

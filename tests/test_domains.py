@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from echtoric import DomainError, Point, ToricDomain, contains
+from echtoric import (DomainError, Point, ToricDomain, concave_weights,
+                      contains, convex_weights, inner_approximation,
+                      outer_approximation)
 
 from generators import random_concave, random_convex
+from test_svg_golden import golden_domains
 
 OMEGA1 = [("0", "10/3"), ("2/3", "4/3"), ("4/3", "2/3"), ("7/3", "0")]
 OMEGA2 = [(0, 1), (1, 2), (5, 0)]
@@ -50,6 +53,15 @@ def test_collinear_boundary_points_are_merged():
     dom = ToricDomain.concave([(0, 2), (1, 1), (Fraction(3, 2), Fraction(1, 2)),
                                (2, 0)])
     assert dom.boundary == (Point(0, 2), Point(2, 0))
+
+
+def test_collinear_fold_back_is_rejected():
+    # a run that turns back along its own line is not merged away
+    with pytest.raises(DomainError):
+        ToricDomain.concave([(0, 2), (1, 1), (Fraction(1, 2), Fraction(3, 2)),
+                             (2, 0)])
+    with pytest.raises(DomainError):
+        ToricDomain.convex([(0, 2), (2, 2), (1, 2), (3, 0)])
 
 
 def test_area_reference_values():
@@ -104,3 +116,86 @@ def test_contains_uses_region_not_bounding_box():
     both = ToricDomain.convex([(0, 3), (1, 3), (3, 1), (3, 0)])
     assert contains(both, tall)
     assert contains(both, wide)
+
+
+def _contains_reference(outer, inner):
+    """contains by brute force: outer's membership test per vertex of
+    inner, or both envelopes evaluated by a scan at every breakpoint."""
+    if outer.kind == "convex":
+        return all(outer.contains_point(p) for p in inner.region_polygon())
+    if inner.xmax() > outer.xmax():
+        return False
+    env = inner.upper_envelope()
+    xs = {p.x for p in env}
+    xs.update(p.x for p in outer.boundary if p.x <= env[-1].x)
+    return all(inner.envelope_value(x) <= outer.envelope_value(x)
+               for x in xs)
+
+
+def _both_ways(a, b):
+    for outer, inner in ((a, b), (b, a)):
+        assert contains(outer, inner) == _contains_reference(outer, inner), \
+            (outer, inner)
+
+
+def test_contains_matches_reference_on_random_pairs():
+    rng = random.Random(41)
+    doms = [random_concave(rng) if i % 2 else random_convex(rng)
+            for i in range(60)]
+    verdicts = set()
+    for _ in range(200):
+        a, b = rng.choice(doms), rng.choice(doms)
+        _both_ways(a, b)
+        verdicts.add(contains(a, b))
+    assert verdicts == {True, False}
+    for dom in doms:
+        assert contains(dom, dom) and _contains_reference(dom, dom)
+    # a concave outer against convex inners, scaled to nest or nearly
+    for _ in range(100):
+        outer, inner = random_concave(rng, 6), random_convex(rng, 6)
+        lam = min(outer.xmax() / inner.xmax(), outer.ymax() / inner.ymax())
+        for f in (Fraction(1, 2), Fraction(99, 100), 1, Fraction(101, 100)):
+            _both_ways(outer, inner.scale(lam * f))
+
+
+def test_contains_matches_reference_at_touching_envelopes():
+    ball = ToricDomain.ball(2)
+    cases = [
+        # equal xmax, below and above
+        ToricDomain.concave([(0, 1), (2, 0)]),
+        ToricDomain.concave([(0, 3), ("1/2", "1/2"), (2, 0)]),
+        ToricDomain.convex([(0, 1), (1, 1), (2, 0)]),
+        # a crossing at an inner breakpoint between the outer ones
+        ToricDomain.convex([(0, 1), (1, "3/2"), ("3/2", 0)]),
+        ToricDomain.convex([(0, 1), (1, 1), ("3/2", 0)]),
+        ToricDomain.convex([(0, 1), (1, 1 + Fraction(1, 10 ** 90)), ("3/2", 0)]),
+    ]
+    expected = [True, False, True, False, True, False]
+    for inner, want in zip(cases, expected):
+        assert contains(ball, inner) == want == _contains_reference(ball, inner)
+        _both_ways(ball, inner)
+    # outer breakpoints strictly between the inner ones; at eps = 0 the
+    # envelopes touch at x = 2 only
+    outer = ToricDomain.concave([(0, 4), (1, 2), (2, 1), (4, 0)])
+    tiny = Fraction(1, 10 ** 40)
+    for eps, want in ((0, True), (tiny, False), (-tiny, True)):
+        inner = ToricDomain.concave([(0, 2 + eps), (4, 0)])
+        assert contains(outer, inner) == want
+        _both_ways(outer, inner)
+
+
+def test_contains_matches_reference_on_approximations():
+    # approximations at 1/12 nearly touch their sources
+    for dom in golden_domains().values():
+        if dom.kind == "concave":
+            approx = outer_approximation(concave_weights(dom)[1],
+                                         Fraction(1, 12))
+            assert contains(approx, dom)
+        else:
+            try:
+                approx = inner_approximation(convex_weights(dom)[1],
+                                             Fraction(1, 12))
+            except DomainError:
+                continue
+            assert contains(dom, approx)
+        _both_ways(approx, dom)

@@ -49,7 +49,8 @@ THIN = ToricDomain.convex([(0, 1), (1, 1), (40, 0)])
 
 def _drawings(name: str, dom: ToricDomain, approximate: bool):
     """(case, svg text) pairs, as `svg --decomposition|--approximation`."""
-    tree = (concave_weights if dom.kind == "concave" else convex_weights)(dom)[1]
+    expand = concave_weights if dom.kind == "concave" else convex_weights
+    tree = expand(dom)[1]
     yield (f"{name} decomposition",
            render_decomposition(dom, decomposition_polygons(tree)))
     if not approximate:

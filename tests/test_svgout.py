@@ -6,7 +6,8 @@ from xml.dom import minidom
 from echtoric import (ToricDomain, concave_weights, convex_weights,
                       decomposition_polygons, outer_approximation,
                       render_approximation, render_decomposition)
-from echtoric.geometry import cross
+from echtoric.geometry import Point, cross
+from echtoric.svgout import MARGIN, SIZE, _Canvas
 
 from generators import random_concave, random_convex
 
@@ -76,3 +77,56 @@ def test_coordinates_are_plain_decimals():
     for node in doc.getElementsByTagName("polygon"):
         for pair in node.getAttribute("points").split():
             assert coord.match(pair), pair
+
+
+def _fraction_map(points):
+    """Canvas strings by the exact Fraction formula, as a reference:
+    MARGIN + (x - xmin) * scale rounded half up to four decimals."""
+    xs = [p.x for p in points] + [F(0)]
+    ys = [p.y for p in points] + [F(0)]
+    xmin, ymin = min(xs), min(ys)
+    span = max(max(xs) - xmin, max(ys) - ymin, F(1))
+    scale = F(SIZE - 2 * MARGIN) / span
+
+    def quant(v):
+        q = v * 10000
+        i = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+        return f"{i // 10000}.{i % 10000:04d}"
+
+    return [(quant(MARGIN + (p.x - xmin) * scale),
+             quant(SIZE - MARGIN - (p.y - ymin) * scale)) for p in points]
+
+
+def _integer_map(points):
+    canvas = _Canvas(points)
+    return [canvas.map(p) for p in points]
+
+
+def test_canvas_quantisation_matches_fraction_formula():
+    rng = random.Random(5)
+    for trial in range(60):
+        # denominators up to 1e90, as on long approximations
+        den_digits = rng.choice((1, 3, 20, 90))
+        points = []
+        for _ in range(rng.randint(1, 12)):
+            d = rng.randint(1, 10 ** den_digits)
+            points.append(Point(F(rng.randint(-d, 40 * d), d),
+                                F(rng.randint(-d, 40 * d), d)))
+        assert _integer_map(points) == _fraction_map(points)
+
+
+def test_canvas_quantisation_ties_round_half_up():
+    # span 552 at xmin = ymin = 0 makes the scale 1: x = k/20000 for odd
+    # k lands exactly on a tie at 0.00005
+    corner = Point(552, 552)
+    tie = Point(F(1, 20000), F(1, 20000))
+    assert _integer_map([corner, tie])[1] == ("24.0001", "576.0000")
+    ties = [Point(F(k, 20000), F(k + 2, 20000)) for k in range(1, 400, 2)]
+    assert _integer_map([corner] + ties) == _fraction_map([corner] + ties)
+    # a span below 1 takes the floor of 1, so the scale is 552
+    small = [Point(F(k, 552 * 20000), F(k + 6, 552 * 20000))
+             for k in range(1, 2000, 2)]
+    assert max(p.x for p in small) < F(1, 2)
+    assert _integer_map(small) == _fraction_map(small)
+    assert _integer_map([Point(F(1, 3), F(1, 7))]) == \
+        _fraction_map([Point(F(1, 3), F(1, 7))])
