@@ -24,7 +24,7 @@ from .errors import DomainError, GeometryError, LimitError
 from .fileio import (canonical_json, digest_bytes, digest_file,
                      domain_from_json, domain_to_json, load_domain,
                      rational_str, read_domain, save_domain)
-from .geometry import AffineUnimodularMap, Point, rational
+from .geometry import Point, rational
 from .latticepaths import (LatticePath, count_concave, count_convex,
                            ell_concave, ell_convex, oracle_convex_cap,
                            oracle_convex_caps_upto, split_path)
@@ -33,11 +33,9 @@ from .packing import (PackingInstance, Verdict, capacity_obstruction,
                       optimal_scale)
 from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
-from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition,
-                      DecompositionNode, WeightExpansion,
-                      build_short_concave, concave_expansion,
-                      concave_weights, convex_expansion, convex_weights,
-                      inorder, node_count, tree_values)
+from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition, Decomposition,
+                      WeightExpansion, build_short_concave, concave_weights,
+                      convex_weights, inorder, node_count, tree_values)
 
 __version__ = "0.1.0"
 

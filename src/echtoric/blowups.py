@@ -1,14 +1,15 @@
 """Sphere chains, homology bookkeeping and boundary approximations.
 
 Every cut in a weight decomposition leaves a sphere behind; reading the
-decomposition tree in-order lists those spheres left to right along the
-boundary.  Each sphere's class is its own exceptional class minus the
-classes of the cuts that chipped a corner off it: the spheres touching
-a node's cut line are the right-spine of its left subtree and the
-left-spine of its right subtree.  For a convex domain the two side
-trees are read in reversed order (folding a piece into standard
-position flips it) around one extra sphere coming from the cut line
-itself, whose class starts from the line class instead.
+decomposition's rows in-order lists those spheres left to right along
+the boundary.  Each sphere's class is its own exceptional class minus
+the classes of the cuts that chipped a corner off it: the spheres
+touching a row's cut line are the right-spine of its left subtree and
+the left-spine of its right subtree, followed through the rows' child
+indices.  For a convex domain the two side pieces are read in reversed
+order (folding a piece into standard position flips it) around one
+extra sphere coming from the cut line itself, whose class starts from
+the line class instead.
 
 Homology classes live in the blowup of the plane at points indexed by
 the source spheres (E) and the target spheres (Ehat); the intersection
@@ -18,18 +19,19 @@ returns the symplectic area of that sphere.
 
 The boundary approximations perturb a decomposition: pushing every cut
 level up by a small amount produces a slightly larger concave domain
-with one boundary edge per tree node; lowering a convex head and
-enlarging the side pieces produces a slightly smaller convex domain.
-Perturbation sizes are given per node in preorder (or one scalar for
-all) and must be small enough to keep the tree shape, otherwise the
-construction reports the mismatch.  One walk down the tree cuts each
-piece at its raised level and composes the piece's map back to the
-input coordinates; every leaf side then puts out one vertex, so the
-result is assembled without re-mapping any child boundary.  The cut at
-a raised level and the fold at a lowered head are the weight
-recursion's own _shear_cut and _fold.  Unlike the weight recursion
-this stays in Fractions: a raised level cuts edges between vertices,
-and the interpolated points bring new denominators at every level.
+with one boundary edge per row; lowering a convex head and enlarging
+the side pieces produces a slightly smaller convex domain.
+Perturbation sizes are given per row in preorder (or one scalar for
+all) and must be small enough to keep the tree shape, which the rows'
+child indices give, otherwise the construction reports the mismatch.
+One walk down that shape cuts each piece at its raised level and
+composes the piece's map back to the input coordinates; every leaf
+side then puts out one vertex, so the result is assembled without
+re-mapping any child boundary.  The cut at a raised level and the
+fold at a lowered head are the weight recursion's own _shear_cut and
+_fold.  Unlike the weight recursion this stays in Fractions: a raised
+level cuts edges between vertices, and the interpolated points bring
+new denominators at every level.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from typing import Optional, Sequence, Union
 from .domains import ToricDomain, _check_concave
 from .errors import DomainError
 from .geometry import RationalLike, rational
-from .weights import (ConvexDecomposition, DecompositionNode, _fold,
-                      _shear_cut, inorder, node_count, tree_values)
+from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
+                      inorder, node_count, tree_values)
 
 
 @dataclass(frozen=True)
@@ -97,56 +99,65 @@ class SphereChain:
     line_index: Optional[int] = None
 
 
-def _spine(node: Optional[DecompositionNode], side: str,
-           pos: dict[int, int]) -> list[int]:
-    """Positions along the spine from node down its side, "left" or "right"."""
+def _spine(rows: list, pos: list[int], idx: Optional[int],
+           side: int) -> list[int]:
+    """Chain positions down the spine from row idx through child slot
+    side, 2 for left or 3 for right."""
     out = []
-    while node is not None:
-        out.append(pos[id(node)])
-        node = getattr(node, side)
+    while idx is not None:
+        out.append(pos[idx])
+        idx = rows[idx][side]
     return out
 
 
-def _class_rows(nodes: list[DecompositionNode],
-                pos: dict[int, int]) -> list[tuple[int, ...]]:
-    """Each node's own class minus the classes of its cutters.
+def _class_rows(dec: Decomposition, order: list[int], start: int,
+                width: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each row's own class minus the classes of its cutters, and the
+    chain position of every row.
 
-    The cutters are the right-spine of the left subtree and the
-    left-spine of the right subtree.
+    The rows in order sit at positions start, start + 1, ... of a chain
+    of width spheres.  The cutters are the right-spine of the left
+    subtree and the left-spine of the right subtree.
     """
-    rows = []
-    for node in nodes:
-        coeff = [0] * len(pos)
-        coeff[pos[id(node)]] = 1
-        for j in (_spine(node.left, "right", pos)
-                  + _spine(node.right, "left", pos)):
+    rows = dec.rows
+    pos = [0] * len(rows)
+    for i, idx in enumerate(order, start):
+        pos[idx] = i
+    out = []
+    for idx in order:
+        _, _, left, right = rows[idx]
+        coeff = [0] * width
+        coeff[pos[idx]] = 1
+        for j in _spine(rows, pos, left, 3) + _spine(rows, pos, right, 2):
             coeff[j] -= 1
-        rows.append(tuple(coeff))
-    return rows
+        out.append(tuple(coeff))
+    return out, pos
 
 
-def chain_classes_concave(tree: DecompositionNode) -> list[HomologyClass]:
-    nodes = list(inorder(tree))
-    pos = {id(n): i for i, n in enumerate(nodes)}
-    return [HomologyClass(0, row, ()) for row in _class_rows(nodes, pos)]
+def chain_classes_concave(dec: Decomposition) -> list[HomologyClass]:
+    rows, _ = _class_rows(dec, list(inorder(dec)), 0, node_count(dec))
+    return [HomologyClass(0, row, ()) for row in rows]
 
 
-def sphere_chain_concave(tree: DecompositionNode) -> SphereChain:
-    return SphereChain(tuple(chain_classes_concave(tree)),
-                       tree_values(tree))
+def sphere_chain_concave(dec: Decomposition) -> SphereChain:
+    return SphereChain(tuple(chain_classes_concave(dec)), tree_values(dec))
 
 
 def chain_classes_convex(decomp: ConvexDecomposition) -> list[HomologyClass]:
-    left_nodes = list(inorder(decomp.left))[::-1]
-    right_nodes = list(inorder(decomp.right))[::-1]
-    nodes = left_nodes + right_nodes
-    pos = {id(n): i for i, n in enumerate(nodes)}
-    classes = [HomologyClass(0, (), row) for row in _class_rows(nodes, pos)]
-    line = [0] * len(nodes)
-    for j in (_spine(decomp.left, "left", pos)
-              + _spine(decomp.right, "right", pos)):
-        line[j] -= 1
-    classes.insert(len(left_nodes), HomologyClass(1, (), tuple(line)))
+    n_left = node_count(decomp.left)
+    width = n_left + node_count(decomp.right)
+    classes: list[HomologyClass] = []
+    line = [0] * width
+    # the line sphere meets the left-spine of the left piece and the
+    # right-spine of the right one
+    for dec, side, start in ((decomp.left, 2, 0), (decomp.right, 3, n_left)):
+        if dec is not None:
+            rows, pos = _class_rows(dec, list(inorder(dec))[::-1], start,
+                                    width)
+            classes += [HomologyClass(0, (), row) for row in rows]
+            for j in _spine(dec.rows, pos, 0, side):
+                line[j] -= 1
+    classes.insert(n_left, HomologyClass(1, (), tuple(line)))
     return classes
 
 
@@ -158,7 +169,7 @@ def sphere_chain_convex(decomp: ConvexDecomposition) -> SphereChain:
                        head=decomp.head, line_index=len(left_vals))
 
 
-def symplectic_class(source_tree: DecompositionNode,
+def symplectic_class(source: Decomposition,
                      target_decomp: ConvexDecomposition,
                      r: RationalLike = 1) -> SymplecticClass:
     """Form class for packing an r-scaled source into the target.
@@ -169,7 +180,7 @@ def symplectic_class(source_tree: DecompositionNode,
     scale = rational(r)
     if scale <= 0:
         raise DomainError("scale must be positive")
-    e = tuple(-scale * v for v in tree_values(source_tree))
+    e = tuple(-scale * v for v in tree_values(source))
     ehat = tuple(-v for v in tree_values(target_decomp.left)[::-1]
                  + tree_values(target_decomp.right)[::-1])
     return SymplecticClass(target_decomp.head, e, ehat)
@@ -195,42 +206,45 @@ def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
     return vals
 
 
-def _grow(shape: DecompositionNode, pts: list[Vertex],
+def _grow(shape: Decomposition, pts: list[Vertex],
           ds: list[Fraction]) -> ToricDomain:
     """Concave piece pts with every cut of shape pushed up by its delta.
 
-    One in-order walk: a node is cut when it is first reached (so ds is
+    Only the shape of the rows is read, which children each row has.
+    One in-order walk: a row is cut when it is first reached (so ds is
     consumed in preorder) by the weight recursion's _shear_cut, which
     gives its pieces in standard position with their maps back to the
     coordinates of pts.  Each leaf side puts out one vertex, (0, lam) or
     (lam, 0) mapped back.
     """
+    rows = shape.rows
     out: list[Vertex] = []
     # M (1, -1) of every node in in-order, which is the order of the gaps
     # between consecutive output vertices
     seams: list[tuple[int, int]] = []
     stack: list[tuple] = []
-    cur: Optional[tuple] = (shape, pts, (1, 0, 0, 1, 0, 0))
+    cur: Optional[tuple] = (0, pts, (1, 0, 0, 1, 0, 0))
     order = 0
     while stack or cur is not None:
         while cur is not None:
-            node, bd, m = cur
+            idx, bd, m = cur
             lam = min(x + y for x, y in bd) + ds[order]
             order += 1
             left, right = _shear_cut(bd, lam, m)
-            if node.left is not None:
+            _, _, lchild, rchild = rows[idx]
+            if lchild is not None:
                 if left is None:
                     raise DomainError(
                         "perturbation too large: left part of a cut vanished")
-                left = (node.left, *left)
+                left = (lchild, *left)
             elif left is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the left")
-            if node.right is not None:
+            if rchild is not None:
                 if right is None:
                     raise DomainError(
                         "perturbation too large: right part of a cut vanished")
-                right = (node.right, *right)
+                right = (rchild, *right)
             elif right is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the right")
@@ -253,19 +267,19 @@ def _grow(shape: DecompositionNode, pts: list[Vertex],
     return ToricDomain.concave(out)
 
 
-def outer_approximation(tree: DecompositionNode,
-                        deltas: Deltas) -> ToricDomain:
-    """Concave domain containing the tree's domain, cut levels pushed up.
+def outer_approximation(dec: Decomposition, deltas: Deltas) -> ToricDomain:
+    """Concave domain containing the decomposed one, cut levels pushed up.
 
     Every node cuts at its local minimum of x + y plus its perturbation;
     with all perturbations positive the result has exactly one boundary
     edge per node, in chain order.  Perturbations are consumed in
     preorder.  A perturbation too large to keep the tree shape raises.
     """
-    if tree.domain is None:
-        raise DomainError("outer approximation needs the root of a tree")
-    ds = _delta_list(deltas, node_count(tree))
-    return _grow(tree, [(p.x, p.y) for p in tree.domain.boundary], ds)
+    if dec.domain is None:
+        raise DomainError(
+            "outer approximation needs the decomposition of a concave domain")
+    ds = _delta_list(deltas, node_count(dec))
+    return _grow(dec, [(p.x, p.y) for p in dec.domain.boundary], ds)
 
 
 def inner_approximation(decomp: ConvexDecomposition,

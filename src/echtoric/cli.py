@@ -28,8 +28,7 @@ from .latticepaths import oracle_convex_caps_upto
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
 from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
-from .weights import (DEFAULT_MAX_NODES, concave_expansion, concave_weights,
-                      convex_expansion, convex_weights)
+from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
 
 class UsageError(Exception):
@@ -73,14 +72,8 @@ def _load(path: str) -> tuple[ToricDomain, dict]:
     return dom, {"path": path, "sha256": sha256}
 
 
-def _expansion(dom: ToricDomain, mn: int):
-    """The weight expansion of dom, with no tree built."""
-    return (concave_expansion if dom.kind == "concave"
-            else convex_expansion)(dom, mn)
-
-
 def _expand(dom: ToricDomain, mn: int):
-    """The weight expansion of dom and its decomposition tree."""
+    """The weight expansion of dom and its decomposition."""
     return (concave_weights if dom.kind == "concave"
             else convex_weights)(dom, mn)
 
@@ -104,10 +97,11 @@ def _write_text(path: str, text: str) -> None:
 def cmd_weights(args) -> dict:
     mn = _max_nodes()
     dom, record = _load(args.file)
-    if args.svg:
-        exp, tree = _expand(dom, mn)
-    else:
-        exp = _expansion(dom, mn)
+    exp, dec = _expand(dom, mn)
+    # only a drawing reads the rows, one per cut; drop them before the
+    # report is built
+    polys = decomposition_polygons(dec) if args.svg else None
+    del dec
     report = {
         "command": "weights",
         "input": record,
@@ -118,7 +112,6 @@ def cmd_weights(args) -> dict:
         "area": str(dom.area()),
     }
     if args.svg:
-        polys = decomposition_polygons(tree)
         _write_text(args.svg, render_decomposition(dom, polys))
         report["svg"] = {"path": args.svg, "polygons": len(polys)}
     if args.approx:
@@ -137,7 +130,7 @@ def cmd_caps(args) -> dict:
         raise UsageError("--k must be nonnegative")
     if dom.kind == "concave" and args.oracle:
         raise UsageError("--oracle applies to convex domains only")
-    exp = _expansion(dom, mn)
+    exp = _expand(dom, mn)[0]
     seq = (concave_caps if dom.kind == "concave" else convex_caps)(exp, args.k)
     report = {
         "command": "caps",
@@ -236,18 +229,18 @@ def cmd_svg(args) -> dict:
         "output": args.out,
     }
     delta = None if args.decomposition else rational(args.approximation)
-    _, tree = _expand(dom, mn)
+    _, dec = _expand(dom, mn)
     if args.decomposition:
-        polys = decomposition_polygons(tree)
+        polys = decomposition_polygons(dec)
         _write_text(args.out, render_decomposition(dom, polys))
         report["mode"] = "decomposition"
         report["polygons"] = len(polys)
     else:
         if dom.kind == "concave":
-            approx = outer_approximation(tree, delta)
+            approx = outer_approximation(dec, delta)
             ok = contains(approx, dom)
         else:
-            approx = inner_approximation(tree, delta)
+            approx = inner_approximation(dec, delta)
             ok = contains(dom, approx)
         _write_text(args.out, render_approximation(dom, approx))
         report["mode"] = "approximation"

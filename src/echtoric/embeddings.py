@@ -7,9 +7,9 @@ ball together.  Capacity sequences give an independent necessary test
 that is reported alongside for cross-checking.
 
 An EmbeddingProblem expands both domains once, when it is built, with
-concave_expansion and convex_expansion: the packing instance, the
-capacity report and the scale search read only the weights, so no
-decomposition tree is built.
+concave_weights and convex_weights, and keeps only the weights: the
+packing instance, the capacity report and the scale search read
+nothing else, and the kernel's rows are dropped.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, rational
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
-from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_expansion,
-                      convex_expansion)
+from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_weights,
+                      convex_weights)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class EmbeddingProblem:
         if self.target.kind != "convex":
             raise DomainError("embedding targets must be convex domains")
         object.__setattr__(self, "source_weights",
-                           concave_expansion(self.source, self.max_nodes))
+                           concave_weights(self.source, self.max_nodes)[0])
         object.__setattr__(self, "target_weights",
-                           convex_expansion(self.target, self.max_nodes))
+                           convex_weights(self.target, self.max_nodes)[0])
 
 
 def reduce_to_packing(problem: EmbeddingProblem) -> PackingInstance:

@@ -1,27 +1,27 @@
 """Plain SVG 1.1 renderings of decompositions and approximations.
 
-A decomposition is drawn from the tree that concave_weights or
+A decomposition is drawn from the rows that concave_weights or
 convex_weights returned, so drawing never expands a domain again.
-These two are the expansion entry points that build trees; the
-callers that only need the weights use concave_expansion and
-convex_expansion, which build none.
+Each triangle is written straight from its integer row: the level a
+and the map (ma, mb, mc, md, tx, ty) give the corners (tx, ty),
+(mb a + tx, md a + ty) and (ma a + tx, mc a + ty), each over D.
 Documents are built by string assembly, no markup library.  Model
 coordinates are exact rationals up to the last step.  Each drawing
 fixes its canvas map once, as an integer offset and scale per axis,
 and then quantises every coordinate n/d to four decimals, rounded half
 up, with one integer floor division, so the output bytes depend only
-on the input and no Fraction is made per coordinate.
+on the input and quantising makes no Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .domains import ToricDomain
 from .geometry import Point
-from .weights import ConvexDecomposition, DecompositionNode, inorder
+from .weights import ConvexDecomposition, Decomposition, inorder
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#b07aa1",
@@ -33,33 +33,30 @@ SIZE = 600
 MARGIN = 24
 
 
-def _shift(k: int, a: Fraction, t: Fraction) -> Fraction:
-    """k * a + t, normalised once."""
-    an, ad = a.numerator, a.denominator
-    return Fraction(k * an * t.denominator + t.numerator * ad,
-                    ad * t.denominator)
-
-
-def _triangle(node: DecompositionNode) -> tuple[Point, Point, Point]:
-    # the images of (0, 0), (0, a) and (a, 0) under the node's map
-    a = node.value
-    m = node.to_original
-    t = m.t
-    return (t, Point(_shift(m.b, a, t.x), _shift(m.d, a, t.y)),
-            Point(_shift(m.a, a, t.x), _shift(m.c, a, t.y)))
-
-
-def decomposition_polygons(tree: Union[DecompositionNode,
-                                       ConvexDecomposition],
-                           ) -> list[tuple[Point, ...]]:
-    """One triangle per weight; a convex tree adds its head simplex first."""
-    if isinstance(tree, DecompositionNode):
-        return [_triangle(n) for n in inorder(tree)]
-    b = tree.head
-    polys: list[tuple[Point, ...]] = [(Point(0, 0), Point(0, b), Point(b, 0))]
-    for node in chain(inorder(tree.left), inorder(tree.right)):
-        polys.append(_triangle(node))
+def _triangles(dec: Optional[Decomposition]) -> list[tuple[Point, ...]]:
+    """Each row's images of (0, 0), (0, a) and (a, 0), in in-order."""
+    if dec is None:
+        return []
+    D, rows = dec.D, dec.rows
+    polys = []
+    for idx in inorder(dec):
+        a, (ma, mb, mc, md, tx, ty), _, _ = rows[idx]
+        polys.append((Point(Fraction(tx, D), Fraction(ty, D)),
+                      Point(Fraction(mb * a + tx, D),
+                            Fraction(md * a + ty, D)),
+                      Point(Fraction(ma * a + tx, D),
+                            Fraction(mc * a + ty, D))))
     return polys
+
+
+def decomposition_polygons(tree: Union[Decomposition, ConvexDecomposition],
+                           ) -> list[tuple[Point, ...]]:
+    """One triangle per weight; a convex domain adds its head simplex first."""
+    if isinstance(tree, Decomposition):
+        return _triangles(tree)
+    b = tree.head
+    return ([(Point(0, 0), Point(0, b), Point(b, 0))]
+            + _triangles(tree.left) + _triangles(tree.right))
 
 
 def _bounds(values: Iterable[Fraction]) -> tuple[Fraction, Fraction]:

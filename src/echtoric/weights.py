@@ -31,13 +31,13 @@ ty + i md p).  The remainder of the division carries on, as in
 Euclid's algorithm.  A whole chain is charged to the node budget at
 once, which raises exactly when charging its cuts one by one would.
 
-concave_expansion and convex_expansion read only the rows' levels, for
-the embedding decision and the capacities.  concave_weights and
-convex_weights also turn the same rows into a decomposition tree, for
-the drawings, the sphere chains and the boundary approximations: each
-node keeps its cut level and the accumulated map back to the input
-coordinates, divided by D again, and the root of each tree also keeps
-the domain it peeled.
+The rows are the only decomposition form.  concave_weights and
+convex_weights return the sorted levels as the WeightExpansion and the
+rows themselves, with D, as a Decomposition: the embedding decision
+and the capacities read the weights, the drawings read the integer
+maps, and the sphere chains and the boundary approximations walk the
+rows' child indices.  Nothing is divided by D again unless a caller
+asks for a value.
 
 The cut and the fold are written once, on (x, y) pairs of ints or
 Fractions: _shear_cut gives the sheared pieces beyond a level with
@@ -60,7 +60,7 @@ from typing import Iterator, Optional, Sequence
 
 from .domains import ToricDomain, _check_concave
 from .errors import DomainError, LimitError
-from .geometry import AffineUnimodularMap, Point, RationalLike, rational
+from .geometry import RationalLike, rational
 
 DEFAULT_MAX_NODES = 10_000
 
@@ -87,22 +87,21 @@ class WeightExpansion:
 
 
 @dataclass(frozen=True)
-class DecompositionNode:
-    """One corner cut of a concave domain.
+class Decomposition:
+    """The cuts of one concave piece, as the kernel's integer rows.
 
-    value is the cut level in the normalised coordinates of the piece
-    this node peeled.  to_original maps those coordinates back to the
-    coordinates of the domain the recursion started from.  domain is
-    that piece as a ToricDomain at the root of a tree and None below
-    it, where the pieces exist only inside the integer cut kernel.
-    Only concave_weights and convex_weights build nodes.
+    Each row is [level, map, left, right] in preorder, as _rows puts
+    it out: the cut level and the translation (tx, ty) of the map
+    p -> (a p.x + b p.y + tx, c p.x + d p.y + ty) back to the input
+    coordinates are integers over the common denominator D, the linear
+    part is unimodular, and left and right are row indices or None.
+    domain is the concave domain peeled, and None for the side pieces
+    of a convex domain, which exist only inside the kernel.
     """
 
-    value: Fraction
+    D: int
+    rows: list
     domain: Optional[ToricDomain]
-    to_original: AffineUnimodularMap
-    left: Optional["DecompositionNode"]
-    right: Optional["DecompositionNode"]
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ class ConvexDecomposition:
 
     head: Fraction
     domain: ToricDomain
-    left: Optional[DecompositionNode]
-    right: Optional[DecompositionNode]
+    left: Optional[Decomposition]
+    right: Optional[Decomposition]
 
 
 def _clip(bd: list[tuple], lam) -> list[tuple]:
@@ -282,23 +281,15 @@ def _integral(domain: ToricDomain) -> tuple[int, list[tuple[int, int]]]:
                 p.y.numerator * (D // p.y.denominator)) for p in bd]
 
 
-def _concave_rows(domain: ToricDomain, max_nodes: int,
-                  caller: str) -> tuple[int, list[list]]:
-    if domain.kind != "concave":
-        raise DomainError(f"{caller} needs a concave domain")
-    D, pts = _integral(domain)
-    return D, _rows(pts, _IDENTITY, _Budget(max_nodes))
-
-
-def _convex_rows(domain: ToricDomain, max_nodes: int,
-                 caller: str) -> tuple[int, int, list]:
-    """D, the head times D and per flank None or (folded flank, rows).
+def _convex_rows(domain: ToricDomain,
+                 max_nodes: int) -> tuple[int, int, list]:
+    """D, the head times D and per flank None or its rows.
 
     The head level is a vertex of the boundary, so folding the boundary
     times D interpolates nothing and the flanks stay integral.
     """
     if domain.kind != "convex":
-        raise DomainError(f"{caller} needs a convex domain")
+        raise DomainError("convex_weights needs a convex domain")
     D, pts = _integral(domain)
     b = max(x + y for x, y in pts)
     budget = _Budget(max_nodes)
@@ -310,8 +301,7 @@ def _convex_rows(domain: ToricDomain, max_nodes: int,
                            ((0, 1, -1, -1, 0, b), (-1, -1, 1, 0, b, 0))):
         if flank is not None:
             _check_concave(flank)
-            flank = flank, _rows(flank, back, budget)
-        sides.append(flank)
+        sides.append(None if flank is None else _rows(flank, back, budget))
     return D, b, sides
 
 
@@ -328,81 +318,56 @@ def _levels(D: int, *row_lists: list[list]) -> tuple[Fraction, ...]:
     return tuple(frac[a] for a in levels)
 
 
-def _tree(D: int, rows: list[list], domain: ToricDomain) -> DecompositionNode:
-    """The rows as nodes, each map divided by D again."""
-    frac = _fractions(D, (n for a, m, _, _ in rows for n in (a, m[4], m[5])))
-    nodes: list[Optional[DecompositionNode]] = [None] * len(rows)
-    for idx in range(len(rows) - 1, -1, -1):
-        a, (ma, mb, mc, md, tx, ty), left, right = rows[idx]
-        nodes[idx] = DecompositionNode(
-            value=frac[a],
-            domain=domain if idx == 0 else None,
-            to_original=AffineUnimodularMap(ma, mb, mc, md,
-                                            Point(frac[tx], frac[ty])),
-            left=None if left is None else nodes[left],
-            right=None if right is None else nodes[right],
-        )
-    root = nodes[0]
-    assert root is not None
-    return root
-
-
-def inorder(node: Optional[DecompositionNode]) -> Iterator[DecompositionNode]:
-    """Left subtree, node, right subtree; iterative for deep trees."""
-    stack: list[DecompositionNode] = []
-    cur = node
+def inorder(dec: Optional[Decomposition]) -> Iterator[int]:
+    """Row indices of left subtree, node, right subtree; iterative."""
+    if dec is None:
+        return
+    rows = dec.rows
+    stack: list[int] = []
+    cur: Optional[int] = 0
     while stack or cur is not None:
         while cur is not None:
             stack.append(cur)
-            cur = cur.left
+            cur = rows[cur][2]
         cur = stack.pop()
         yield cur
-        cur = cur.right
+        cur = rows[cur][3]
 
 
-def node_count(node: Optional[DecompositionNode]) -> int:
-    return sum(1 for _ in inorder(node))
+def node_count(dec: Optional[Decomposition]) -> int:
+    return 0 if dec is None else len(dec.rows)
 
 
-def tree_values(node: Optional[DecompositionNode]) -> tuple[Fraction, ...]:
+def tree_values(dec: Optional[Decomposition]) -> tuple[Fraction, ...]:
     """Cut levels in in-order, which is left-to-right along the boundary."""
-    return tuple(n.value for n in inorder(node))
-
-
-def concave_expansion(domain: ToricDomain,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> WeightExpansion:
-    """The weight expansion of a concave domain, with no tree built."""
-    D, rows = _concave_rows(domain, max_nodes, "concave_expansion")
-    return WeightExpansion(None, _levels(D, rows))
-
-
-def convex_expansion(domain: ToricDomain,
-                     max_nodes: int = DEFAULT_MAX_NODES) -> WeightExpansion:
-    """The weight expansion of a convex domain, with no tree built."""
-    D, b, sides = _convex_rows(domain, max_nodes, "convex_expansion")
-    return WeightExpansion(Fraction(b, D),
-                           _levels(D, *(s[1] for s in sides if s)))
+    if dec is None:
+        return ()
+    rows = dec.rows
+    frac = _fractions(dec.D, (row[0] for row in rows))
+    return tuple(frac[rows[i][0]] for i in inorder(dec))
 
 
 def concave_weights(domain: ToricDomain,
                     max_nodes: int = DEFAULT_MAX_NODES,
-                    ) -> tuple[WeightExpansion, DecompositionNode]:
-    """The weight expansion and the decomposition tree it came from."""
-    D, rows = _concave_rows(domain, max_nodes, "concave_weights")
-    return WeightExpansion(None, _levels(D, rows)), _tree(D, rows, domain)
+                    ) -> tuple[WeightExpansion, Decomposition]:
+    """The weight expansion and the rows it came from."""
+    if domain.kind != "concave":
+        raise DomainError("concave_weights needs a concave domain")
+    D, pts = _integral(domain)
+    rows = _rows(pts, _IDENTITY, _Budget(max_nodes))
+    return (WeightExpansion(None, _levels(D, rows)),
+            Decomposition(D, rows, domain))
 
 
 def convex_weights(domain: ToricDomain,
                    max_nodes: int = DEFAULT_MAX_NODES,
                    ) -> tuple[WeightExpansion, ConvexDecomposition]:
-    """The weight expansion and the head cut with its side trees."""
-    D, b, sides = _convex_rows(domain, max_nodes, "convex_weights")
-    left, right = (
-        None if side is None else _tree(D, side[1], ToricDomain.concave(
-            [(Fraction(x, D), Fraction(y, D)) for x, y in side[0]]))
-        for side in sides)
+    """The weight expansion and the head cut with its side rows."""
+    D, b, sides = _convex_rows(domain, max_nodes)
+    left, right = (None if side is None else Decomposition(D, side, None)
+                   for side in sides)
     head = Fraction(b, D)
-    return (WeightExpansion(head, _levels(D, *(s[1] for s in sides if s))),
+    return (WeightExpansion(head, _levels(D, *(s for s in sides if s))),
             ConvexDecomposition(head=head, domain=domain, left=left,
                                 right=right))
 
@@ -425,8 +390,7 @@ def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:
     # built back to front; the shear (x, y) -> (x - y + a, y) plants the
     # already built domain onto the slope -1 edge of the triangle of
     # size a
-    boundary = [Point(0, vals[-1]), Point(vals[-1], 0)]
+    boundary = [(0, vals[-1]), (vals[-1], 0)]
     for a in reversed(vals[:-1]):
-        shear = AffineUnimodularMap(1, -1, 0, 1, Point(a, 0))
-        boundary = [Point(0, a)] + [shear.apply(p) for p in boundary]
+        boundary = [(0, a)] + [(x - y + a, y) for x, y in boundary]
     return ToricDomain.concave(boundary)

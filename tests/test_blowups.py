@@ -217,9 +217,9 @@ def test_outer_rejections():
     two = src_tree(ToricDomain.ellipsoid(1, 2))
     with pytest.raises(DomainError, match="pieces overlap across a cut"):
         outer_approximation(two, [0, F(1, 2)])
-    # only the root of a tree keeps the domain it peeled
-    with pytest.raises(DomainError, match="root of a tree"):
-        outer_approximation(tree.left, F(1, 12))
+    # a convex domain's side pieces keep no concave domain to grow
+    with pytest.raises(DomainError, match="decomposition of a concave"):
+        outer_approximation(tgt_decomp().left, F(1, 12))
 
 
 # -- inner approximation -------------------------------------------------------

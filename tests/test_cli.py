@@ -149,8 +149,8 @@ def kernel(monkeypatch):
     """Pieces handed to the row kernel of the weight recursion.
 
     A concave domain's expansion runs the kernel once, a convex domain's
-    once per side piece, with or without a tree, so the list counts
-    expansions whoever calls them.
+    once per side piece, so the list counts expansions whoever calls
+    them.
     """
     import echtoric.weights as w
     calls = []
@@ -167,7 +167,7 @@ def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
                                                     monkeypatch, kernel):
     import echtoric.embeddings as emb
     calls = []
-    for name in ("concave_expansion", "convex_expansion"):
+    for name in ("concave_weights", "convex_weights"):
         def counted(*args, _name=name, _fn=getattr(emb, name)):
             calls.append(_name)
             return _fn(*args)
@@ -180,7 +180,7 @@ def test_embed_scale_search_expands_each_domain_once(data_dir, capsys,
     code, rep, _, _ = run(capsys, "embed", str(source), str(target),
                           "--report", "12", "--scale-search", "1/100")
     assert code == 0 and rep["scale"]["infeasible_at"] == "129/128"
-    assert sorted(calls) == ["concave_expansion", "convex_expansion"]
+    assert sorted(calls) == ["concave_weights", "convex_weights"]
     assert len(kernel) == once
 
 
@@ -192,7 +192,8 @@ def test_svg_output_expands_each_domain_once(data_dir, capsys, tmp_path,
     (concave_weights if dom.kind == "concave" else convex_weights)(dom)
     once = len(kernel)  # a convex domain runs it once per side piece
     assert once >= 1
-    for argv in (["weights", str(path), "--svg", str(tmp_path / "w.svg")],
+    for argv in (["weights", str(path)],
+                 ["weights", str(path), "--svg", str(tmp_path / "w.svg")],
                  ["caps", str(path), "--k", "5"],
                  ["svg", str(path), str(tmp_path / "d.svg"),
                   "--decomposition"],
@@ -288,6 +289,21 @@ def test_invalid_files(data_dir, capsys, tmp_path):
     raw.write_bytes(b'\xff\xfe{"type":"concave"}')
     code, _, _, err = run(capsys, "weights", str(raw))
     assert code == 3 and "not UTF-8" in err
+
+
+def test_non_ascii_digits_are_invalid_input(capsys, tmp_path):
+    # Arabic-Indic and full-width digits are digits to Python's int(),
+    # but not to the "n" or "p/q" grammar
+    for one in ("\u0661", "\uff11", "\uff11/\uff11"):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"type": "convex",
+                                    "boundary": [["0", one], [one, "0"]]}),
+                        encoding="utf-8")
+        code, _, _, err = run(capsys, "weights", str(path))
+        assert code == 3 and "invalid input" in err, one
+    code, _, _, err = run(capsys, "pack", "--target", "\u0663",
+                          "--balls", "1")
+    assert code == 3 and "invalid input" in err
 
 
 def test_argparse_usage_is_exit_one(capsys):

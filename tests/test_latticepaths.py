@@ -14,6 +14,7 @@ from echtoric.domains import _edge_zone
 from echtoric.fileio import load_domain
 from echtoric.geometry import cross
 from echtoric.latticepaths import _clockwise_directions
+from echtoric.weights import _fold
 
 from generators import random_convex, random_convex_path
 
@@ -160,12 +161,14 @@ def test_split_ell_identity_random():
         path = random_convex_path(rng)
         sp = split_path(path)
         head_dom = ToricDomain.convex([(0, decomp.head), (decomp.head, 0)])
+        # the side pieces, folded as the weight recursion folds them
+        left, right = (None if flank is None else ToricDomain.concave(flank)
+                       for flank in _fold([(p.x, p.y) for p in dom.boundary],
+                                          decomp.head))
         lhs = ell_convex(dom, path)
         rhs = (ell_convex(head_dom, sp.head)
-               - ell_concave(decomp.left.domain if decomp.left else None,
-                             sp.left)
-               - ell_concave(decomp.right.domain if decomp.right else None,
-                             sp.right))
+               - ell_concave(left, sp.left)
+               - ell_concave(right, sp.right))
         assert lhs == rhs
 
 

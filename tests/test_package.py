@@ -10,5 +10,5 @@ def test_all_lists_no_submodule():
     for name in ("blowups", "capacities", "weights", "latticepaths"):
         assert name not in echtoric.__all__
     assert {"convex_caps", "convex_horizon", "ToricDomain",
-            "DomainError", "concave_expansion",
-            "convex_expansion"} <= set(echtoric.__all__)
+            "DomainError", "Decomposition", "concave_weights",
+            "convex_weights"} <= set(echtoric.__all__)

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from echtoric import (DEFAULT_MAX_NODES, DomainError, LimitError,
-                      ToricDomain, build_short_concave, concave_expansion,
-                      concave_weights, convex_expansion, convex_weights,
-                      inorder, node_count, tree_values)
+                      ToricDomain, build_short_concave, concave_weights,
+                      convex_weights, inorder, node_count, tree_values)
 from echtoric.domains import _check_concave
 from echtoric.weights import _fold, _shear_cut
 
@@ -25,7 +24,9 @@ def test_reference_concave_expansion():
     assert exp.weights == (2, F(2, 3), F(2, 3), F(1, 3), F(1, 3))
     # cut levels left to right along the boundary
     assert tree_values(tree) == (F(2, 3), F(2, 3), 2, F(1, 3), F(1, 3))
-    assert tree.value == 2
+    # the root row comes first, its level over the common denominator
+    assert F(tree.rows[0][0], tree.D) == 2
+    assert tree.domain is OMEGA1
 
 
 def test_reference_convex_expansion():
@@ -185,12 +186,10 @@ def test_node_budget_guard():
 
 
 def test_kind_mismatch_rejected():
-    for fn in (concave_weights, concave_expansion):
-        with pytest.raises(DomainError, match=f"^{fn.__name__} needs"):
-            fn(OMEGA2)
-    for fn in (convex_weights, convex_expansion):
-        with pytest.raises(DomainError, match=f"^{fn.__name__} needs"):
-            fn(OMEGA1)
+    with pytest.raises(DomainError, match="^concave_weights needs"):
+        concave_weights(OMEGA2)
+    with pytest.raises(DomainError, match="^convex_weights needs"):
+        convex_weights(OMEGA1)
 
 
 def test_build_short_concave_roundtrip():
@@ -213,13 +212,10 @@ def test_weight_expansion_normalizes_order():
     assert exp.weights == (2, F(2, 3), F(1, 3))
 
 
-def _node_rows(tree):
-    rows = []
-    for n in inorder(tree):
-        m = n.to_original
-        rows.append([str(n.value),
-                     [m.a, m.b, m.c, m.d, str(m.t.x), str(m.t.y)]])
-    return rows
+def _node_rows(dec):
+    """_tree_rows with the level and the translation as text."""
+    return [[str(a), [*m[:4], str(m[4]), str(m[5])]]
+            for a, m in _tree_rows(dec)]
 
 
 def test_weights_golden(data_dir):
@@ -271,10 +267,14 @@ def _walk(pts, m):
     return out
 
 
-def _tree_rows(tree):
-    return [(n.value, (n.to_original.a, n.to_original.b, n.to_original.c,
-                       n.to_original.d, n.to_original.t.x,
-                       n.to_original.t.y)) for n in inorder(tree)]
+def _tree_rows(dec):
+    """In-order (level, map) of every row, each value over D."""
+    out = []
+    for i in inorder(dec):
+        a, (ma, mb, mc, md, tx, ty), _, _ = dec.rows[i]
+        out.append((F(a, dec.D), (ma, mb, mc, md, F(tx, dec.D),
+                                  F(ty, dec.D))))
+    return out
 
 
 def _check_against_walk(dom):
@@ -287,13 +287,13 @@ def _check_against_walk(dom):
     decomp = convex_weights(dom)[1]
     b = decomp.head
     flanks = _fold(pts, b)
-    for flank, back, tree in zip(flanks, ((0, 1, -1, -1, 0, b),
+    for flank, back, side in zip(flanks, ((0, 1, -1, -1, 0, b),
                                           (-1, -1, 1, 0, b, 0)),
                                  (decomp.left, decomp.right)):
-        assert (flank is None) == (tree is None), dom
+        assert (flank is None) == (side is None), dom
         if flank is not None:
-            assert _tree_rows(tree) == _walk(flank, back), dom
-            assert tree.domain == ToricDomain.concave(flank)
+            assert _tree_rows(side) == _walk(flank, back), dom
+            assert side.domain is None
     return 1 + node_count(decomp.left) + node_count(decomp.right)
 
 
@@ -315,6 +315,16 @@ def _golden_and_generated(data_dir):
     return doms
 
 
+def _check_rows(dec):
+    """Each row's map has int entries and a determinant of +-1, with
+    int level and translation; children follow their parent."""
+    for i, (a, m, left, right) in enumerate(dec.rows):
+        assert all(type(v) is int for v in (a, *m)), m
+        ma, mb, mc, md = m[:4]
+        assert ma * md - mb * mc in (1, -1), m
+        assert all(c is None or i < c < len(dec.rows) for c in (left, right))
+
+
 def test_kernel_matches_the_cut_walk_and_the_expansions(data_dir):
     doms = _golden_and_generated(data_dir)
     assert len(doms) == 310
@@ -322,13 +332,15 @@ def test_kernel_matches_the_cut_walk_and_the_expansions(data_dir):
         _check_against_walk(dom)
         if dom.kind == "concave":
             exp, tree = concave_weights(dom)
-            assert concave_expansion(dom) == exp, dom
-            values = tree_values(tree)
+            sides = [tree]
         else:
             exp, decomp = convex_weights(dom)
-            assert convex_expansion(dom) == exp, dom
             assert exp.head == decomp.head
-            values = tree_values(decomp.left) + tree_values(decomp.right)
+            sides = [s for s in (decomp.left, decomp.right) if s]
+        values = ()
+        for dec in sides:
+            _check_rows(dec)
+            values += tree_values(dec)
         assert exp.weights == tuple(sorted(values, reverse=True)), dom
 
 
@@ -340,9 +352,7 @@ def test_node_budget_is_exact(data_dir):
              ToricDomain.convex([(0, 1), (1, 1), (40, 0)])]
     for dom in doms:
         n = _check_against_walk(dom)
-        fns = ((concave_weights, concave_expansion) if dom.kind == "concave"
-               else (convex_weights, convex_expansion))
-        for fn in fns:
-            fn(dom, n)
-            with pytest.raises(LimitError):
-                fn(dom, n - 1)
+        fn = concave_weights if dom.kind == "concave" else convex_weights
+        fn(dom, n)
+        with pytest.raises(LimitError):
+            fn(dom, n - 1)
