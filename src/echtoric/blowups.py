@@ -29,15 +29,21 @@ composes the piece's map back to the input coordinates; every leaf
 side then puts out one vertex, so the result is assembled without
 re-mapping any child boundary.  The cut at a raised level and the
 fold at a lowered head are the weight recursion's own _shear_cut and
-_fold.  Unlike the weight recursion this stays in Fractions: a raised
-level cuts edges between vertices, and the interpolated points bring
-new denominators at every level.
+_fold, on integers as there.  A raised level cuts edges between
+vertices, and the interpolated points bring new denominators at every
+level, so each piece carries its own denominator E: its vertices and
+its map's translation are integers over E.  Raising a level and
+cutting inside an edge multiply E, and one gcd per cut divides out
+what the piece no longer needs.  Only the finished boundary is made
+Fractions, one per coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .domains import ToricDomain, _check_concave
@@ -190,7 +196,6 @@ def symplectic_class(source: Decomposition,
 
 
 Deltas = Union[RationalLike, Sequence[RationalLike]]
-Vertex = tuple[Fraction, Fraction]
 
 
 def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
@@ -206,37 +211,66 @@ def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
     return vals
 
 
-def _grow(shape: Decomposition, pts: list[Vertex],
+def _reduced(piece: list, m: tuple, E: int) -> tuple[list, int, tuple]:
+    """A piece over E and its map, divided by their greatest common
+    divisor with E; returns the piece, its denominator and the map."""
+    g = gcd(E, m[4], m[5], *chain.from_iterable(piece))
+    if g > 1:
+        piece = [(x // g, y // g) for x, y in piece]
+        m = (*m[:4], m[4] // g, m[5] // g)
+        E //= g
+    return piece, E, m
+
+
+def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
           ds: list[Fraction]) -> ToricDomain:
-    """Concave piece pts with every cut of shape pushed up by its delta.
+    """Concave piece pts over E with every cut of shape pushed up by its
+    delta.
 
     Only the shape of the rows is read, which children each row has.
     One in-order walk: a row is cut when it is first reached (so ds is
     consumed in preorder) by the weight recursion's _shear_cut, which
     gives its pieces in standard position with their maps back to the
-    coordinates of pts.  Each leaf side puts out one vertex, (0, lam) or
-    (lam, 0) mapped back.
+    coordinates of pts.  A piece is integer vertices and a map with
+    integer translation, all over its own denominator E.  Its level
+    low/E + n/q, for low its minimum of x + y and n/q its delta, is the
+    integer low q/g + n E/g once the piece is taken over E q/g, for
+    g = gcd(q, E); each side of the cut then comes back over that times
+    the side's scale k and is reduced by one gcd.  Each leaf side
+    puts out one vertex, (0, lam) or (lam, 0) mapped back, as an integer
+    pair over its E, and only the finished boundary is made Fractions.
     """
     rows = shape.rows
-    out: list[Vertex] = []
+    # (X, Y, E) for the vertex (X/E, Y/E)
+    out: list[tuple[int, int, int]] = []
     # M (1, -1) of every node in in-order, which is the order of the gaps
     # between consecutive output vertices
     seams: list[tuple[int, int]] = []
     stack: list[tuple] = []
-    cur: Optional[tuple] = (0, pts, (1, 0, 0, 1, 0, 0))
+    cur: Optional[tuple] = (0, pts, E, (1, 0, 0, 1, 0, 0))
     order = 0
     while stack or cur is not None:
         while cur is not None:
-            idx, bd, m = cur
-            lam = min(x + y for x, y in bd) + ds[order]
+            idx, bd, E, m = cur
+            lam = min(x + y for x, y in bd)
+            d = ds[order]
             order += 1
+            if d:
+                g = gcd(d.denominator, E)
+                q = d.denominator // g
+                lam = lam * q + d.numerator * (E // g)
+                if q > 1:
+                    bd = [(x * q, y * q) for x, y in bd]
+                    m = (*m[:4], m[4] * q, m[5] * q)
+                    E *= q
             left, right = _shear_cut(bd, lam, m)
             _, _, lchild, rchild = rows[idx]
             if lchild is not None:
                 if left is None:
                     raise DomainError(
                         "perturbation too large: left part of a cut vanished")
-                left = (lchild, *left)
+                piece, lm, k = left
+                left = (lchild, *_reduced(piece, lm, E * k))
             elif left is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the left")
@@ -244,27 +278,29 @@ def _grow(shape: Decomposition, pts: list[Vertex],
                 if right is None:
                     raise DomainError(
                         "perturbation too large: right part of a cut vanished")
-                right = (rchild, *right)
+                piece, rm, k = right
+                right = (rchild, *_reduced(piece, rm, E * k))
             elif right is not None:
                 raise DomainError(
                     "boundary rises above the cut of a leaf on the right")
-            stack.append((lam, m, left, right))
+            stack.append((lam, E, m, left, right))
             cur = left
-        lam, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
+        lam, E, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
         if left is None:
-            out.append((mb * lam + tx, md * lam + ty))
+            out.append((mb * lam + tx, md * lam + ty, E))
         seams.append((ma - mb, mc - md))
         if right is None:
-            out.append((ma * lam + tx, mc * lam + ty))
+            out.append((ma * lam + tx, mc * lam + ty, E))
         cur = right
     # both ends of a node's gap sit on its cut line, whose direction
     # maps to (ux, uy); the gap edge must still run down-right, which is
-    # forward along that direction
-    for (ux, uy), (ax, ay), (bx, by) in zip(seams, out, out[1:]):
-        if (bx - ax) * ux + (by - ay) * uy < 0:
+    # forward along that direction: (b/eb - a/ea) . u >= 0, times ea eb
+    for (ux, uy), (ax, ay, ea), (bx, by, eb) in zip(seams, out, out[1:]):
+        if (bx * ux + by * uy) * ea < (ax * ux + ay * uy) * eb:
             raise DomainError(
                 "perturbation too large: child pieces overlap across a cut")
-    return ToricDomain.concave(out)
+    return ToricDomain.concave([(Fraction(x, e), Fraction(y, e))
+                                for x, y, e in out])
 
 
 def outer_approximation(dec: Decomposition, deltas: Deltas) -> ToricDomain:
@@ -279,7 +315,24 @@ def outer_approximation(dec: Decomposition, deltas: Deltas) -> ToricDomain:
         raise DomainError(
             "outer approximation needs the decomposition of a concave domain")
     ds = _delta_list(deltas, node_count(dec))
-    return _grow(dec, [(p.x, p.y) for p in dec.domain.boundary], ds)
+    return _grow(dec, dec.domain.ints, dec.domain.D, ds)
+
+
+def _unfold(grown: ToricDomain, level: int, D: int,
+            left: bool) -> tuple[int, list[tuple[int, int]]]:
+    """A grown flank folded back through x + y = level/D.
+
+    Returns the common denominator L of grown and the level and the
+    chain over L in boundary order: the left flank goes back through
+    (x, y) -> (y, lam - x - y), the right one through
+    (x, y) -> (lam - x - y, x).
+    """
+    L = lcm(D, grown.D)
+    a, c = L // grown.D, level * (L // D)
+    pts = [(x * a, y * a) for x, y in reversed(grown.ints)]
+    if left:
+        return L, [(y, c - x - y) for x, y in pts]
+    return L, [(c - x - y, x) for x, y in pts]
 
 
 def inner_approximation(decomp: ConvexDecomposition,
@@ -288,7 +341,9 @@ def inner_approximation(decomp: ConvexDecomposition,
 
     The first preorder perturbation lowers the cut diagonal; the rest
     enlarge the side pieces (removed material) through their outer
-    approximations, so the remainder shrinks.
+    approximations, so the remainder shrinks.  The boundary is taken
+    over the common denominator D of its own and of the lowered head, so
+    the fold and the grown pieces run on integers.
     """
     n_left = node_count(decomp.left)
     total = 1 + n_left + node_count(decomp.right)
@@ -296,27 +351,34 @@ def inner_approximation(decomp: ConvexDecomposition,
     lam = decomp.head - ds[0]
     if lam <= 0:
         raise DomainError("perturbation swallows the whole head")
-    lpiece, rpiece = _fold([(p.x, p.y) for p in decomp.domain.boundary], lam)
+    dom = decomp.domain
+    D = lcm(dom.D, lam.denominator)
+    level, s = lam.numerator * (D // lam.denominator), D // dom.D
+    lpiece, rpiece = _fold([(x * s, y * s) for x, y in dom.ints], level)
     if decomp.left is not None:
         if lpiece is None:
             raise DomainError(
                 "perturbation too large: left piece reaches the y-axis")
-        _check_concave(lpiece)
-        grown = _grow(decomp.left, lpiece, ds[1:1 + n_left])
-        left_chain = [(p.y, lam - p.x - p.y) for p in reversed(grown.boundary)]
+        flank, k = lpiece
+        _check_concave(flank)
+        grown = _grow(decomp.left, flank, D * k, ds[1:1 + n_left])
+        lden, left_chain = _unfold(grown, level, D, True)
     else:
-        left_chain = [(0, lam)]
+        lden, left_chain = D, [(0, level)]
     if decomp.right is not None:
         if rpiece is None:
             raise DomainError(
                 "perturbation too large: right piece reaches the x-axis")
-        _check_concave(rpiece)
-        grown = _grow(decomp.right, rpiece, ds[1 + n_left:])
-        right_chain = [(lam - p.x - p.y, p.x) for p in reversed(grown.boundary)]
+        flank, k = rpiece
+        _check_concave(flank)
+        grown = _grow(decomp.right, flank, D * k, ds[1 + n_left:])
+        rden, right_chain = _unfold(grown, level, D, False)
     else:
-        right_chain = [(lam, 0)]
+        rden, right_chain = D, [(level, 0)]
     # seam points lie on x + y = lam; grown sides must leave room between
-    if left_chain[-1][0] > right_chain[0][0]:
+    if left_chain[-1][0] * rden > right_chain[0][0] * lden:
         raise DomainError(
             "perturbation too large: grown side pieces overlap")
-    return ToricDomain.convex(left_chain + right_chain)
+    return ToricDomain.convex(
+        [(Fraction(x, lden), Fraction(y, lden)) for x, y in left_chain]
+        + [(Fraction(x, rden), Fraction(y, rden)) for x, y in right_chain])

@@ -14,19 +14,25 @@ endpoint.  Two kinds are supported:
   strictly convex, traversed clockwise.  The curve may overhang: edges
   can point down-left, so x need not be monotone.
 
-Collinear boundary vertices are collapsed on construction; validation
-afterwards insists on strict turns, so every stored boundary is in
-canonical form and equality of domains is equality of tuples.
+Construction clears the boundary's common denominator D once and keeps
+the boundary times D as integer pairs next to the Points.  Collinear
+boundary vertices are collapsed and the result validated on those
+integers; validation insists on strict turns, so every stored boundary
+is in canonical form and equality of domains is equality of tuples.
+The area, the nesting test and the weight expansions read the same
+integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
-from .geometry import Point, RationalLike, cross, polygon_area, rational
+from .geometry import Point, RationalLike, cross, rational
 
 PointLike = Union[Point, Sequence[RationalLike]]
 
@@ -40,28 +46,39 @@ def _as_point(p: PointLike) -> Point:
     return Point(rational(seq[0]), rational(seq[1]))
 
 
-def _collapse(points: Sequence[Point]) -> list[Point]:
-    # drop repeats and merge collinear runs that keep the same heading;
-    # a fold-back (cross 0, opposite heading) is left in place so that
-    # validation rejects it
-    out: list[Point] = []
-    for p in points:
-        if out and p == out[-1]:
+def _integral(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D of the coordinates and the points times D."""
+    D = lcm(*(p.x.denominator for p in points),
+            *(p.y.denominator for p in points))
+    return D, [(p.x.numerator * (D // p.x.denominator),
+                p.y.numerator * (D // p.y.denominator)) for p in points]
+
+
+def _collapse(pts: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the integer vertices kept.
+
+    Repeats are dropped and collinear runs that keep the same heading
+    merged; a fold-back (cross 0, opposite heading) is left in place so
+    that validation rejects it.
+    """
+    keep: list[int] = []
+    for i, p in enumerate(pts):
+        if keep and p == pts[keep[-1]]:
             continue
-        out.append(p)
-        while len(out) >= 3:
-            a, b, c = out[-3], out[-2], out[-1]
-            ux, uy = b.x - a.x, b.y - a.y
-            vx, vy = c.x - b.x, c.y - b.y
+        keep.append(i)
+        while len(keep) >= 3:
+            (ax, ay), (bx, by), (cx, cy) = (pts[j] for j in keep[-3:])
+            ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
             if ux * vy == uy * vx and ux * vx + uy * vy > 0:
-                del out[-2]
+                del keep[-2]
             else:
                 break
-    return out
+    return keep
 
 
-def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction]) -> int:
-    """Clockwise sectors a convex boundary edge (dx, dy) may point into.
+def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction],
+               D: int = 1) -> int:
+    """Clockwise sectors a convex boundary edge (dx, dy)/D may point into.
 
     0 up-right, 1 right, 2 down-right, 3 down, 4 down-left.  Anything
     else (left, up, up-left) cannot occur on a valid boundary.
@@ -76,15 +93,15 @@ def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction]) -> int:
         return 3
     if dx < 0 and dy < 0:
         return 4
-    raise DomainError(
-        f"boundary edge ({dx}, {dy}) points out of the allowed sectors")
+    raise DomainError(f"boundary edge ({Fraction(dx, D)}, {Fraction(dy, D)}) "
+                      "points out of the allowed sectors")
 
 
 def _check_concave(pts: Sequence[tuple]) -> None:
-    """The concave-boundary rules, on (x, y) pairs of ints or Fractions.
+    """The concave-boundary rules, on (x, y) pairs over any denominator.
 
     They check ToricDomain's concave boundaries and the folded flanks of
-    inner approximations.
+    inner approximations, both on integers.
     """
     (x0, y0), (xn, yn) = pts[0], pts[-1]
     if x0 != 0 or y0 <= 0:
@@ -104,14 +121,30 @@ def _check_concave(pts: Sequence[tuple]) -> None:
 
 @dataclass(frozen=True)
 class ToricDomain:
+    """A domain through its boundary; D and ints are the boundary's
+    common denominator and the boundary times D, as integer pairs."""
+
     kind: str
     boundary: tuple[Point, ...]
+    D: int = field(init=False, repr=False, compare=False)
+    ints: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("concave", "convex"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        pts = _collapse([_as_point(p) for p in self.boundary])
+        pts = [_as_point(p) for p in self.boundary]
+        D, ints = _integral(pts)
+        keep = _collapse(ints)
+        if len(keep) < len(ints):
+            pts = [pts[i] for i in keep]
+            ints = [ints[i] for i in keep]
+            # a merged vertex may have been the one that needed all of D
+            g = gcd(D, *chain.from_iterable(ints))
+            D, ints = D // g, [(x // g, y // g) for x, y in ints]
         object.__setattr__(self, "boundary", tuple(pts))
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "ints", tuple(ints))
         self._validate()
 
     # -- construction helpers -------------------------------------------------
@@ -143,27 +176,28 @@ class ToricDomain:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        bd = self.boundary
-        if len(bd) < 2:
+        bd, pts = self.boundary, self.ints
+        if len(pts) < 2:
             raise DomainError("boundary needs at least two vertices")
-        v0, vn = bd[0], bd[-1]
-        if v0.x != 0 or v0.y <= 0:
-            raise DomainError(f"boundary must start on the positive y-axis, got {v0}")
-        if vn.y != 0 or vn.x <= 0:
-            raise DomainError(f"boundary must end on the positive x-axis, got {vn}")
-        for p in bd[1:-1]:
-            if p.x <= 0 or p.y <= 0:
-                raise DomainError(f"interior boundary vertex {p} touches an axis")
+        (x0, y0), (xn, yn) = pts[0], pts[-1]
+        if x0 != 0 or y0 <= 0:
+            raise DomainError(f"boundary must start on the positive y-axis, got {bd[0]}")
+        if yn != 0 or xn <= 0:
+            raise DomainError(f"boundary must end on the positive x-axis, got {bd[-1]}")
+        for i in range(1, len(pts) - 1):
+            if pts[i][0] <= 0 or pts[i][1] <= 0:
+                raise DomainError(f"interior boundary vertex {bd[i]} touches an axis")
         if self.kind == "concave":
-            _check_concave([(p.x, p.y) for p in bd])
+            _check_concave(pts)
         else:
-            edges = [q - p for p, q in zip(bd, bd[1:])]
-            zones = [_edge_zone(e.x, e.y) for e in edges]
+            edges = [(qx - px, qy - py)
+                     for (px, py), (qx, qy) in zip(pts, pts[1:])]
+            zones = [_edge_zone(dx, dy, self.D) for dx, dy in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:
                     raise DomainError("convex boundary direction must rotate clockwise")
-            for e1, e2 in zip(edges, edges[1:]):
-                if cross(e1, e2) >= 0:
+            for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
+                if ux * vy - uy * vx >= 0:
                     raise DomainError("convex boundary must turn strictly clockwise")
             # the three corner turns of the closed polygon (at (0,0), v0
             # and vn) are then strict automatically: the first edge has
@@ -178,13 +212,18 @@ class ToricDomain:
         return (Point(0, 0),) + self.boundary
 
     def area(self) -> Fraction:
-        return polygon_area(self.region_polygon())
+        # shoelace of the cycle origin, v0, ..., vn; the two axis legs
+        # contribute nothing because they head straight at the origin
+        pts = self.ints
+        twice = sum(px * qy - py * qx
+                    for (px, py), (qx, qy) in zip(pts, pts[1:]))
+        return Fraction(abs(twice), 2 * self.D * self.D)
 
     def xmax(self) -> Fraction:
-        return max(p.x for p in self.boundary)
+        return Fraction(max(x for x, _ in self.ints), self.D)
 
     def ymax(self) -> Fraction:
-        return max(p.y for p in self.boundary)
+        return Fraction(max(y for _, y in self.ints), self.D)
 
     def scale(self, factor: RationalLike) -> "ToricDomain":
         f = rational(factor)
@@ -200,11 +239,14 @@ class ToricDomain:
         maximal x; an overhanging tail beyond that vertex only bounds
         the region from the right.
         """
+        return self.boundary[:self._envelope_end()]
+
+    def _envelope_end(self) -> int:
+        """The length of the upper envelope, counted in vertices."""
         if self.kind == "concave":
-            return self.boundary
-        xm = self.xmax()
-        idx = next(i for i, p in enumerate(self.boundary) if p.x == xm)
-        return self.boundary[:idx + 1]
+            return len(self.ints)
+        xs = [x for x, _ in self.ints]
+        return xs.index(max(xs)) + 1
 
     def envelope_value(self, x: RationalLike) -> Fraction:
         """Evaluate the upper envelope at x (must lie in [0, xmax])."""
@@ -237,48 +279,53 @@ class ToricDomain:
 def contains(outer: ToricDomain, inner: ToricDomain) -> bool:
     """Exact test that the region of inner sits inside the region of outer.
 
-    Against a convex outer every vertex of inner's region polygon is
-    tested on every edge of outer's.  Against a concave outer both
-    upper envelopes are piecewise linear, so comparing them at the union
-    of their breakpoints up to inner's xmax is conclusive; one merge
-    walk visits those x in increasing order and interpolates each
-    envelope on its current segment, in O(n + m) for n and m
-    breakpoints.
+    Both boundaries are brought onto one integer grid, the common
+    multiple of their denominators, and every comparison below is a
+    cross-multiplied integer one.  Against a convex outer every vertex
+    of inner's region polygon is tested on every edge of outer's.
+    Against a concave outer both upper envelopes are piecewise linear,
+    so comparing them at the union of their breakpoints up to inner's
+    xmax is conclusive; one merge walk visits those x in increasing
+    order and compares each breakpoint with the other envelope's
+    current segment, in O(n + m) for n and m breakpoints.
     """
+    L = lcm(outer.D, inner.D)
+    so, si = L // outer.D, L // inner.D
+    bd = [(x * so, y * so) for x, y in outer.ints]
     if outer.kind == "convex":
         # the region of inner lies in the convex hull of its polygon
         # vertices, so vertex membership settles it; the two axis edges
         # of outer's polygon keep the vertices in the quadrant
-        poly = outer.region_polygon()
-        edges = [(a.x, a.y, b.x - a.x, b.y - a.y)
-                 for a, b in zip(poly, poly[1:] + poly[:1])]
-        return all(ex * (p.y - ay) <= ey * (p.x - ax)
-                   for p in inner.region_polygon()
+        poly = [(0, 0)] + bd
+        edges = [(ax, ay, bx - ax, by - ay)
+                 for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1])]
+        return all(ex * (py - ay) <= ey * (px - ax)
+                   for px, py in [(0, 0)] + [(x * si, y * si)
+                                             for x, y in inner.ints]
                    for ax, ay, ex, ey in edges)
-    if inner.xmax() > outer.xmax():
+    env = [(x * si, y * si) for x, y in inner.ints[:inner._envelope_end()]]
+    if env[-1][0] > bd[-1][0]:
         return False
-    env = inner.upper_envelope()
-    bd = outer.boundary
     # env[i] and bd[j] are the first breakpoints not yet compared; both
     # start at x = 0, and bd cannot run out first since its xmax is at
-    # least env's
+    # least env's.  A breakpoint (x, y) against the segment from
+    # (ax, ay) to (bx, by), ax < x < bx, is below it exactly when
+    # y (bx - ax) <= ay (bx - ax) + (by - ay)(x - ax).
     i = j = 0
     while i < len(env):
-        p, q = env[i], bd[j]
-        if p.x <= q.x:
-            y_in = p.y
-            y_out = q.y if p.x == q.x else _interpolate(bd[j - 1], q, p.x)
-            j += p.x == q.x
+        (px, py), (qx, qy) = env[i], bd[j]
+        if px == qx:
+            ok = py <= qy
+            i += 1
+            j += 1
+        elif px < qx:
+            ax, ay = bd[j - 1]
+            ok = py * (qx - ax) <= ay * (qx - ax) + (qy - ay) * (px - ax)
             i += 1
         else:
-            y_in = _interpolate(env[i - 1], p, q.x)
-            y_out = q.y
+            ax, ay = env[i - 1]
+            ok = ay * (px - ax) + (py - ay) * (qx - ax) <= qy * (px - ax)
             j += 1
-        if y_in > y_out:
+        if not ok:
             return False
     return True
-
-
-def _interpolate(p: Point, q: Point, x: Fraction) -> Fraction:
-    """Height at x of the segment pq, for p.x < x < q.x."""
-    return p.y + (q.y - p.y) * (x - p.x) / (q.x - p.x)

@@ -23,10 +23,10 @@ identities across that cut are what the tests lean on.
 oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
 calculus, and returns witness paths.  Its search runs on plain
-integers throughout, set-up included: the region's vertices are scaled
-to integers once per call, the clockwise step directions are generated
-as integer pairs in order, once per search box, and each direction's
-support is an integer cross product maximum.
+integers throughout, set-up included: the region's vertices are the
+integers the domain cleared when it was built, the clockwise step
+directions are generated as integer pairs in order, once per search
+box, and each direction's support is an integer cross product maximum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .domains import PointLike, ToricDomain, _as_point, _edge_zone
@@ -176,11 +176,14 @@ def split_path(path: LatticePath, level=None) -> PathSplit:
     a = max(p.x + p.y for p in path.vertices)
     if level is not None and rational(level) != a:
         raise DomainError(f"path peaks at level {a}, not {level}")
-    left, right = _fold([(p.x, p.y) for p in path.vertices], a)
+    # lattice vertices and a level on a vertex: the flanks come back at
+    # scale 1
+    left, right = _fold([(p.x.numerator, p.y.numerator)
+                         for p in path.vertices], a.numerator)
     head = [(0, a), (a, 0)] if a else [(0, 0)]
     return PathSplit(a, LatticePath.convex(head),
-                     LatticePath.concave(left or [(0, 0)]),
-                     LatticePath.concave(right or [(0, 0)]))
+                     LatticePath.concave(left[0] if left else [(0, 0)]),
+                     LatticePath.concave(right[0] if right else [(0, 0)]))
 
 
 def _clockwise_directions(box: int) -> list[tuple[int, int]]:
@@ -370,9 +373,8 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
         raise DomainError("the path oracle works on convex domains")
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
-    poly = domain.region_polygon()
-    den = lcm(*(c.denominator for p in poly for c in (p.x, p.y)))
-    verts = [(int(p.x * den), int(p.y * den)) for p in poly]
+    # the region polygon over the denominator the domain cleared
+    den, verts = domain.D, [(0, 0), *domain.ints]
     box = 2 * (kmax + 1)
     best: Optional[list[_Best]] = None
     for _ in range(3):

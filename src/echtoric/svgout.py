@@ -1,23 +1,29 @@
 """Plain SVG 1.1 renderings of decompositions and approximations.
 
-A decomposition is drawn from the rows that concave_weights or
+Every drawing runs on integers over one common denominator D.  A
+decomposition is drawn from the rows that concave_weights or
 convex_weights returned, so drawing never expands a domain again.
 Each triangle is written straight from its integer row: the level a
 and the map (ma, mb, mc, md, tx, ty) give the corners (tx, ty),
-(mb a + tx, md a + ty) and (ma a + tx, mc a + ty), each over D.
-Documents are built by string assembly, no markup library.  Model
-coordinates are exact rationals up to the last step.  Each drawing
-fixes its canvas map once, as an integer offset and scale per axis,
-and then quantises every coordinate n/d to four decimals, rounded half
-up, with one integer floor division, so the output bytes depend only
-on the input and quantising makes no Fraction.
+(mb a + tx, md a + ty) and (ma a + tx, mc a + ty), each over D, and a
+convex domain's head b adds (0, 0), (0, b D) and (b D, 0).
+decomposition_polygons keeps those integers, and render_decomposition
+reads them with the domain's boundary over D, so no corner becomes a
+Fraction.  An approximation overlay takes both boundaries over the
+common multiple of their denominators.
+Documents are built by string assembly, no markup library.  Each
+drawing fixes its canvas map once, as integers (P, Q, R) per axis, and
+then quantises every coordinate n/D to four decimals, rounded half up,
+as (P + Q n) // R, so the output bytes depend only on the input.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Sequence, Union
+from math import lcm
+from typing import Iterable, Optional, Union
 
 from .domains import ToricDomain
 from .geometry import Point
@@ -33,87 +39,102 @@ SIZE = 600
 MARGIN = 24
 
 
-def _triangles(dec: Optional[Decomposition]) -> list[tuple[Point, ...]]:
+IntPolygon = tuple[tuple[int, int], ...]
+
+
+class Polygons(Sequence):
+    """Polygons with integer corners over one denominator D.
+
+    Indexing gives a polygon as a tuple of Points, made on demand;
+    render_decomposition reads the integers in ints.
+    """
+
+    def __init__(self, D: int, ints: list[IntPolygon]) -> None:
+        self.D = D
+        self.ints = ints
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._points(poly) for poly in self.ints[i]]
+        return self._points(self.ints[i])
+
+    def _points(self, poly: IntPolygon) -> tuple[Point, ...]:
+        return tuple(Point(Fraction(x, self.D), Fraction(y, self.D))
+                     for x, y in poly)
+
+
+def _triangles(dec: Optional[Decomposition]) -> list[IntPolygon]:
     """Each row's images of (0, 0), (0, a) and (a, 0), in in-order."""
     if dec is None:
         return []
-    D, rows = dec.D, dec.rows
+    rows = dec.rows
     polys = []
     for idx in inorder(dec):
         a, (ma, mb, mc, md, tx, ty), _, _ = rows[idx]
-        polys.append((Point(Fraction(tx, D), Fraction(ty, D)),
-                      Point(Fraction(mb * a + tx, D),
-                            Fraction(md * a + ty, D)),
-                      Point(Fraction(ma * a + tx, D),
-                            Fraction(mc * a + ty, D))))
+        polys.append(((tx, ty), (mb * a + tx, md * a + ty),
+                      (ma * a + tx, mc * a + ty)))
     return polys
 
 
 def decomposition_polygons(tree: Union[Decomposition, ConvexDecomposition],
-                           ) -> list[tuple[Point, ...]]:
+                           ) -> Polygons:
     """One triangle per weight; a convex domain adds its head simplex first."""
     if isinstance(tree, Decomposition):
-        return _triangles(tree)
-    b = tree.head
-    return ([(Point(0, 0), Point(0, b), Point(b, 0))]
-            + _triangles(tree.left) + _triangles(tree.right))
+        return Polygons(tree.D, _triangles(tree))
+    # the side rows are over the domain's denominator, as is the head
+    D = tree.domain.D
+    b = tree.head.numerator * (D // tree.head.denominator)
+    return Polygons(D, [((0, 0), (0, b), (b, 0))]
+                    + _triangles(tree.left) + _triangles(tree.right))
 
 
-def _bounds(values: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
-    """The least and the greatest of values, compared in integers."""
-    it = iter(values)
-    lo = hi = next(it)
-    ln, ld = hn, hd = lo.numerator, lo.denominator
-    for v in it:
-        n, d = v.numerator, v.denominator
-        if n * ld < ln * d:
-            lo, ln, ld = v, n, d
-        elif n * hd > hn * d:
-            hi, hn, hd = v, n, d
-    return lo, hi
+def _axis(offset: Fraction, slope: Fraction, D: int) -> tuple[int, int, int]:
+    """Integers (P, Q, R) that round offset + slope * n/D half up.
 
-
-def _axis(offset: Fraction, slope: Fraction) -> tuple[int, int, int]:
-    """Integers (P, Q, R) that round offset + slope * n/d half up.
-
-    The rounded value is (P*d + Q*n) // (R*d): with N/M = offset +
-    slope * n/d over the denominator M = R*d/2 > 0, floor(N/M + 1/2)
-    is (2N + M) // 2M.
+    The rounded value is (P + Q*n) // R: with N/M = offset + slope * n/D
+    over the denominator M = R/2 > 0, floor(N/M + 1/2) is
+    (2N + M) // 2M.
     """
     on, od = offset.numerator, offset.denominator
     sn, sd = slope.numerator, slope.denominator
-    return 2 * on * sd + od * sd, 2 * od * sn, 2 * od * sd
-
-
-def _quant(v: Fraction, axis: tuple[int, int, int]) -> str:
-    P, Q, R = axis
-    n, d = v.numerator, v.denominator
-    i = (P * d + Q * n) // (R * d)
-    return f"{i // 10000}.{i % 10000:04d}"
+    return (2 * on * sd + od * sd) * D, 2 * od * sn, 2 * od * sd * D
 
 
 class _Canvas:
-    """Maps model points onto a square canvas, y axis pointing up.
+    """Maps integer points over D onto a square canvas, y axis pointing up.
 
     Canvas coordinates are counted in units of 1e-4: x maps to
     1e4 * (MARGIN + (x - xmin) * scale), y to
-    1e4 * (SIZE - MARGIN - (y - ymin) * scale), both nonnegative.
+    1e4 * (SIZE - MARGIN - (y - ymin) * scale), both nonnegative, and
+    each is rounded half up with one integer floor division.
     """
 
-    def __init__(self, points: Iterable[Point]) -> None:
-        pts = list(points)
-        xmin, xmax = _bounds(chain((p.x for p in pts), (Fraction(0),)))
-        ymin, ymax = _bounds(chain((p.y for p in pts), (Fraction(0),)))
-        span = max(xmax - xmin, ymax - ymin, Fraction(1))
+    def __init__(self, points: Iterable[tuple[int, int]], D: int) -> None:
+        xs, ys = zip((0, 0), *points)
+        xmin, ymin = min(xs), min(ys)
+        span = Fraction(max(max(xs) - xmin, max(ys) - ymin, D), D)
         scale = Fraction(10000 * (SIZE - 2 * MARGIN)) / span
-        self._x = _axis(10000 * MARGIN - xmin * scale, scale)
-        self._y = _axis(10000 * (SIZE - MARGIN) + ymin * scale, -scale)
+        self._x = _axis(10000 * MARGIN - Fraction(xmin, D) * scale, scale, D)
+        self._y = _axis(10000 * (SIZE - MARGIN) + Fraction(ymin, D) * scale,
+                        -scale, D)
 
-    def map(self, p: Point) -> tuple[str, str]:
-        return _quant(p.x, self._x), _quant(p.y, self._y)
+    def map(self, x: int, y: int) -> tuple[str, str]:
+        (P, Q, R), (S, T, U) = self._x, self._y
+        i, j = (P + Q * x) // R, (S + T * y) // U
+        return (f"{i // 10000}.{i % 10000:04d}",
+                f"{j // 10000}.{j % 10000:04d}")
 
-    def points_attr(self, poly: Sequence[Point]) -> str:
-        return " ".join("%s,%s" % self.map(p) for p in poly)
+    def points_attr(self, poly: Iterable[tuple[int, int]]) -> str:
+        return " ".join("%s,%s" % self.map(x, y) for x, y in poly)
+
+
+def _region(D: int, domain: ToricDomain) -> list[tuple[int, int]]:
+    """The region polygon of domain over D, a multiple of its own."""
+    s = D // domain.D
+    return [(0, 0)] + [(x * s, y * s) for x, y in domain.ints]
 
 
 def _document(body: list[str]) -> str:
@@ -124,48 +145,56 @@ def _document(body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>", ""])
 
 
-def _axes(canvas: _Canvas, xmax: Fraction, ymax: Fraction) -> list[str]:
-    ox, oy = canvas.map(Point(0, 0))
-    xx, xy = canvas.map(Point(xmax, 0))
-    yx, yy = canvas.map(Point(0, ymax))
+def _axes(canvas: _Canvas, xmax: int, ymax: int) -> list[str]:
+    ox, oy = canvas.map(0, 0)
+    xx, xy = canvas.map(xmax, 0)
+    yx, yy = canvas.map(0, ymax)
     style = 'stroke="#888888" stroke-width="1"'
     return [f'<line x1="{ox}" y1="{oy}" x2="{xx}" y2="{xy}" {style} />',
             f'<line x1="{ox}" y1="{oy}" x2="{yx}" y2="{yy}" {style} />']
 
 
-def render_decomposition(domain: ToricDomain,
-                         polys: list[tuple[Point, ...]]) -> str:
-    """The domain's outline over its decomposition_polygons."""
-    canvas = _Canvas(chain(domain.boundary, *polys))
-    body = _axes(canvas, _bounds(p.x for poly in polys for p in poly)[1],
-                 _bounds(p.y for poly in polys for p in poly)[1])
+def render_decomposition(domain: ToricDomain, polys: Polygons) -> str:
+    """The domain's outline over its decomposition_polygons.
+
+    Both are drawn from their integers over one common denominator.
+    """
+    D = lcm(domain.D, polys.D)
+    c = D // polys.D
+    outline = _region(D, domain)
+    tris = [tuple((x * c, y * c) for x, y in poly) for poly in polys.ints] \
+        if c > 1 else polys.ints
+    corners = list(chain.from_iterable(tris))
+    canvas = _Canvas(outline + corners, D)
+    xs, ys = zip(*corners)
+    body = _axes(canvas, max(xs), max(ys))
     offset = 0
     if domain.kind == "convex":
-        body.append(f'<polygon points="{canvas.points_attr(polys[0])}" '
+        body.append(f'<polygon points="{canvas.points_attr(tris[0])}" '
                     f'fill="{_HEAD_FILL}" fill-opacity="0.9" '
                     f'stroke="#555555" stroke-width="1" />')
         offset = 1
-    for i, poly in enumerate(polys[offset:]):
+    for i, poly in enumerate(tris[offset:]):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(f'<polygon points="{canvas.points_attr(poly)}" '
                     f'fill="{color}" fill-opacity="0.8" '
                     f'stroke="#333333" stroke-width="1" />')
-    outline = canvas.points_attr(domain.region_polygon())
-    body.append(f'<polyline points="{outline}" fill="none" '
-                f'stroke="#000000" stroke-width="2" />')
+    body.append(f'<polyline points="{canvas.points_attr(outline)}" '
+                f'fill="none" stroke="#000000" stroke-width="2" />')
     return _document(body)
 
 
 def render_approximation(domain: ToricDomain, approx: ToricDomain) -> str:
     """The domain filled solid with the approximating domain drawn over it."""
-    canvas = _Canvas(chain(domain.boundary, approx.boundary))
-    xmax = max(domain.xmax(), approx.xmax())
-    ymax = max(domain.ymax(), approx.ymax())
-    body = _axes(canvas, xmax, ymax)
-    body.append(f'<polygon points="{canvas.points_attr(domain.region_polygon())}" '
+    D = lcm(domain.D, approx.D)
+    region, approx_region = _region(D, domain), _region(D, approx)
+    canvas = _Canvas(region + approx_region, D)
+    xs, ys = zip(*region, *approx_region)
+    body = _axes(canvas, max(xs), max(ys))
+    body.append(f'<polygon points="{canvas.points_attr(region)}" '
                 f'fill="{_PALETTE[0]}" fill-opacity="0.55" '
                 f'stroke="#333333" stroke-width="1" />')
-    body.append(f'<polygon points="{canvas.points_attr(approx.region_polygon())}" '
+    body.append(f'<polygon points="{canvas.points_attr(approx_region)}" '
                 f'fill="{_PALETTE[1]}" fill-opacity="0.35" '
                 f'stroke="#b3541e" stroke-width="2" stroke-dasharray="6 3" />')
     return _document(body)

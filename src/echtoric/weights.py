@@ -39,12 +39,18 @@ maps, and the sphere chains and the boundary approximations walk the
 rows' child indices.  Nothing is divided by D again unless a caller
 asks for a value.
 
-The cut and the fold are written once, on (x, y) pairs of ints or
-Fractions: _shear_cut gives the sheared pieces beyond a level with
-their maps back, _fold the folded flanks of a convex chain, and both
-find where the level meets the boundary with _clip.  The boundary
-approximations in blowups cut at raised levels and lower heads with
-them, and latticepaths splits convex paths with _fold.
+The cut and the fold are written once, on integer chains and integer
+levels: _shear_cut gives the sheared pieces beyond a level with their
+maps back, _fold the folded flanks of a convex chain, and both find
+where the level meets the boundary with _clip.  A level inside an edge
+meets it at a point with a new denominator k, the edge's; _clip then
+returns the prefix times k with k, and the pieces and maps come back
+over k times the input's denominator.  The weight recursion cuts at a
+vertex and folds at the head, which is a vertex too, so its k is
+always 1.  The boundary approximations in blowups cut at raised levels
+and lower heads with them, and latticepaths splits convex paths with
+_fold.  The boundary over D is the one ToricDomain cleared on
+construction; nothing here clears it again.
 
 Sum rules tie the output to area: for a concave domain the squares of
 the weights add up to twice the area, for a convex one the head square
@@ -55,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .domains import ToricDomain, _check_concave
@@ -114,36 +119,46 @@ class ConvexDecomposition:
     right: Optional[Decomposition]
 
 
-def _clip(bd: list[tuple], lam) -> list[tuple]:
-    """Boundary prefix ending where x + y first reaches lam.
+def _clip(bd: Sequence[tuple[int, int]], lam: int) -> tuple[list, int]:
+    """Boundary prefix ending where x + y first reaches lam, and its scale.
 
-    x + y starts off lam at bd[0] and moves towards it; the last vertex
-    is interpolated exactly, in Fractions, inside an edge when no vertex
-    sits on the level.  Suffixes come from clipping the reversed
-    boundary.
+    bd is an integer chain and lam an integer level; x + y starts off
+    lam at bd[0] and moves towards it.  When a vertex sits on the level
+    the prefix ends there, with scale 1.  Otherwise the level meets the
+    edge from p to q, with sums sp and sq, at p + (q - p) u/k for
+    u = sp - lam and k = sp - sq, both signs flipped if k < 0: the prefix
+    comes back times k, so that this last point k p + (q - p) u is an
+    integer pair too, and the scale is k.  Suffixes come from clipping
+    the reversed boundary.
     """
     below = sum(bd[0]) > lam
     for t, (x, y) in enumerate(bd):
         s = x + y
         if s == lam:
-            return bd[:t + 1]
+            return bd[:t + 1], 1
         if (s < lam) == below:
             px, py = bd[t - 1]
-            theta = Fraction(px + py - lam, px + py - s)
-            return bd[:t] + [(px + (x - px) * theta, py + (y - py) * theta)]
+            u, k = px + py - lam, px + py - s
+            if k < 0:
+                u, k = -u, -k
+            return ([(a * k, b * k) for a, b in bd[:t]]
+                    + [(px * k + (x - px) * u, py * k + (y - py) * u)], k)
     raise DomainError("cut level never reached along the boundary")
 
 
-def _shear_cut(bd: list[tuple], lam, m: tuple) -> tuple:
+def _shear_cut(bd: Sequence[tuple[int, int]], lam: int, m: tuple) -> tuple:
     """The concave pieces of bd beyond the cut x + y = lam.
 
-    Each side is (piece, map): the piece sheared into standard position,
-    by (x, y) -> (x, x + y - lam) on the left and (x + y - lam, y) on
-    the right, and the 6-tuple (a, b, c, d, tx, ty) of the map
-    p -> (a p.x + b p.y + tx, c p.x + d p.y + ty) taking it back through
-    m.  A side whose end does not rise above lam gives None.  Integer
-    input cut at its minimum of x + y stays integer, since no vertex is
-    interpolated there.
+    bd is an integer chain and lam and the translation of m are integers
+    over the same denominator.  Each side is (piece, map, k): the piece
+    sheared into standard position, by (x, y) -> (x, x + y - lam) on the
+    left and (x + y - lam, y) on the right, and the 6-tuple
+    (a, b, c, d, tx, ty) of the map p -> (a p.x + b p.y + tx,
+    c p.x + d p.y + ty) taking it back through m, both times the scale k
+    that _clip gave that side: the piece and the map's translation are
+    over k times the denominator of bd.  A side whose end does not rise
+    above lam gives None.  Cut at its minimum of x + y, as the weight
+    recursion cuts, the level sits on a vertex and k is 1.
 
     A valid concave chain cut at any level from its minimum of x + y up
     gives valid concave pieces, so they are not checked again.  Its
@@ -160,28 +175,41 @@ def _shear_cut(bd: list[tuple], lam, m: tuple) -> tuple:
     ma, mb, mc, md, tx, ty = m
     left = right = None
     if sum(bd[0]) > lam:
-        piece = [(x, x + y - lam) for x, y in _clip(bd, lam)]
+        part, k = _clip(bd, lam)
+        level = lam * k
         # back through (x, y) -> (x, y - x + lam), then m
-        left = piece, (ma - mb, mb, mc - md, md, tx + mb * lam, ty + md * lam)
+        left = ([(x, x + y - level) for x, y in part],
+                (ma - mb, mb, mc - md, md, (tx + mb * lam) * k,
+                 (ty + md * lam) * k), k)
     if sum(bd[-1]) > lam:
-        piece = [(x + y - lam, y) for x, y in reversed(_clip(bd[::-1], lam))]
+        part, k = _clip(bd[::-1], lam)
+        level = lam * k
         # back through (x, y) -> (x - y + lam, y), then m
-        right = piece, (ma, mb - ma, mc, md - mc, tx + ma * lam, ty + mc * lam)
+        right = ([(x + y - level, y) for x, y in reversed(part)],
+                 (ma, mb - ma, mc, md - mc, (tx + ma * lam) * k,
+                  (ty + mc * lam) * k), k)
     return left, right
 
 
-def _fold(bd: list[tuple], lam) -> tuple:
+def _fold(bd: Sequence[tuple[int, int]], lam: int) -> tuple:
     """A convex chain's two flanks beyond x + y = lam, in concave position.
 
-    The left flank goes through (x, y) -> (lam - x - y, x), the right
-    through (x, y) -> (y, lam - x - y); folding reverses the orientation
-    of each.  A flank whose end does not sink below lam gives None.
+    bd is an integer chain and lam an integer level.  The left flank
+    goes through (x, y) -> (lam - x - y, x), the right through
+    (x, y) -> (y, lam - x - y); folding reverses the orientation of
+    each.  Each side is (flank, k), the flank times the scale k that
+    _clip gave it, and k is 1 at a level on a vertex, such as the head.
+    A flank whose end does not sink below lam gives None.
     """
     left = right = None
     if sum(bd[0]) < lam:
-        left = [(lam - x - y, x) for x, y in reversed(_clip(bd, lam))]
+        part, k = _clip(bd, lam)
+        level = lam * k
+        left = [(level - x - y, x) for x, y in reversed(part)], k
     if sum(bd[-1]) < lam:
-        right = [(y, lam - x - y) for x, y in _clip(bd[::-1], lam)]
+        part, k = _clip(bd[::-1], lam)
+        level = lam * k
+        right = [(y, level - x - y) for x, y in part], k
     return left, right
 
 
@@ -263,22 +291,15 @@ def _rows(pts: list[tuple[int, int]], m: tuple,
             continue
         budget.charge()
         a = min(x + y for x, y in pts)
+        # cut at a vertex, so both sides come back at scale 1
         left, right = _shear_cut(pts, a, m)
         row = [a, m, None, None]
         rows.append(row)
         if right is not None:
-            work.append((*right, row, 3))
+            work.append((*right[:2], row, 3))
         if left is not None:
-            work.append((*left, row, 2))
+            work.append((*left[:2], row, 2))
     return rows
-
-
-def _integral(domain: ToricDomain) -> tuple[int, list[tuple[int, int]]]:
-    """The boundary's common denominator D and the boundary times D."""
-    bd = domain.boundary
-    D = lcm(*(p.x.denominator for p in bd), *(p.y.denominator for p in bd))
-    return D, [(p.x.numerator * (D // p.x.denominator),
-                p.y.numerator * (D // p.y.denominator)) for p in bd]
 
 
 def _convex_rows(domain: ToricDomain,
@@ -286,11 +307,12 @@ def _convex_rows(domain: ToricDomain,
     """D, the head times D and per flank None or its rows.
 
     The head level is a vertex of the boundary, so folding the boundary
-    times D interpolates nothing and the flanks stay integral.
+    times D, as the domain keeps it, interpolates nothing and the flanks
+    stay integral.
     """
     if domain.kind != "convex":
         raise DomainError("convex_weights needs a convex domain")
-    D, pts = _integral(domain)
+    D, pts = domain.D, domain.ints
     b = max(x + y for x, y in pts)
     budget = _Budget(max_nodes)
     budget.charge()  # the head takes one slot
@@ -299,9 +321,11 @@ def _convex_rows(domain: ToricDomain,
     # (b - x - y, x) the right one
     for flank, back in zip(_fold(pts, b),
                            ((0, 1, -1, -1, 0, b), (-1, -1, 1, 0, b, 0))):
-        if flank is not None:
-            _check_concave(flank)
-        sides.append(None if flank is None else _rows(flank, back, budget))
+        if flank is None:
+            sides.append(None)
+            continue
+        _check_concave(flank[0])
+        sides.append(_rows(flank[0], back, budget))
     return D, b, sides
 
 
@@ -353,8 +377,8 @@ def concave_weights(domain: ToricDomain,
     """The weight expansion and the rows it came from."""
     if domain.kind != "concave":
         raise DomainError("concave_weights needs a concave domain")
-    D, pts = _integral(domain)
-    rows = _rows(pts, _IDENTITY, _Budget(max_nodes))
+    D = domain.D
+    rows = _rows(domain.ints, _IDENTITY, _Budget(max_nodes))
     return (WeightExpansion(None, _levels(D, rows)),
             Decomposition(D, rows, domain))
 

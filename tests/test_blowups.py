@@ -12,6 +12,7 @@ from echtoric import (DomainError, HomologyClass, SymplecticClass,
                       node_count, outer_approximation, pairing,
                       sphere_chain_concave, sphere_chain_convex,
                       symplectic_class, tree_values)
+from echtoric.domains import _check_concave
 
 from generators import random_concave, random_convex
 
@@ -339,3 +340,184 @@ def test_inner_makes_side_areas_strict():
     inner = inner_approximation(tgt_decomp(SQUARE),
                                 [F(1, 8), F(1, 32), F(1, 32)])
     assert convex_gap_areas(inner) == [F(29, 32), F(1, 16), F(29, 32)]
+
+
+# -- the Fraction reference ------------------------------------------------------
+#
+# The boundary approximations as they were written in Fractions before
+# they moved onto integers over a common denominator: the same walk,
+# cut and fold, but every interpolated point is a Fraction.  Kept here
+# only as an oracle for the integer path.
+
+def _clip_ref(bd, lam):
+    below = sum(bd[0]) > lam
+    for t, (x, y) in enumerate(bd):
+        s = x + y
+        if s == lam:
+            return bd[:t + 1]
+        if (s < lam) == below:
+            px, py = bd[t - 1]
+            theta = F(px + py - lam, px + py - s)
+            return bd[:t] + [(px + (x - px) * theta, py + (y - py) * theta)]
+    raise DomainError("cut level never reached along the boundary")
+
+
+def _shear_cut_ref(bd, lam, m):
+    ma, mb, mc, md, tx, ty = m
+    left = right = None
+    if sum(bd[0]) > lam:
+        piece = [(x, x + y - lam) for x, y in _clip_ref(bd, lam)]
+        left = piece, (ma - mb, mb, mc - md, md, tx + mb * lam, ty + md * lam)
+    if sum(bd[-1]) > lam:
+        piece = [(x + y - lam, y) for x, y in reversed(_clip_ref(bd[::-1], lam))]
+        right = piece, (ma, mb - ma, mc, md - mc, tx + ma * lam, ty + mc * lam)
+    return left, right
+
+
+def _fold_ref(bd, lam):
+    left = right = None
+    if sum(bd[0]) < lam:
+        left = [(lam - x - y, x) for x, y in reversed(_clip_ref(bd, lam))]
+    if sum(bd[-1]) < lam:
+        right = [(y, lam - x - y) for x, y in _clip_ref(bd[::-1], lam)]
+    return left, right
+
+
+def _grow_ref(shape, pts, ds):
+    rows = shape.rows
+    out, seams, stack = [], [], []
+    cur = (0, pts, (1, 0, 0, 1, 0, 0))
+    order = 0
+    while stack or cur is not None:
+        while cur is not None:
+            idx, bd, m = cur
+            lam = min(x + y for x, y in bd) + ds[order]
+            order += 1
+            left, right = _shear_cut_ref(bd, lam, m)
+            _, _, lchild, rchild = rows[idx]
+            if lchild is not None:
+                if left is None:
+                    raise DomainError(
+                        "perturbation too large: left part of a cut vanished")
+                left = (lchild, *left)
+            elif left is not None:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the left")
+            if rchild is not None:
+                if right is None:
+                    raise DomainError(
+                        "perturbation too large: right part of a cut vanished")
+                right = (rchild, *right)
+            elif right is not None:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the right")
+            stack.append((lam, m, left, right))
+            cur = left
+        lam, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
+        if left is None:
+            out.append((mb * lam + tx, md * lam + ty))
+        seams.append((ma - mb, mc - md))
+        if right is None:
+            out.append((ma * lam + tx, mc * lam + ty))
+        cur = right
+    for (ux, uy), (ax, ay), (bx, by) in zip(seams, out, out[1:]):
+        if (bx - ax) * ux + (by - ay) * uy < 0:
+            raise DomainError(
+                "perturbation too large: child pieces overlap across a cut")
+    return ToricDomain.concave(out)
+
+
+def _outer_ref(dec, deltas):
+    ds = list(deltas) if isinstance(deltas, list) else [deltas] * node_count(dec)
+    return _grow_ref(dec, [(p.x, p.y) for p in dec.domain.boundary], ds)
+
+
+def _inner_ref(decomp, deltas):
+    n_left = node_count(decomp.left)
+    total = 1 + n_left + node_count(decomp.right)
+    ds = list(deltas) if isinstance(deltas, list) else [deltas] * total
+    lam = decomp.head - ds[0]
+    if lam <= 0:
+        raise DomainError("perturbation swallows the whole head")
+    lpiece, rpiece = _fold_ref([(p.x, p.y) for p in decomp.domain.boundary],
+                               lam)
+    if decomp.left is not None:
+        if lpiece is None:
+            raise DomainError(
+                "perturbation too large: left piece reaches the y-axis")
+        _check_concave(lpiece)
+        grown = _grow_ref(decomp.left, lpiece, ds[1:1 + n_left])
+        left_chain = [(p.y, lam - p.x - p.y) for p in reversed(grown.boundary)]
+    else:
+        left_chain = [(0, lam)]
+    if decomp.right is not None:
+        if rpiece is None:
+            raise DomainError(
+                "perturbation too large: right piece reaches the x-axis")
+        _check_concave(rpiece)
+        grown = _grow_ref(decomp.right, rpiece, ds[1 + n_left:])
+        right_chain = [(lam - p.x - p.y, p.x) for p in reversed(grown.boundary)]
+    else:
+        right_chain = [(lam, 0)]
+    if left_chain[-1][0] > right_chain[0][0]:
+        raise DomainError(
+            "perturbation too large: grown side pieces overlap")
+    return ToricDomain.convex(left_chain + right_chain)
+
+
+def _outcome(fn, arg, deltas):
+    try:
+        return boundary_of(fn(arg, deltas))
+    except DomainError as exc:
+        return str(exc)
+
+
+_SCALARS = (F(0), F(1), F(1, 2), F(1, 12), F(1, 100), F(1, 1000))
+_MIX = (F(0), F(1, 12), F(1, 100), F(1, 7), F(1, 2))
+
+
+def _delta_sets(rng, count):
+    """The scalar deltas of the golden cases and two per-row mixes."""
+    yield from _SCALARS
+    for _ in range(2):
+        yield [rng.choice(_MIX) for _ in range(count)]
+
+
+def _fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_outer_matches_the_fraction_reference():
+    rng = random.Random(67)
+    doms = [ToricDomain.ellipsoid(1, n) for n in (300, 400)]
+    doms += [ToricDomain.ellipsoid(_fib(k), _fib(k + 1)) for k in range(2, 45)]
+    doms += [random_concave(rng) for _ in range(30)]
+    outcomes = set()
+    for dom in doms:
+        tree = src_tree(dom)
+        for deltas in _delta_sets(rng, node_count(tree)):
+            want = _outcome(_outer_ref, tree, deltas)
+            assert _outcome(outer_approximation, tree, deltas) == want, \
+                (dom, deltas)
+            outcomes.add(type(want))
+    # both boundaries and error messages were compared
+    assert outcomes == {tuple, str}
+
+
+def test_inner_matches_the_fraction_reference():
+    rng = random.Random(71)
+    doms = [ToricDomain.convex([(0, 1), (1, 1), (n, 0)]) for n in (300, 400)]
+    doms += [random_convex(rng) for _ in range(30)]
+    outcomes = set()
+    for dom in doms:
+        decomp = tgt_decomp(dom)
+        total = 1 + node_count(decomp.left) + node_count(decomp.right)
+        for deltas in _delta_sets(rng, total):
+            want = _outcome(_inner_ref, decomp, deltas)
+            assert _outcome(inner_approximation, decomp, deltas) == want, \
+                (dom, deltas)
+            outcomes.add(type(want))
+    assert outcomes == {tuple, str}

@@ -199,3 +199,104 @@ def test_contains_matches_reference_on_approximations():
                 continue
             assert contains(dom, approx)
         _both_ways(approx, dom)
+
+
+def _message(kind, points):
+    with pytest.raises(DomainError) as exc:
+        ToricDomain(kind, tuple(points))
+    return str(exc.value)
+
+
+def test_every_validation_message_with_mixed_denominators():
+    F = Fraction
+    P = Point
+    assert _message("concave", [(0, F(1, 3))]) == \
+        "boundary needs at least two vertices"
+    assert _message("star", [(0, 1), (1, 0)]) == "unknown domain kind 'star'"
+    for kind in ("concave", "convex"):
+        assert _message(kind, [(F(1, 7), F(5, 3)), (F(9, 4), 0)]) == \
+            "boundary must start on the positive y-axis, got " \
+            f"{P(F(1, 7), F(5, 3))}"
+        assert _message(kind, [(0, F(-5, 3)), (F(9, 4), 0)]) == \
+            "boundary must start on the positive y-axis, got " \
+            f"{P(0, F(-5, 3))}"
+        assert _message(kind, [(0, F(5, 3)), (F(9, 4), F(1, 11))]) == \
+            "boundary must end on the positive x-axis, got " \
+            f"{P(F(9, 4), F(1, 11))}"
+        assert _message(kind, [(0, F(5, 3)), (F(-9, 4), 0)]) == \
+            "boundary must end on the positive x-axis, got " \
+            f"{P(F(-9, 4), 0)}"
+        assert _message(kind, [(0, F(5, 3)), (F(1, 6), 0), (F(9, 4), 0)]) \
+            == f"interior boundary vertex {P(F(1, 6), 0)} touches an axis"
+    assert _message("concave", [(0, F(5, 3)), (F(1, 2), F(7, 4)),
+                                (F(9, 4), 0)]) == \
+        "concave boundary edges must go strictly down-right"
+    assert _message("concave", [(0, F(5, 3)), (F(1, 2), F(1, 4)),
+                                (F(3, 2), F(1, 7)), (F(9, 4), 0)]) == \
+        "concave boundary slopes must strictly increase"
+    # (1/2, 3/2) -> (1/3, 2) points up-left, with the Fractions printed
+    assert _message("convex", [(0, 1), (F(1, 2), F(3, 2)), (F(1, 3), 2),
+                               (2, 0)]) == \
+        "boundary edge (-1/6, 1/2) points out of the allowed sectors"
+    assert _message("convex", [(0, 1), (F(1, 2), F(1, 3)), (1, F(1, 2)),
+                               (2, 0)]) == \
+        "convex boundary direction must rotate clockwise"
+    assert _message("convex", [(0, 1), (F(1, 2), F(4, 3)), (1, 2),
+                               (2, 0)]) == \
+        "convex boundary must turn strictly clockwise"
+    # _check_concave on its own, on Fraction pairs and on the same chain
+    # over its common denominator
+    from echtoric.domains import _check_concave
+    for chain, message in (
+            ([(F(1, 3), 1), (F(5, 2), 0)],
+             "boundary must start on the positive y-axis"),
+            ([(0, F(1, 3)), (F(5, 2), F(1, 7))],
+             "boundary must end on the positive x-axis"),
+            ([(0, F(1, 3)), (F(1, 5), F(1, 2)), (F(5, 2), 0)],
+             "concave boundary edges must go strictly down-right"),
+            ([(0, F(7, 3)), (F(1, 5), F(1, 2)), (2, F(1, 3)),
+              (F(5, 2), 0)], "concave boundary slopes must strictly increase")):
+        D = 210
+        for pts in (chain, [(int(x * D), int(y * D)) for x, y in chain]):
+            with pytest.raises(DomainError) as exc:
+                _check_concave(pts)
+            assert str(exc.value) == message
+
+
+def test_collapse_keeps_the_canonical_tuple():
+    F = Fraction
+    # repeats and collinear runs over mixed denominators merge into the
+    # same Points as the plain boundary, so the domains are equal
+    dom = ToricDomain.concave([(0, 2), (0, 2), (F(1, 3), F(5, 3)),
+                               (F(1, 2), F(3, 2)), (F(1, 2), F(3, 2)),
+                               (2, 0)])
+    assert dom.boundary == (Point(0, 2), Point(2, 0))
+    assert dom == ToricDomain.ball(2) and hash(dom) == hash(ToricDomain.ball(2))
+    # the merged vertices needed the denominator 6; what is kept needs 1
+    assert (dom.D, dom.ints) == (1, ((0, 2), (2, 0)))
+    dom = ToricDomain.convex([(0, 1), (F(1, 7), 1), (F(5, 9), 1), (1, 1),
+                              (1, F(1, 11)), (1, 0)])
+    assert dom.boundary == (Point(0, 1), Point(1, 1), Point(1, 0))
+    assert dom == ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
+    assert (dom.D, dom.ints) == (1, ((0, 1), (1, 1), (1, 0)))
+    # a kept vertex keeps its denominator
+    dom = ToricDomain.concave([(0, 3), (F(1, 4), F(5, 2)), (F(1, 2), 2),
+                               (F(3, 2), F(1, 3)), (F(5, 2), 0)])
+    assert dom.boundary == (Point(0, 3), Point(F(1, 2), 2),
+                            Point(F(3, 2), F(1, 3)), Point(F(5, 2), 0))
+    assert dom.D == 6
+    assert all((F(x, dom.D), F(y, dom.D)) == (p.x, p.y)
+               for (x, y), p in zip(dom.ints, dom.boundary))
+
+
+def test_integer_form_and_area_on_random_domains():
+    rng = random.Random(29)
+    for _ in range(60):
+        dom = random_concave(rng) if rng.random() < 0.5 else random_convex(rng)
+        assert all((Fraction(x, dom.D), Fraction(y, dom.D)) == (p.x, p.y)
+                   for (x, y), p in zip(dom.ints, dom.boundary))
+        # the area is the shoelace sum over the region polygon's Points
+        poly = dom.region_polygon()
+        twice = sum(p.x * q.y - p.y * q.x
+                    for p, q in zip(poly, poly[1:] + poly[:1]))
+        assert dom.area() == abs(twice) / 2

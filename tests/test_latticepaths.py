@@ -161,10 +161,13 @@ def test_split_ell_identity_random():
         path = random_convex_path(rng)
         sp = split_path(path)
         head_dom = ToricDomain.convex([(0, decomp.head), (decomp.head, 0)])
-        # the side pieces, folded as the weight recursion folds them
-        left, right = (None if flank is None else ToricDomain.concave(flank)
-                       for flank in _fold([(p.x, p.y) for p in dom.boundary],
-                                          decomp.head))
+        # the side pieces, folded as the weight recursion folds them: on
+        # the boundary over its denominator D, at the head times D
+        D = dom.D
+        left, right = (
+            None if flank is None else ToricDomain.concave(
+                [(F(x, D), F(y, D)) for x, y in flank[0]])
+            for flank in _fold(dom.ints, int(decomp.head * D)))
         lhs = ell_convex(dom, path)
         rhs = (ell_convex(head_dom, sp.head)
                - ell_concave(left, sp.left)

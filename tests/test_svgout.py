@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from xml.dom import minidom
 
 from echtoric import (ToricDomain, concave_weights, convex_weights,
@@ -98,8 +99,12 @@ def _fraction_map(points):
 
 
 def _integer_map(points):
-    canvas = _Canvas(points)
-    return [canvas.map(p) for p in points]
+    # the canvas takes integer pairs over one common denominator
+    D = lcm(*(v.denominator for p in points for v in (p.x, p.y)))
+    ints = [(p.x.numerator * (D // p.x.denominator),
+             p.y.numerator * (D // p.y.denominator)) for p in points]
+    canvas = _Canvas(ints, D)
+    return [canvas.map(x, y) for x, y in ints]
 
 
 def test_canvas_quantisation_matches_fraction_formula():

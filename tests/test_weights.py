@@ -122,59 +122,81 @@ def test_piece_check_matches_domain_rules():
 def test_shear_cut_pieces_stay_concave():
     # _shear_cut checks no piece: cut at the minimum of x + y, as the
     # weight recursion does, or at a raised level, as the boundary
-    # approximations do, a valid chain gives valid pieces
+    # approximations do, a valid chain gives valid pieces.  The chains
+    # are five times the boundary over its denominator, so the raised
+    # levels low + (top - low) i/5 are integers too.
     rng = random.Random(53)
     identity = (1, 0, 0, 1, 0, 0)
     seen = [0, 0]
     for _ in range(40):
-        work = [[(p.x, p.y) for p in random_concave(rng).boundary]]
+        work = [[(5 * x, 5 * y) for x, y in random_concave(rng).ints]]
         while work:
             bd = work.pop()
             low = min(x + y for x, y in bd)
             top = max(sum(bd[0]), sum(bd[-1]))
             levels = {x + y for x, y in bd if x + y < top}
-            levels |= {low + (top - low) * F(i, 5) for i in range(5)}
+            levels |= {low + (top - low) // 5 * i for i in range(5)}
             for lam in sorted(levels):
                 for j, side in enumerate(_shear_cut(bd, lam, identity)):
                     if side is not None:
-                        _check_concave(side[0])
+                        piece, _, k = side
+                        assert all(type(v) is int for p in piece for v in p)
+                        _check_concave(piece)
                         seen[j] += 1
                         if lam == low:
-                            work.append(side[0])
+                            assert k == 1
+                            work.append(piece)
     assert min(seen) > 100
+
+
+def _over(side, D):
+    """A cut side's piece, or a fold's flank, as values: its
+    coordinates are integers over D times its scale."""
+    k = side[-1]
+    return [(F(x, D * k), F(y, D * k)) for x, y in side[0]]
 
 
 def test_shear_cut_and_fold_hand_cases():
     pts = [(0, 5), (1, 2), (3, 1), (6, 0)]  # x + y: 5, 3, 4, 6
     identity = (1, 0, 0, 1, 0, 0)
-    # at the minimum, integer input stays integer; each map takes its
-    # piece back onto pts
+    # at the minimum the level sits on a vertex: scale 1, and each map
+    # takes its piece back onto pts
     left, right = _shear_cut(pts, 3, identity)
-    assert left == ([(0, 2), (1, 0)], (1, 0, -1, 1, 0, 3))
-    assert right == ([(0, 2), (1, 1), (3, 0)], (1, -1, 0, 1, 3, 0))
-    for piece, _ in (left, right):
-        assert all(type(v) is int for p in piece for v in p)
-    # a raised level inside an edge is interpolated exactly
-    left, right = _shear_cut(pts, F(7, 2), identity)
-    assert left[0] == [(0, F(3, 2)), (F(3, 4), 0)]
-    assert right[0] == [(0, F(3, 2)), (F(1, 2), 1), (F(5, 2), 0)]
+    assert left == ([(0, 2), (1, 0)], (1, 0, -1, 1, 0, 3), 1)
+    assert right == ([(0, 2), (1, 1), (3, 0)], (1, -1, 0, 1, 3, 0), 1)
+    # the raised level 7/2 is 7 over twice pts; inside an edge each side
+    # comes back times that edge's scale, with integer entries
+    left, right = _shear_cut([(2 * x, 2 * y) for x, y in pts], 7, identity)
+    assert left[2] == 4 and right[2] == 2
+    assert _over(left, 2) == [(0, F(3, 2)), (F(3, 4), 0)]
+    assert _over(right, 2) == [(0, F(3, 2)), (F(1, 2), 1), (F(5, 2), 0)]
+    # the maps' translations are over the same denominators
+    assert left[1] == (1, 0, -1, 1, 0, 28)
+    assert right[1] == (1, -1, 0, 1, 14, 0)
+    for side in (left, right):
+        assert all(type(v) is int
+                   for v in (*side[1], *(c for p in side[0] for c in p)))
     # a side whose end does not rise above the level has no piece; an
-    # integer level inside an edge gives Fractions, never floats
+    # integer level inside an edge gives integers over the edge's scale
     left, right = _shear_cut([(0, 3), (1, 1), (4, 0)], 3, identity)
     assert left is None
-    assert right == ([(0, F(1, 2)), (1, 0)], (1, -1, 0, 1, 3, 0))
-    assert type(right[0][0][1]) is F
+    assert right == ([(0, 1), (2, 0)], (1, -1, 0, 1, 6, 0), 2)
+    assert _over(right, 1) == [(0, F(1, 2)), (1, 0)]
     assert _shear_cut([(0, 2), (2, 0)], 2, identity) == (None, None)
 
     # the head fold puts each flank in concave position; a flank that
     # ends on the level has none
     chain = [(0, 1), (1, 2), (5, 0)]  # OMEGA2, x + y: 1, 3, 5
-    assert _fold(chain, 5) == ([(0, 5), (2, 1), (4, 0)], None)
-    assert _fold(chain, 4) == ([(0, 3), (1, 1), (3, 0)], None)
-    assert _fold(chain, F(9, 2)) == ([(0, 4), (F(3, 2), 1), (F(7, 2), 0)],
-                                     None)
+    assert _fold(chain, 5) == (([(0, 5), (2, 1), (4, 0)], 1), None)
+    left, right = _fold(chain, 4)
+    assert left == ([(0, 6), (2, 2), (6, 0)], 2) and right is None
+    assert _over(left, 1) == [(0, 3), (1, 1), (3, 0)]
+    # the lowered head 9/2 is 9 over twice the chain
+    left, right = _fold([(2 * x, 2 * y) for x, y in chain], 9)
+    assert right is None
+    assert _over(left, 2) == [(0, 4), (F(3, 2), 1), (F(7, 2), 0)]
     assert _fold([(0, 2), (2, 2), (3, 1), (2, 0)], 4) == (
-        [(0, 2), (2, 0)], [(0, 2), (1, 0)])
+        ([(0, 2), (2, 0)], 1), ([(0, 2), (1, 0)], 1))
     assert _fold([(0, 2), (2, 0)], 2) == (None, None)
 
 
@@ -248,11 +270,12 @@ def test_weights_golden(data_dir):
             entry["name"]
 
 
-def _walk(pts, m):
+def _walk(pts, m, D):
     """In-order (value, map) of every cut, one _shear_cut at a time.
 
-    The reference for the kernel: no common denominator, no closed form
-    for triangles, just the cut at the minimum of x + y on each piece.
+    The reference for the kernel: no closed form for triangles, just
+    the cut at the minimum of x + y on each piece of the integer chain
+    pts, whose levels and translations are divided by D at the end.
     """
     out, stack, cur = [], [], (pts, m)
     while stack or cur is not None:
@@ -260,11 +283,12 @@ def _walk(pts, m):
             bd, mp = cur
             a = min(x + y for x, y in bd)
             left, right = _shear_cut(bd, a, mp)
-            stack.append((a, mp, right))
-            cur = left
+            assert all(side is None or side[2] == 1 for side in (left, right))
+            stack.append((a, mp, right and right[:2]))
+            cur = left and left[:2]
         a, mp, cur = stack.pop()
         out.append((a, mp))
-    return out
+    return [(F(a, D), (*mp[:4], F(mp[4], D), F(mp[5], D))) for a, mp in out]
 
 
 def _tree_rows(dec):
@@ -279,20 +303,21 @@ def _tree_rows(dec):
 
 def _check_against_walk(dom):
     """Node for node equal to _walk; returns the node count with head."""
-    pts = [(p.x, p.y) for p in dom.boundary]
+    D, pts = dom.D, dom.ints
     if dom.kind == "concave":
         tree = concave_weights(dom)[1]
-        assert _tree_rows(tree) == _walk(pts, (1, 0, 0, 1, 0, 0)), dom
+        assert _tree_rows(tree) == _walk(pts, (1, 0, 0, 1, 0, 0), D), dom
         return node_count(tree)
     decomp = convex_weights(dom)[1]
-    b = decomp.head
+    b = int(decomp.head * D)
     flanks = _fold(pts, b)
     for flank, back, side in zip(flanks, ((0, 1, -1, -1, 0, b),
                                           (-1, -1, 1, 0, b, 0)),
                                  (decomp.left, decomp.right)):
         assert (flank is None) == (side is None), dom
         if flank is not None:
-            assert _tree_rows(side) == _walk(flank, back), dom
+            assert flank[1] == 1
+            assert _tree_rows(side) == _walk(flank[0], back, D), dom
             assert side.domain is None
     return 1 + node_count(decomp.left) + node_count(decomp.right)
 
