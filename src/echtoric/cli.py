@@ -31,6 +31,10 @@ from .svgout import (decomposition_polygons, render_approximation,
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
 
+# caps --oracle cross-checks indices up to this one
+ORACLE_K_MAX = 20
+
+
 class UsageError(Exception):
     pass
 
@@ -141,7 +145,7 @@ def cmd_caps(args) -> dict:
         "certified": seq.certified,
     }
     if args.oracle:
-        kk = min(args.k, 12)
+        kk = min(args.k, ORACLE_K_MAX)
         pairs = oracle_convex_caps_upto(dom, kk)
         report["oracle"] = {
             "k_max": kk,
@@ -281,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest index to compute")
     p.add_argument("--oracle", action="store_true",
                    help="cross check against the exhaustive path search "
-                        "(convex only, k capped at 12) with witness paths")
+                        f"(convex only, k capped at {ORACLE_K_MAX}) with "
+                        "witness paths")
     p.set_defaults(func=cmd_caps)
 
     p = sub.add_parser("pack", help="decide a ball packing instance")

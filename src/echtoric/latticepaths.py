@@ -27,6 +27,8 @@ integers throughout, set-up included: the region's vertices are the
 integers the domain cleared when it was built, the clockwise step
 directions are generated as integer pairs in order, once per search
 box, and each direction's support is an integer cross product maximum.
+It prunes each partial path on a lower bound for all its completions,
+which drops no path the bare functional would have kept (see _search).
 """
 
 from __future__ import annotations
@@ -245,9 +247,29 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     check, before it could change the path or an incumbent; the walk
     meets the same paths in the same order as one trying every
     direction.
+
+    A partial path is pruned on a lower bound for its completed value,
+    ell + y X, where (x, y) is its last vertex and X the region's
+    x-intercept.  Three facts make this safe:
+
+    - it is admissible: a completion ends at some (ex, 0) with ex >= 0,
+      and the support h(d) = max over verts p of cross(d, p) is
+      subadditive, so the rest of the path costs at least
+      h((ex - x, -y)) >= cross((ex - x, -y), (X, 0)) = y X;
+    - it is monotone along an edge: h(d) >= -dy X, so ell + y X never
+      decreases as the edge grows, and each break still only drops
+      longer edges that would be pruned as well;
+    - it never prunes a path that would reach consider: the pruned
+      prefix's bound already reaches suff[kmin], incumbents only fall
+      and suff does not increase in its index, so every completion
+      would fail the last pruned check before consider.
+
+    consider therefore meets the same paths in the same order as with
+    the bare functional, and values and witnesses do not change.
     """
     sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
     assert all(s > 0 for s in sup_i)
+    X = max(px for px, py in verts if py == 0)
     n = len(dirs)
     lim = 2 * kmax
     fan_max = 2 * lim
@@ -338,14 +360,15 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
                 if not -lim <= s2 <= lim:
                     break
                 e = ell + step_ell * m
-                if pruned(e, base_kmin):
+                low = e + ny * X
+                if pruned(low, base_kmin):
                     break
                 # the path now runs through every point of this edge;
                 # added remembers which of them were new to it
                 if (nx, ny) not in onpath:
                     onpath.add((nx, ny))
                     added.append((nx, ny))
-                if pruned(e, len(onpath) - 1):
+                if pruned(low, len(onpath) - 1):
                     break
                 path.append((nx, ny))
                 walk(path, onpath, di, s2, e, steps + m)

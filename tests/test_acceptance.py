@@ -13,9 +13,10 @@ from echtoric import (PackingInstance, EmbeddingProblem, ToricDomain, c1,
                       capacity_obstruction, concave_caps, concave_weights,
                       convex_caps, convex_weights, count_convex,
                       cremona_step, decide_embedding, decide_packing,
-                      ell_convex, intersection, optimal_embedding_scale,
-                      oracle_convex_caps_upto, pairing, sphere_chain_concave,
-                      sphere_chain_convex, symplectic_class)
+                      ell_convex, intersection, load_domain,
+                      optimal_embedding_scale, oracle_convex_caps_upto,
+                      pairing, sphere_chain_concave, sphere_chain_convex,
+                      symplectic_class)
 
 from generators import random_concave, random_convex, random_instance
 
@@ -100,6 +101,15 @@ def test_criterion_5_capacity_formula_matches_path_oracle(data_dir):
             assert ell_convex(dom, witness) == value
             assert ([[int(p.x), int(p.y)] for p in witness.vertices]
                     == golden[name][k][1]), (name, k)
+    # values at full size, k up to 20, on every reference target
+    reference = json.loads((data_dir / "oracle_golden_k6.json").read_text())
+    for name in sorted(reference):
+        dom = load_domain(data_dir / f"{name}.json")
+        seq = convex_caps(convex_weights(dom)[0], 20)
+        for k, (value, witness) in enumerate(oracle_convex_caps_upto(dom, 20)):
+            assert seq[k] == value, (name, k)
+            assert count_convex(witness) == k + 1
+            assert ell_convex(dom, witness) == value
     assert time.perf_counter() - start < 20
 
 

@@ -11,7 +11,7 @@ from echtoric import (CapacitySeq, DomainError, LimitError, PackingInstance,
                       ToricDomain, WeightExpansion, ball_caps,
                       capacity_obstruction, concave_caps, concave_weights,
                       contains, convex_caps, convex_horizon, convex_weights,
-                      load_domain)
+                      load_domain, oracle_convex_caps_upto)
 from echtoric import capacities
 from echtoric.capacities import (_ball_ints, _lower, _maxplus, _run_starts,
                                  _union)
@@ -144,11 +144,16 @@ def test_capacity_seq_container_behaviour():
 
 OMEGA1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
                               ("4/3", "2/3"), ("7/3", "0")])
-# c_0..c_20 of OMEGA2; they agree with the lattice-path oracle for k <= 9
+# c_0..c_20 of OMEGA2, the lattice-path oracle's values
 OMEGA2 = ToricDomain.convex([(0, 1), (1, 2), (5, 0)])
 OMEGA2_VALUES = tuple(F(v) for v in (
     0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 11, 12, 13, 13, 14, 15, 15, 16, 16,
     17, 17))
+
+
+def test_omega2_values_are_the_path_oracles():
+    assert tuple(v for v, _ in oracle_convex_caps_upto(OMEGA2, 20)) == \
+        OMEGA2_VALUES
 
 
 def test_convex_caps_scaling_full_size():

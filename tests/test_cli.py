@@ -75,6 +75,15 @@ def test_caps_oracle(data_dir, capsys):
     assert oracle["witnesses"][3] == [[0, 0], [1, 1], [2, 0]]
 
 
+def test_caps_oracle_caps_k_at_20(data_dir, capsys):
+    code, rep, _, _ = run(capsys, "caps", str(data_dir / "delta2.json"),
+                          "--k", "25", "--oracle")
+    assert code == 0
+    oracle = rep["oracle"]
+    assert oracle["k_max"] == 20 and oracle["agrees"] is True
+    assert oracle["values"] == rep["values"][:21]
+
+
 def test_caps_usage_errors(data_dir, capsys):
     code, _, _, err = run(capsys, "caps", str(data_dir / "omega1.json"),
                           "--k", "3", "--oracle")

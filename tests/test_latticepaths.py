@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -10,6 +11,7 @@ from echtoric import (DomainError, LatticePath, Point, ToricDomain,
                       convex_caps, convex_weights, count_concave,
                       count_convex, ell_concave, ell_convex,
                       oracle_convex_cap, oracle_convex_caps_upto, split_path)
+from echtoric import latticepaths
 from echtoric.domains import _edge_zone
 from echtoric.fileio import load_domain
 from echtoric.geometry import cross
@@ -279,3 +281,147 @@ def test_clockwise_directions_every_box():
         assert dirs == sorted(expected, key=cmp_to_key(_clockwise_cmp))
         seed = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
         assert seed == _clockwise_directions(min(box, 3))
+
+
+# -- the search without a completion bound ----------------------------------
+#
+# _search as it was before it pruned on ell + y X: the same walk, step
+# tables and tie order, pruning on the functional so far alone.  Kept
+# here only as an oracle for the bounded search, which must put the
+# same paths before consider in the same order and so return the same
+# values and witnesses.
+
+def _search_ref(verts, kmax, box, dirs, initial=None):
+    sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
+    assert all(s > 0 for s in sup_i)
+    n = len(dirs)
+    lim = 2 * kmax
+    fan_max = 2 * lim
+    # turn_end[i]: the first index after i whose direction lies more
+    # than 180 degrees clockwise of direction i; so does every later
+    # one.  turn_end[-1] = n leaves the first step free.
+    turn_end = []
+    j = 0
+    for i, (pdx, pdy) in enumerate(dirs):
+        j = max(j, i + 1)
+        while j < n and pdx * dirs[j][1] - pdy * dirs[j][0] <= 0:
+            j += 1
+        turn_end.append(j)
+    turn_end.append(n)
+    # vertex -> (direction indices, rows (index, dx, dy, support, fan))
+    # of the steps the walk can take from it, in clockwise order
+    steps_at = {}
+
+    best = [None] * (kmax + 1) if initial is None else list(initial)
+
+    # suff[j] = worst incumbent over slots >= j, None while one is open;
+    # a partial path with p points on it can only ever land in slots
+    # >= p - 1, so reaching suff[p - 1] with its value already there
+    # means no strict improvement can come out of it
+    suff = [None] * (kmax + 2)
+    dirty = [True]
+
+    def pruned(value, kmin):
+        if kmin > kmax:
+            return True
+        if dirty[0]:
+            run = -1
+            for j in range(kmax, -1, -1):
+                b = best[j]
+                if b is None or run is None:
+                    run = None
+                elif b[0] > run:
+                    run = b[0]
+                suff[j] = run
+            dirty[0] = False
+        bound = suff[kmin]
+        return bound is not None and value >= bound
+
+    def consider(path, twice_area, ell, steps):
+        # boundary of the closed cycle: both axis legs plus the path
+        # edges, whose primitive steps were counted with multiplicity
+        boundary = path[0][1] + path[-1][0] + steps
+        assert (twice_area + boundary) % 2 == 0
+        k = (twice_area + boundary) // 2
+        if k > kmax:
+            return
+        cand = (ell, tuple(path))
+        if best[k] is None or cand < best[k]:
+            best[k] = cand
+            dirty[0] = True
+
+    def walk(path, onpath, last_dir, signed2, ell, steps):
+        cx, cy = path[-1]
+        if cy == 0:
+            consider(path, abs(signed2), ell, steps)
+            # fall through: an axis run may still extend to the right
+        base_kmin = len(onpath) - 1
+        here = steps_at.get((cx, cy))
+        if here is None:
+            table = [(di, dx, dy, sup_i[di], cx * dy - cy * dx)
+                     for di, (dx, dy) in enumerate(dirs)
+                     if 0 <= cx + dx <= box and 0 <= cy + dy <= box
+                     and -fan_max <= cx * dy - cy * dx <= fan_max]
+            here = steps_at[cx, cy] = ([row[0] for row in table], table)
+        keys, table = here
+        lo = bisect_right(keys, last_dir)
+        hi = bisect_left(keys, turn_end[last_dir], lo)
+        for di, ddx, ddy, step_ell, fan in table[lo:hi]:
+            nx, ny = cx, cy
+            m = 0
+            added = []
+            while True:
+                m += 1
+                nx += ddx
+                ny += ddy
+                if nx < 0 or ny < 0 or nx > box or ny > box:
+                    break
+                s2 = signed2 + fan * m
+                if not -lim <= s2 <= lim:
+                    break
+                e = ell + step_ell * m
+                if pruned(e, base_kmin):
+                    break
+                # the path now runs through every point of this edge;
+                # added remembers which of them were new to it
+                if (nx, ny) not in onpath:
+                    onpath.add((nx, ny))
+                    added.append((nx, ny))
+                if pruned(e, len(onpath) - 1):
+                    break
+                path.append((nx, ny))
+                walk(path, onpath, di, s2, e, steps + m)
+                path.pop()
+            if added:
+                onpath.difference_update(added)
+
+    for y0 in range(kmax + 1):
+        onpath = {(0, t) for t in range(y0 + 1)}
+        walk([(0, y0)], onpath, -1, 0, 0, 0)
+    return best
+
+def _thin_targets():
+    for n in (2, 3, 5, 8, 13):
+        yield ToricDomain.convex([(0, 1), (1, 1), (n, 0)])
+        yield ToricDomain.convex([(0, n), (1, 1), (1, 0)])
+    # overhangs: wider than their x-intercept X, so a bound that took the
+    # width for X would drop optimal paths that end back under the top
+    for n in (2, F(5, 2), 3, 5):
+        yield ToricDomain.convex([(0, n), (1, 1), (F(1, 2), 0)])
+
+
+def _caps_and_witnesses(dom, kmax):
+    return [(value, tuple((int(p.x), int(p.y)) for p in witness.vertices))
+            for value, witness in oracle_convex_caps_upto(dom, kmax)]
+
+
+def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
+    rng = random.Random(73)
+    doms = [random_convex(rng) for _ in range(30)] + list(_thin_targets())
+    for dom in doms:
+        for kmax in (3, 5, 7):
+            got = _caps_and_witnesses(dom, kmax)
+            with monkeypatch.context() as patch:
+                patch.setattr(latticepaths, "_search", _search_ref)
+                want = _caps_and_witnesses(dom, kmax)
+            assert got == want, (dom.boundary, kmax)
