@@ -23,7 +23,7 @@ from .embeddings import (CapacityReport, EmbeddingProblem, ReportRow,
 from .errors import DomainError, GeometryError, LimitError
 from .fileio import (canonical_json, digest_bytes, digest_file,
                      domain_from_json, domain_to_json, load_domain,
-                     rational_str, read_domain, save_domain)
+                     read_domain, save_domain)
 from .geometry import Point, rational
 from .latticepaths import (LatticePath, count_concave, count_convex,
                            ell_concave, ell_convex, oracle_convex_cap,

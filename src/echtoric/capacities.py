@@ -40,10 +40,11 @@ runs over l <= 2K + 2, H is derived from it, and the range grows
 towards H, at most fourfold a round, until it covers H.  H depends on
 the shape of the domain and on K, not on its scale.
 
-Both rules run on integers.  Each call writes its ball sizes as
-integer multiples of one unit, builds the ball staircases directly as
-int lists, folds and subtracts on them, and turns only the final K + 1
-values into Fractions.
+Both rules run on integers.  An expansion carries its head and
+weights as integers over one denominator D; each call divides them by
+their gcd, builds the ball staircases directly as int lists, folds and
+subtracts on them, and turns only the final K + 1 values into
+Fractions.
 
 The kernel tries only run starts.  Capacity sequences are
 nondecreasing, so in max over i of s_i + t_(k-i) the max across a flat
@@ -203,28 +204,25 @@ def _rationals(vals: list[int], unit: Fraction) -> CapacitySeq:
     return CapacitySeq(tuple(Fraction(v * n, d) for v in vals))
 
 
-def _sizes(values: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """The values as integer multiples of the largest unit that allows it.
+def _sizes(D: int, sizes: Sequence[int]) -> tuple[list[int], Fraction]:
+    """sizes / D as multiples of their largest common unit, and the unit.
 
-    The integers depend only on the ratios of the values, so a scaled
-    domain gets the same integers and the same horizon.
-    """
-    den = math.lcm(1, *(v.denominator for v in values))
-    ints = [int(v * den) for v in values]
-    g = math.gcd(*ints)
-    return [v // g for v in ints], Fraction(g, den)
+    The multiples depend only on the ratios, so a scaled domain gets the
+    same integers and the same horizon."""
+    g = math.gcd(*sizes)
+    return [a // g for a in sizes], Fraction(g, D)
 
 
 def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a concave domain: the union of its weight balls."""
-    if expansion.head is not None:
+    if expansion.top is not None:
         raise DomainError("concave_caps needs a concave domain's expansion")
-    if not expansion.weights:
+    if not expansion.sizes:
         raise DomainError("a concave expansion needs at least one weight")
     if K < 0:
         raise DomainError("K must be nonnegative")
-    _guard(len(expansion.weights), K)
-    ws, unit = _sizes(expansion.weights)
+    _guard(len(expansion.sizes), K)
+    ws, unit = _sizes(expansion.D, expansion.sizes)
     return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit)
 
 
@@ -266,7 +264,7 @@ def _complement(expansion: WeightExpansion, K: int
     domain, and H shrinks as the min falls.  Each round computes only
     the union entries and the terms l past the previous R.
     """
-    (b, *ws), unit = _sizes((expansion.head, *expansion.weights))
+    (b, *ws), unit = _sizes(expansion.D, (expansion.top, *expansion.sizes))
     parts: list[list[int]] = [[] for _ in ws]
     out, done, R = None, 0, 2 * K + 2
     while True:
@@ -282,7 +280,7 @@ def _complement(expansion: WeightExpansion, K: int
 
 
 def _convex_check(expansion: WeightExpansion, K: int) -> None:
-    if expansion.head is None:
+    if expansion.top is None:
         raise DomainError("convex_caps needs a convex domain's expansion")
     if K < 0:
         raise DomainError("K must be nonnegative")
@@ -296,13 +294,13 @@ def convex_horizon(expansion: WeightExpansion, K: int) -> int:
     scaling of a domain gets the same H.  A head ball alone has H = 0.
     """
     _convex_check(expansion, K)
-    return _complement(expansion, K)[2] if expansion.weights else 0
+    return _complement(expansion, K)[2] if expansion.sizes else 0
 
 
 def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a convex domain: its head ball less its weight balls."""
     _convex_check(expansion, K)
-    if not expansion.weights:
+    if not expansion.sizes:
         return ball_caps(expansion.head, K)
     vals, unit, _ = _complement(expansion, K)
     return _rationals(vals, unit)

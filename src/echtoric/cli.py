@@ -161,8 +161,8 @@ def cmd_caps(args) -> dict:
 
 
 def cmd_pack(args) -> dict:
-    instance = PackingInstance(rational(args.target),
-                               _parse_balls(args.balls))
+    instance = PackingInstance.of(rational(args.target),
+                                  _parse_balls(args.balls))
     verdict = decide_packing(instance)
     report = {
         "command": "pack",

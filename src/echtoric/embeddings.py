@@ -6,16 +6,17 @@ the embedding exists exactly when all those balls pack into the head
 ball together.  Capacity sequences give an independent necessary test
 that is reported alongside for cross-checking.
 
-An EmbeddingProblem expands both domains once, when it is built, with
-concave_weights and convex_weights, and keeps only the weights: the
-packing instance, the capacity report and the scale search read
-nothing else, and the kernel's rows are dropped.
+An EmbeddingProblem expands both domains once, when it is built, and
+keeps the two expansions, sorted integers over their denominators, and
+drops the kernel's rows.  reduce_to_packing merges the two sorted runs
+over the lcm of the denominators into the packing instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .capacities import concave_caps, convex_caps
@@ -59,9 +60,12 @@ def reduce_to_packing(problem: EmbeddingProblem) -> PackingInstance:
     all-enclosing ball minus its own weight balls, which join the list
     of balls to pack.
     """
-    tgt = problem.target_weights
-    return PackingInstance(tgt.head,
-                           problem.source_weights.weights + tgt.weights)
+    src, tgt = problem.source_weights, problem.target_weights
+    D = lcm(src.D, tgt.D)
+    s, t = D // src.D, D // tgt.D
+    return PackingInstance(D, tgt.top * t, tuple(sorted(
+        [a * s for a in src.sizes] + [a * t for a in tgt.sizes],
+        reverse=True)))
 
 
 def decide_embedding(problem: EmbeddingProblem) -> Verdict:

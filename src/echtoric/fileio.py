@@ -9,17 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import rational
-
-
-def rational_str(value: Fraction) -> str:
-    return str(value)
 
 
 def domain_to_json(domain: ToricDomain) -> dict:

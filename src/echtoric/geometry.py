@@ -1,8 +1,8 @@
 """Exact rational plane geometry used by every other module.
 
 Everything here is a thin layer over fractions.Fraction: the one
-rational parser, points, cross products and shoelace areas.  Floats
-are rejected at the boundary so no rounding can creep in.
+rational parser, points and cross products.  Floats are rejected at
+the boundary so no rounding can creep in.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import GeometryError
 
@@ -68,15 +68,3 @@ class Point:
 def cross(v: Point, w: Point) -> Fraction:
     """Signed cross product v.x*w.y - v.y*w.x."""
     return v.x * w.y - v.y * w.x
-
-
-def polygon_area(vertices: Sequence[Point]) -> Fraction:
-    """Absolute shoelace area of a closed polygon given by its vertex cycle."""
-    n = len(vertices)
-    if n < 3:
-        return Fraction(0)
-    twice = Fraction(0)
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        twice += cross(p, q)
-    return abs(twice) / 2

@@ -13,13 +13,14 @@ The packing exists exactly when the reduction ends nonnegative and the
 squared sizes fit into the head square.  Each verdict carries the whole
 trace so a reduction can be replayed and audited step by step.
 
-The moves run on integers: each call clears the common denominator of
-its vector once and hands the integer vector to one reduction kernel,
-so only the trace rows a caller gets back are turned into fractions.
-A scale search clears the denominators of its instance once as well and
-probes t = p/q on the integer vector (q*b; p*a_i for the scaled balls,
-q*a_j for the fixed ones): a positive factor changes neither the sign of
-a defect, nor which entries are negative, nor the sign of the slack.
+A PackingInstance is a WeightExpansion with the head required, its
+sizes sorted integers over one D, as reduce_to_packing merges them or
+PackingInstance.of clears them from rationals.  The moves run on those
+integers in one kernel, and only the trace rows a caller gets back are
+turned into fractions.  A scale search probes t = p/q on the same
+integers (q*b; p*a_i for the scaled balls, q*a_j for the fixed ones):
+a positive factor changes neither the sign of a defect, nor which
+entries are negative, nor the sign of the slack.
 """
 
 from __future__ import annotations
@@ -40,25 +41,32 @@ Vector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
-class PackingInstance:
-    """Open balls of the given sizes, to pack into an open ball."""
-
-    target: Fraction
-    balls: tuple[Fraction, ...]
+class PackingInstance(WeightExpansion):
+    """Open balls of sizes/D, to pack into an open ball of size top/D."""
 
     def __post_init__(self) -> None:
-        head = rational(self.target)
+        if self.top is None:
+            raise DomainError("a packing instance needs a target ball")
+        super().__post_init__()
+
+    @classmethod
+    def of(cls, target: RationalLike,
+           balls: Sequence[RationalLike]) -> "PackingInstance":
+        """The instance of rational sizes; zero sizes are dropped."""
+        head, sizes = rational(target), [rational(a) for a in balls]
         if head <= 0:
             raise DomainError("packing target size must be positive")
-        sizes = [rational(a) for a in self.balls]
         if any(a < 0 for a in sizes):
             raise DomainError("ball sizes must be nonnegative")
-        sizes = sorted((a for a in sizes if a > 0), reverse=True)
-        object.__setattr__(self, "target", head)
-        object.__setattr__(self, "balls", tuple(sizes))
+        D, (top, *ints) = _integral([head, *sizes])
+        return cls(D, top, tuple(sorted(filter(None, ints), reverse=True)))
+
+    target = property(lambda self: self.head)
+    balls = property(lambda self: self.weights)
 
     def vector(self) -> Vector:
-        return _canonical((self.target,) + self.balls)
+        return ((self.head,) + self.weights
+                + (Fraction(0),) * (3 - len(self.sizes)))
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,7 @@ def _reduce(v: list[int]) -> list[tuple[int, ...]]:
     return trace
 
 
-def _integral(vec: Vector) -> tuple[int, list[int]]:
+def _integral(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Common denominator D of vec and the integer vector D * vec."""
     D = lcm(*(v.denominator for v in vec))
     return D, [v.numerator * (D // v.denominator) for v in vec]
@@ -155,7 +163,7 @@ def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
 
 def decide_packing(instance: PackingInstance) -> Verdict:
     """Reduce the instance vector and read off feasibility."""
-    D, v = _integral(instance.vector())
+    v = [instance.top, *instance.sizes] + [0] * (3 - len(instance.sizes))
     rows = _reduce(v)
     failures = []
     if min(rows[-1]) < 0:
@@ -163,13 +171,13 @@ def decide_packing(instance: PackingInstance) -> Verdict:
     slack = _slack(v)
     if slack < 0:
         failures.append("volume")
-    trace = _fraction_rows(rows, D)
+    trace = _fraction_rows(rows, instance.D)
     return Verdict(
         feasible=not failures,
         trace=trace,
         failures=tuple(failures),
         terminal=trace[-1],
-        volume_slack=Fraction(slack, D * D),
+        volume_slack=Fraction(slack, instance.D ** 2),
     )
 
 
@@ -180,9 +188,9 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
     certifies the packing impossible.  The balls' union is concave_caps
     of their expansion, so capacities.MAX_STAIRCASE_CELLS bounds K.
     """
-    if not instance.balls:
+    if not instance.sizes:
         return None
-    union = concave_caps(WeightExpansion(None, instance.balls), K)
+    union = concave_caps(WeightExpansion(instance.D, None, instance.sizes), K)
     target = ball_caps(instance.target, K)
     for k in range(K + 1):
         if union[k] > target[k]:
@@ -220,17 +228,16 @@ def optimal_scale(instance: PackingInstance,
     prec = rational(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
-    scaled_sizes = [rational(a) for a in scaled]
-    if not scaled_sizes or any(a <= 0 for a in scaled_sizes):
+    sizes = [rational(a) for a in scaled]
+    if not sizes or any(a.numerator <= 0 for a in sizes):
         raise DomainError("scaled ball sizes must be positive and nonempty")
-    remaining = Counter(instance.balls)
-    remaining.subtract(Counter(scaled_sizes))
-    if any(c < 0 for c in remaining.values()):
+    # a size that needs a finer denominator than the instance's is no ball
+    D, (_, *scaled_ints) = _integral([Fraction(1, instance.D), *sizes])
+    remaining = Counter(instance.sizes)
+    remaining.subtract(scaled_ints)
+    if D != instance.D or any(c < 0 for c in remaining.values()):
         raise DomainError("scaled sizes are not among the instance's balls")
-    _, ints = _integral((instance.target, *scaled_sizes,
-                         *remaining.elements()))
-    n = 1 + len(scaled_sizes)
-    target, scaled_ints, fixed_ints = ints[0], ints[1:n], ints[n:]
+    target, fixed_ints = instance.top, list(remaining.elements())
 
     def feasible(t: Fraction) -> bool:
         return _scaled_feasible(target, scaled_ints, fixed_ints, t)

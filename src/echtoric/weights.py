@@ -32,12 +32,12 @@ Euclid's algorithm.  A whole chain is charged to the node budget at
 once, which raises exactly when charging its cuts one by one would.
 
 The rows are the only decomposition form.  concave_weights and
-convex_weights return the sorted levels as the WeightExpansion and the
-rows themselves, with D, as a Decomposition: the embedding decision
-and the capacities read the weights, the drawings read the integer
-maps, and the sphere chains and the boundary approximations walk the
-rows' child indices.  Nothing is divided by D again unless a caller
-asks for a value.
+convex_weights return the levels, sorted as integers over D, as the
+WeightExpansion and the rows themselves, with D, as a Decomposition:
+the embedding decision and the capacities read the levels, the
+drawings read the integer maps, and the sphere chains and the boundary
+approximations walk the rows' child indices.  Nothing is divided by D
+again unless a caller reads a Fraction view.
 
 The cut and the fold are written once, on integer chains and integer
 levels: _shear_cut gives the sheared pieces beyond a level with their
@@ -59,8 +59,10 @@ minus the weight squares does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .domains import ToricDomain, _check_concave
@@ -72,23 +74,32 @@ DEFAULT_MAX_NODES = 10_000
 
 @dataclass(frozen=True)
 class WeightExpansion:
-    """Weights sorted in nonincreasing order; head is None for concave input."""
+    """Head and weights times the common denominator D: top is None for
+    a concave domain, sizes a nonincreasing tuple.  head and weights are
+    their Fraction views, built when first read."""
 
-    head: Optional[Fraction]
-    weights: tuple[Fraction, ...]
+    D: int
+    top: Optional[int]
+    sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(sorted(map(rational, self.weights), reverse=True))
-        if ws and ws[-1] <= 0:
-            raise DomainError("weights must be positive")
-        head = None if self.head is None else rational(self.head)
-        if head is not None and head <= 0:
-            raise DomainError("head weight must be positive")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "head", head)
+        if self.D <= 0 or self.top is not None and self.top <= 0:
+            raise DomainError("denominator and head must be positive")
+        # nonincreasing down to a last size of at least 1
+        if not all(map(operator.ge, self.sizes, self.sizes[1:] + (1,))):
+            raise DomainError("weights must be positive and nonincreasing")
+
+    @cached_property
+    def head(self) -> Optional[Fraction]:
+        return None if self.top is None else Fraction(self.top, self.D)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        frac = _fractions(self.D, self.sizes)
+        return tuple(map(frac.__getitem__, self.sizes))
 
     def weight_squares(self) -> Fraction:
-        return sum((w * w for w in self.weights), Fraction(0))
+        return Fraction(sum(a * a for a in self.sizes), self.D * self.D)
 
 
 @dataclass(frozen=True)
@@ -335,11 +346,9 @@ def _fractions(D: int, numerators) -> dict[int, Fraction]:
     return {n: Fraction(n, D) for n in set(numerators)}
 
 
-def _levels(D: int, *row_lists: list[list]) -> tuple[Fraction, ...]:
-    levels = sorted((row[0] for rows in row_lists for row in rows),
-                    reverse=True)
-    frac = _fractions(D, levels)
-    return tuple(frac[a] for a in levels)
+def _levels(*row_lists: list[list]) -> tuple[int, ...]:
+    return tuple(sorted((row[0] for rows in row_lists for row in rows),
+                        reverse=True))
 
 
 def inorder(dec: Optional[Decomposition]) -> Iterator[int]:
@@ -379,7 +388,7 @@ def concave_weights(domain: ToricDomain,
         raise DomainError("concave_weights needs a concave domain")
     D = domain.D
     rows = _rows(domain.ints, _IDENTITY, _Budget(max_nodes))
-    return (WeightExpansion(None, _levels(D, rows)),
+    return (WeightExpansion(D, None, _levels(rows)),
             Decomposition(D, rows, domain))
 
 
@@ -390,10 +399,9 @@ def convex_weights(domain: ToricDomain,
     D, b, sides = _convex_rows(domain, max_nodes)
     left, right = (None if side is None else Decomposition(D, side, None)
                    for side in sides)
-    head = Fraction(b, D)
-    return (WeightExpansion(head, _levels(D, *(s for s in sides if s))),
-            ConvexDecomposition(head=head, domain=domain, left=left,
-                                right=right))
+    exp = WeightExpansion(D, b, _levels(*(s for s in sides if s)))
+    return exp, ConvexDecomposition(head=exp.head, domain=domain, left=left,
+                                    right=right)
 
 
 def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:

@@ -86,4 +86,4 @@ def random_instance(rng: random.Random, max_balls: int = 8) -> PackingInstance:
     n = rng.randint(1, max_balls)
     balls = [min(Fraction(rng.randint(1, 10), rng.randint(1, 4)), target)
              for _ in range(n)]
-    return PackingInstance(target, balls)
+    return PackingInstance.of(target, balls)

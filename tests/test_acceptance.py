@@ -40,7 +40,7 @@ def test_criterion_1_golden_weight_expansions():
 
 def test_criterion_2_golden_packing_and_embedding():
     start = time.perf_counter()
-    verdict = decide_packing(PackingInstance(
+    verdict = decide_packing(PackingInstance.of(
         5, (3, 2, 2, 1, F(2, 3), F(2, 3), F(1, 3), F(1, 3))))
     assert verdict.feasible
     assert verdict.trace[0] == (5, 3, 2, 2, 1, F(2, 3), F(2, 3), F(1, 3),

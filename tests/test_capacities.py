@@ -298,7 +298,7 @@ def test_kernel_errors():
     with pytest.raises(DomainError, match="K must be nonnegative"):
         concave_caps(concave_weights(OMEGA1)[0], -1)
     with pytest.raises(DomainError, match="at least one weight"):
-        concave_caps(WeightExpansion(None, ()), 3)
+        concave_caps(WeightExpansion(1, None, ()), 3)
     with pytest.raises(DomainError, match="K must be nonnegative"):
         convex_caps(convex_weights(OMEGA2)[0], -1)
     with pytest.raises(DomainError, match="K must be nonnegative"):
@@ -306,7 +306,7 @@ def test_kernel_errors():
         convex_caps(convex_weights(ToricDomain.ball(2, "convex"))[0], -1)
     with pytest.raises(DomainError, match="head\\^2 > sum of weights"):
         # no positive area, so no horizon exists
-        convex_caps(WeightExpansion(3, (2, 2, 1)), 3)
+        convex_caps(WeightExpansion(1, 3, (2, 2, 1)), 3)
     with pytest.raises(DomainError, match="concave domain's expansion"):
         concave_caps(convex_weights(OMEGA2)[0], 3)
     with pytest.raises(DomainError, match="convex domain's expansion"):
@@ -324,12 +324,13 @@ GUARDED = {
     "concave_caps": (lambda: concave_caps(concave_weights(OMEGA1)[0], K_GUARD),
                      5 * K_GUARD),
     "convex_caps_ball": (
-        lambda: convex_caps(WeightExpansion(2, ()), K_GUARD), K_GUARD),
+        lambda: convex_caps(WeightExpansion(1, 2, ()), K_GUARD), K_GUARD),
     "convex_caps": (lambda: convex_caps(THICK, K_GUARD), 3 * (3 * K_GUARD + 2)),
     "convex_horizon": (lambda: convex_horizon(THICK, K_GUARD),
                        3 * (3 * K_GUARD + 2)),
     "capacity_obstruction": (
-        lambda: capacity_obstruction(PackingInstance(3, (1, 1, 1)), K_GUARD),
+        lambda: capacity_obstruction(PackingInstance.of(3, (1, 1, 1)),
+                                     K_GUARD),
         3 * K_GUARD),
 }
 

@@ -4,8 +4,7 @@ import pytest
 
 from echtoric import (DomainError, ToricDomain, canonical_json, digest_bytes,
                       digest_file, domain_from_json, domain_to_json,
-                      load_domain, rational, rational_str, read_domain,
-                      save_domain)
+                      load_domain, rational, read_domain, save_domain)
 
 F = Fraction
 
@@ -27,8 +26,8 @@ def test_parse_rational():
 
 def test_rational_str_roundtrip():
     for v in (F(2, 3), F(-7, 2), F(4), F(0)):
-        assert rational(rational_str(v)) == v
-    assert rational_str(F(10, 5)) == "2"
+        assert rational(str(v)) == v
+    assert str(F(10, 5)) == "2"
 
 
 def test_domain_json_roundtrip():

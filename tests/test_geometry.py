@@ -5,7 +5,9 @@ import pytest
 
 from echtoric import Point
 from echtoric.errors import DomainError, GeometryError
-from echtoric.geometry import cross, polygon_area, rational
+from echtoric.geometry import cross, rational
+
+from generators import random_concave, random_convex
 
 
 def test_rational_accepts_exact_types_only():
@@ -40,26 +42,13 @@ def test_cross_orientation():
     assert cross(Point(2, 3), Point(4, 6)) == 0
 
 
-def test_polygon_area_shoelace_hand_cases():
-    square = [Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0)]
-    assert polygon_area(square) == 1
-    tri = [Point(0, 0), Point(0, 3), Point(4, 0)]
-    assert polygon_area(tri) == 6
-
-
 def test_polygon_area_random_triangulation_agrees():
-    # area of a fan triangulation must match the shoelace value
+    # the integer shoelace of ToricDomain.area against a fan of Fraction
+    # triangles from the origin, which sees every boundary point
     rng = random.Random(7)
     for _ in range(25):
-        pts = [Point(0, 0)]
-        x = Fraction(0)
-        y = Fraction(rng.randint(3, 9))
-        pts.append(Point(x, y))
-        for _ in range(rng.randint(1, 3)):
-            x += Fraction(rng.randint(1, 3), rng.randint(1, 2))
-            y -= Fraction(rng.randint(1, 2), rng.randint(1, 3))
-            pts.append(Point(x, y))
-        total = Fraction(0)
-        for a, b in zip(pts[1:], pts[2:]):
-            total += abs(cross(a - pts[0], b - pts[0])) / 2
-        assert polygon_area(pts) == total
+        for dom in (random_concave(rng), random_convex(rng)):
+            pts = dom.boundary
+            total = sum((abs(cross(a, b)) / 2 for a, b in zip(pts, pts[1:])),
+                        Fraction(0))
+            assert dom.area() == total

@@ -8,7 +8,7 @@ from echtoric import (DomainError, EmbeddingProblem, LimitError,
                       PackingInstance, ToricDomain, capacities,
                       capacity_obstruction, cremona_reduce, cremona_step,
                       decide_packing, defect, optimal_embedding_scale,
-                      optimal_scale)
+                      optimal_scale, reduce_to_packing)
 
 from echtoric.packing import _integral, _scaled_feasible
 
@@ -21,18 +21,27 @@ F = Fraction
 
 def test_instance_validation():
     with pytest.raises(DomainError):
-        PackingInstance(0, (1,))
+        PackingInstance.of(0, (1,))
     with pytest.raises(DomainError):
-        PackingInstance(-2, (1,))
+        PackingInstance.of(-2, (1,))
     with pytest.raises(DomainError):
-        PackingInstance(2, (1, -1))
-    # zero sizes are dropped, the rest is sorted descending
-    inst = PackingInstance(3, (F(1, 2), 0, 2, 0, 1))
-    assert inst.balls == (2, 1, F(1, 2))
+        PackingInstance.of(2, (1, -1))
+    # zero sizes are dropped, the rest is sorted descending, over one D
+    inst = PackingInstance.of(3, (F(1, 2), 0, 2, 0, 1))
+    assert (inst.D, inst.top, inst.sizes) == (2, 6, (4, 2, 1))
+    assert inst == PackingInstance(2, 6, (4, 2, 1))
+    assert inst.target == 3 and inst.balls == (2, 1, F(1, 2))
     assert inst.vector() == (3, 2, 1, F(1, 2))
     # the vector pads with zeros so three body entries exist
-    assert PackingInstance(1, ()).vector() == (1, 0, 0, 0)
-    assert PackingInstance(1, (1,)).vector() == (1, 1, 0, 0)
+    assert PackingInstance.of(1, ()).vector() == (1, 0, 0, 0)
+    assert PackingInstance.of(1, (1,)).vector() == (1, 1, 0, 0)
+    assert PackingInstance(3, 3, (1,)).vector() == (1, F(1, 3), 0, 0)
+    # the integer form: a head, D > 0 and positive nonincreasing sizes
+    for D, top, sizes in ((1, None, (1,)), (0, 1, (1,)), (-1, 1, (1,)),
+                          (1, 0, (1,)), (1, 2, (1, 0)), (1, 2, (1, -1)),
+                          (2, 2, (1, 2))):
+        with pytest.raises(DomainError):
+            PackingInstance(D, top, sizes)
 
 
 def test_defect():
@@ -73,7 +82,7 @@ def test_step_conserves_volume_slack():
 # -- full decisions -----------------------------------------------------------
 
 def test_decide_already_reduced():
-    v = decide_packing(PackingInstance(1, (1,)))
+    v = decide_packing(PackingInstance.of(1, (1,)))
     assert v.feasible
     assert v.trace == ((1, 1, 0, 0),)
     assert v.terminal == (1, 1, 0, 0)
@@ -82,14 +91,14 @@ def test_decide_already_reduced():
 
 
 def test_decide_four_balls():
-    v = decide_packing(PackingInstance(2, (1, 1, 1, 1)))
+    v = decide_packing(PackingInstance.of(2, (1, 1, 1, 1)))
     assert v.feasible
     assert v.trace == ((2, 1, 1, 1, 1), (1, 1, 0, 0, 0))
     assert v.volume_slack == 0
 
 
 def test_decide_infeasible_pair():
-    v = decide_packing(PackingInstance(1, (1, F(1, 2))))
+    v = decide_packing(PackingInstance.of(1, (1, F(1, 2))))
     assert not v.feasible
     assert v.failures == ("negative-entry", "volume")
     assert v.terminal == (F(1, 2), F(1, 2), 0, F(-1, 2))
@@ -97,8 +106,8 @@ def test_decide_infeasible_pair():
 
 
 def test_decide_mixed_weights():
-    inst = PackingInstance(5, (3, 2, 2, 1, F(2, 3), F(2, 3), F(1, 3),
-                               F(1, 3)))
+    inst = PackingInstance.of(5, (3, 2, 2, 1, F(2, 3), F(2, 3), F(1, 3),
+                                  F(1, 3)))
     v = decide_packing(inst)
     assert v.feasible
     assert len(v.trace) == 2
@@ -126,7 +135,7 @@ def test_verdict_invariances():
         # order of the balls is irrelevant
         shuffled = list(inst.balls)
         rng.shuffle(shuffled)
-        w = decide_packing(PackingInstance(inst.target, tuple(shuffled)))
+        w = decide_packing(PackingInstance.of(inst.target, tuple(shuffled)))
         assert w == v
         # shrinking one ball never breaks a feasible packing
         if v.feasible and inst.balls:
@@ -134,22 +143,22 @@ def test_verdict_invariances():
             smaller = list(inst.balls)
             smaller[i] = smaller[i] * F(1, 2)
             assert decide_packing(
-                PackingInstance(inst.target, tuple(smaller))).feasible
+                PackingInstance.of(inst.target, tuple(smaller))).feasible
 
 
 # -- the capacity cross-check ------------------------------------------------
 
 def test_capacity_obstruction_goldens():
-    assert capacity_obstruction(PackingInstance(2, (1, 1, 1, 1)), 50) is None
-    assert capacity_obstruction(PackingInstance(1, (1, F(1, 2))), 50) == 2
-    assert capacity_obstruction(PackingInstance(F(7, 3), (F(7, 3),)),
-                                30) is None
-    assert capacity_obstruction(PackingInstance(1, ()), 10) is None
+    of = PackingInstance.of
+    assert capacity_obstruction(of(2, (1, 1, 1, 1)), 50) is None
+    assert capacity_obstruction(of(1, (1, F(1, 2))), 50) == 2
+    assert capacity_obstruction(of(F(7, 3), (F(7, 3),)), 30) is None
+    assert capacity_obstruction(of(1, ()), 10) is None
 
 
 def test_capacity_obstruction_guard(monkeypatch):
     # the ball union runs on concave_caps, under its staircase guard
-    inst = PackingInstance(2, (1, 1, 1, 1))
+    inst = PackingInstance.of(2, (1, 1, 1, 1))
     monkeypatch.setattr(capacities, "MAX_STAIRCASE_CELLS", 4 * 50 - 1)
     with pytest.raises(LimitError):
         capacity_obstruction(inst, 50)
@@ -175,17 +184,17 @@ def test_feasible_implies_no_obstruction():
 # -- scale search -------------------------------------------------------------
 
 def test_optimal_scale_all_balls():
-    inst = PackingInstance(2, (1, 1, 1, 1))
+    inst = PackingInstance.of(2, (1, 1, 1, 1))
     lo, hi = optimal_scale(inst, (1, 1, 1, 1), F(1, 128))
     assert lo == 1
     assert hi == 1 + F(1, 128)
 
 
 def test_optimal_scale_single_ball():
-    lo, hi = optimal_scale(PackingInstance(1, (1,)), (1,), F(1, 64))
+    lo, hi = optimal_scale(PackingInstance.of(1, (1,)), (1,), F(1, 64))
     assert (lo, hi) == (1, F(65, 64))
     # here the reduction goes negative just past 1 while volume still fits
-    lo, hi = optimal_scale(PackingInstance(2, (1, 1, 1)), (1,), F(1, 64))
+    lo, hi = optimal_scale(PackingInstance.of(2, (1, 1, 1)), (1,), F(1, 64))
     assert (lo, hi) == (1, F(65, 64))
 
 
@@ -199,14 +208,39 @@ def test_optimal_scale_bracket_is_sharp():
         assert hi - lo <= F(1, 32)
         scaled_lo = (lo * inst.balls[0],) + inst.balls[1:]
         scaled_hi = (hi * inst.balls[0],) + inst.balls[1:]
-        assert decide_packing(PackingInstance(inst.target,
-                                              scaled_lo)).feasible
-        assert not decide_packing(PackingInstance(inst.target,
-                                                  scaled_hi)).feasible
+        assert decide_packing(PackingInstance.of(inst.target,
+                                                 scaled_lo)).feasible
+        assert not decide_packing(PackingInstance.of(inst.target,
+                                                     scaled_hi)).feasible
+
+
+def test_decision_compares_no_fractions(monkeypatch):
+    # E(N/1000, 1/1000) into the square: the instance is built, decided
+    # and scaled on integers, so the Fraction comparisons left are the
+    # bisection's, whatever N is
+    calls = []
+    richcmp = Fraction._richcmp
+
+    def counted(self, other, op):
+        calls.append(op)
+        return richcmp(self, other, op)
+
+    counts = []
+    for N in (300, 3000):
+        problem = EmbeddingProblem(
+            ToricDomain.ellipsoid(F(N, 1000), F(1, 1000)),
+            ToricDomain.convex([(0, 1), (1, 1), (1, 0)]))
+        calls.clear()
+        monkeypatch.setattr(Fraction, "_richcmp", counted)
+        assert decide_packing(reduce_to_packing(problem)).feasible
+        optimal_embedding_scale(problem, F(1, 1000))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] < 64, counts
 
 
 def test_optimal_scale_rejections():
-    inst = PackingInstance(2, (1, 1))
+    inst = PackingInstance.of(2, (1, 1))
     with pytest.raises(DomainError):
         optimal_scale(inst, (1, 1, 1), F(1, 16))
     with pytest.raises(DomainError):
@@ -216,7 +250,7 @@ def test_optimal_scale_rejections():
     with pytest.raises(DomainError):
         optimal_scale(inst, (1,), 0)
     with pytest.raises(DomainError):
-        optimal_scale(PackingInstance(1, (2, 2)), (2,), F(1, 16))
+        optimal_scale(PackingInstance.of(1, (2, 2)), (2,), F(1, 16))
 
 
 def test_packing_golden(data_dir):
@@ -227,8 +261,8 @@ def test_packing_golden(data_dir):
     golden = json.loads((data_dir / "packing_golden.json").read_text())
     assert len(golden["decide"]) == 73 and len(golden["scale"]) == 22
     for entry in golden["decide"]:
-        v = decide_packing(PackingInstance(F(entry["target"]),
-                                           tuple(map(F, entry["balls"]))))
+        v = decide_packing(PackingInstance.of(
+            F(entry["target"]), tuple(map(F, entry["balls"]))))
         assert v.feasible == entry["feasible"]
         assert list(v.failures) == entry["failures"]
         assert str(v.volume_slack) == entry["volume_slack"]
@@ -244,7 +278,7 @@ def test_packing_golden(data_dir):
 
 def _fraction_feasible(target, balls):
     """Reduction on Fractions by single moves, as a reference."""
-    vec = PackingInstance(target, balls).vector()
+    vec = PackingInstance.of(target, balls).vector()
     slack = vec[0] ** 2 - sum(a * a for a in vec[1:])
     while min(vec) >= 0 and defect(vec) > 0:
         vec = cremona_step(vec)
@@ -262,7 +296,7 @@ def test_scale_probe_matches_fraction_decisions():
         n = 1 + len(scaled)
         for t in (F(0), F(1), F(rng.randint(0, 40), rng.randint(1, 24))):
             balls = tuple(t * a for a in scaled) + fixed
-            ref = decide_packing(PackingInstance(inst.target, balls))
+            ref = decide_packing(PackingInstance.of(inst.target, balls))
             got = _scaled_feasible(ints[0], ints[1:n], ints[n:], t)
             assert got == ref.feasible == _fraction_feasible(inst.target,
                                                              balls)

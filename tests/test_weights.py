@@ -230,8 +230,16 @@ def test_build_short_concave_roundtrip():
 
 def test_weight_expansion_normalizes_order():
     from echtoric import WeightExpansion
-    exp = WeightExpansion(None, (F(1, 3), 2, F(2, 3)))
-    assert exp.weights == (2, F(2, 3), F(1, 3))
+    exp = WeightExpansion(3, None, (6, 2, 1))
+    assert exp.head is None and exp.weights == (2, F(2, 3), F(1, 3))
+    assert WeightExpansion(6, 10, (4,)).weights == (F(2, 3),)
+    assert WeightExpansion(6, 10, (4,)).head == F(5, 3)
+    # the kernel hands its levels over sorted; nothing re-sorts them
+    for D, top, sizes in ((3, None, (1, 6, 2)), (1, None, (2, 0)),
+                          (1, 3, (2, -1)), (0, None, (1,)),
+                          (-3, None, (1,)), (1, 0, (1,))):
+        with pytest.raises(DomainError):
+            WeightExpansion(D, top, sizes)
 
 
 def _node_rows(dec):
