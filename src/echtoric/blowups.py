@@ -34,8 +34,8 @@ vertices, and the interpolated points bring new denominators at every
 level, so each piece carries its own denominator E: its vertices and
 its map's translation are integers over E.  Raising a level and
 cutting inside an edge multiply E, and one gcd per cut divides out
-what the piece no longer needs.  Only the finished boundary is made
-Fractions, one per coordinate.
+what the piece no longer needs.  The finished boundary goes to
+ToricDomain as integers over the lcm of those denominators.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
     g = gcd(q, E); each side of the cut then comes back over that times
     the side's scale k and is reduced by one gcd.  Each leaf side
     puts out one vertex, (0, lam) or (lam, 0) mapped back, as an integer
-    pair over its E, and only the finished boundary is made Fractions.
+    pair over its E.
     """
     rows = shape.rows
     # (X, Y, E) for the vertex (X/E, Y/E)
@@ -299,8 +299,9 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
         if (bx * ux + by * uy) * ea < (ax * ux + ay * uy) * eb:
             raise DomainError(
                 "perturbation too large: child pieces overlap across a cut")
-    return ToricDomain.concave([(Fraction(x, e), Fraction(y, e))
-                                for x, y, e in out])
+    D = lcm(*(e for _, _, e in out))
+    return ToricDomain("concave", D,
+                       tuple((x * (D // e), y * (D // e)) for x, y, e in out))
 
 
 def outer_approximation(dec: Decomposition, deltas: Deltas) -> ToricDomain:
@@ -318,21 +319,18 @@ def outer_approximation(dec: Decomposition, deltas: Deltas) -> ToricDomain:
     return _grow(dec, dec.domain.ints, dec.domain.D, ds)
 
 
-def _unfold(grown: ToricDomain, level: int, D: int,
-            left: bool) -> tuple[int, list[tuple[int, int]]]:
-    """A grown flank folded back through x + y = level/D.
-
-    Returns the common denominator L of grown and the level and the
-    chain over L in boundary order: the left flank goes back through
-    (x, y) -> (y, lam - x - y), the right one through
-    (x, y) -> (lam - x - y, x).
+def _unfold(grown: ToricDomain, c: int, F: int,
+            left: bool) -> list[tuple[int, int]]:
+    """A grown flank over F, a multiple of its D, folded back through
+    x + y = c/F, in boundary order: the left flank goes back through
+    (x, y) -> (y, c - x - y), the right one through (x, y) ->
+    (c - x - y, x), both over F.
     """
-    L = lcm(D, grown.D)
-    a, c = L // grown.D, level * (L // D)
+    a = F // grown.D
     pts = [(x * a, y * a) for x, y in reversed(grown.ints)]
     if left:
-        return L, [(y, c - x - y) for x, y in pts]
-    return L, [(c - x - y, x) for x, y in pts]
+        return [(y, c - x - y) for x, y in pts]
+    return [(c - x - y, x) for x, y in pts]
 
 
 def inner_approximation(decomp: ConvexDecomposition,
@@ -355,30 +353,28 @@ def inner_approximation(decomp: ConvexDecomposition,
     D = lcm(dom.D, lam.denominator)
     level, s = lam.numerator * (D // lam.denominator), D // dom.D
     lpiece, rpiece = _fold([(x * s, y * s) for x, y in dom.ints], level)
+    left = right = None
     if decomp.left is not None:
         if lpiece is None:
             raise DomainError(
                 "perturbation too large: left piece reaches the y-axis")
         flank, k = lpiece
         _check_concave(flank)
-        grown = _grow(decomp.left, flank, D * k, ds[1:1 + n_left])
-        lden, left_chain = _unfold(grown, level, D, True)
-    else:
-        lden, left_chain = D, [(0, level)]
+        left = _grow(decomp.left, flank, D * k, ds[1:1 + n_left])
     if decomp.right is not None:
         if rpiece is None:
             raise DomainError(
                 "perturbation too large: right piece reaches the x-axis")
         flank, k = rpiece
         _check_concave(flank)
-        grown = _grow(decomp.right, flank, D * k, ds[1 + n_left:])
-        rden, right_chain = _unfold(grown, level, D, False)
-    else:
-        rden, right_chain = D, [(level, 0)]
+        right = _grow(decomp.right, flank, D * k, ds[1 + n_left:])
+    # the boundary goes out over one common denominator F
+    F = lcm(D, *(grown.D for grown in (left, right) if grown))
+    c = level * (F // D)
+    left_chain = _unfold(left, c, F, True) if left else [(0, c)]
+    right_chain = _unfold(right, c, F, False) if right else [(c, 0)]
     # seam points lie on x + y = lam; grown sides must leave room between
-    if left_chain[-1][0] * rden > right_chain[0][0] * lden:
+    if left_chain[-1][0] > right_chain[0][0]:
         raise DomainError(
             "perturbation too large: grown side pieces overlap")
-    return ToricDomain.convex(
-        [(Fraction(x, lden), Fraction(y, lden)) for x, y in left_chain]
-        + [(Fraction(x, rden), Fraction(y, rden)) for x, y in right_chain])
+    return ToricDomain("convex", F, tuple(left_chain + right_chain))

@@ -1,7 +1,8 @@
 """Batch command line: JSON reports on stdout, SVG files on request.
 
 Exit codes: 0 a verdict or value was computed (an infeasible verdict is
-still 0), 1 bad usage, 3 invalid input data, 4 a resource guard fired.
+still 0), 1 bad usage, 3 invalid input data, 4 a resource guard fired,
+such as a report value with more digits than the interpreter prints.
 All rationals in reports are strings; decimal renderings only appear
 under an "approx" key when --approx asks for them, marked inexact.
 """
@@ -59,8 +60,15 @@ def _max_nodes() -> int:
     return value
 
 
+def _s(value) -> str:
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise LimitError("a report value has too many digits to print") from None
+
+
 def _sv(values) -> list[str]:
-    return [str(v) for v in values]
+    return [_s(v) for v in values]
 
 
 def _parse_balls(text: str) -> tuple[Fraction, ...]:
@@ -87,7 +95,7 @@ def _verdict_payload(verdict: Verdict) -> dict:
         "feasible": verdict.feasible,
         "failures": list(verdict.failures),
         "terminal": _sv(verdict.terminal),
-        "volume_slack": str(verdict.volume_slack),
+        "volume_slack": _s(verdict.volume_slack),
         "trace": [_sv(vec) for vec in verdict.trace],
     }
 
@@ -110,10 +118,10 @@ def cmd_weights(args) -> dict:
         "command": "weights",
         "input": record,
         "domain_type": dom.kind,
-        "head": None if exp.head is None else str(exp.head),
+        "head": None if exp.head is None else _s(exp.head),
         "weights": _sv(exp.weights),
         "weight_count": len(exp.weights),
-        "area": str(dom.area()),
+        "area": _s(dom.area()),
     }
     if args.svg:
         _write_text(args.svg, render_decomposition(dom, polys))
@@ -150,7 +158,7 @@ def cmd_caps(args) -> dict:
         report["oracle"] = {
             "k_max": kk,
             "values": _sv(v for v, _ in pairs),
-            "witnesses": [[[int(p.x), int(p.y)] for p in path.vertices]
+            "witnesses": [[[x, y] for x, y in path.ints]
                           for _, path in pairs],
             "agrees": all(seq[k] == pairs[k][0] for k in range(kk + 1)),
         }
@@ -166,7 +174,7 @@ def cmd_pack(args) -> dict:
     verdict = decide_packing(instance)
     report = {
         "command": "pack",
-        "instance": {"target": str(instance.target),
+        "instance": {"target": _s(instance.target),
                      "balls": _sv(instance.balls)},
         **_verdict_payload(verdict),
     }
@@ -191,7 +199,7 @@ def cmd_embed(args) -> dict:
     report = {
         "command": "embed",
         "inputs": {"source": source_record, "target": target_record},
-        "instance": {"target": str(instance.target),
+        "instance": {"target": _s(instance.target),
                      "balls": _sv(instance.balls)},
         **_verdict_payload(verdict),
     }
@@ -204,7 +212,7 @@ def cmd_embed(args) -> dict:
             "all_ok": caps.all_ok,
             "first_violation": caps.first_violation(),
             # every capacity the package computes is proved
-            "rows": [[r.k, str(r.source_value), str(r.target_value),
+            "rows": [[r.k, _s(r.source_value), _s(r.target_value),
                       r.ok, True] for r in caps.rows],
         }
     if args.scale_search is not None:
@@ -213,9 +221,9 @@ def cmd_embed(args) -> dict:
         lo, hi = optimal_scale(instance, problem.source_weights.weights,
                                precision)
         report["scale"] = {
-            "precision": str(precision),
-            "feasible_at": str(lo),
-            "infeasible_at": str(hi),
+            "precision": _s(precision),
+            "feasible_at": _s(lo),
+            "infeasible_at": _s(hi),
         }
         if args.approx:
             report.setdefault("approx", {"inexact": True})
@@ -248,11 +256,12 @@ def cmd_svg(args) -> dict:
             ok = contains(dom, approx)
         _write_text(args.out, render_approximation(dom, approx))
         report["mode"] = "approximation"
-        report["delta"] = str(delta)
-        report["approx_boundary"] = [[str(p.x), str(p.y)]
-                                     for p in approx.boundary]
-        report["area"] = str(dom.area())
-        report["approx_area"] = str(approx.area())
+        report["delta"] = _s(delta)
+        D = approx.D
+        report["approx_boundary"] = [_sv((Fraction(x, D), Fraction(y, D)))
+                                     for x, y in approx.ints]
+        report["area"] = _s(dom.area())
+        report["approx_area"] = _s(approx.area())
         report["nesting_ok"] = ok
     return report
 

@@ -14,44 +14,39 @@ endpoint.  Two kinds are supported:
   strictly convex, traversed clockwise.  The curve may overhang: edges
   can point down-left, so x need not be monotone.
 
-Construction clears the boundary's common denominator D once and keeps
-the boundary times D as integer pairs next to the Points.  Collinear
-boundary vertices are collapsed and the result validated on those
-integers; validation insists on strict turns, so every stored boundary
+A domain is (kind, D, ints), the boundary times a denominator D as
+integer pairs; ToricDomain.of takes rational vertices, and boundary is
+their view as Points.  Construction collapses collinear boundary
+vertices, divides out the gcd of D and the integers and validates what
+is left; validation insists on strict turns, so every stored boundary
 is in canonical form and equality of domains is equality of tuples.
-The area, the nesting test and the weight expansions read the same
-integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
-from .geometry import Point, RationalLike, cross, rational
+from .geometry import Point, RationalLike, ratio
 
 PointLike = Union[Point, Sequence[RationalLike]]
 
 
-def _as_point(p: PointLike) -> Point:
-    if isinstance(p, Point):
-        return p
-    seq = tuple(p)
-    if len(seq) != 2:
-        raise DomainError(f"boundary vertex needs two coordinates, got {p!r}")
-    return Point(rational(seq[0]), rational(seq[1]))
-
-
-def _integral(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
-    """The common denominator D of the coordinates and the points times D."""
-    D = lcm(*(p.x.denominator for p in points),
-            *(p.y.denominator for p in points))
-    return D, [(p.x.numerator * (D // p.x.denominator),
-                p.y.numerator * (D // p.y.denominator)) for p in points]
+def _cleared(points: Iterable[PointLike]) -> tuple[int, tuple]:
+    """Rational vertices as the lcm D of their denominators and times D."""
+    parts = []
+    for p in points:
+        seq = (p.x, p.y) if isinstance(p, Point) else tuple(p)
+        if len(seq) != 2:
+            raise DomainError(f"boundary vertex needs two coordinates, got {p!r}")
+        parts.append(ratio(seq[0]) + ratio(seq[1]))
+    D = lcm(*(d for _, q, _, s in parts for d in (q, s)))
+    return D, tuple((p * (D // q), r * (D // s)) for p, q, r, s in parts)
 
 
 def _collapse(pts: Sequence[tuple[int, int]]) -> list[int]:
@@ -76,8 +71,7 @@ def _collapse(pts: Sequence[tuple[int, int]]) -> list[int]:
     return keep
 
 
-def _edge_zone(dx: Union[int, Fraction], dy: Union[int, Fraction],
-               D: int = 1) -> int:
+def _edge_zone(dx: int, dy: int, D: int = 1) -> int:
     """Clockwise sectors a convex boundary edge (dx, dy)/D may point into.
 
     0 up-right, 1 right, 2 down-right, 3 down, 4 down-left.  Anything
@@ -121,72 +115,43 @@ def _check_concave(pts: Sequence[tuple]) -> None:
 
 @dataclass(frozen=True)
 class ToricDomain:
-    """A domain through its boundary; D and ints are the boundary's
-    common denominator and the boundary times D, as integer pairs."""
+    """A domain through its boundary: kind, a positive denominator D and
+    the boundary times D, as integer pairs."""
 
     kind: str
-    boundary: tuple[Point, ...]
-    D: int = field(init=False, repr=False, compare=False)
-    ints: tuple[tuple[int, int], ...] = field(init=False, repr=False,
-                                              compare=False)
+    D: int
+    ints: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("concave", "convex"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        pts = [_as_point(p) for p in self.boundary]
-        D, ints = _integral(pts)
+        D = self.D
+        if D <= 0:
+            raise DomainError("boundary denominator must be positive")
+        ints = [(x, y) for x, y in self.ints]
         keep = _collapse(ints)
         if len(keep) < len(ints):
-            pts = [pts[i] for i in keep]
             ints = [ints[i] for i in keep]
-            # a merged vertex may have been the one that needed all of D
-            g = gcd(D, *chain.from_iterable(ints))
+        # the canonical D is the least one, which no merged vertex needs
+        g = gcd(D, *chain.from_iterable(ints))
+        if g > 1:
             D, ints = D // g, [(x // g, y // g) for x, y in ints]
-        object.__setattr__(self, "boundary", tuple(pts))
+        pts = tuple(ints)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "ints", tuple(ints))
-        self._validate()
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def concave(cls, points: Iterable[PointLike]) -> "ToricDomain":
-        return cls("concave", tuple(points))
-
-    @classmethod
-    def convex(cls, points: Iterable[PointLike]) -> "ToricDomain":
-        return cls("convex", tuple(points))
-
-    @classmethod
-    def ball(cls, a: RationalLike, kind: str = "concave") -> "ToricDomain":
-        r = rational(a)
-        if r <= 0:
-            raise DomainError("ball size must be positive")
-        return cls(kind, (Point(0, r), Point(r, 0)))
-
-    @classmethod
-    def ellipsoid(cls, a: RationalLike, b: RationalLike,
-                  kind: str = "concave") -> "ToricDomain":
-        """Triangle with x-intercept a and y-intercept b."""
-        ra, rb = rational(a), rational(b)
-        if ra <= 0 or rb <= 0:
-            raise DomainError("ellipsoid radii must be positive")
-        return cls(kind, (Point(0, rb), Point(ra, 0)))
-
-    # -- validation -----------------------------------------------------------
-
-    def _validate(self) -> None:
-        bd, pts = self.boundary, self.ints
+        object.__setattr__(self, "ints", pts)
         if len(pts) < 2:
             raise DomainError("boundary needs at least two vertices")
         (x0, y0), (xn, yn) = pts[0], pts[-1]
         if x0 != 0 or y0 <= 0:
-            raise DomainError(f"boundary must start on the positive y-axis, got {bd[0]}")
+            raise DomainError("boundary must start on the positive y-axis, "
+                              f"got {self._point(0)}")
         if yn != 0 or xn <= 0:
-            raise DomainError(f"boundary must end on the positive x-axis, got {bd[-1]}")
+            raise DomainError("boundary must end on the positive x-axis, "
+                              f"got {self._point(-1)}")
         for i in range(1, len(pts) - 1):
             if pts[i][0] <= 0 or pts[i][1] <= 0:
-                raise DomainError(f"interior boundary vertex {bd[i]} touches an axis")
+                raise DomainError(f"interior boundary vertex {self._point(i)} "
+                                  "touches an axis")
         if self.kind == "concave":
             _check_concave(pts)
         else:
@@ -205,11 +170,45 @@ class ToricDomain:
             # the last edge has dy < 0 because its start lies off the
             # x-axis
 
-    # -- basic geometry ---------------------------------------------------
+    # -- construction helpers -------------------------------------------------
 
-    def region_polygon(self) -> tuple[Point, ...]:
-        """Closed vertex cycle of the region, clockwise from the origin."""
-        return (Point(0, 0),) + self.boundary
+    @classmethod
+    def of(cls, kind: str, points: Iterable[PointLike]) -> "ToricDomain":
+        """The domain whose boundary has the given rational vertices."""
+        return cls(kind, *_cleared(points))
+
+    @classmethod
+    def concave(cls, points: Iterable[PointLike]) -> "ToricDomain":
+        return cls.of("concave", points)
+
+    @classmethod
+    def convex(cls, points: Iterable[PointLike]) -> "ToricDomain":
+        return cls.of("convex", points)
+
+    @classmethod
+    def ball(cls, a: RationalLike, kind: str = "concave") -> "ToricDomain":
+        p, q = ratio(a)
+        if p <= 0:
+            raise DomainError("ball size must be positive")
+        return cls(kind, q, ((0, p), (p, 0)))
+
+    @classmethod
+    def ellipsoid(cls, a: RationalLike, b: RationalLike,
+                  kind: str = "concave") -> "ToricDomain":
+        """Triangle with x-intercept a and y-intercept b."""
+        (p, q), (r, s) = ratio(a), ratio(b)
+        if p <= 0 or r <= 0:
+            raise DomainError("ellipsoid radii must be positive")
+        return cls(kind, q * s, ((0, r * q), (p * s, 0)))
+
+    @cached_property
+    def boundary(self) -> tuple[Point, ...]:
+        return tuple(map(self._point, range(len(self.ints))))
+
+    def _point(self, i: int) -> Point:
+        return Point(*(Fraction(c, self.D) for c in self.ints[i]))
+
+    # -- basic geometry ---------------------------------------------------
 
     def area(self) -> Fraction:
         # shoelace of the cycle origin, v0, ..., vn; the two axis legs
@@ -226,54 +225,11 @@ class ToricDomain:
         return Fraction(max(y for _, y in self.ints), self.D)
 
     def scale(self, factor: RationalLike) -> "ToricDomain":
-        f = rational(factor)
-        if f <= 0:
+        p, q = ratio(factor)
+        if p <= 0:
             raise DomainError("scale factor must be positive")
-        return ToricDomain(self.kind, tuple(p.scale(f) for p in self.boundary))
-
-    def upper_envelope(self) -> tuple[Point, ...]:
-        """Graph of x -> max{y : (x, y) in the region}, as breakpoints.
-
-        For a concave domain this is the whole boundary.  For a convex
-        domain it is the chain from v0 up to the first vertex of
-        maximal x; an overhanging tail beyond that vertex only bounds
-        the region from the right.
-        """
-        return self.boundary[:self._envelope_end()]
-
-    def _envelope_end(self) -> int:
-        """The length of the upper envelope, counted in vertices."""
-        if self.kind == "concave":
-            return len(self.ints)
-        xs = [x for x, _ in self.ints]
-        return xs.index(max(xs)) + 1
-
-    def envelope_value(self, x: RationalLike) -> Fraction:
-        """Evaluate the upper envelope at x (must lie in [0, xmax])."""
-        xv = rational(x)
-        env = self.upper_envelope()
-        if xv < 0 or xv > env[-1].x:
-            raise DomainError(f"x = {xv} outside the domain footprint")
-        for p, q in zip(env, env[1:]):
-            if p.x <= xv <= q.x:
-                return p.y + (q.y - p.y) * (xv - p.x) / (q.x - p.x)
-        return env[-1].y  # xv == xmax and the loop closed exactly there
-
-    def contains_point(self, p: PointLike) -> bool:
-        pt = _as_point(p)
-        if pt.x < 0 or pt.y < 0:
-            return False
-        if self.kind == "concave":
-            if pt.x > self.xmax():
-                return False
-            return pt.y <= self.envelope_value(pt.x)
-        poly = self.region_polygon()
-        n = len(poly)
-        for i in range(n):
-            a, b = poly[i], poly[(i + 1) % n]
-            if cross(b - a, pt - a) > 0:
-                return False
-        return True
+        return ToricDomain(self.kind, self.D * q,
+                           tuple((x * p, y * p) for x, y in self.ints))
 
 
 def contains(outer: ToricDomain, inner: ToricDomain) -> bool:
@@ -303,7 +259,11 @@ def contains(outer: ToricDomain, inner: ToricDomain) -> bool:
                    for px, py in [(0, 0)] + [(x * si, y * si)
                                              for x, y in inner.ints]
                    for ax, ay, ex, ey in edges)
-    env = [(x * si, y * si) for x, y in inner.ints[:inner._envelope_end()]]
+    # inner's upper envelope, x -> max{y : (x, y) in the region}: all of
+    # a concave boundary, a convex one up to its first vertex of maximal x
+    xs = [x for x, _ in inner.ints]
+    end = len(xs) if inner.kind == "concave" else xs.index(max(xs)) + 1
+    env = [(x * si, y * si) for x, y in inner.ints[:end]]
     if env[-1][0] > bd[-1][0]:
         return False
     # env[i] and bd[j] are the first breakpoints not yet compared; both

@@ -1,26 +1,29 @@
 """Reading and writing domains and reports with exact rationals.
 
 Rationals travel as strings "p/q" or "n" so that no JSON float ever
-touches a value.  Serialisation is canonical: sorted keys, two-space
-indent, one trailing newline, so identical data gives identical bytes.
+touches a value; a domain file is read straight into integers.
+Serialisation is canonical: sorted keys, two-space indent, one trailing
+newline, so identical data gives identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .domains import ToricDomain
 from .errors import DomainError
-from .geometry import rational
 
 
 def domain_to_json(domain: ToricDomain) -> dict:
+    D = domain.D
     return {
         "type": domain.kind,
-        "boundary": [[str(p.x), str(p.y)] for p in domain.boundary],
+        "boundary": [[str(Fraction(x, D)), str(Fraction(y, D))]
+                     for x, y in domain.ints],
     }
 
 
@@ -33,14 +36,11 @@ def domain_from_json(obj: object) -> ToricDomain:
     boundary = obj.get("boundary")
     if not isinstance(boundary, list):
         raise DomainError("domain boundary must be a list of [x, y] pairs")
-    points = []
     for entry in boundary:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DomainError(f"boundary entry {entry!r} is not an [x, y] pair")
-        points.append((rational(entry[0]), rational(entry[1])))
-    if kind == "concave":
-        return ToricDomain.concave(points)
-    return ToricDomain.convex(points)
+    # ToricDomain.of reads the numerals straight into integers
+    return ToricDomain.of(kind, boundary)
 
 
 def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
@@ -60,6 +60,8 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # a number past sys.get_int_max_str_digits()
+        raise DomainError(f"{path}: number too long to read ({exc})") from exc
     return domain_from_json(obj), digest_bytes(data)
 
 

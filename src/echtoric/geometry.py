@@ -1,8 +1,8 @@
-"""Exact rational plane geometry used by every other module.
+"""The one rational parser, and Points, the Fraction view of vertices.
 
-Everything here is a thin layer over fractions.Fraction: the one
-rational parser, points and cross products.  Floats are rejected at
-the boundary so no rounding can creep in.
+Floats are rejected at the boundary so no rounding can creep in.
+Domains and lattice paths store integers; a Point is how one of their
+vertices reads as Fractions.
 """
 
 from __future__ import annotations
@@ -19,27 +19,33 @@ RationalLike = Union[int, str, Fraction]
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def rational(value: RationalLike) -> Fraction:
-    """Coerce to an exact rational, refusing floats outright.
-
-    Text must be "n" or "p/q" in ASCII digits with an optional minus
-    sign: decimals, exponents, spaces, a plus sign and other digits,
-    such as the Arabic-Indic or the full-width ones, are refused.
-    """
-    if isinstance(value, bool):
-        raise GeometryError(f"not a rational value: {value!r}")
+def ratio(value: RationalLike) -> tuple[int, int]:
+    """An exact rational as integers (n, d), d > 0, with text "p/q" kept
+    as written.  Text must be "n" or "p/q" in ASCII digits with an
+    optional minus sign: decimals, exponents, spaces, a plus sign, other
+    digits (Arabic-Indic, full-width) and numerals too long to read are
+    refused, and so are floats."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        return value.numerator, value.denominator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        num, _, den = value.partition("/")
         try:
-            if _RATIONAL.fullmatch(value):
-                return Fraction(value)
-        except ZeroDivisionError:
-            pass
+            n, d = int(num), int(den or 1)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise GeometryError(f"numeral of {len(value)} characters is "
+                                "too long to read") from None
+        if d:
+            return n, d
+    if isinstance(value, (str, bool)):
         raise GeometryError(f"not a rational value: {value!r}")
     raise GeometryError(f"not a rational value: {value!r} (floats are not accepted)")
+
+
+def rational(value: RationalLike) -> Fraction:
+    """Coerce to an exact rational under ratio's rules."""
+    return value if isinstance(value, Fraction) else Fraction(*ratio(value))
 
 
 @dataclass(frozen=True)
@@ -50,21 +56,3 @@ class Point:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", rational(self.x))
         object.__setattr__(self, "y", rational(self.y))
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
-    def scale(self, factor: RationalLike) -> "Point":
-        f = rational(factor)
-        return Point(f * self.x, f * self.y)
-
-
-def cross(v: Point, w: Point) -> Fraction:
-    """Signed cross product v.x*w.y - v.y*w.x."""
-    return v.x * w.y - v.y * w.x

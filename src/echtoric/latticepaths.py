@@ -1,5 +1,8 @@
 """Lattice paths, their point counts and their support functionals.
 
+A path is its kind and its lattice vertices as integer pairs, which
+everything below reads; vertices is their view as Points.
+
 A convex path runs from the y-axis to the x-axis turning (weakly)
 clockwise; together with the axes it closes up a convex lattice region
 whose point count Pick's formula delivers as area + boundary/2 + 1.
@@ -13,7 +16,8 @@ region points not sitting on the path itself.
 
 The functional of a path against a domain adds up, edge by edge, the
 extremal cross product against the region vertices: the maximum for
-convex domains, the minimum over the curved boundary for concave ones.
+convex domains, the minimum over the curved boundary for concave ones,
+summed on the domain's integers and divided by its D once.
 Cutting a convex path at its own diagonal level produces a ball path
 plus two concave paths, its flanks folded by the same fold that splits a
 convex domain for its weight expansion (weights._fold), which takes
@@ -24,9 +28,8 @@ oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
 calculus, and returns witness paths.  Its search runs on plain
 integers throughout, set-up included: the region's vertices are the
-integers the domain cleared when it was built, the clockwise step
-directions are generated as integer pairs in order, once per search
-box, and each direction's support is an integer cross product maximum.
+domain's own integers, and the clockwise step directions with their
+supports, integer cross product maxima, are made once per search box.
 It prunes each partial path on a lower bound for all its completions,
 which drops no path the bare functional would have kept (see _search).
 """
@@ -36,110 +39,112 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from operator import index
+from typing import Iterable, Optional
 
-from .domains import PointLike, ToricDomain, _as_point, _edge_zone
+from .domains import PointLike, ToricDomain, _cleared, _edge_zone
 from .errors import DomainError, LimitError
-from .geometry import Point, cross, rational
+from .geometry import Point, rational
 from .weights import _fold
-
-
-def _as_lattice_point(p: PointLike) -> Point:
-    pt = _as_point(p)
-    if pt.x.denominator != 1 or pt.y.denominator != 1:
-        raise DomainError(f"path vertex {pt} is not a lattice point")
-    return pt
-
 
 @dataclass(frozen=True)
 class LatticePath:
+    """A path through its lattice vertices, as integer pairs."""
+
     kind: str
-    vertices: tuple[Point, ...]
+    ints: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("convex", "concave"):
             raise DomainError(f"unknown path kind {self.kind!r}")
-        pts = tuple(_as_lattice_point(p) for p in self.vertices)
-        object.__setattr__(self, "vertices", pts)
+        pts = tuple((index(x), index(y)) for x, y in self.ints)
+        object.__setattr__(self, "ints", pts)
         if not pts:
             raise DomainError("a path needs at least one vertex")
-        if any(p.x < 0 or p.y < 0 for p in pts):
+        if any(x < 0 or y < 0 for x, y in pts):
             raise DomainError("path vertices must stay in the quadrant")
-        if pts[0].x != 0:
+        if pts[0][0] != 0:
             raise DomainError("paths start on the y-axis")
-        if pts[-1].y != 0:
+        if pts[-1][1] != 0:
             raise DomainError("paths end on the x-axis")
-        edges = [q - p for p, q in zip(pts, pts[1:])]
-        if any(e.x == 0 and e.y == 0 for e in edges):
+        edges = self.edges()
+        if any(dx == 0 and dy == 0 for dx, dy in edges):
             raise DomainError("zero-length path edge")
         if self.kind == "concave":
-            for e in edges:
-                if not (e.x > 0 and e.y < 0):
+            for dx, dy in edges:
+                if not (dx > 0 and dy < 0):
                     raise DomainError("concave path edges go strictly down-right")
-            for e1, e2 in zip(edges, edges[1:]):
-                if cross(e1, e2) < 0:
+            for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
+                if ux * vy - uy * vx < 0:
                     raise DomainError("concave paths turn counterclockwise")
         else:
-            zones = [_edge_zone(e.x, e.y) for e in edges]
+            zones = [_edge_zone(dx, dy) for dx, dy in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:
                     raise DomainError("convex path direction must rotate clockwise")
-            for e1, e2 in zip(edges, edges[1:]):
-                if cross(e1, e2) > 0:
+            for (ux, uy), (vx, vy) in zip(edges, edges[1:]):
+                if ux * vy - uy * vx > 0:
                     raise DomainError("convex paths turn clockwise")
 
-    def edges(self) -> list[Point]:
-        return [q - p for p, q in zip(self.vertices, self.vertices[1:])]
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(Point(x, y) for x, y in self.ints)
+
+    def edges(self) -> list[tuple[int, int]]:
+        pts = self.ints
+        return [(qx - px, qy - py)
+                for (px, py), (qx, qy) in zip(pts, pts[1:])]
+
+    @classmethod
+    def of(cls, kind: str, points: Iterable[PointLike]) -> "LatticePath":
+        """The path through rational vertices that are lattice points."""
+        D, pts = _cleared(points)
+        for x, y in pts:
+            if x % D or y % D:
+                vertex = Point(Fraction(x, D), Fraction(y, D))
+                raise DomainError(f"path vertex {vertex} is not a lattice point")
+        return cls(kind, tuple((x // D, y // D) for x, y in pts))
 
     @classmethod
     def convex(cls, points: Iterable[PointLike]) -> "LatticePath":
-        return cls("convex", tuple(points))
+        return cls.of("convex", points)
 
     @classmethod
     def concave(cls, points: Iterable[PointLike]) -> "LatticePath":
-        return cls("concave", tuple(points))
+        return cls.of("concave", points)
 
 
-def _twice_area_under(path: LatticePath) -> int:
-    # shoelace of the cycle origin, v0, ..., vend; the two axis legs
-    # contribute nothing because they head straight at the origin
-    total = 0
-    for p, q in zip(path.vertices, path.vertices[1:]):
-        total += int(cross(p, q))
-    return abs(total)
-
-
-def _boundary_points(path: LatticePath) -> int:
-    pts = path.vertices
-    edge_gcds = sum(gcd(int(abs(q.x - p.x)), int(abs(q.y - p.y)))
-                    for p, q in zip(pts, pts[1:]))
-    return int(pts[0].y) + int(pts[-1].x) + edge_gcds
+def _steps(path: LatticePath) -> int:
+    """Lattice points on the path after its first."""
+    return sum(gcd(dx, dy) for dx, dy in path.edges())
 
 
 def count_convex(path: LatticePath) -> int:
     """Lattice points in the closed region cut off by the path and axes."""
-    twice_a = _twice_area_under(path)
-    b = _boundary_points(path)
+    # Pick on the cycle origin, v0, ..., vend; the two axis legs head
+    # straight at the origin, so they add nothing to the shoelace
+    pts = path.ints
+    twice_a = abs(sum(px * qy - py * qx
+                      for (px, py), (qx, qy) in zip(pts, pts[1:])))
+    b = pts[0][1] + pts[-1][0] + _steps(path)
     assert (twice_a + b) % 2 == 0
     return (twice_a + b) // 2 + 1
 
 
 def count_concave(path: LatticePath) -> int:
     """Lattice points of the region that do not lie on the path itself."""
-    pts = path.vertices
-    on_path = 1 + sum(gcd(int(abs(q.x - p.x)), int(abs(q.y - p.y)))
-                      for p, q in zip(pts, pts[1:]))
-    return count_convex(path) - on_path
+    return count_convex(path) - 1 - _steps(path)
 
 
 def ell_convex(domain: ToricDomain, path: LatticePath) -> Fraction:
     """Sum over path edges of the maximal cross product with the region."""
     if domain.kind != "convex":
         raise DomainError("ell_convex expects a convex domain")
-    poly = domain.region_polygon()
-    return sum((max(cross(e, p) for p in poly) for e in path.edges()),
-               Fraction(0))
+    poly = [(0, 0), *domain.ints]
+    return Fraction(sum(max(dx * py - dy * px for px, py in poly)
+                        for dx, dy in path.edges()), domain.D)
 
 
 def ell_concave(domain: Optional[ToricDomain], path: LatticePath) -> Fraction:
@@ -153,8 +158,8 @@ def ell_concave(domain: Optional[ToricDomain], path: LatticePath) -> Fraction:
         return Fraction(0)
     if domain.kind != "concave":
         raise DomainError("ell_concave expects a concave domain or None")
-    return sum((min(cross(e, p) for p in domain.boundary)
-                for e in path.edges()), Fraction(0))
+    return Fraction(sum(min(dx * py - dy * px for px, py in domain.ints)
+                        for dx, dy in path.edges()), domain.D)
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class PathSplit:
     trivial one-point path when a flank is empty).
     """
 
-    level: Fraction
+    level: int
     head: LatticePath
     left: LatticePath
     right: LatticePath
@@ -175,17 +180,16 @@ class PathSplit:
 def split_path(path: LatticePath, level=None) -> PathSplit:
     if path.kind != "convex":
         raise DomainError("only convex paths are split")
-    a = max(p.x + p.y for p in path.vertices)
+    a = max(x + y for x, y in path.ints)
     if level is not None and rational(level) != a:
         raise DomainError(f"path peaks at level {a}, not {level}")
     # lattice vertices and a level on a vertex: the flanks come back at
     # scale 1
-    left, right = _fold([(p.x.numerator, p.y.numerator)
-                         for p in path.vertices], a.numerator)
-    head = [(0, a), (a, 0)] if a else [(0, 0)]
-    return PathSplit(a, LatticePath.convex(head),
-                     LatticePath.concave(left[0] if left else [(0, 0)]),
-                     LatticePath.concave(right[0] if right else [(0, 0)]))
+    left, right = _fold(path.ints, a)
+    head = ((0, a), (a, 0)) if a else ((0, 0),)
+    return PathSplit(a, LatticePath("convex", head),
+                     LatticePath("concave", left[0] if left else ((0, 0),)),
+                     LatticePath("concave", right[0] if right else ((0, 0),)))
 
 
 def _clockwise_directions(box: int) -> list[tuple[int, int]]:
@@ -216,7 +220,7 @@ _Best = Optional[tuple[int, tuple[tuple[int, int], ...]]]
 
 
 def _search(verts: list[tuple[int, int]], kmax: int, box: int,
-            dirs: list[tuple[int, int]],
+            dirs: list[tuple[int, int]], sup: list[int],
             initial: Optional[list[_Best]] = None) -> list[_Best]:
     """Branch-and-bound over clockwise paths in a box.
 
@@ -224,7 +228,9 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     among paths whose closed region has k+1 lattice points, with a
     witness.  verts are the region's vertices scaled to integers, and
     values are scaled by the same factor.  dirs are the allowed steps in
-    clockwise order (a subset makes a cheap seeding pass); initial
+    clockwise order (a subset makes a cheap seeding pass) and sup[i] is
+    the support of dirs[i], the maximum over verts p of cross(d, p),
+    which is what one step along it adds to the functional; initial
     primes the incumbent table with known paths.
 
     Ties: the witness is the first least-value path the search meets,
@@ -267,8 +273,6 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     consider therefore meets the same paths in the same order as with
     the bare functional, and values and witnesses do not change.
     """
-    sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
-    assert all(s > 0 for s in sup_i)
     X = max(px for px, py in verts if py == 0)
     n = len(dirs)
     lim = 2 * kmax
@@ -338,7 +342,7 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
         base_kmin = len(onpath) - 1
         here = steps_at.get((cx, cy))
         if here is None:
-            table = [(di, dx, dy, sup_i[di], cx * dy - cy * dx)
+            table = [(di, dx, dy, sup[di], cx * dy - cy * dx)
                      for di, (dx, dy) in enumerate(dirs)
                      if 0 <= cx + dx <= box and 0 <= cy + dy <= box
                      and -fan_max <= cx * dy - cy * dx <= fan_max]
@@ -396,22 +400,27 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
         raise DomainError("the path oracle works on convex domains")
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
-    # the region polygon over the denominator the domain cleared
+    # the region polygon over the domain's denominator
     den, verts = domain.D, [(0, 0), *domain.ints]
     box = 2 * (kmax + 1)
     best: Optional[list[_Best]] = None
     for _ in range(3):
         dirs = _clockwise_directions(box)
-        seed_dirs = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
-        best = _search(verts, kmax, box, seed_dirs, initial=best)
+        # one support table per box, which the seeding pass slices
+        sup = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
+        assert all(s > 0 for s in sup)
+        seed = [i for i, (dx, dy) in enumerate(dirs)
+                if max(abs(dx), abs(dy)) <= 3]
+        best = _search(verts, kmax, box, [dirs[i] for i in seed],
+                       [sup[i] for i in seed], initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")
-        best = _search(verts, kmax, box, dirs, initial=best)
+        best = _search(verts, kmax, box, dirs, sup, initial=best)
         hits = any(x == box or y == box
                    for b in best for x, y in b[1])  # type: ignore[index]
         if not hits:
-            return [(Fraction(b[0], den), LatticePath.convex(b[1]))
-                    for b in best]  # type: ignore[index]
+            return [(Fraction(value, den), LatticePath("convex", path))
+                    for value, path in best]  # type: ignore[misc]
         box *= 2
     raise LimitError("optimal paths keep touching the search box")
 

@@ -49,8 +49,8 @@ over k times the input's denominator.  The weight recursion cuts at a
 vertex and folds at the head, which is a vertex too, so its k is
 always 1.  The boundary approximations in blowups cut at raised levels
 and lower heads with them, and latticepaths splits convex paths with
-_fold.  The boundary over D is the one ToricDomain cleared on
-construction; nothing here clears it again.
+_fold.  The boundary over D is the domain's own (D, ints); nothing
+here clears it again.
 
 Sum rules tie the output to area: for a concave domain the squares of
 the weights add up to twice the area, for a convex one the head square
@@ -63,11 +63,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .domains import ToricDomain, _check_concave
 from .errors import DomainError, LimitError
-from .geometry import RationalLike, rational
+from .geometry import RationalLike, ratio
 
 DEFAULT_MAX_NODES = 10_000
 
@@ -412,9 +413,11 @@ def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:
     corner and each later one is sheared onto the free boundary edge.
     Peeling the result recovers exactly the input values.
     """
-    vals = [rational(v) for v in values]
-    if not vals:
+    parts = [ratio(v) for v in values]
+    if not parts:
         raise DomainError("need at least one weight")
+    D = lcm(*(q for _, q in parts))
+    vals = [p * (D // q) for p, q in parts]  # the values times D
     if any(v <= 0 for v in vals):
         raise DomainError("weights must be positive")
     if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
@@ -425,4 +428,4 @@ def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:
     boundary = [(0, vals[-1]), (vals[-1], 0)]
     for a in reversed(vals[:-1]):
         boundary = [(0, a)] + [(x - y + a, y) for x, y in boundary]
-    return ToricDomain.concave(boundary)
+    return ToricDomain("concave", D, tuple(boundary))

@@ -1,7 +1,8 @@
 """Seeded random inputs shared by the property and acceptance tests.
 
 Everything takes an explicit random.Random so failures reproduce from
-the seed alone.
+the seed alone.  cross is the plain Fraction cross product that the
+reference computations in the tests share.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ import random
 from fractions import Fraction
 
 from echtoric import LatticePath, PackingInstance, ToricDomain
+
+
+def cross(o, a, b):
+    """The cross product of a - o and b - o, for Points a, b and o."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
 
 _SLOPES = sorted({Fraction(-num, den)
                   for num in range(1, 8) for den in range(1, 5)})

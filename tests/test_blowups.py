@@ -278,8 +278,7 @@ def test_approx_golden(data_dir):
     golden = json.loads((data_dir / "approx_golden.json").read_text())
     assert len(golden) == 1132
     for entry in golden:
-        dom = ToricDomain(entry["type"],
-                          tuple(tuple(p) for p in entry["domain"]))
+        dom = ToricDomain.of(entry["type"], entry["domain"])
         deltas = entry["deltas"]
         if isinstance(deltas, list):
             deltas = [F(d) for d in deltas]

@@ -7,8 +7,8 @@ from xml.dom import minidom
 
 import pytest
 
-from echtoric import (canonical_json, concave_weights, convex_weights,
-                      load_domain)
+from echtoric import (Point, ToricDomain, canonical_json, concave_weights,
+                      convex_weights, load_domain, save_domain)
 from echtoric.cli import build_parser, main
 
 F = Fraction
@@ -313,6 +313,66 @@ def test_non_ascii_digits_are_invalid_input(capsys, tmp_path):
     code, _, _, err = run(capsys, "pack", "--target", "\u0663",
                           "--balls", "1")
     assert code == 3 and "invalid input" in err
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's least int/str digit limit, for this test only."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_numerals_past_the_digit_limit(capsys, tmp_path, digit_limit):
+    # an input numeral that int() refuses is invalid input, whether it
+    # reaches the parser as text or as a JSON number
+    many = "1" * (digit_limit + 60)
+    for boundary in (f'[["0", "{many}"], ["1", "0"]]',
+                     f'[[0, {many}], [1, 0]]'):
+        path = tmp_path / "long.json"
+        path.write_text('{"type": "concave", "boundary": %s}' % boundary)
+        code, _, out, err = run(capsys, "weights", str(path))
+        assert code == 3 and out == "", boundary
+        assert err.startswith("echtoric: invalid input: "), boundary
+    # the 1/12 outer approximation of E(1,1500) has numerals of 660
+    # digits: a report that cannot print them is a resource guard
+    path = tmp_path / "e1500.json"
+    save_domain(ToricDomain.ellipsoid(1, 1500), path)
+    code, _, out, err = run(capsys, "svg", str(path), str(tmp_path / "a.svg"),
+                            "--approximation", "1/12")
+    assert code == 4 and out == ""
+    assert err.startswith("echtoric: resource guard: ")
+
+
+def test_cli_paths_build_no_points(data_dir, capsys, tmp_path, monkeypatch):
+    # domains and lattice paths are integers from file to report; a
+    # Point is only their view, built when something asks for one
+    ellipsoids = {}
+    for n in (200, 3000):
+        ellipsoids[n] = str(tmp_path / f"e{n}.json")
+        save_domain(ToricDomain.ellipsoid(1, n), ellipsoids[n])
+    made = []
+    init = Point.__post_init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+    monkeypatch.setattr(Point, "__post_init__", counted)
+    out = str(tmp_path / "out.svg")
+    for argv in (["svg", ellipsoids[200], out, "--approximation", "1/12"],
+                 ["svg", str(data_dir / "omega2.json"), out,
+                  "--approximation", "1/12"],
+                 ["caps", str(data_dir / "square.json"), "--k", "12",
+                  "--oracle"],
+                 ["embed", str(data_dir / "omega1.json"),
+                  str(data_dir / "omega2.json"), "--scale-search", "1/100"],
+                 ["weights", ellipsoids[3000]]):
+        code, _, _, _ = run(capsys, *argv)
+        assert code == 0 and len(made) == 0, argv
+    assert ToricDomain.ball(1).boundary and len(made) == 2
 
 
 def test_argparse_usage_is_exit_one(capsys):

@@ -1,17 +1,58 @@
+import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from echtoric import (DomainError, Point, ToricDomain, concave_weights,
-                      contains, convex_weights, inner_approximation,
+from echtoric import (DomainError, LatticePath, Point, ToricDomain,
+                      concave_weights, contains, convex_weights,
+                      domain_from_json, domain_to_json, inner_approximation,
+                      load_domain, oracle_convex_caps_upto,
                       outer_approximation)
 
-from generators import random_concave, random_convex
-from test_svg_golden import golden_domains
+from generators import cross, random_concave, random_convex
+from test_svg_golden import DATA, golden_domains
 
 OMEGA1 = [("0", "10/3"), ("2/3", "4/3"), ("4/3", "2/3"), ("7/3", "0")]
 OMEGA2 = [(0, 1), (1, 2), (5, 0)]
+
+
+# -- reference geometry on Points -------------------------------------------
+#
+# Region, upper envelope and point membership in Fractions, on the
+# Point view: the reference that contains is checked against.
+
+def region_polygon(dom):
+    return (Point(0, 0),) + dom.boundary
+
+
+def upper_envelope(dom):
+    """The graph of x -> max{y : (x, y) in the region}: all of a concave
+    boundary, a convex one up to its first vertex of maximal x."""
+    xs = [p.x for p in dom.boundary]
+    end = len(xs) if dom.kind == "concave" else xs.index(max(xs)) + 1
+    return dom.boundary[:end]
+
+
+def envelope_value(dom, x):
+    env = upper_envelope(dom)
+    for p, q in zip(env, env[1:]):
+        if p.x <= x <= q.x:
+            return p.y + (q.y - p.y) * (x - p.x) / (q.x - p.x)
+    assert x == env[-1].x
+    return env[-1].y
+
+
+def contains_point(dom, p):
+    pt = Point(*p)
+    if pt.x < 0 or pt.y < 0:
+        return False
+    if dom.kind == "concave":
+        return pt.x <= dom.xmax() and pt.y <= envelope_value(dom, pt.x)
+    poly = region_polygon(dom)
+    return all(cross(a, b, pt) <= 0
+               for a, b in zip(poly, poly[1:] + poly[:1]))
 
 
 def test_concave_accepts_reference_boundary():
@@ -74,11 +115,11 @@ def test_area_reference_values():
 def test_overhang_region_and_envelope():
     dom = ToricDomain.convex([(0, 2), (2, 2), (3, 1), (2, 0)])
     assert dom.xmax() == 3
-    env = dom.upper_envelope()
+    env = upper_envelope(dom)
     assert env[-1] == Point(3, 1)
-    assert dom.envelope_value(Fraction(5, 2)) == Fraction(3, 2)
-    assert dom.contains_point((Fraction(5, 2), 1))
-    assert not dom.contains_point((Fraction(5, 2), 2))
+    assert envelope_value(dom, Fraction(5, 2)) == Fraction(3, 2)
+    assert contains_point(dom, (Fraction(5, 2), 1))
+    assert not contains_point(dom, (Fraction(5, 2), 2))
 
 
 def test_scale_properties_random():
@@ -122,13 +163,14 @@ def _contains_reference(outer, inner):
     """contains by brute force: outer's membership test per vertex of
     inner, or both envelopes evaluated by a scan at every breakpoint."""
     if outer.kind == "convex":
-        return all(outer.contains_point(p) for p in inner.region_polygon())
+        return all(contains_point(outer, (p.x, p.y))
+                   for p in region_polygon(inner))
     if inner.xmax() > outer.xmax():
         return False
-    env = inner.upper_envelope()
+    env = upper_envelope(inner)
     xs = {p.x for p in env}
     xs.update(p.x for p in outer.boundary if p.x <= env[-1].x)
-    return all(inner.envelope_value(x) <= outer.envelope_value(x)
+    return all(envelope_value(inner, x) <= envelope_value(outer, x)
                for x in xs)
 
 
@@ -203,7 +245,7 @@ def test_contains_matches_reference_on_approximations():
 
 def _message(kind, points):
     with pytest.raises(DomainError) as exc:
-        ToricDomain(kind, tuple(points))
+        ToricDomain.of(kind, points)
     return str(exc.value)
 
 
@@ -289,14 +331,55 @@ def test_collapse_keeps_the_canonical_tuple():
                for (x, y), p in zip(dom.ints, dom.boundary))
 
 
+def _approximations():
+    """Every approximation that approx_golden.json records."""
+    for entry in json.loads((DATA / "approx_golden.json").read_text()):
+        if "error" in entry:
+            continue
+        dom = ToricDomain.of(entry["type"], entry["domain"])
+        deltas = entry["deltas"]
+        deltas = ([Fraction(d) for d in deltas] if isinstance(deltas, list)
+                  else Fraction(deltas))
+        if entry["op"] == "outer":
+            yield outer_approximation(concave_weights(dom)[1], deltas)
+        else:
+            yield inner_approximation(convex_weights(dom)[1], deltas)
+
+
+def _oracle_targets():
+    """The oracle goldens' targets with their largest index."""
+    for name in json.loads((DATA / "oracle_golden_k6.json").read_text()):
+        yield load_domain(DATA / f"{name}.json"), 6
+    for entry in json.loads((DATA / "oracle_golden_k12.json").read_text()):
+        yield ToricDomain.convex(entry["boundary"]), entry["kmax"]
+
+
 def test_integer_form_and_area_on_random_domains():
     rng = random.Random(29)
-    for _ in range(60):
-        dom = random_concave(rng) if rng.random() < 0.5 else random_convex(rng)
+    generated = [random_concave(rng) if rng.random() < 0.5
+                 else random_convex(rng) for _ in range(60)]
+    for dom in generated:
         assert all((Fraction(x, dom.D), Fraction(y, dom.D)) == (p.x, p.y)
                    for (x, y), p in zip(dom.ints, dom.boundary))
         # the area is the shoelace sum over the region polygon's Points
-        poly = dom.region_polygon()
+        poly = region_polygon(dom)
         twice = sum(p.x * q.y - p.y * q.x
                     for p, q in zip(poly, poly[1:] + poly[:1]))
         assert dom.area() == abs(twice) / 2
+    # the integer constructors give what the rational one gives from
+    # the Points: on every domain file, every recorded approximation
+    # and the generated domains
+    count = 0
+    for dom in chain(golden_domains().values(), _approximations(),
+                     generated):
+        again = ToricDomain.of(dom.kind, dom.boundary)
+        assert again == dom and hash(again) == hash(dom)
+        assert domain_from_json(domain_to_json(dom)) == dom
+        for t in (Fraction(1, 3), Fraction(7, 2), Fraction(10 ** 9, 7)):
+            assert dom.scale(t) == ToricDomain.of(
+                dom.kind, [(t * p.x, t * p.y) for p in dom.boundary])
+        count += 1
+    assert count == 639  # 15 domains, 564 approximations, 60 generated
+    for dom, kmax in _oracle_targets():
+        for _, path in oracle_convex_caps_upto(dom, kmax):
+            assert LatticePath.of(path.kind, path.vertices) == path

@@ -5,9 +5,9 @@ import pytest
 
 from echtoric import Point
 from echtoric.errors import DomainError, GeometryError
-from echtoric.geometry import cross, rational
+from echtoric.geometry import ratio, rational
 
-from generators import random_concave, random_convex
+from generators import cross, random_concave, random_convex
 
 
 def test_rational_accepts_exact_types_only():
@@ -23,32 +23,24 @@ def test_rational_accepts_exact_types_only():
     for bad in ("1.5", "1e-3", " 3", "+3", "3\n", "2 / 3", "a/b", "1/0",
                 "", "2/3/4", "\u0663", "\uff13/\uff14", 0.5, 1.5, True,
                 None):
-        with pytest.raises(GeometryError):
-            rational(bad)
+        for parse in (ratio, rational):
+            with pytest.raises(GeometryError):
+                parse(bad)
     assert issubclass(GeometryError, DomainError)
-
-
-def test_point_arithmetic():
-    p = Point(1, 2)
-    q = Point("1/2", 3)
-    assert p + q == Point(Fraction(3, 2), 5)
-    assert p - q == Point(Fraction(1, 2), -1)
-    assert p.scale(Fraction(1, 3)) == Point(Fraction(1, 3), Fraction(2, 3))
-
-
-def test_cross_orientation():
-    assert cross(Point(1, 0), Point(0, 1)) == 1
-    assert cross(Point(0, 1), Point(1, 0)) == -1
-    assert cross(Point(2, 3), Point(4, 6)) == 0
+    # ratio keeps text as written; rational reduces it
+    assert ratio("2/4") == (2, 4) and rational("2/4") == Fraction(1, 2)
+    assert ratio("-06") == (-6, 1) and ratio(-6) == (-6, 1)
+    assert ratio(Fraction(-2, 4)) == (-1, 2)
 
 
 def test_polygon_area_random_triangulation_agrees():
     # the integer shoelace of ToricDomain.area against a fan of Fraction
     # triangles from the origin, which sees every boundary point
+    O = Point(0, 0)
     rng = random.Random(7)
     for _ in range(25):
         for dom in (random_concave(rng), random_convex(rng)):
             pts = dom.boundary
-            total = sum((abs(cross(a, b)) / 2 for a, b in zip(pts, pts[1:])),
-                        Fraction(0))
+            total = sum((abs(cross(O, a, b)) / 2
+                         for a, b in zip(pts, pts[1:])), Fraction(0))
             assert dom.area() == total

@@ -14,11 +14,10 @@ from echtoric import (DomainError, LatticePath, Point, ToricDomain,
 from echtoric import latticepaths
 from echtoric.domains import _edge_zone
 from echtoric.fileio import load_domain
-from echtoric.geometry import cross
 from echtoric.latticepaths import _clockwise_directions
 from echtoric.weights import _fold
 
-from generators import random_convex, random_convex_path
+from generators import cross, random_convex, random_convex_path
 
 F = Fraction
 
@@ -33,21 +32,21 @@ def _region_points(path):
     for x in range(0, max(xs) + 1):
         for y in range(0, max(ys) + 1):
             p = Point(x, y)
-            if all(cross(b - a, p - a) <= 0 for a, b in zip(poly, poly[1:])):
+            if all(cross(a, b, p) <= 0 for a, b in zip(poly, poly[1:])):
                 pts.append(p)
     return pts
 
 
 def _on_path(path, p):
     for a, b in zip(path.vertices, path.vertices[1:]):
-        d, e = b - a, p - a
-        if cross(d, e) == 0 and 0 <= dot_scaled(d, e) <= dot_scaled(d, d):
+        if cross(a, b, p) == 0 and 0 <= dot(a, b, p) <= dot(a, b, b):
             return True
     return p == path.vertices[0]
 
 
-def dot_scaled(u, v):
-    return u.x * v.x + u.y * v.y
+def dot(o, u, v):
+    """The dot product of u - o and v - o."""
+    return (u.x - o.x) * (v.x - o.x) + (u.y - o.y) * (v.y - o.y)
 
 
 def test_path_validation():
@@ -291,9 +290,11 @@ def test_clockwise_directions_every_box():
 # same paths before consider in the same order and so return the same
 # values and witnesses.
 
-def _search_ref(verts, kmax, box, dirs, initial=None):
+def _search_ref(verts, kmax, box, dirs, sup, initial=None):
     sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
     assert all(s > 0 for s in sup_i)
+    # the oracle hands each pass its entries of one table per box
+    assert sup == sup_i
     n = len(dirs)
     lim = 2 * kmax
     fan_max = 2 * lim

@@ -1,6 +1,11 @@
+import importlib.util
+import sys
 import types
+from pathlib import Path
 
 import echtoric
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_all_lists_no_submodule():
@@ -12,3 +17,18 @@ def test_all_lists_no_submodule():
     assert {"convex_caps", "convex_horizon", "ToricDomain",
             "DomainError", "Decomposition", "concave_weights",
             "convex_weights"} <= set(echtoric.__all__)
+
+
+def test_tracer_finds_every_entry_point(monkeypatch):
+    # the benchmark's traced pass wraps entry points by name; one the
+    # package renamed or dropped would only show as a missing layer
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read only
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    undo, missing = spans.install(spans.Tracer(), echtoric)
+    try:
+        assert missing == []
+        assert undo
+    finally:
+        spans.uninstall(undo)

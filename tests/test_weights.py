@@ -262,8 +262,7 @@ def test_weights_golden(data_dir):
         return [[row[0], row[3]] for row in rows]
 
     for entry in golden:
-        dom = ToricDomain(entry["type"],
-                          tuple(tuple(p) for p in entry["boundary"]))
+        dom = ToricDomain.of(entry["type"], entry["boundary"])
         if dom.kind == "concave":
             exp, tree = concave_weights(dom)
             assert _node_rows(tree) == recorded(entry["nodes"]), entry["name"]
@@ -340,8 +339,7 @@ def test_euclid_runs_match_the_cut_walk():
 
 def _golden_and_generated(data_dir):
     golden = json.loads((data_dir / "weights_golden.json").read_text())
-    doms = [ToricDomain(e["type"], tuple(tuple(p) for p in e["boundary"]))
-            for e in golden]
+    doms = [ToricDomain.of(e["type"], e["boundary"]) for e in golden]
     rng = random.Random(59)
     doms += [random_concave(rng) for _ in range(100)]
     doms += [random_convex(rng) for _ in range(100)]
