@@ -218,8 +218,7 @@ def cmd_embed(args) -> dict:
     if args.scale_search is not None:
         precision = rational(args.scale_search)
         # optimal_embedding_scale would build the instance a second time
-        lo, hi = optimal_scale(instance, problem.source_weights.weights,
-                               precision)
+        lo, hi = optimal_scale(instance, problem.source_weights, precision)
         report["scale"] = {
             "precision": _s(precision),
             "feasible_at": _s(lo),

@@ -22,7 +22,7 @@ from typing import Optional
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain
 from .errors import DomainError
-from .geometry import RationalLike, rational
+from .geometry import RationalLike
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
 from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_weights,
                       convex_weights)
@@ -115,5 +115,5 @@ def optimal_embedding_scale(problem: EmbeddingProblem,
     the source's balls inside the reduced instance and keeps the
     target's own balls fixed.
     """
-    return optimal_scale(reduce_to_packing(problem),
-                         problem.source_weights.weights, rational(precision))
+    return optimal_scale(reduce_to_packing(problem), problem.source_weights,
+                         precision)

@@ -16,22 +16,47 @@ trace so a reduction can be replayed and audited step by step.
 A PackingInstance is a WeightExpansion with the head required, its
 sizes sorted integers over one D, as reduce_to_packing merges them or
 PackingInstance.of clears them from rationals.  The moves run on those
-integers in one kernel, and only the trace rows a caller gets back are
-turned into fractions.  A scale search probes t = p/q on the same
-integers (q*b; p*a_i for the scaled balls, q*a_j for the fixed ones):
-a positive factor changes neither the sign of a defect, nor which
-entries are negative, nor the sign of the slack.
+integers, and only the trace rows a caller gets back are turned into
+fractions.
+
+optimal_scale brackets the supremal factor t at which the scaled balls
+still pack.  A probe at t = p/q reads the same integers (q*b; p*a_i for
+the scaled balls, q*f_j for the fixed ones): a positive factor changes
+neither the sign of a defect, nor which entries are negative, nor the
+sign of the slack.  The search bisects on dyadic integers and builds
+its two Fractions only on return.  It answers most probes without a
+reduction:
+- Volume: the slack at p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2, two
+  sums taken once per search, so the volume test is O(1).
+- Classes: a probe that ends on a negative entry reads that entry's
+  class C = d L - sum m_i E_i, pulled back through the moves, each the
+  reflection in L - E_i - E_j - E_k.  C is an exceptional class, or the
+  image of the line class if the head went negative, and its area at
+  scale t is const + t lin with lin = -sum m_i a_i over the scaled
+  balls.  With lin < 0, every t above -const/lin is infeasible, so
+  probes above the least such threshold need no reduction.  The search
+  probes each new least threshold once; if it is feasible, it is the
+  exact supremum, and every later probe is one integer comparison.
+The bracket is plain bisection's, since each probe gets the reducer's
+answer: Cremona reduction decides the packing completely, so where a
+class has negative area there is no packing and the reducer refuses
+too, and feasibility is monotone in t (shrinking balls keeps a
+packing), so every t up to a feasible threshold is feasible.  Probes
+reduce with no trace; per move they keep only the three moved entries,
+whose low bits label their balls.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
+from .blowups import HomologyClass
 from .capacities import ball_caps, concave_caps
 from .errors import DomainError
 from .geometry import RationalLike, rational
@@ -122,7 +147,6 @@ def _reduce(v: list[int]) -> list[tuple[int, ...]]:
     least three of them.  The head drops by at least one per move, and
     a negative head already counts as a negative entry, so this ends.
     """
-    slack = _slack(v)
     trace = [tuple(v)]
     while min(v[0], v[-1]) >= 0:
         d = v[1] + v[2] + v[3] - v[0]
@@ -132,8 +156,9 @@ def _reduce(v: list[int]) -> list[tuple[int, ...]]:
         assert head < v[0]
         v = [head] + sorted([v[1] - d, v[2] - d, v[3] - d] + v[4:],
                             reverse=True)
-        assert _slack(v) == slack
         trace.append(tuple(v))
+    # every move conserves the slack, so one check covers the whole run
+    assert len(trace) == 1 or _slack(v) == _slack(trace[0])
     return trace
 
 
@@ -198,62 +223,146 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
     return None
 
 
-def _scaled_feasible(target: int, scaled: Sequence[int],
-                     fixed: Sequence[int], t: Fraction) -> bool:
-    """Whether t*scaled and fixed pack into target, all sizes times D.
+def _obstruction(head: int, balls: list[int]) -> Optional[HomologyClass]:
+    """None when (head; balls) reduces with no negative entry, else the
+    class C of a negative entry, pulled back to the input's basis.
 
-    The probe reduces the instance at scale t multiplied by
-    D * t.denominator, which is integral.
+    balls are nonnegative, in any order, and ball t stands for E_t;
+    C = c_0 L + sum c_t E_t pairs with the input as
+    head c_0 + sum balls[t] c_t, the negative entry.  No trace is kept.
+    Each size is packed with its label t into one integer, ascending,
+    so the three largest sit at the end and a move re-inserts them by
+    bisection.  A move is the reflection in R = L - E_i - E_j - E_k,
+    so the walk back adds (C.R) R per move, in O(1).
     """
-    p, q = t.numerator, t.denominator
-    balls = [q * a for a in fixed]
-    if p:
-        balls += [p * a for a in scaled]
-    balls.sort(reverse=True)
-    v = [q * target] + balls + [0] * (3 - len(balls))
-    return min(_reduce(v)[-1]) >= 0 and _slack(v) >= 0
+    balls = balls + [0] * (3 - len(balls))
+    shift = len(balls).bit_length()
+    body = sorted([a << shift | t for t, a in enumerate(balls)])
+    moves = []
+    while head >= 0 and body[0] >= 0:
+        d = (body[-1] >> shift) + (body[-2] >> shift) + (body[-3] >> shift)
+        d -= head
+        if d <= 0:
+            return None
+        head -= d
+        moves.append(body[-3:])
+        del body[-3:]
+        d <<= shift
+        for x in moves[-1]:
+            insort(body, x - d)
+    mask = (1 << shift) - 1
+    c0, c = 0, [0] * len(balls)
+    if head < 0:
+        c0 = 1
+    else:
+        c[body[0] & mask] = 1
+    for i, j, k in reversed(moves):
+        i, j, k = i & mask, j & mask, k & mask
+        t = c0 + c[i] + c[j] + c[k]
+        c0 += t
+        c[i] -= t
+        c[j] -= t
+        c[k] -= t
+    return HomologyClass(c0, tuple(c))
+
+
+def _scaled_ints(instance: PackingInstance,
+                 scaled: Union[WeightExpansion, Sequence[RationalLike]],
+                 ) -> list[int]:
+    """The scaled balls as integers over the instance's D."""
+    if isinstance(scaled, WeightExpansion):
+        D, ints = scaled.D, scaled.sizes
+    else:
+        D, (_, *ints) = _integral([Fraction(1, instance.D),
+                                   *map(rational, scaled)])
+    # a size that needs a finer denominator than the instance's is no
+    # ball of it
+    if instance.D % D:
+        raise DomainError("scaled sizes are not among the instance's balls")
+    if not ints or min(ints) <= 0:
+        raise DomainError("scaled ball sizes must be positive and nonempty")
+    return [a * (instance.D // D) for a in ints]
 
 
 def optimal_scale(instance: PackingInstance,
-                  scaled: Sequence[RationalLike],
+                  scaled: Union[WeightExpansion, Sequence[RationalLike]],
                   precision: RationalLike,
                   ) -> tuple[Fraction, Fraction]:
     """Bracket the supremal factor t at which t*scaled still packs.
 
-    scaled must be a sub-multiset of the instance's balls; the others
-    stay fixed.  Returns exact rationals (lo, hi) with lo feasible, hi
-    infeasible and hi - lo <= precision.  The problem must be feasible
-    with the scaled balls shrunk away, else there is no bracket at all.
+    scaled must be a sub-multiset of the instance's balls, given as
+    rationals or as an expansion whose D divides the instance's; the
+    others stay fixed.  Returns exact rationals (lo, hi) with lo
+    feasible, hi infeasible and hi - lo <= precision: the bracket of
+    plain bisection from [0, 1], or from the doubling [2^j, 2^(j+1)]
+    when 1 is feasible.  The problem must be feasible with the scaled
+    balls shrunk away, else there is no bracket at all.
     """
     prec = rational(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
-    sizes = [rational(a) for a in scaled]
-    if not sizes or any(a.numerator <= 0 for a in sizes):
-        raise DomainError("scaled ball sizes must be positive and nonempty")
-    # a size that needs a finer denominator than the instance's is no ball
-    D, (_, *scaled_ints) = _integral([Fraction(1, instance.D), *sizes])
-    remaining = Counter(instance.sizes)
-    remaining.subtract(scaled_ints)
-    if D != instance.D or any(c < 0 for c in remaining.values()):
+    a = _scaled_ints(instance, scaled)
+    rest = Counter(instance.sizes)
+    rest.subtract(a)
+    if any(c < 0 for c in rest.values()):
         raise DomainError("scaled sizes are not among the instance's balls")
-    target, fixed_ints = instance.top, list(remaining.elements())
-
-    def feasible(t: Fraction) -> bool:
-        return _scaled_feasible(target, scaled_ints, fixed_ints, t)
-
-    if not feasible(Fraction(0)):
+    b, f = instance.top, list(rest.elements())
+    # the slack at t = p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2
+    fixed_slack = b * b - sum(x * x for x in f)
+    scaled_squares = sum(x * x for x in a)
+    if fixed_slack < 0 or _obstruction(b, [0] * len(a) + f) is not None:
         raise DomainError("infeasible already at scale zero")
-    if feasible(Fraction(1)):
-        lo, hi = Fraction(1), Fraction(2)
-        while feasible(hi):
-            lo, hi = hi, hi * 2  # the volume bound ends this doubling
+    # every t > cap_n/cap_d is infeasible (1/0: none known yet); once
+    # exact, the cap is itself feasible and so the supremum
+    cap_n, cap_d, exact = 1, 0, False
+    lp, lq = 0, 1  # the last scale a probe found feasible
+
+    def blocked(p: int, q: int) -> bool:
+        """Whether t = p/q is infeasible; a class read lowers the cap."""
+        nonlocal cap_n, cap_d
+        if q * q * fixed_slack < p * p * scaled_squares:
+            return True
+        C = _obstruction(q * b, [p * x for x in a] + [q * x for x in f])
+        if C is None:
+            return False
+        # w_t(C) = const + t lin, negative at t = p/q
+        const = b * C.L + sum(x * e for x, e in zip(f, C.E[len(a):]))
+        lin = sum(x * e for x, e in zip(a, C.E))
+        assert q * const + p * lin < 0
+        if lin < 0:  # its threshold lies below p/q, so below the cap
+            cap_n, cap_d = const, -lin
+        return True
+
+    def feasible(p: int, q: int) -> bool:
+        nonlocal exact, lp, lq
+        if p * cap_d > cap_n * q:
+            return False
+        if exact:
+            return True
+        if not blocked(p, q):
+            lp, lq = p, q
+            return True
+        # probe the least threshold: if it is feasible, it is the supremum
+        while cap_d and not exact:
+            n, d = cap_n, cap_d
+            if n * lq == lp * d or not blocked(n, d):
+                exact = True
+            elif (n, d) == (cap_n, cap_d):
+                break  # blocked by volume, or by no lower threshold
+        return False
+
+    # plain bisection's bracket on dyadic integers lo/2^e, hi/2^e
+    if feasible(1, 1):
+        lo, hi = 1, 2
+        while feasible(hi, 1):
+            lo, hi = hi, 2 * hi  # the volume bound ends this doubling
     else:
-        lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > prec:
-        mid = (lo + hi) / 2
-        if feasible(mid):
+        lo, hi = 0, 1
+    num, den, e = prec.numerator, prec.denominator, 0
+    while (hi - lo) * den > num << e:
+        mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
+        if feasible(mid, 1 << e):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)

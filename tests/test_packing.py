@@ -1,20 +1,25 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from echtoric import (DomainError, EmbeddingProblem, LimitError,
-                      PackingInstance, ToricDomain, capacities,
-                      capacity_obstruction, cremona_reduce, cremona_step,
-                      decide_packing, defect, optimal_embedding_scale,
-                      optimal_scale, reduce_to_packing)
+from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
+                      LimitError, PackingInstance, SymplecticClass,
+                      ToricDomain, c1, capacities, capacity_obstruction,
+                      cremona_reduce, cremona_step, decide_packing, defect,
+                      intersection, optimal_embedding_scale, optimal_scale,
+                      packing, pairing, reduce_to_packing)
 
-from echtoric.packing import _integral, _scaled_feasible
+from echtoric.packing import _integral, _obstruction, _reduce, _slack
 
 from generators import random_instance
 
 F = Fraction
+BALL3 = ToricDomain.ball(3, kind="convex")
+SQUARE = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
 
 
 # -- instance normalization --------------------------------------------------
@@ -216,8 +221,8 @@ def test_optimal_scale_bracket_is_sharp():
 
 def test_decision_compares_no_fractions(monkeypatch):
     # E(N/1000, 1/1000) into the square: the instance is built, decided
-    # and scaled on integers, so the Fraction comparisons left are the
-    # bisection's, whatever N is
+    # and scaled on integers, and the bisection runs on dyadic integers,
+    # so the one Fraction comparison left is the precision's sign
     calls = []
     richcmp = Fraction._richcmp
 
@@ -228,15 +233,32 @@ def test_decision_compares_no_fractions(monkeypatch):
     counts = []
     for N in (300, 3000):
         problem = EmbeddingProblem(
-            ToricDomain.ellipsoid(F(N, 1000), F(1, 1000)),
-            ToricDomain.convex([(0, 1), (1, 1), (1, 0)]))
+            ToricDomain.ellipsoid(F(N, 1000), F(1, 1000)), SQUARE)
         calls.clear()
         monkeypatch.setattr(Fraction, "_richcmp", counted)
         assert decide_packing(reduce_to_packing(problem)).feasible
         optimal_embedding_scale(problem, F(1, 1000))
         monkeypatch.undo()
         counts.append(len(calls))
-    assert counts[1] <= counts[0] < 64, counts
+    assert counts[1] <= counts[0] <= 1, counts
+
+
+def test_scale_search_takes_expansion_integers(monkeypatch):
+    # the embedding path hands over the source expansion: its sizes are
+    # read as integers, and only the precision goes through rational
+    problem = EmbeddingProblem(ToricDomain.ellipsoid(1, F(3001, 10)), BALL3)
+    inst, src = reduce_to_packing(problem), problem.source_weights
+    expected = optimal_scale(inst, src.weights, F(1, 1000))
+    calls = []
+    monkeypatch.setattr(packing, "rational",
+                        lambda x: calls.append(x) or F(x))
+    assert optimal_embedding_scale(problem, F(1, 1000)) == expected
+    assert calls == [F(1, 1000)]
+    monkeypatch.undo()
+    # an expansion whose denominator does not divide the instance's
+    with pytest.raises(DomainError):
+        optimal_scale(PackingInstance.of(2, (1, 1)),
+                      PackingInstance.of(1, (F(1, 2),)), F(1, 16))
 
 
 def test_optimal_scale_rejections():
@@ -285,6 +307,48 @@ def _fraction_feasible(target, balls):
     return min(vec) >= 0 and slack >= 0
 
 
+def _scaled_feasible(target, scaled, fixed, t):
+    """The traced kernel's verdict on t*scaled and fixed, sizes times D."""
+    p, q = t.numerator, t.denominator
+    balls = [q * a for a in fixed]
+    if p:
+        balls += [p * a for a in scaled]
+    balls.sort(reverse=True)
+    v = [q * target] + balls + [0] * (3 - len(balls))
+    return min(_reduce(v)[-1]) >= 0 and _slack(v) >= 0
+
+
+def _bisection_scale(instance, scaled, precision, probes):
+    """Plain bisection on Fractions, one reduction per probe, as a
+    reference for optimal_scale; probes[0] counts the reductions."""
+    prec = F(precision)
+    D, (_, *scaled_ints) = _integral([F(1, instance.D), *map(F, scaled)])
+    remaining = Counter(instance.sizes)
+    remaining.subtract(scaled_ints)
+    assert D == instance.D and min(remaining.values(), default=0) >= 0
+    fixed_ints = list(remaining.elements())
+
+    def feasible(t):
+        probes[0] += 1
+        return _scaled_feasible(instance.top, scaled_ints, fixed_ints, t)
+
+    if not feasible(F(0)):
+        raise DomainError("infeasible already at scale zero")
+    if feasible(F(1)):
+        lo, hi = F(1), F(2)
+        while feasible(hi):
+            lo, hi = hi, hi * 2
+    else:
+        lo, hi = F(0), F(1)
+    while hi - lo > prec:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def test_scale_probe_matches_fraction_decisions():
     rng = random.Random(67)
     seen = set()
@@ -297,11 +361,142 @@ def test_scale_probe_matches_fraction_decisions():
         for t in (F(0), F(1), F(rng.randint(0, 40), rng.randint(1, 24))):
             balls = tuple(t * a for a in scaled) + fixed
             ref = decide_packing(PackingInstance.of(inst.target, balls))
-            got = _scaled_feasible(ints[0], ints[1:n], ints[n:], t)
-            assert got == ref.feasible == _fraction_feasible(inst.target,
-                                                             balls)
+            p, q = t.numerator, t.denominator
+            head, sizes = q * ints[0], ([p * a for a in ints[1:n]]
+                                        + [q * a for a in ints[n:]])
+            got = (_slack([head] + sizes) >= 0
+                   and _obstruction(head, sizes) is None)
+            assert got == ref.feasible == _fraction_feasible(
+                inst.target, balls) == _scaled_feasible(
+                    ints[0], ints[1:n], ints[n:], t)
             seen.add((t == 0, len(ref.trace[0]) - 1 - len(balls) > 0,
                       "negative-entry" in ref.failures))
     # scale zero, zero padding and negative terminals all occurred
     assert {s[0] for s in seen} == {s[1] for s in seen} == \
         {s[2] for s in seen} == {False, True}
+
+
+def _grid_searches():
+    """E(1,a) for a = 1..8 in steps of 1/36 into B(3) and the square."""
+    for i in range(7 * 36 + 1):
+        for target in (BALL3, SQUARE):
+            problem = EmbeddingProblem(
+                ToricDomain.ellipsoid(1, 1 + F(i, 36)), target)
+            yield (reduce_to_packing(problem), problem.source_weights,
+                   F(1, 1000))
+
+
+def _long_searches():
+    for N in (300, 1000, 3000):
+        problem = EmbeddingProblem(ToricDomain.ellipsoid(1, N), BALL3)
+        yield reduce_to_packing(problem), problem.source_weights, F(1, 1000)
+
+
+def _random_searches():
+    rng = random.Random(71)
+    for _ in range(600):
+        inst = random_instance(rng, max_balls=rng.choice((2, 4, 9)))
+        scaled = inst.balls[:rng.randint(1, len(inst.balls))]
+        for precision in (F(1, 16), F(1, 1000), F(1, 10 ** 6)):
+            yield inst, scaled, precision
+
+
+def _count_reductions(monkeypatch):
+    """A one-entry list that counts the search's reductions from now on."""
+    counts = [0]
+
+    def counted(head, balls):
+        counts[0] += 1
+        return _obstruction(head, balls)
+
+    monkeypatch.setattr(packing, "_obstruction", counted)
+    return counts
+
+
+def _compare_searches(monkeypatch, searches):
+    """(reference, optimal_scale) reduction totals over the searches,
+    which must give the same brackets, and never more reductions."""
+    counts = _count_reductions(monkeypatch)
+    total_ref = total = 0
+    for inst, scaled, precision in searches:
+        probes = [0]
+        counts[0] = 0
+        try:
+            ref = _bisection_scale(inst, getattr(scaled, "weights", scaled),
+                                   precision, probes)
+        except DomainError:
+            with pytest.raises(DomainError, match="scale zero"):
+                optimal_scale(inst, scaled, precision)
+        else:
+            assert optimal_scale(inst, scaled, precision) == ref
+        assert counts[0] <= probes[0]
+        total_ref += probes[0]
+        total += counts[0]
+    return total_ref, total
+
+
+def test_scale_search_matches_plain_bisection(monkeypatch):
+    # the steered search answers each bisection probe as plain bisection
+    # does, so the brackets are equal; classes and the volume test spare
+    # most reductions
+    ref, new = _compare_searches(monkeypatch, _grid_searches())
+    assert new * 2 <= ref, (ref, new)
+    ref, new = _compare_searches(monkeypatch, _long_searches())
+    assert new <= ref, (ref, new)
+    ref, new = _compare_searches(monkeypatch, _random_searches())
+    assert new * 2 <= ref, (ref, new)
+
+
+def test_obstruction_hand_classes():
+    # (2; 2, 1, 0) moves to (1; 1, 0, -1): the padding entry E_2 pulls
+    # back to L - E_0 - E_1, of area 2 - 2 - 1
+    assert _obstruction(2, [2, 1]) == HomologyClass(1, (-1, -1, 0))
+    # (1; 1, 1, 1) moves to (-1; -1, -1, -1): the head's line class pulls
+    # back to 2L - E_0 - E_1 - E_2, of area 2 - 3
+    assert _obstruction(1, [1, 1, 1]) == HomologyClass(2, (-1, -1, -1))
+    # reduced, or reduced after moves, with no negative entry
+    assert _obstruction(3, [1, 1, 1]) is None
+    assert _obstruction(2, [1, 1, 1, 1]) is None
+
+
+def test_scale_search_reads_valid_classes(monkeypatch):
+    # every class the search reads is exceptional (E.E = -1, c1 = 1) or
+    # a line class (+1, 3), with m_i >= 0 and negative area at its probe
+    found = []
+
+    def recorded(head, balls):
+        C = _obstruction(head, balls)
+        if C is not None:
+            found.append((head, balls, C))
+        return C
+
+    monkeypatch.setattr(packing, "_obstruction", recorded)
+    for inst, scaled, precision in chain(_grid_searches(),
+                                         _random_searches()):
+        try:
+            optimal_scale(inst, scaled, precision)
+        except DomainError:
+            pass
+    kinds = Counter()
+    for head, balls, C in found:
+        assert isinstance(C, HomologyClass)
+        assert len(C.E) == max(3, len(balls)) and C.Ehat == ()
+        kind = (intersection(C, C), c1(C))
+        assert kind in ((-1, 1), (1, 3)), C
+        assert C.L >= 0 and max(C.E) <= 0
+        omega = SymplecticClass(head, tuple(-a for a in balls), ())
+        assert pairing(omega, C) < 0
+        kinds[kind] += 1
+    assert kinds[-1, 1] > 1000, kinds
+
+
+def test_scale_golden_reduction_count(data_dir, monkeypatch):
+    # the 22 scale brackets of packing_golden.json take 283 reductions by
+    # plain bisection (_bisection_scale)
+    golden = json.loads((data_dir / "packing_golden.json").read_text())
+    counts = _count_reductions(monkeypatch)
+    for entry in golden["scale"]:
+        optimal_embedding_scale(EmbeddingProblem(
+            ToricDomain.concave(entry["source"]),
+            ToricDomain.convex(entry["target"])), F(entry["precision"]))
+    assert counts[0] == 108, counts
