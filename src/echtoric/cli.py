@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,8 +68,9 @@ def _s(value) -> str:
         raise LimitError("a report value has too many digits to print") from None
 
 
-def _sv(values) -> list[str]:
-    return [_s(v) for v in values]
+def _texts(D: int, rows) -> dict[int, str]:
+    """The text of n/D for each distinct integer n in rows, made once."""
+    return {n: _s(Fraction(n, D)) for n in set(chain.from_iterable(rows))}
 
 
 def _parse_balls(text: str) -> tuple[Fraction, ...]:
@@ -90,13 +92,17 @@ def _expand(dom: ToricDomain, mn: int):
             else convex_weights)(dom, mn)
 
 
-def _verdict_payload(verdict: Verdict) -> dict:
+def _verdict_payload(verdict: Verdict, balls: int) -> dict:
+    # one table of texts: trace[0] is the instance, zero-padded past balls
+    text = _texts(verdict.D, verdict.rows).__getitem__
+    trace = [list(map(text, row)) for row in verdict.rows]
     return {
+        "instance": {"target": trace[0][0], "balls": trace[0][1:balls + 1]},
         "feasible": verdict.feasible,
         "failures": list(verdict.failures),
-        "terminal": _sv(verdict.terminal),
+        "terminal": trace[-1],
         "volume_slack": _s(verdict.volume_slack),
-        "trace": [_sv(vec) for vec in verdict.trace],
+        "trace": trace,
     }
 
 
@@ -114,13 +120,14 @@ def cmd_weights(args) -> dict:
     # report is built
     polys = decomposition_polygons(dec) if args.svg else None
     del dec
+    text = _texts(exp.D, [exp.sizes]).__getitem__
     report = {
         "command": "weights",
         "input": record,
         "domain_type": dom.kind,
         "head": None if exp.head is None else _s(exp.head),
-        "weights": _sv(exp.weights),
-        "weight_count": len(exp.weights),
+        "weights": list(map(text, exp.sizes)),
+        "weight_count": len(exp.sizes),
         "area": _s(dom.area()),
     }
     if args.svg:
@@ -149,7 +156,7 @@ def cmd_caps(args) -> dict:
         "input": record,
         "domain_type": dom.kind,
         "k": args.k,
-        "values": _sv(seq.values),
+        "values": list(map(_s, seq.values)),
         "certified": seq.certified,
     }
     if args.oracle:
@@ -157,7 +164,7 @@ def cmd_caps(args) -> dict:
         pairs = oracle_convex_caps_upto(dom, kk)
         report["oracle"] = {
             "k_max": kk,
-            "values": _sv(v for v, _ in pairs),
+            "values": [_s(v) for v, _ in pairs],
             "witnesses": [[[x, y] for x, y in path.ints]
                           for _, path in pairs],
             "agrees": all(seq[k] == pairs[k][0] for k in range(kk + 1)),
@@ -174,9 +181,7 @@ def cmd_pack(args) -> dict:
     verdict = decide_packing(instance)
     report = {
         "command": "pack",
-        "instance": {"target": _s(instance.target),
-                     "balls": _sv(instance.balls)},
-        **_verdict_payload(verdict),
+        **_verdict_payload(verdict, len(instance.sizes)),
     }
     if args.trace:
         certificate = {key: report[key] for key in (
@@ -199,9 +204,7 @@ def cmd_embed(args) -> dict:
     report = {
         "command": "embed",
         "inputs": {"source": source_record, "target": target_record},
-        "instance": {"target": _s(instance.target),
-                     "balls": _sv(instance.balls)},
-        **_verdict_payload(verdict),
+        **_verdict_payload(verdict, len(instance.sizes)),
     }
     if args.report is not None:
         if args.report < 0:
@@ -256,8 +259,8 @@ def cmd_svg(args) -> dict:
         _write_text(args.out, render_approximation(dom, approx))
         report["mode"] = "approximation"
         report["delta"] = _s(delta)
-        D = approx.D
-        report["approx_boundary"] = [_sv((Fraction(x, D), Fraction(y, D)))
+        text = _texts(approx.D, approx.ints).__getitem__
+        report["approx_boundary"] = [[text(x), text(y)]
                                      for x, y in approx.ints]
         report["area"] = _s(dom.area())
         report["approx_area"] = _s(approx.area())

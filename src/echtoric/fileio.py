@@ -2,8 +2,9 @@
 
 Rationals travel as strings "p/q" or "n" so that no JSON float ever
 touches a value; a domain file is read straight into integers.
-Serialisation is canonical: sorted keys, two-space indent, one trailing
-newline, so identical data gives identical bytes.
+Serialisation is canonical, so identical data gives identical bytes:
+canonical_json is json.dumps(obj, sort_keys=True, indent=2) + "\n" byte
+for byte, without the pure-Python encoder an indent puts json on.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Union
 
@@ -74,8 +76,51 @@ def save_domain(domain: ToricDomain, path: Union[str, Path]) -> None:
                           encoding="utf-8")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte,
+    for dicts with str keys, lists, tuples, str, int, bool, None and
+    float; anything else is a TypeError."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _write(obj: object, out: list[str], nl: str) -> None:
+    """Append the text of obj, whose lines break and indent with nl."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key)}")
+            out.append(sep + inner + _quote(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = ","
+        out.append(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        try:  # a list of strings is one join
+            out.append(f"[{inner}" + f",{inner}".join(map(_quote, obj))
+                       + f"{nl}]" if obj else "[]")
+        except TypeError:
+            for item in obj:
+                out.append(sep + inner)
+                _write(item, out, inner)
+                sep = ","
+            out.append(nl + "]")
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):  # json's float rule
+        out.append(float.__repr__(obj) if isfinite(obj) else "NaN"
+                   if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    else:
+        raise TypeError(f"{type(obj)} is not JSON serializable")
 
 
 def digest_bytes(data: bytes) -> str:

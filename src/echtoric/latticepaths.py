@@ -28,8 +28,9 @@ oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
 calculus, and returns witness paths.  Its search runs on plain
 integers throughout, set-up included: the region's vertices are the
-domain's own integers, and the clockwise step directions with their
-supports, integer cross product maxima, are made once per search box.
+domain's own integers, the clockwise step directions are made once per
+search box, and the support of a direction, an integer cross product
+maximum, when a step table of the search first takes it.
 It prunes each partial path on a lower bound for all its completions,
 which drops no path the bare functional would have kept (see _search).
 """
@@ -228,9 +229,10 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     among paths whose closed region has k+1 lattice points, with a
     witness.  verts are the region's vertices scaled to integers, and
     values are scaled by the same factor.  dirs are the allowed steps in
-    clockwise order (a subset makes a cheap seeding pass) and sup[i] is
+    clockwise order (a subset makes a cheap seeding pass).  sup[i] is
     the support of dirs[i], the maximum over verts p of cross(d, p),
-    which is what one step along it adds to the functional; initial
+    which is what one step along it adds to the functional, or 0 until
+    a step table first takes dirs[i] and fills it in.  initial
     primes the incumbent table with known paths.
 
     Ties: the witness is the first least-value path the search meets,
@@ -296,6 +298,12 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     best: list[_Best] = ([None] * (kmax + 1) if initial is None
                           else list(initial))
 
+    def support(di: int) -> int:
+        dx, dy = dirs[di]
+        s = sup[di] = max(dx * py - dy * px for px, py in verts)
+        assert s > 0
+        return s
+
     # suff[j] = worst incumbent over slots >= j, None while one is open;
     # a partial path with p points on it can only ever land in slots
     # >= p - 1, so reaching suff[p - 1] with its value already there
@@ -342,7 +350,7 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
         base_kmin = len(onpath) - 1
         here = steps_at.get((cx, cy))
         if here is None:
-            table = [(di, dx, dy, sup[di], cx * dy - cy * dx)
+            table = [(di, dx, dy, sup[di] or support(di), cx * dy - cy * dx)
                      for di, (dx, dy) in enumerate(dirs)
                      if 0 <= cx + dx <= box and 0 <= cy + dy <= box
                      and -fan_max <= cx * dy - cy * dx <= fan_max]
@@ -406,16 +414,11 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
     best: Optional[list[_Best]] = None
     for _ in range(3):
         dirs = _clockwise_directions(box)
-        # one support table per box, which the seeding pass slices
-        sup = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
-        assert all(s > 0 for s in sup)
-        seed = [i for i, (dx, dy) in enumerate(dirs)
-                if max(abs(dx), abs(dy)) <= 3]
-        best = _search(verts, kmax, box, [dirs[i] for i in seed],
-                       [sup[i] for i in seed], initial=best)
+        seed = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
+        best = _search(verts, kmax, box, seed, [0] * len(seed), initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")
-        best = _search(verts, kmax, box, dirs, sup, initial=best)
+        best = _search(verts, kmax, box, dirs, [0] * len(dirs), initial=best)
         hits = any(x == box or y == box
                    for b in best for x, y in b[1])  # type: ignore[index]
         if not hits:

@@ -16,8 +16,8 @@ trace so a reduction can be replayed and audited step by step.
 A PackingInstance is a WeightExpansion with the head required, its
 sizes sorted integers over one D, as reduce_to_packing merges them or
 PackingInstance.of clears them from rationals.  The moves run on those
-integers, and only the trace rows a caller gets back are turned into
-fractions.
+integers, and a Verdict keeps the integer rows: its Fraction trace is
+built only when read.
 
 optimal_scale brackets the supremal factor t at which the scaled balls
 still pack.  A probe at t = p/q reads the same integers (q*b; p*a_i for
@@ -52,15 +52,16 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .blowups import HomologyClass
 from .capacities import ball_caps, concave_caps
 from .errors import DomainError
 from .geometry import RationalLike, rational
-from .weights import WeightExpansion
+from .weights import WeightExpansion, _fractions
 
 Vector = tuple[Fraction, ...]
 
@@ -98,17 +99,29 @@ class PackingInstance(WeightExpansion):
 class Verdict:
     """Outcome of a reduction, with the full trace for replay.
 
-    failures lists, in canonical order, which of the two criteria broke:
+    rows is the reducer's trace over the least denominator D, as
+    decide_packing makes it, so equal rational traces are equal
+    verdicts; trace, terminal and volume_slack, the conserved
+    b^2 - sum a_i^2, are Fraction views built when first read.
+    failures lists, in canonical order, which criteria broke:
     "negative-entry" when the reduction produced a negative size and
     "volume" when the squares do not fit.  Feasible means neither did.
-    volume_slack is the conserved quantity b^2 - sum a_i^2.
     """
 
     feasible: bool
-    trace: tuple[Vector, ...]
     failures: tuple[str, ...]
-    terminal: Vector
-    volume_slack: Fraction
+    D: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def trace(self) -> tuple[Vector, ...]:
+        return _fraction_rows(self.rows, self.D)
+
+    terminal = property(lambda self: self.trace[-1])
+
+    @cached_property
+    def volume_slack(self) -> Fraction:
+        return Fraction(_slack(self.rows[0]), self.D ** 2)
 
 
 def _canonical(vec: Sequence[RationalLike]) -> Vector:
@@ -168,9 +181,8 @@ def _integral(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
     return D, [v.numerator * (D // v.denominator) for v in vec]
 
 
-def _fraction_rows(rows: list[tuple[int, ...]], D: int) -> tuple[Vector, ...]:
-    # entries repeat across rows, so build each Fraction once
-    frac = {n: Fraction(n, D) for n in set(chain.from_iterable(rows))}
+def _fraction_rows(rows: Sequence, D: int) -> tuple[Vector, ...]:
+    frac = _fractions(D, chain.from_iterable(rows))
     return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
 
 
@@ -188,22 +200,17 @@ def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
 
 def decide_packing(instance: PackingInstance) -> Verdict:
     """Reduce the instance vector and read off feasibility."""
+    D, g = instance.D, gcd(instance.D, instance.top, *instance.sizes)
     v = [instance.top, *instance.sizes] + [0] * (3 - len(instance.sizes))
+    if g > 1:  # over the least D, equal rational traces are equal verdicts
+        D, v = D // g, [a // g for a in v]
     rows = _reduce(v)
     failures = []
     if min(rows[-1]) < 0:
         failures.append("negative-entry")
-    slack = _slack(v)
-    if slack < 0:
+    if _slack(v) < 0:
         failures.append("volume")
-    trace = _fraction_rows(rows, instance.D)
-    return Verdict(
-        feasible=not failures,
-        trace=trace,
-        failures=tuple(failures),
-        terminal=trace[-1],
-        volume_slack=Fraction(slack, instance.D ** 2),
-    )
+    return Verdict(not failures, tuple(failures), D, tuple(rows))
 
 
 def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:

@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from echtoric import (DomainError, ToricDomain, canonical_json, digest_bytes,
                       digest_file, domain_from_json, domain_to_json,
@@ -86,6 +88,38 @@ def test_canonical_json_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert '"a"' in a.splitlines()[1]
+
+
+# leaves of a report and more: escapes, non-ASCII and lone surrogates,
+# ints past 64 bits, signed zeros, huge floats, nan and the infinities
+_texts = st.text() | st.text(
+    "\"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600")
+_leaves = (_texts | st.integers() | st.integers(2 ** 64, 2 ** 300)
+           | st.integers(-2 ** 300, -2 ** 64) | st.booleans() | st.none()
+           | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300,
+                                            float("nan"), float("inf"),
+                                            -float("inf")]))
+_trees = st.recursive(
+    _leaves,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_texts, kids)),
+    max_leaves=24)
+
+
+@given(_trees)
+@example({})
+@example([[], {}, ()])
+@example({"a": ["1/2", "-3"], "b": {"": None}, "c": [True, False, -0.0]})
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
+                                             indent=2) + "\n"
+
+
+def test_canonical_json_refuses_what_json_cannot_write():
+    for obj in ({1, 2}, [frozenset()], {"a": Fraction(1, 2)}, b"x",
+                {1: "a"}, {"a": {(1, 2): 3}}, {None: 1}):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
 
 
 def test_digests(tmp_path):

@@ -290,11 +290,16 @@ def test_clockwise_directions_every_box():
 # same paths before consider in the same order and so return the same
 # values and witnesses.
 
+def _supports(verts, dirs):
+    return [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
+
+
 def _search_ref(verts, kmax, box, dirs, sup, initial=None):
-    sup_i = [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
+    sup_i = _supports(verts, dirs)
     assert all(s > 0 for s in sup_i)
-    # the oracle hands each pass its entries of one table per box
-    assert sup == sup_i
+    # the oracle hands each pass a table to fill in, 0 where the support
+    # is not computed yet
+    assert all(s in (0, t) for s, t in zip(sup, sup_i))
     n = len(dirs)
     lim = 2 * kmax
     fan_max = 2 * lim
@@ -417,12 +422,28 @@ def _caps_and_witnesses(dom, kmax):
 
 
 def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
+    search = latticepaths._search
+    computed, offered = [], []
+
+    def checked(verts, kmax, box, dirs, sup, initial=None):
+        # the supports the search computes, when a step table first
+        # takes their direction, are the reference's
+        best = search(verts, kmax, box, dirs, sup, initial)
+        assert all(s in (0, t) for s, t in zip(sup, _supports(verts, dirs)))
+        computed.append(sum(map(bool, sup)))
+        offered.append(len(sup))
+        return best
+
     rng = random.Random(73)
     doms = [random_convex(rng) for _ in range(30)] + list(_thin_targets())
     for dom in doms:
         for kmax in (3, 5, 7):
-            got = _caps_and_witnesses(dom, kmax)
+            with monkeypatch.context() as patch:
+                patch.setattr(latticepaths, "_search", checked)
+                got = _caps_and_witnesses(dom, kmax)
             with monkeypatch.context() as patch:
                 patch.setattr(latticepaths, "_search", _search_ref)
                 want = _caps_and_witnesses(dom, kmax)
             assert got == want, (dom.boundary, kmax)
+    # every pass computes some supports, and not all of them
+    assert min(computed) > 0 and sum(computed) < sum(offered) / 2

@@ -11,7 +11,8 @@ from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
                       ToricDomain, c1, capacities, capacity_obstruction,
                       cremona_reduce, cremona_step, decide_packing, defect,
                       intersection, optimal_embedding_scale, optimal_scale,
-                      packing, pairing, reduce_to_packing)
+                      packing, pairing, reduce_to_packing, save_domain)
+from echtoric.cli import main
 
 from echtoric.packing import _integral, _obstruction, _reduce, _slack
 
@@ -241,6 +242,96 @@ def test_decision_compares_no_fractions(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[1] <= counts[0] <= 1, counts
+
+
+def _strings(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _strings(item)
+    elif isinstance(obj, str):
+        yield obj
+
+
+def test_reports_format_each_value_once(tmp_path, capsys, monkeypatch):
+    # a report formats each distinct rational once, from one table of
+    # integers over one denominator, however often the value recurs
+    for name, dom in (("e300", ToricDomain.ellipsoid(1, 300)),
+                      ("e3000", ToricDomain.ellipsoid(1, 3000)),
+                      ("ball3", BALL3)):
+        save_domain(dom, tmp_path / f"{name}.json")
+    made = []
+    text = Fraction.__str__
+
+    def counted(self):
+        made.append(self)
+        return text(self)
+    monkeypatch.setattr(Fraction, "__str__", counted)
+    for argv in (["embed", "e300.json", "ball3.json", "--scale-search",
+                  "1/1000"],
+                 ["weights", "e3000.json"]):
+        made.clear()
+        assert main([str(tmp_path / a) if a.endswith(".json") else a
+                     for a in argv]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        distinct = set(_strings(report))
+        assert 0 < len(made) <= len(distinct), argv
+
+
+def test_reports_skip_the_pure_python_encoder(data_dir, tmp_path, capsys,
+                                              monkeypatch):
+    # json.dumps with an indent runs json.encoder._make_iterencode; the
+    # canonical writer writes every report and file without it
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    omega1 = str(data_dir / "omega1.json")
+    omega2 = str(data_dir / "omega2.json")
+    save_domain(ToricDomain.ellipsoid(1, 300), tmp_path / "e300.json")
+    out = str(tmp_path / "out")
+    for argv in (["weights", omega1], ["--approx", "weights", omega2,
+                                       "--svg", out],
+                 ["--approx", "caps", omega2, "--k", "8", "--oracle"],
+                 ["caps", omega1, "--k", "8"],
+                 ["--approx", "pack", "--target", "1", "--balls", "1,1/2",
+                  "--trace", out],
+                 ["--approx", "--timing", "embed", omega1, omega2,
+                  "--report", "8", "--scale-search", "1/100"],
+                 ["embed", str(tmp_path / "e300.json"), omega2],
+                 ["svg", omega1, out, "--decomposition"],
+                 ["svg", omega2, out, "--approximation", "1/12"]):
+        assert main(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)
+
+
+def test_verdict_views_are_the_fraction_trace(data_dir):
+    # a Verdict keeps the reducer's integer rows; its Fraction views are
+    # the trace, terminal and slack the rows stand for
+    golden = json.loads((data_dir / "packing_golden.json").read_text())
+    for entry in golden["decide"]:
+        v = decide_packing(PackingInstance.of(
+            F(entry["target"]), tuple(map(F, entry["balls"]))))
+        trace = tuple(tuple(map(F, row)) for row in entry["trace"])
+        assert v.trace == trace and v.terminal == trace[-1]
+        assert v.volume_slack == F(entry["volume_slack"])
+        assert v.rows == tuple(tuple(int(a * v.D) for a in row)
+                               for row in trace)
+    # an instance over a non-minimal D: the same verdict, divided down
+    inst = reduce_to_packing(EmbeddingProblem(
+        ToricDomain.ellipsoid(1, F(33, 10)), SQUARE))
+    big = PackingInstance(6 * inst.D, 6 * inst.top,
+                          tuple(6 * a for a in inst.sizes))
+    v, w = decide_packing(inst), decide_packing(big)
+    rows = _reduce([big.top, *big.sizes])
+    assert w.trace == tuple(tuple(F(n, big.D) for n in row) for row in rows)
+    assert w.terminal == w.trace[-1] and len(rows) > 2
+    assert w.volume_slack == F(_slack(rows[0]), big.D ** 2)
+    assert w == v and hash(w) == hash(v) and w.D == inst.D
 
 
 def test_scale_search_takes_expansion_integers(monkeypatch):
