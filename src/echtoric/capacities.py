@@ -7,9 +7,9 @@ convex_caps take the expansion, not the domain: whoever expanded the
 domain passes it on.  Both entry points run on one kernel over the
 staircases 0, a, a, 2a, 2a, 2a, ... of those balls:
 
-* concave_caps is the union of the weight balls, folded in one at a
-  time by the disjoint-union rule (c(X u Y))_k = max over i+j=k of
-  c_i + c_j;
+* concave_caps is the union of the weight balls, one staircase per
+  run of equal balls, folded together by the disjoint-union rule
+  (c(X u Y))_k = max over i+j=k of c_i + c_j;
 * convex_caps is the head ball less its weight balls: writing the head
   ball's capacities S and the union T of the weight balls,
   c_k = min over l of S_(k+l) - T_l.
@@ -40,6 +40,19 @@ runs over l <= 2K + 2, H is derived from it, and the range grows
 towards H, at most fourfold a round, until it covers H.  H depends on
 the shape of the domain and on K, not on its scale.
 
+The union of n equal balls B(a) is one staircase.  Its c_k is a times
+the most total degree d_1 + ... + d_n that fits in d_1 (d_1 + 1) / 2 +
+... + d_n (d_n + 1) / 2 <= k indices, since the ball staircase reaches
+d a at index d (d + 1) / 2.  Raising one ball from degree d to d + 1
+costs d + 1 indices, a cost that grows with d.  So if two degrees
+differ by 2 or more, lowering the larger by one and raising the smaller
+by one keeps the total degree and frees indices: balanced degrees, all
+within 1 of each other, are optimal.  Raised in balanced order, the
+s-th unit of total degree (from s = 0) raises a ball from degree s // n
+and costs s // n + 1 indices.  The union's staircase is therefore the
+value s a over a run of s // n + 1 indices, for s = 0, 1, 2, ..., and
+n = 1 is the ball staircase.
+
 Both rules run on integers.  An expansion carries its head and
 weights as integers over one denominator D; each call divides them by
 their gcd, builds the ball staircases directly as int lists, folds and
@@ -53,8 +66,12 @@ s_(k+l) - t_l the min across a flat run of t sits at the run's first
 index.  A ball staircase up to horizon n has about sqrt(2n) runs, so
 folding a ball into a union at horizon n costs O(n sqrt(n)) cells
 instead of O(n^2), and the complement costs K + 1 cells per run start
-of T up to its horizon.  convex_caps builds a union once: when its
-range grows, each partial union computes only its new entries.
+of T up to its horizon.  The weights are nonincreasing, so equal balls
+are adjacent, and each run of them costs one staircase and one fold:
+a union costs one fold per distinct size, not per ball, and E(1, N),
+N unit balls, folds nothing.  The guards still count every ball.
+convex_caps builds a union once: when its range grows, each partial
+union computes only its new entries.
 """
 
 from __future__ import annotations
@@ -62,10 +79,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import DomainError, LimitError
-from .geometry import RationalLike, rational
+from .geometry import RationalLike, ratio, rational
 from .weights import WeightExpansion
 
 # Ball staircase entries one ball_caps, concave_caps or convex_caps call
@@ -113,25 +131,26 @@ class CapacitySeq:
 
 def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
     """Ball staircase: 0, a, a, 2a, 2a, 2a, 3a, ... up to index K."""
-    ra = rational(a)
-    if ra <= 0:
+    n, d = ratio(a)
+    if n <= 0:
         raise DomainError("ball size must be positive")
     if K < 0:
         raise DomainError("K must be nonnegative")
     _guard(1, K)
-    return CapacitySeq(tuple(_ball_ints(ra, K)))
+    return _rationals(_ball_ints(1, K), Fraction(n, d))
 
 
-def _ball_ints(a, K: int) -> list:
-    """Ball staircase 0, a, a, 2a, 2a, 2a, ... as a list of length K + 1.
+def _ball_ints(a: int, K: int, n: int = 1) -> list[int]:
+    """The union of n balls B(a) as a list of length K + 1.
 
-    The kernel passes an int size; ball_caps passes its Fraction.
+    The value s a fills a run of s // n + 1 indices; n = 1 is the ball
+    staircase 0, a, a, 2a, 2a, 2a, ...
     """
-    out: list = []
-    d = 0
+    out: list[int] = []
+    s = 0
     while len(out) <= K:
-        out.extend([d * a] * (d + 1))
-        d += 1
+        out.extend([s * a] * (s // n + 1))
+        s += 1
     del out[K + 1:]
     return out
 
@@ -213,6 +232,11 @@ def _sizes(D: int, sizes: Sequence[int]) -> tuple[list[int], Fraction]:
     return [a // g for a in sizes], Fraction(g, D)
 
 
+def _runs(ws: list[int]) -> list[tuple[int, int]]:
+    """Each size of the nonincreasing ws with the length of its run."""
+    return [(w, len(list(run))) for w, run in groupby(ws)]
+
+
 def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a concave domain: the union of its weight balls."""
     if expansion.top is not None:
@@ -223,7 +247,8 @@ def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
         raise DomainError("K must be nonnegative")
     _guard(len(expansion.sizes), K)
     ws, unit = _sizes(expansion.D, expansion.sizes)
-    return _rationals(_union([_ball_ints(w, K) for w in ws], K), unit)
+    return _rationals(_union([_ball_ints(w, K, n) for w, n in _runs(ws)], K),
+                      unit)
 
 
 def _horizon(out: list[int], b: int, ws: list[int]) -> int:
@@ -265,12 +290,13 @@ def _complement(expansion: WeightExpansion, K: int
     the union entries and the terms l past the previous R.
     """
     (b, *ws), unit = _sizes(expansion.D, (expansion.top, *expansion.sizes))
-    parts: list[list[int]] = [[] for _ in ws]
+    runs = _runs(ws)
+    parts: list[list[int]] = [[] for _ in runs]
     out, done, R = None, 0, 2 * K + 2
     while True:
         _guard(len(ws) + 1, K + R)
         s = _ball_ints(b, K + R)
-        t = _grow(parts, [_ball_ints(w, R) for w in ws], R)
+        t = _grow(parts, [_ball_ints(w, R, n) for w, n in runs], R)
         out = _lower(s[:K + 1] if out is None else out, s, t,  # l = 0 first
                      (l for l in range(done + 1, R + 1) if t[l] != t[l - 1]))
         H = _horizon(out, b, ws)

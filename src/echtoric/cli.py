@@ -198,6 +198,11 @@ def cmd_embed(args) -> dict:
     mn = _max_nodes()
     source, source_record = _load(args.source)
     target, target_record = _load(args.target)
+    # refuse bad options before any expansion or reduction runs
+    if args.report is not None and args.report < 0:
+        raise UsageError("--report must be nonnegative")
+    if args.scale_search is not None:
+        precision = rational(args.scale_search)
     problem = EmbeddingProblem(source, target, mn)
     instance = reduce_to_packing(problem)
     verdict = decide_packing(instance)
@@ -207,8 +212,6 @@ def cmd_embed(args) -> dict:
         **_verdict_payload(verdict, len(instance.sizes)),
     }
     if args.report is not None:
-        if args.report < 0:
-            raise UsageError("--report must be nonnegative")
         caps = capacity_report(problem, args.report)
         report["capacities"] = {
             "k_max": args.report,
@@ -219,7 +222,6 @@ def cmd_embed(args) -> dict:
                       r.ok, True] for r in caps.rows],
         }
     if args.scale_search is not None:
-        precision = rational(args.scale_search)
         # optimal_embedding_scale would build the instance a second time
         lo, hi = optimal_scale(instance, problem.source_weights, precision)
         report["scale"] = {

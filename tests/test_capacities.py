@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from echtoric import (CapacitySeq, DomainError, LimitError, PackingInstance,
                       ToricDomain, WeightExpansion, ball_caps,
@@ -14,7 +15,7 @@ from echtoric import (CapacitySeq, DomainError, LimitError, PackingInstance,
                       load_domain, oracle_convex_caps_upto)
 from echtoric import capacities
 from echtoric.capacities import (_ball_ints, _lower, _maxplus, _run_starts,
-                                 _union)
+                                 _sizes, _union)
 
 from generators import random_concave, random_convex
 
@@ -51,6 +52,118 @@ def test_ball_caps_against_enumeration():
     assert list(ball_caps(F(2, 3), 9).values) == brute_ellipsoid(
         F(2, 3), F(2, 3), 9)
     assert ball_caps(1, 5).values == (0, 1, 1, 2, 2, 2)
+
+
+def test_equal_balls_against_brute_force_union():
+    # n balls B(a) in one staircase equal n ball staircases summed by
+    # the naive max-plus, one ball at a time
+    for a in (1, 2, 7):
+        for K in (0, 1, 5, 17, 60, 80):
+            ball = _ball_ints(a, K)
+            union = ball
+            for n in range(1, 13):
+                assert _ball_ints(a, K, n) == union, (a, K, n)
+                union = brute_sum(union, ball, K)
+
+
+def test_long_run_full_size():
+    # E(1, 3000) is 3000 unit balls, one run: one staircase, no fold
+    expansion = concave_weights(ToricDomain.ellipsoid(1, 3000))[0]
+    assert expansion.sizes == (1,) * 3000
+    assert list(concave_caps(expansion, 200).values) == \
+        _union([_ball_ints(1, 200)] * 3000, 200)
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The horizon K of each _maxplus call of the kernel."""
+    calls = []
+    maxplus = capacities._maxplus
+
+    def counted(s, t, K, lo=0):
+        calls.append(K)
+        return maxplus(s, t, K, lo)
+    monkeypatch.setattr(capacities, "_maxplus", counted)
+    return calls
+
+
+def test_concave_caps_folds_once_per_distinct_size(folds):
+    rng = random.Random(53)
+    cases = [(concave_weights(OMEGA1)[0], 30),
+             (concave_weights(ToricDomain.ellipsoid(2, 23))[0], 40)]
+    cases += [(concave_weights(random_concave(rng))[0], rng.randint(0, 60))
+              for _ in range(20)]
+    for expansion, K in cases:
+        folds.clear()
+        concave_caps(expansion, K)
+        assert len(folds) <= len(set(expansion.sizes)) - 1, expansion
+    # E(1, N) is N equal balls and folds nothing
+    for N in (1, 2, 12, 3000):
+        folds.clear()
+        expansion = concave_weights(ToricDomain.ellipsoid(1, N))[0]
+        concave_caps(expansion, 62)
+        assert len(folds) == 0, N
+
+
+def test_complement_rounds_fold_once_per_distinct_size(monkeypatch, folds,
+                                                       data_dir):
+    # each round builds the head staircase and one staircase per run of
+    # equal weights, and folds those into the union
+    built = []
+    ball_ints = capacities._ball_ints
+
+    def counted(a, K, n=1):
+        built.append((a, K, n))
+        return ball_ints(a, K, n)
+    monkeypatch.setattr(capacities, "_ball_ints", counted)
+    rng = random.Random(59)
+    thin = ToricDomain.convex([(0, 1), (1, 1), (30, 0)])
+    cases = [(thin, 5), (OMEGA2, 20),
+             (load_domain(data_dir / "e12_convex.json"), 12)]
+    cases += [(random_convex(rng), rng.randint(0, 20)) for _ in range(20)]
+    rounds_seen = 0
+    for dom, K in cases:
+        expansion = convex_weights(dom)[0]
+        if not expansion.sizes:
+            continue
+        (b, *ws), _ = _sizes(expansion.D, (expansion.top, *expansion.sizes))
+        runs = [(w, ws.count(w)) for w in sorted(set(ws), reverse=True)]
+        built.clear()
+        folds.clear()
+        convex_caps(expansion, K)
+        per_round = len(runs) + 1
+        rounds = len(built) // per_round
+        assert len(built) == rounds * per_round and rounds >= 1
+        for r in range(rounds):
+            head, *weights = built[r * per_round:(r + 1) * per_round]
+            R = weights[0][1]
+            assert head == (b, K + R, 1)
+            assert weights == [(w, R, n) for w, n in runs], dom
+        assert len(folds) == rounds * (len(runs) - 1), dom
+        rounds_seen = max(rounds_seen, rounds)
+    assert rounds_seen >= 2  # the thin target grows its range
+
+
+# nonincreasing sizes with long runs of equal balls
+_size_runs = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(1, 3000)),
+    min_size=1, max_size=4, unique_by=lambda run: run[0]).filter(
+        lambda runs: any(n > 1 for _, n in runs))
+
+
+@given(runs=_size_runs, D=st.integers(1, 6), K=st.integers(0, 64),
+       t=st.fractions(min_value=F(1, 7), max_value=7, max_denominator=7))
+@example(runs=[(1, 3000)], D=1, K=64, t=F(1))
+@example(runs=[(7, 2), (5, 1), (3, 3000)], D=3, K=0, t=F(2, 3))
+def test_concave_caps_of_runs_is_the_ball_by_ball_union(runs, D, K, t):
+    sizes = tuple(w for w, n in sorted(runs, reverse=True) for _ in range(n))
+    expansion = WeightExpansion(D, None, sizes)
+    got = concave_caps(expansion, K).values
+    union = _union([_ball_ints(w, K) for w in sizes], K)
+    assert got == tuple(F(v, D) for v in union)
+    scaled = WeightExpansion(D * t.denominator, None,
+                             tuple(w * t.numerator for w in sizes))
+    assert concave_caps(scaled, K).values == tuple(t * v for v in got)
 
 
 def test_union_is_order_independent():

@@ -154,6 +154,24 @@ def test_embed_full_report(data_dir, capsys):
     assert code == 0 and out2 == out1
 
 
+def test_embed_checks_options_before_the_work(data_dir, capsys,
+                                              monkeypatch):
+    # a bad --report or --scale-search fails before the expansions and
+    # the packing decision run, --report first
+    def unreached(*args):
+        raise AssertionError("decide_packing ran before the options")
+    monkeypatch.setattr("echtoric.cli.decide_packing", unreached)
+    embed = ("embed", str(data_dir / "omega1.json"),
+             str(data_dir / "omega2.json"))
+    code, _, out, err = run(capsys, *embed, "--scale-search", "0.001")
+    assert code == 3 and "invalid input" in err and out == ""
+    code, _, _, err = run(capsys, *embed, "--report", "-1")
+    assert code == 1 and "--report must be nonnegative" in err
+    code, _, _, err = run(capsys, *embed, "--report", "-1",
+                          "--scale-search", "0.001")
+    assert code == 1 and "--report must be nonnegative" in err
+
+
 @pytest.fixture
 def kernel(monkeypatch):
     """Pieces handed to the row kernel of the weight recursion.
