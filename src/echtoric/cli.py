@@ -203,6 +203,8 @@ def cmd_embed(args) -> dict:
         raise UsageError("--report must be nonnegative")
     if args.scale_search is not None:
         precision = rational(args.scale_search)
+        if precision <= 0:
+            raise DomainError("precision must be positive")
     problem = EmbeddingProblem(source, target, mn)
     instance = reduce_to_packing(problem)
     verdict = decide_packing(instance)

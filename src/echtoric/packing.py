@@ -1,4 +1,4 @@
-"""Ball packing decisions by repeated defect moves.
+"""Ball packing decisions by Cremona reduction.
 
 A packing problem is a ball size b together with the sizes of balls to
 pack into it.  The state vector (b; a_1, ..., a_n) keeps the sizes
@@ -15,9 +15,19 @@ trace so a reduction can be replayed and audited step by step.
 
 A PackingInstance is a WeightExpansion with the head required, its
 sizes sorted integers over one D, as reduce_to_packing merges them or
-PackingInstance.of clears them from rationals.  The moves run on those
-integers, and a Verdict keeps the integer rows: its Fraction trace is
-built only when read.
+PackingInstance.of clears them from rationals.  One kernel, _reduce,
+runs the moves on such integers for decide_packing, cremona_reduce and
+every probe of optimal_scale.  Once a move is due, it packs each size
+with its ball's label into one integer, so its body sorted by (size,
+label) is the sorted vector, read off as trace rows when asked, and
+ties break alike in every caller.  A reduction that ends on a negative
+entry returns that entry's class C = d L - sum m_i E_i, pulled back
+through the moves, each the reflection in L - E_i - E_j - E_k: an
+exceptional class, or the line class's image if the head went negative,
+whose pairing with the input is the negative entry.  A Verdict keeps
+the integer rows; its Fraction trace is built only when read.  defect
+and cremona_step stay a single move on Fractions that shares no code
+with the kernel, so a replay with them checks its traces.
 
 optimal_scale brackets the supremal factor t at which the scaled balls
 still pack.  A probe at t = p/q reads the same integers (q*b; p*a_i for
@@ -28,11 +38,8 @@ its two Fractions only on return.  It answers most probes without a
 reduction:
 - Volume: the slack at p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2, two
   sums taken once per search, so the volume test is O(1).
-- Classes: a probe that ends on a negative entry reads that entry's
-  class C = d L - sum m_i E_i, pulled back through the moves, each the
-  reflection in L - E_i - E_j - E_k.  C is an exceptional class, or the
-  image of the line class if the head went negative, and its area at
-  scale t is const + t lin with lin = -sum m_i a_i over the scaled
+- Classes: a probe that ends on a negative entry reads its class C, of
+  area const + t lin at scale t, lin = -sum m_i a_i over the scaled
   balls.  With lin < 0, every t above -const/lin is infeasible, so
   probes above the least such threshold need no reduction.  The search
   probes each new least threshold once; if it is feasible, it is the
@@ -41,9 +48,7 @@ The bracket is plain bisection's, since each probe gets the reducer's
 answer: Cremona reduction decides the packing completely, so where a
 class has negative area there is no packing and the reducer refuses
 too, and feasibility is monotone in t (shrinking balls keeps a
-packing), so every t up to a feasible threshold is feasible.  Probes
-reduce with no trace; per move they keep only the three moved entries,
-whose low bits label their balls.
+packing), so every t up to a feasible threshold is feasible.
 """
 
 from __future__ import annotations
@@ -99,13 +104,14 @@ class PackingInstance(WeightExpansion):
 class Verdict:
     """Outcome of a reduction, with the full trace for replay.
 
-    rows is the reducer's trace over the least denominator D, as
+    rows is the kernel's trace over the least denominator D, as
     decide_packing makes it, so equal rational traces are equal
     verdicts; trace, terminal and volume_slack, the conserved
     b^2 - sum a_i^2, are Fraction views built when first read.
     failures lists, in canonical order, which criteria broke:
-    "negative-entry" when the reduction produced a negative size and
-    "volume" when the squares do not fit.  Feasible means neither did.
+    "negative-entry" when the kernel returned the class of a negative
+    terminal entry and "volume" when the squares do not fit.  Feasible
+    means neither did.
     """
 
     feasible: bool
@@ -153,26 +159,58 @@ def _slack(v: Sequence[int]) -> int:
     return v[0] * v[0] - sum(a * a for a in v[1:])
 
 
-def _reduce(v: list[int]) -> list[tuple[int, ...]]:
-    """Trace of defect moves on a canonical integer vector.
+def _reduce(head: int, balls: Sequence[int],
+            rows: Optional[list] = None) -> Optional[HomologyClass]:
+    """None when (head; balls) reduces with no negative entry, else the
+    class C of the negative terminal entry (the head if negative, else
+    the least size), pulled back to the input's basis.
 
-    v is (b; a_1, ..., a_n) with the sizes sorted nonincreasing and at
-    least three of them.  The head drops by at least one per move, and
-    a negative head already counts as a negative entry, so this ends.
+    balls are in any order, padded with zeros to three, and ball t
+    stands for E_t: C = c_0 L + sum c_t E_t pairs with the input as
+    head c_0 + sum balls[t] c_t, the negative entry.  rows, if a list,
+    gets each row (head, *sizes descending), the input's first.  Once
+    a move is due, the body keeps a << shift | t ascending, so the three
+    largest sit at the end, where a move re-inserts them by bisection;
+    the walk back adds (C.R) R per move, R = L - E_i - E_j - E_k.  The
+    head drops by at least one per move and a negative head is a
+    negative entry, so this ends.
     """
-    trace = [tuple(v)]
-    while min(v[0], v[-1]) >= 0:
-        d = v[1] + v[2] + v[3] - v[0]
+    balls = [*balls] + [0] * (3 - len(balls))
+    vector = sorted(balls, reverse=True)
+    if rows is not None:
+        rows.append((head, *vector))
+    if min(head, vector[-1]) >= 0 and sum(vector[:3]) <= head:
+        return None  # reduced as it stands: no labels needed
+    shift = len(balls).bit_length()
+    body = sorted([a << shift | t for t, a in enumerate(balls)])
+    moves = []
+    while head >= 0 and body[0] >= 0:
+        d = (body[-1] >> shift) + (body[-2] >> shift) + (body[-3] >> shift)
+        d -= head
         if d <= 0:
-            break
-        head = v[0] - d
-        assert head < v[0]
-        v = [head] + sorted([v[1] - d, v[2] - d, v[3] - d] + v[4:],
-                            reverse=True)
-        trace.append(tuple(v))
-    # every move conserves the slack, so one check covers the whole run
-    assert len(trace) == 1 or _slack(v) == _slack(trace[0])
-    return trace
+            return None
+        head -= d
+        moves.append(body[-3:])
+        del body[-3:]
+        d <<= shift
+        for x in moves[-1]:
+            insort(body, x - d)
+        if rows is not None:
+            rows.append((head, *[x >> shift for x in reversed(body)]))
+    mask = (1 << shift) - 1
+    c0, c = 0, [0] * len(balls)
+    if head < 0:
+        c0 = 1
+    else:
+        c[body[0] & mask] = 1
+    for i, j, k in reversed(moves):
+        i, j, k = i & mask, j & mask, k & mask
+        t = c0 + c[i] + c[j] + c[k]
+        c0 += t
+        c[i] -= t
+        c[j] -= t
+        c[k] -= t
+    return HomologyClass(c0, tuple(c))
 
 
 def _integral(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -187,28 +225,29 @@ def _fraction_rows(rows: Sequence, D: int) -> tuple[Vector, ...]:
 
 
 def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
-    """Trace of vectors from the input down to a terminal one.
-
-    Terminal means reduced (defect <= 0) or containing a negative
-    entry.  Rational inputs always terminate: the head drops by at
-    least one grid unit of the common denominator per move and a
-    negative head already counts as a negative entry.
-    """
-    D, v = _integral(_canonical(vec))
-    return _fraction_rows(_reduce(v), D)
+    """Trace of vectors from the input down to a terminal one: reduced
+    (defect <= 0) or containing a negative entry."""
+    D, (head, *balls) = _integral(_canonical(vec))
+    rows = []
+    _reduce(head, balls, rows)
+    return _fraction_rows(rows, D)
 
 
 def decide_packing(instance: PackingInstance) -> Verdict:
     """Reduce the instance vector and read off feasibility."""
-    D, g = instance.D, gcd(instance.D, instance.top, *instance.sizes)
-    v = [instance.top, *instance.sizes] + [0] * (3 - len(instance.sizes))
+    D, head, balls = instance.D, instance.top, instance.sizes
+    g = gcd(D, head, *balls)
     if g > 1:  # over the least D, equal rational traces are equal verdicts
-        D, v = D // g, [a // g for a in v]
-    rows = _reduce(v)
+        D, head, balls = D // g, head // g, [a // g for a in balls]
+    rows = []
+    negative = _reduce(head, balls, rows) is not None
+    slack = _slack(rows[0])
+    # every move conserves the slack, so one check covers the whole run
+    assert len(rows) == 1 or _slack(rows[-1]) == slack
     failures = []
-    if min(rows[-1]) < 0:
+    if negative:
         failures.append("negative-entry")
-    if _slack(v) < 0:
+    if slack < 0:
         failures.append("volume")
     return Verdict(not failures, tuple(failures), D, tuple(rows))
 
@@ -228,49 +267,6 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
         if union[k] > target[k]:
             return k
     return None
-
-
-def _obstruction(head: int, balls: list[int]) -> Optional[HomologyClass]:
-    """None when (head; balls) reduces with no negative entry, else the
-    class C of a negative entry, pulled back to the input's basis.
-
-    balls are nonnegative, in any order, and ball t stands for E_t;
-    C = c_0 L + sum c_t E_t pairs with the input as
-    head c_0 + sum balls[t] c_t, the negative entry.  No trace is kept.
-    Each size is packed with its label t into one integer, ascending,
-    so the three largest sit at the end and a move re-inserts them by
-    bisection.  A move is the reflection in R = L - E_i - E_j - E_k,
-    so the walk back adds (C.R) R per move, in O(1).
-    """
-    balls = balls + [0] * (3 - len(balls))
-    shift = len(balls).bit_length()
-    body = sorted([a << shift | t for t, a in enumerate(balls)])
-    moves = []
-    while head >= 0 and body[0] >= 0:
-        d = (body[-1] >> shift) + (body[-2] >> shift) + (body[-3] >> shift)
-        d -= head
-        if d <= 0:
-            return None
-        head -= d
-        moves.append(body[-3:])
-        del body[-3:]
-        d <<= shift
-        for x in moves[-1]:
-            insort(body, x - d)
-    mask = (1 << shift) - 1
-    c0, c = 0, [0] * len(balls)
-    if head < 0:
-        c0 = 1
-    else:
-        c[body[0] & mask] = 1
-    for i, j, k in reversed(moves):
-        i, j, k = i & mask, j & mask, k & mask
-        t = c0 + c[i] + c[j] + c[k]
-        c0 += t
-        c[i] -= t
-        c[j] -= t
-        c[k] -= t
-    return HomologyClass(c0, tuple(c))
 
 
 def _scaled_ints(instance: PackingInstance,
@@ -317,7 +313,7 @@ def optimal_scale(instance: PackingInstance,
     # the slack at t = p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2
     fixed_slack = b * b - sum(x * x for x in f)
     scaled_squares = sum(x * x for x in a)
-    if fixed_slack < 0 or _obstruction(b, [0] * len(a) + f) is not None:
+    if fixed_slack < 0 or _reduce(b, [0] * len(a) + f) is not None:
         raise DomainError("infeasible already at scale zero")
     # every t > cap_n/cap_d is infeasible (1/0: none known yet); once
     # exact, the cap is itself feasible and so the supremum
@@ -329,7 +325,7 @@ def optimal_scale(instance: PackingInstance,
         nonlocal cap_n, cap_d
         if q * q * fixed_slack < p * p * scaled_squares:
             return True
-        C = _obstruction(q * b, [p * x for x in a] + [q * x for x in f])
+        C = _reduce(q * b, [p * x for x in a] + [q * x for x in f])
         if C is None:
             return False
         # w_t(C) = const + t lin, negative at t = p/q

@@ -172,6 +172,22 @@ def test_embed_checks_options_before_the_work(data_dir, capsys,
     assert code == 1 and "--report must be nonnegative" in err
 
 
+def test_embed_refuses_zero_precision_before_the_work(data_dir, capsys,
+                                                     monkeypatch):
+    # --scale-search 0 is refused where it is parsed, with the message
+    # optimal_scale gives, before the instance is built
+    def unreached(*args):
+        raise AssertionError("reduce_to_packing ran before the precision")
+    monkeypatch.setattr("echtoric.cli.reduce_to_packing", unreached)
+    for precision in ("0", "0/3", "-1/8"):
+        code, _, out, err = run(capsys, "embed",
+                                str(data_dir / "omega1.json"),
+                                str(data_dir / "omega2.json"),
+                                "--report", "8", f"--scale-search={precision}")
+        assert code == 3 and out == ""
+        assert "precision must be positive" in err
+
+
 @pytest.fixture
 def kernel(monkeypatch):
     """Pieces handed to the row kernel of the weight recursion.

@@ -3,21 +3,26 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from math import isqrt
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
                       LimitError, PackingInstance, SymplecticClass,
                       ToricDomain, c1, capacities, capacity_obstruction,
                       cremona_reduce, cremona_step, decide_packing, defect,
-                      intersection, optimal_embedding_scale, optimal_scale,
-                      packing, pairing, reduce_to_packing, save_domain)
+                      intersection, load_domain, optimal_embedding_scale,
+                      optimal_scale, packing, pairing, reduce_to_packing,
+                      save_domain)
 from echtoric.cli import main
 
-from echtoric.packing import _integral, _obstruction, _reduce, _slack
+from echtoric.packing import _integral, _reduce, _slack
 
 from generators import random_instance
 
+DATA = Path(__file__).parent / "data"
 F = Fraction
 BALL3 = ToricDomain.ball(3, kind="convex")
 SQUARE = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
@@ -327,7 +332,8 @@ def test_verdict_views_are_the_fraction_trace(data_dir):
     big = PackingInstance(6 * inst.D, 6 * inst.top,
                           tuple(6 * a for a in inst.sizes))
     v, w = decide_packing(inst), decide_packing(big)
-    rows = _reduce([big.top, *big.sizes])
+    rows = []
+    _reduce(big.top, big.sizes, rows)
     assert w.trace == tuple(tuple(F(n, big.D) for n in row) for row in rows)
     assert w.terminal == w.trace[-1] and len(rows) > 2
     assert w.volume_slack == F(_slack(rows[0]), big.D ** 2)
@@ -398,15 +404,28 @@ def _fraction_feasible(target, balls):
     return min(vec) >= 0 and slack >= 0
 
 
+def _replay(v):
+    """Rows of defect moves on an integer vector (b; sizes), at least
+    three sizes, re-sorting every row: a reference for the kernel."""
+    rows = [(v[0], *sorted(v[1:], reverse=True))]
+    while min(rows[-1]) >= 0:
+        b, x, y, z, *rest = rows[-1]
+        d = x + y + z - b
+        if d <= 0:
+            break
+        rows.append((b - d, *sorted([x - d, y - d, z - d, *rest],
+                                    reverse=True)))
+    return rows
+
+
 def _scaled_feasible(target, scaled, fixed, t):
-    """The traced kernel's verdict on t*scaled and fixed, sizes times D."""
+    """The replayed verdict on t*scaled and fixed, sizes times D."""
     p, q = t.numerator, t.denominator
     balls = [q * a for a in fixed]
     if p:
         balls += [p * a for a in scaled]
-    balls.sort(reverse=True)
     v = [q * target] + balls + [0] * (3 - len(balls))
-    return min(_reduce(v)[-1]) >= 0 and _slack(v) >= 0
+    return min(_replay(v)[-1]) >= 0 and _slack(v) >= 0
 
 
 def _bisection_scale(instance, scaled, precision, probes):
@@ -456,7 +475,7 @@ def test_scale_probe_matches_fraction_decisions():
             head, sizes = q * ints[0], ([p * a for a in ints[1:n]]
                                         + [q * a for a in ints[n:]])
             got = (_slack([head] + sizes) >= 0
-                   and _obstruction(head, sizes) is None)
+                   and _reduce(head, sizes) is None)
             assert got == ref.feasible == _fraction_feasible(
                 inst.target, balls) == _scaled_feasible(
                     ints[0], ints[1:n], ints[n:], t)
@@ -496,11 +515,11 @@ def _count_reductions(monkeypatch):
     """A one-entry list that counts the search's reductions from now on."""
     counts = [0]
 
-    def counted(head, balls):
+    def counted(head, balls, rows=None):
         counts[0] += 1
-        return _obstruction(head, balls)
+        return _reduce(head, balls, rows)
 
-    monkeypatch.setattr(packing, "_obstruction", counted)
+    monkeypatch.setattr(packing, "_reduce", counted)
     return counts
 
 
@@ -541,13 +560,100 @@ def test_scale_search_matches_plain_bisection(monkeypatch):
 def test_obstruction_hand_classes():
     # (2; 2, 1, 0) moves to (1; 1, 0, -1): the padding entry E_2 pulls
     # back to L - E_0 - E_1, of area 2 - 2 - 1
-    assert _obstruction(2, [2, 1]) == HomologyClass(1, (-1, -1, 0))
+    assert _reduce(2, [2, 1]) == HomologyClass(1, (-1, -1, 0))
     # (1; 1, 1, 1) moves to (-1; -1, -1, -1): the head's line class pulls
     # back to 2L - E_0 - E_1 - E_2, of area 2 - 3
-    assert _obstruction(1, [1, 1, 1]) == HomologyClass(2, (-1, -1, -1))
+    assert _reduce(1, [1, 1, 1]) == HomologyClass(2, (-1, -1, -1))
     # reduced, or reduced after moves, with no negative entry
-    assert _obstruction(3, [1, 1, 1]) is None
-    assert _obstruction(2, [1, 1, 1, 1]) is None
+    assert _reduce(3, [1, 1, 1]) is None
+    assert _reduce(2, [1, 1, 1, 1]) is None
+
+
+def test_kernel_class_agrees_with_golden_traces(data_dir):
+    # on every decide entry of packing_golden.json the kernel's rows are
+    # the recorded trace, and its class is None exactly when the terminal
+    # row is nonnegative; else the class pairs with the input to the
+    # terminal's negative entry: the head if it is negative, else the
+    # last size
+    golden = json.loads((data_dir / "packing_golden.json").read_text())
+    negative = 0
+    for entry in golden["decide"]:
+        inst = PackingInstance.of(F(entry["target"]),
+                                  tuple(map(F, entry["balls"])))
+        rows = []
+        C = _reduce(inst.top, inst.sizes, rows)
+        assert [[str(F(a, inst.D)) for a in row] for row in rows] == \
+            entry["trace"]
+        terminal = rows[-1]
+        if min(terminal) >= 0:
+            assert C is None
+            continue
+        negative += 1
+        area = inst.top * C.L + sum(a * e for a, e in zip(inst.sizes, C.E))
+        assert area == (terminal[0] if terminal[0] < 0 else terminal[-1])
+    assert negative == 52
+
+
+# E(1,a) into the reference targets, a to 3000 with denominators to 36
+# or a Fibonacci ratio to F(45)/F(44); as drawn, or scaled so that its
+# area is about u times the target's, where the reductions are longest
+_FIBONACCI = [1, 1]
+while len(_FIBONACCI) < 46:
+    _FIBONACCI.append(_FIBONACCI[-1] + _FIBONACCI[-2])
+_TARGETS = [load_domain(DATA / f"{name}.json") for name in (
+    "delta1", "delta2", "e12_convex", "omega2", "overhang", "square")]
+
+
+def _embedded_vector(a, target, u):
+    source = ToricDomain.ellipsoid(1, a)
+    if u is not None:  # t^2 a / 2 = u area(target), to two decimals
+        t = isqrt(int(20000 * u * target.area() / a))
+        source = source.scale(F(max(t, 1), 100))
+    inst = reduce_to_packing(EmbeddingProblem(source, target))
+    return inst.top, list(inst.sizes)
+
+
+_embedded = st.builds(
+    _embedded_vector,
+    st.one_of(st.fractions(min_value=1, max_value=3000, max_denominator=36),
+              st.integers(1, 44).map(
+                  lambda n: F(_FIBONACCI[n + 1], _FIBONACCI[n]))),
+    st.sampled_from(_TARGETS),
+    st.one_of(st.none(), st.fractions(min_value=F(1, 2), max_value=2,
+                                      max_denominator=8)))
+# integer vectors, the balls in any order: small sizes with many ties and
+# the head near the volume bound, where reductions run longest, or both
+# drawn freely
+_drawn = st.one_of(
+    st.builds(lambda balls, e: (max(0, isqrt(sum(a * a for a in balls)) + e),
+                                balls),
+              st.lists(st.integers(0, 20), max_size=40), st.integers(-2, 2)),
+    st.tuples(st.integers(0, 10 ** 6),
+              st.lists(st.integers(0, 10 ** 6), max_size=40)))
+
+
+@given(vec=st.one_of(_embedded, _drawn))
+@example(vec=(2, [2, 1]))
+@example(vec=(1, [1, 1, 1]))
+def test_kernel_classes_and_rows(vec):
+    # every class the kernel reads is exceptional (E.E = -1, c1 = 1) or a
+    # line class (+1, 3), with L >= 0, E <= 0, and its area on the input
+    # is the terminal's negative entry; the rows are those of a replay
+    # that re-sorts every row
+    head, balls = vec
+    rows = []
+    C = _reduce(head, balls, rows)
+    padded = balls + [0] * (3 - len(balls))
+    assert rows == _replay([head, *padded])
+    terminal = rows[-1]
+    assert (C is None) == (min(terminal) >= 0)
+    if C is None:
+        return
+    assert len(C.E) == len(padded) and C.Ehat == ()
+    assert (intersection(C, C), c1(C)) in ((-1, 1), (1, 3)), C
+    assert C.L >= 0 and max(C.E) <= 0
+    area = head * C.L + sum(a * e for a, e in zip(padded, C.E))
+    assert area == (terminal[0] if terminal[0] < 0 else terminal[-1]) < 0
 
 
 def test_scale_search_reads_valid_classes(monkeypatch):
@@ -555,13 +661,13 @@ def test_scale_search_reads_valid_classes(monkeypatch):
     # a line class (+1, 3), with m_i >= 0 and negative area at its probe
     found = []
 
-    def recorded(head, balls):
-        C = _obstruction(head, balls)
+    def recorded(head, balls, rows=None):
+        C = _reduce(head, balls, rows)
         if C is not None:
             found.append((head, balls, C))
         return C
 
-    monkeypatch.setattr(packing, "_obstruction", recorded)
+    monkeypatch.setattr(packing, "_reduce", recorded)
     for inst, scaled, precision in chain(_grid_searches(),
                                          _random_searches()):
         try:
