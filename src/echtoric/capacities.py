@@ -55,9 +55,9 @@ n = 1 is the ball staircase.
 
 Both rules run on integers.  An expansion carries its head and
 weights as integers over one denominator D; each call divides them by
-their gcd, builds the ball staircases directly as int lists, folds and
-subtracts on them, and turns only the final K + 1 values into
-Fractions.
+their gcd g, builds the ball staircases directly as int lists, folds
+and subtracts on them, and returns the K + 1 values times g over D as
+a CapacitySeq, whose Fractions are only a view.
 
 The kernel tries only run starts.  Capacity sequences are
 nondecreasing, so in max over i of s_i + t_(k-i) the max across a flat
@@ -79,12 +79,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import DomainError, LimitError
-from .geometry import RationalLike, ratio, rational
-from .weights import WeightExpansion
+from .geometry import RationalLike, ratio
+from .weights import WeightExpansion, _fractions
 
 # Ball staircase entries one ball_caps, concave_caps or convex_caps call
 # may build, counted as balls times horizon; past it the call raises
@@ -101,32 +102,35 @@ def _guard(balls: int, horizon: int) -> None:
 
 @dataclass(frozen=True)
 class CapacitySeq:
-    """Exact values c_0..c_K, each proved.
+    """Values c_0..c_K times D, checked once, when built, and proved.
 
-    certified is a class constant, not a field: every sequence the
-    package computes is proved.  It stays readable for the
-    "certified": true key of the caps report and for the benchmark
-    tracer.
+    values, which seq[k] reads, is their Fraction view, built when first
+    read.  certified is a class constant, not a field: every sequence
+    the package computes is proved.  It stays readable for the caps
+    report's "certified" key and for the benchmark tracer.
     """
 
-    values: tuple[Fraction, ...]
+    D: int
+    ints: tuple[int, ...]
     certified = True
 
     def __post_init__(self) -> None:
-        vals = tuple(rational(v) for v in self.values)
-        if not vals:
-            raise DomainError("capacity sequence needs at least c_0")
-        if vals[0] != 0:
-            raise DomainError("capacity sequences start at 0")
-        if any(b < a for a, b in zip(vals, vals[1:])):
+        ints = tuple(self.ints)
+        if self.D <= 0 or ints[:1] != (0,):
+            raise DomainError("capacity sequences start at 0, over D > 0")
+        if list(ints) != sorted(ints):
             raise DomainError("capacity sequences are nondecreasing")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "ints", ints)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(map(_fractions(self.D, self.ints).__getitem__, self.ints))
 
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.ints)
 
 
 def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
@@ -137,7 +141,7 @@ def ball_caps(a: RationalLike, K: int) -> CapacitySeq:
     if K < 0:
         raise DomainError("K must be nonnegative")
     _guard(1, K)
-    return _rationals(_ball_ints(1, K), Fraction(n, d))
+    return CapacitySeq(d, _ball_ints(n, K))
 
 
 def _ball_ints(a: int, K: int, n: int = 1) -> list[int]:
@@ -218,18 +222,13 @@ def _union(seqs: list[list[int]], K: int) -> list[int]:
     return _grow([[] for _ in seqs], seqs, K)
 
 
-def _rationals(vals: list[int], unit: Fraction) -> CapacitySeq:
-    n, d = unit.numerator, unit.denominator
-    return CapacitySeq(tuple(Fraction(v * n, d) for v in vals))
-
-
-def _sizes(D: int, sizes: Sequence[int]) -> tuple[list[int], Fraction]:
-    """sizes / D as multiples of their largest common unit, and the unit.
+def _sizes(sizes: Sequence[int]) -> tuple[list[int], int]:
+    """sizes as multiples of their largest common divisor g, and g.
 
     The multiples depend only on the ratios, so a scaled domain gets the
     same integers and the same horizon."""
     g = math.gcd(*sizes)
-    return [a // g for a in sizes], Fraction(g, D)
+    return [a // g for a in sizes], g
 
 
 def _runs(ws: list[int]) -> list[tuple[int, int]]:
@@ -246,9 +245,9 @@ def concave_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     if K < 0:
         raise DomainError("K must be nonnegative")
     _guard(len(expansion.sizes), K)
-    ws, unit = _sizes(expansion.D, expansion.sizes)
-    return _rationals(_union([_ball_ints(w, K, n) for w, n in _runs(ws)], K),
-                      unit)
+    ws, g = _sizes(expansion.sizes)
+    union = _union([_ball_ints(w, K, n) for w, n in _runs(ws)], K)
+    return CapacitySeq(expansion.D, [v * g for v in union])
 
 
 def _horizon(out: list[int], b: int, ws: list[int]) -> int:
@@ -280,8 +279,8 @@ def _horizon(out: list[int], b: int, ws: list[int]) -> int:
 
 
 def _complement(expansion: WeightExpansion, K: int
-                ) -> tuple[list[int], Fraction, int]:
-    """The complement min on integers, its unit and its proved horizon.
+                ) -> tuple[CapacitySeq, int]:
+    """The complement min, run on integers, and its proved horizon.
 
     The min runs over l <= R from R = 2K + 2.  While the horizon H it
     proves lies past R, R grows to H, but at most fourfold a round: a
@@ -289,7 +288,7 @@ def _complement(expansion: WeightExpansion, K: int
     domain, and H shrinks as the min falls.  Each round computes only
     the union entries and the terms l past the previous R.
     """
-    (b, *ws), unit = _sizes(expansion.D, (expansion.top, *expansion.sizes))
+    (b, *ws), g = _sizes((expansion.top, *expansion.sizes))
     runs = _runs(ws)
     parts: list[list[int]] = [[] for _ in runs]
     out, done, R = None, 0, 2 * K + 2
@@ -301,7 +300,7 @@ def _complement(expansion: WeightExpansion, K: int
                      (l for l in range(done + 1, R + 1) if t[l] != t[l - 1]))
         H = _horizon(out, b, ws)
         if H <= R:
-            return out, unit, H
+            return CapacitySeq(expansion.D, [v * g for v in out]), H
         done, R = R, min(H, 4 * R)
 
 
@@ -320,7 +319,7 @@ def convex_horizon(expansion: WeightExpansion, K: int) -> int:
     scaling of a domain gets the same H.  A head ball alone has H = 0.
     """
     _convex_check(expansion, K)
-    return _complement(expansion, K)[2] if expansion.sizes else 0
+    return _complement(expansion, K)[1] if expansion.sizes else 0
 
 
 def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
@@ -328,5 +327,4 @@ def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     _convex_check(expansion, K)
     if not expansion.sizes:
         return ball_caps(expansion.head, K)
-    vals, unit, _ = _complement(expansion, K)
-    return _rationals(vals, unit)
+    return _complement(expansion, K)[0]

@@ -151,12 +151,13 @@ def cmd_caps(args) -> dict:
         raise UsageError("--oracle applies to convex domains only")
     exp = _expand(dom, mn)[0]
     seq = (concave_caps if dom.kind == "concave" else convex_caps)(exp, args.k)
+    text = _texts(seq.D, [seq.ints]).__getitem__
     report = {
         "command": "caps",
         "input": record,
         "domain_type": dom.kind,
         "k": args.k,
-        "values": list(map(_s, seq.values)),
+        "values": list(map(text, seq.ints)),
         "certified": seq.certified,
     }
     if args.oracle:
@@ -167,11 +168,12 @@ def cmd_caps(args) -> dict:
             "values": [_s(v) for v, _ in pairs],
             "witnesses": [[[x, y] for x, y in path.ints]
                           for _, path in pairs],
-            "agrees": all(seq[k] == pairs[k][0] for k in range(kk + 1)),
+            "agrees": all(a * v.denominator == v.numerator * seq.D
+                          for a, (v, _) in zip(seq.ints, pairs)),
         }
     if args.approx:
         report["approx"] = {"inexact": True,
-                            "values": [float(v) for v in seq.values]}
+                            "values": [a / seq.D for a in seq.ints]}
     return report
 
 

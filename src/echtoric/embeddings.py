@@ -102,8 +102,9 @@ class CapacityReport:
 def capacity_report(problem: EmbeddingProblem, K: int) -> CapacityReport:
     src = concave_caps(problem.source_weights, K)
     tgt = convex_caps(problem.target_weights, K)
-    return CapacityReport(tuple(
-        ReportRow(k, src[k], tgt[k], src[k] <= tgt[k]) for k in range(K + 1)))
+    oks = [a * tgt.D <= b * src.D for a, b in zip(src.ints, tgt.ints)]
+    return CapacityReport(tuple(map(ReportRow, range(K + 1), src.values,
+                                    tgt.values, oks)))
 
 
 def optimal_embedding_scale(problem: EmbeddingProblem,

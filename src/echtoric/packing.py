@@ -263,10 +263,8 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
         return None
     union = concave_caps(WeightExpansion(instance.D, None, instance.sizes), K)
     target = ball_caps(instance.target, K)
-    for k in range(K + 1):
-        if union[k] > target[k]:
-            return k
-    return None
+    return next((k for k, (a, b) in enumerate(zip(union.ints, target.ints))
+                 if a * target.D > b * union.D), None)
 
 
 def _scaled_ints(instance: PackingInstance,

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from echtoric import (CapacitySeq, DomainError, LimitError, PackingInstance,
-                      ToricDomain, WeightExpansion, ball_caps,
-                      capacity_obstruction, concave_caps, concave_weights,
-                      contains, convex_caps, convex_horizon, convex_weights,
-                      load_domain, oracle_convex_caps_upto)
+from echtoric import (CapacitySeq, DomainError, EmbeddingProblem, LimitError,
+                      PackingInstance, ToricDomain, WeightExpansion, ball_caps,
+                      capacity_obstruction, capacity_report, concave_caps,
+                      concave_weights, contains, convex_caps, convex_horizon,
+                      convex_weights, load_domain, oracle_convex_caps_upto,
+                      reduce_to_packing)
 from echtoric import capacities
 from echtoric.capacities import (_ball_ints, _lower, _maxplus, _run_starts,
                                  _sizes, _union)
@@ -126,7 +127,7 @@ def test_complement_rounds_fold_once_per_distinct_size(monkeypatch, folds,
         expansion = convex_weights(dom)[0]
         if not expansion.sizes:
             continue
-        (b, *ws), _ = _sizes(expansion.D, (expansion.top, *expansion.sizes))
+        (b, *ws), _ = _sizes((expansion.top, *expansion.sizes))
         runs = [(w, ws.count(w)) for w in sorted(set(ws), reverse=True)]
         built.clear()
         folds.clear()
@@ -227,32 +228,16 @@ def test_capacity_monotonicity_under_containment():
             convex_caps(convex_weights(dom)[0], 8).values))
 
 
-def test_capacity_scaling_random():
-    rng = random.Random(29)
-    for _ in range(6):
-        dom = random_concave(rng)
-        lam = F(rng.randint(1, 5), rng.randint(1, 3))
-        base = concave_caps(concave_weights(dom)[0], 8)
-        scaled = concave_caps(concave_weights(dom.scale(lam))[0], 8)
-        assert scaled.values == tuple(lam * v for v in base.values)
-    for _ in range(6):
-        dom = random_convex(rng)
-        lam = F(rng.randint(1, 3), rng.randint(3, 4))
-        base = convex_caps(convex_weights(dom)[0], 8)
-        scaled = convex_caps(convex_weights(dom.scale(lam))[0], 8)
-        assert base.certified and scaled.certified
-        assert scaled.values == tuple(lam * v for v in base.values)
-
-
 def test_capacity_seq_container_behaviour():
-    seq = CapacitySeq((0, 1, F(5, 2)))
+    seq = CapacitySeq(2, (0, 2, 5))
     assert len(seq) == 3 and seq[2] == F(5, 2)
     assert seq.values == (0, 1, F(5, 2))
+    assert CapacitySeq(2, [0, 2, 5]) == seq  # a kernel list is kept as a tuple
     # certified is a constant every sequence reads, not a field to set
-    assert [f.name for f in dataclasses.fields(CapacitySeq)] == ["values"]
+    assert [f.name for f in dataclasses.fields(CapacitySeq)] == ["D", "ints"]
     assert seq.certified is True
     with pytest.raises(TypeError):
-        CapacitySeq((0, 1), False)
+        CapacitySeq(1, (0, 1), False)
 
 
 OMEGA1 = ToricDomain.concave([("0", "10/3"), ("2/3", "4/3"),
@@ -279,6 +264,73 @@ def test_convex_caps_scaling_full_size():
         assert got.values == tuple(s * v for v in OMEGA2_VALUES)
         assert convex_horizon(expansion, 20) == \
             convex_horizon(convex_weights(OMEGA2)[0], 20)
+
+
+@st.composite
+def _convex_expansions(draw):
+    """The expansion (D, top, sizes) of a lattice convex domain over D:
+    a flat top, edges of distinct falling slopes -num/den, and a drop
+    or overhang back to the x-axis.  Its area makes top^2 > sum sizes^2."""
+    edges = sorted(draw(st.lists(
+        st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 300)),
+        min_size=1, max_size=4, unique_by=lambda e: F(e[0], e[1]))),
+        key=lambda e: F(e[0], e[1]))
+    flat, rise = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    x, y = flat, rise + sum(num * r for num, _, r in edges)
+    boundary = [(0, y)] + [(flat, y)] * (flat > 0)
+    for num, den, r in edges:
+        x, y = x + den * r, y - num * r
+        boundary.append((x, y))
+    if rise:
+        boundary.append((x - draw(st.integers(0, x - 1)), 0))
+    dom = ToricDomain("convex", draw(st.integers(1, 10 ** 45)),
+                      tuple(boundary))
+    return convex_weights(dom)[0]
+
+
+@given(expansion=_convex_expansions(), K=st.integers(0, 20),
+       t=st.fractions(min_value=F(1, 10 ** 45), max_value=10 ** 45))
+@example(expansion=convex_weights(OMEGA2)[0], K=20, t=F(12))
+def test_convex_caps_scale_with_the_expansion(expansion, K, t):
+    # t times the expansion has t times the capacities: the same
+    # integers up to their gcd, proved at the same horizon
+    p, q = t.numerator, t.denominator
+    scaled = WeightExpansion(expansion.D * q, expansion.top * p,
+                             tuple(a * p for a in expansion.sizes))
+    base, got = convex_caps(expansion, K), convex_caps(scaled, K)
+    assert got.values == tuple(t * v for v in base.values)
+    g, h = math.gcd(*base.ints) or 1, math.gcd(*got.ints) or 1
+    assert [a // h for a in got.ints] == [a // g for a in base.ints]
+    assert convex_horizon(scaled, K) == convex_horizon(expansion, K)
+
+
+def test_capacity_paths_compare_no_fractions(monkeypatch):
+    # the kernels, the report and the obstruction test compare integers
+    # over their denominators, and no sequence re-checks its order on
+    # Fractions
+    calls = []
+    richcmp = Fraction._richcmp
+
+    def counted(self, other, op):
+        calls.append(op)
+        return richcmp(self, other, op)
+
+    fits = EmbeddingProblem(OMEGA1, OMEGA2)
+    blocked = EmbeddingProblem(OMEGA1.scale(2), OMEGA2)
+    instances = [reduce_to_packing(fits), reduce_to_packing(blocked)]
+    source, target = fits.source_weights, fits.target_weights
+    monkeypatch.setattr(Fraction, "_richcmp", counted)
+    seqs = [concave_caps(source, 20), convex_caps(target, 20)]
+    reports = [capacity_report(fits, 12), capacity_report(blocked, 12)]
+    hits = [capacity_obstruction(inst, 50) for inst in instances]
+    monkeypatch.undo()
+    assert len(calls) == 0, calls
+    assert seqs[1].values == OMEGA2_VALUES
+    assert [r.first_violation() for r in reports] == [None, 1]
+    row = reports[1].rows[1]  # the report keeps its Fraction fields
+    assert dataclasses.astuple(row) == (1, 4, 2, False)
+    assert isinstance(row.source_value, Fraction)
+    assert hits == [None, 2]
 
 
 def complement_terms(expansion, K, n):
@@ -406,8 +458,11 @@ def test_kernel_errors():
     for K in (-1, -5):
         with pytest.raises(DomainError, match="K must be nonnegative"):
             ball_caps(1, K)
-    with pytest.raises(DomainError, match="start at 0"):
-        CapacitySeq((1, 2))
+    for D, ints in ((1, (1, 2)), (1, ()), (0, (0, 1)), (-3, (0, 1))):
+        with pytest.raises(DomainError, match="start at 0, over D > 0"):
+            CapacitySeq(D, ints)
+    with pytest.raises(DomainError, match="nondecreasing"):
+        CapacitySeq(1, (0, 2, 1))
     with pytest.raises(DomainError, match="K must be nonnegative"):
         concave_caps(concave_weights(OMEGA1)[0], -1)
     with pytest.raises(DomainError, match="at least one weight"):
