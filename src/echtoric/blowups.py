@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Union
 
 from .domains import ToricDomain, _check_concave
 from .errors import DomainError
-from .geometry import RationalLike, rational
+from .geometry import RationalLike, ratio, rational
 from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
                       inorder, node_count, tree_values)
 
@@ -340,18 +340,19 @@ def inner_approximation(decomp: ConvexDecomposition,
     The first preorder perturbation lowers the cut diagonal; the rest
     enlarge the side pieces (removed material) through their outer
     approximations, so the remainder shrinks.  The boundary is taken
-    over the common denominator D of its own and of the lowered head, so
-    the fold and the grown pieces run on integers.
+    over the common denominator D of its own and of the first
+    perturbation, which the lowered head is over too, so the fold and
+    the grown pieces run on integers.
     """
     n_left = node_count(decomp.left)
     total = 1 + n_left + node_count(decomp.right)
     ds = _delta_list(deltas, total)
-    lam = decomp.head - ds[0]
-    if lam <= 0:
+    dom, (p, q) = decomp.domain, ratio(ds[0])
+    D = lcm(dom.D, q)
+    s = D // dom.D
+    level = decomp.top * s - p * (D // q)  # the lowered head times D
+    if level <= 0:
         raise DomainError("perturbation swallows the whole head")
-    dom = decomp.domain
-    D = lcm(dom.D, lam.denominator)
-    level, s = lam.numerator * (D // lam.denominator), D // dom.D
     lpiece, rpiece = _fold([(x * s, y * s) for x, y in dom.ints], level)
     left = right = None
     if decomp.left is not None:

@@ -326,5 +326,6 @@ def convex_caps(expansion: WeightExpansion, K: int) -> CapacitySeq:
     """Capacities of a convex domain: its head ball less its weight balls."""
     _convex_check(expansion, K)
     if not expansion.sizes:
-        return ball_caps(expansion.head, K)
+        _guard(1, K)
+        return CapacitySeq(expansion.D, _ball_ints(expansion.top, K))
     return _complement(expansion, K)[0]

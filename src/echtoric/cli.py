@@ -2,9 +2,10 @@
 
 Exit codes: 0 a verdict or value was computed (an infeasible verdict is
 still 0), 1 bad usage, 3 invalid input data, 4 a resource guard fired,
-such as a report value with more digits than the interpreter prints.
-All rationals in reports are strings; decimal renderings only appear
-under an "approx" key when --approx asks for them, marked inexact.
+such as a report value with more digits than the interpreter prints or
+an --approx one past the float range.  All rationals in reports are
+strings, by fileio.ratio_text; decimal renderings only appear under an
+"approx" key when --approx asks for them, marked inexact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,13 +25,12 @@ from .blowups import inner_approximation, outer_approximation
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
 from .embeddings import EmbeddingProblem, capacity_report, reduce_to_packing
-from .errors import DomainError, GeometryError, LimitError
-from .fileio import canonical_json, read_domain
+from .errors import DomainError, LimitError
+from .fileio import canonical_json, ratio_text, read_domain
 from .geometry import rational
 from .latticepaths import oracle_convex_caps_upto
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
-from .svgout import (decomposition_polygons, render_approximation,
-                     render_decomposition)
+from .svgout import render_approximation, render_decomposition
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
 
@@ -61,16 +62,13 @@ def _max_nodes() -> int:
     return value
 
 
-def _s(value) -> str:
-    try:
-        return str(value)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise LimitError("a report value has too many digits to print") from None
+def _s(value: Fraction) -> str:
+    return ratio_text(value.numerator, value.denominator)
 
 
 def _texts(D: int, rows) -> dict[int, str]:
     """The text of n/D for each distinct integer n in rows, made once."""
-    return {n: _s(Fraction(n, D)) for n in set(chain.from_iterable(rows))}
+    return {n: ratio_text(n, D) for n in set(chain.from_iterable(rows))}
 
 
 def _parse_balls(text: str) -> tuple[Fraction, ...]:
@@ -116,29 +114,33 @@ def cmd_weights(args) -> dict:
     mn = _max_nodes()
     dom, record = _load(args.file)
     exp, dec = _expand(dom, mn)
-    # only a drawing reads the rows, one per cut; drop them before the
-    # report is built
-    polys = decomposition_polygons(dec) if args.svg else None
+    # only a drawing reads the rows, one per cut; draw them and drop
+    # them before the report is built
+    svg = render_decomposition(dom, dec) if args.svg else None
     del dec
-    text = _texts(exp.D, [exp.sizes]).__getitem__
+    D, top, sizes = exp.D, exp.top, exp.sizes
+    text = _texts(D, [sizes, [top] if top else []]).__getitem__
     report = {
         "command": "weights",
         "input": record,
         "domain_type": dom.kind,
-        "head": None if exp.head is None else _s(exp.head),
-        "weights": list(map(text, exp.sizes)),
-        "weight_count": len(exp.sizes),
+        "head": None if top is None else text(top),
+        "weights": list(map(text, sizes)),
+        "weight_count": len(sizes),
         "area": _s(dom.area()),
     }
-    if args.svg:
-        _write_text(args.svg, render_decomposition(dom, polys))
-        report["svg"] = {"path": args.svg, "polygons": len(polys)}
     if args.approx:
         report["approx"] = {
             "inexact": True,
-            "head": None if exp.head is None else float(exp.head),
-            "weights": [float(w) for w in exp.weights],
+            "head": None if top is None else top / D,
+            "weights": [w / D for w in sizes],
         }
+    # the file is written only once the whole report is built
+    if svg is not None:
+        _write_text(args.svg, svg)
+        # one triangle per weight, and the head of a convex domain
+        report["svg"] = {"path": args.svg,
+                         "polygons": len(sizes) + (top is not None)}
     return report
 
 
@@ -217,13 +219,18 @@ def cmd_embed(args) -> dict:
     }
     if args.report is not None:
         caps = capacity_report(problem, args.report)
+        # both columns over one denominator, so one table formats them
+        D = lcm(caps.source.D, caps.target.D)
+        cols = [[n * (D // seq.D) for n in seq.ints]
+                for seq in (caps.source, caps.target)]
+        text = _texts(D, cols)
         report["capacities"] = {
             "k_max": args.report,
             "all_ok": caps.all_ok,
             "first_violation": caps.first_violation(),
             # every capacity the package computes is proved
-            "rows": [[r.k, _s(r.source_value), _s(r.target_value),
-                      r.ok, True] for r in caps.rows],
+            "rows": [[r.k, text[a], text[b], r.ok, True]
+                     for r, a, b in zip(caps.rows, *cols)],
         }
     if args.scale_search is not None:
         # optimal_embedding_scale would build the instance a second time
@@ -249,12 +256,11 @@ def cmd_svg(args) -> dict:
         "output": args.out,
     }
     delta = None if args.decomposition else rational(args.approximation)
-    _, dec = _expand(dom, mn)
+    exp, dec = _expand(dom, mn)
     if args.decomposition:
-        polys = decomposition_polygons(dec)
-        _write_text(args.out, render_decomposition(dom, polys))
+        _write_text(args.out, render_decomposition(dom, dec))
         report["mode"] = "decomposition"
-        report["polygons"] = len(polys)
+        report["polygons"] = len(exp.sizes) + (exp.top is not None)
     else:
         if dom.kind == "concave":
             approx = outer_approximation(dec, delta)
@@ -347,13 +353,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"echtoric: error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, GeometryError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"echtoric: invalid input: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"echtoric: invalid input: {exc}", file=sys.stderr)
-        return 3
-    except LimitError as exc:
+    # an --approx value past the float range is an OverflowError
+    except (LimitError, OverflowError) as exc:
         print(f"echtoric: resource guard: {exc}", file=sys.stderr)
         return 4
     if args.timing:

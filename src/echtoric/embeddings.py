@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .capacities import concave_caps, convex_caps
+from .capacities import CapacitySeq, concave_caps, convex_caps
 from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike
@@ -84,9 +84,12 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Pointwise capacity comparison c_k(source) <= c_k(target)."""
+    """Pointwise capacity comparison c_k(source) <= c_k(target), with
+    the two sequences compared."""
 
     rows: tuple[ReportRow, ...]
+    source: CapacitySeq
+    target: CapacitySeq
 
     @property
     def all_ok(self) -> bool:
@@ -104,7 +107,7 @@ def capacity_report(problem: EmbeddingProblem, K: int) -> CapacityReport:
     tgt = convex_caps(problem.target_weights, K)
     oks = [a * tgt.D <= b * src.D for a, b in zip(src.ints, tgt.ints)]
     return CapacityReport(tuple(map(ReportRow, range(K + 1), src.values,
-                                    tgt.values, oks)))
+                                    tgt.values, oks)), src, tgt)
 
 
 def optimal_embedding_scale(problem: EmbeddingProblem,

@@ -1,7 +1,9 @@
 """Reading and writing domains and reports with exact rationals.
 
 Rationals travel as strings "p/q" or "n" so that no JSON float ever
-touches a value; a domain file is read straight into integers.
+touches a value; a domain file is read straight into integers, and
+ratio_text, the one formatter of domain files and CLI reports, writes
+n/D as str(Fraction(n, D)) would, from one gcd and no Fraction.
 Serialisation is canonical, so identical data gives identical bytes:
 canonical_json is json.dumps(obj, sort_keys=True, indent=2) + "\n" byte
 for byte, without the pure-Python encoder an indent puts json on.
@@ -11,20 +13,30 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
-from math import isfinite
+from math import gcd, isfinite
 from pathlib import Path
 from typing import Union
 
 from .domains import ToricDomain
-from .errors import DomainError
+from .errors import DomainError, LimitError
+
+
+def ratio_text(n: int, D: int) -> str:
+    """The text of n/D for D > 0, "p/q" in lowest terms or "p", as
+    str(Fraction(n, D)) gives it.  A part with more digits than
+    sys.get_int_max_str_digits() allows is a LimitError."""
+    g = gcd(n, D)
+    try:
+        return str(n // g) if g == D else f"{n // g}/{D // g}"
+    except ValueError:
+        raise LimitError("a value has too many digits to print") from None
 
 
 def domain_to_json(domain: ToricDomain) -> dict:
     D = domain.D
     return {
         "type": domain.kind,
-        "boundary": [[str(Fraction(x, D)), str(Fraction(y, D))]
+        "boundary": [[ratio_text(x, D), ratio_text(y, D)]
                      for x, y in domain.ints],
     }
 
@@ -50,7 +62,8 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
 
     The file is opened once.  Its bytes are decoded as a text-mode read
     would decode them: UTF-8, with universal newlines; bytes that are not
-    UTF-8 are a DomainError.
+    UTF-8 are a DomainError, and so are JSON numbers and nesting past the
+    interpreter's digit and recursion limits.
     """
     data = Path(path).read_bytes()
     try:
@@ -62,8 +75,8 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: not valid JSON ({exc})") from exc
-    except ValueError as exc:  # a number past sys.get_int_max_str_digits()
-        raise DomainError(f"{path}: number too long to read ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # digit or depth limit
+        raise DomainError(f"{path}: too long or deep to read ({exc})") from exc
     return domain_from_json(obj), digest_bytes(data)
 
 

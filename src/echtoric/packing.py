@@ -63,7 +63,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .blowups import HomologyClass
-from .capacities import ball_caps, concave_caps
+from .capacities import _ball_ints, concave_caps
 from .errors import DomainError
 from .geometry import RationalLike, rational
 from .weights import WeightExpansion, _fractions
@@ -261,10 +261,11 @@ def capacity_obstruction(instance: PackingInstance, K: int) -> Optional[int]:
     """
     if not instance.sizes:
         return None
+    # the union runs over the instance's D, as does the target staircase
     union = concave_caps(WeightExpansion(instance.D, None, instance.sizes), K)
-    target = ball_caps(instance.target, K)
-    return next((k for k, (a, b) in enumerate(zip(union.ints, target.ints))
-                 if a * target.D > b * union.D), None)
+    target = _ball_ints(instance.top, K)
+    return next((k for k, (a, b) in enumerate(zip(union.ints, target))
+                 if a > b), None)
 
 
 def _scaled_ints(instance: PackingInstance,

@@ -3,14 +3,15 @@
 Every drawing runs on integers over one common denominator D.  A
 decomposition is drawn from the rows that concave_weights or
 convex_weights returned, so drawing never expands a domain again.
-Each triangle is written straight from its integer row: the level a
-and the map (ma, mb, mc, md, tx, ty) give the corners (tx, ty),
-(mb a + tx, md a + ty) and (ma a + tx, mc a + ty), each over D, and a
-convex domain's head b adds (0, 0), (0, b D) and (b D, 0).
-decomposition_polygons keeps those integers, and render_decomposition
-reads them with the domain's boundary over D, so no corner becomes a
-Fraction.  An approximation overlay takes both boundaries over the
-common multiple of their denominators.
+render_decomposition(domain, tree) writes each triangle straight from
+its integer row: the level a and the map (ma, mb, mc, md, tx, ty) give
+the corners (tx, ty), (mb a + tx, md a + ty) and (ma a + tx, mc a + ty),
+each over D, and a convex domain's head, top over D, adds (0, 0),
+(0, top) and (top, 0).  The rows and the domain's boundary are over
+the domain's D, so no corner is rescaled and none becomes a Fraction;
+decomposition_polygons is the Point view of the same triangles.  An
+approximation overlay takes both boundaries over the common multiple
+of their denominators.
 Documents are built by string assembly, no markup library.  Each
 drawing fixes its canvas map once, as integers (P, Q, R) per axis, and
 then quantises every coordinate n/D to four decimals, rounded half up,
@@ -19,7 +20,6 @@ as (P + Q n) // R, so the output bytes depend only on the input.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -40,30 +40,7 @@ MARGIN = 24
 
 
 IntPolygon = tuple[tuple[int, int], ...]
-
-
-class Polygons(Sequence):
-    """Polygons with integer corners over one denominator D.
-
-    Indexing gives a polygon as a tuple of Points, made on demand;
-    render_decomposition reads the integers in ints.
-    """
-
-    def __init__(self, D: int, ints: list[IntPolygon]) -> None:
-        self.D = D
-        self.ints = ints
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._points(poly) for poly in self.ints[i]]
-        return self._points(self.ints[i])
-
-    def _points(self, poly: IntPolygon) -> tuple[Point, ...]:
-        return tuple(Point(Fraction(x, self.D), Fraction(y, self.D))
-                     for x, y in poly)
+Tree = Union[Decomposition, ConvexDecomposition]
 
 
 def _triangles(dec: Optional[Decomposition]) -> list[IntPolygon]:
@@ -79,47 +56,42 @@ def _triangles(dec: Optional[Decomposition]) -> list[IntPolygon]:
     return polys
 
 
-def decomposition_polygons(tree: Union[Decomposition, ConvexDecomposition],
-                           ) -> Polygons:
-    """One triangle per weight; a convex domain adds its head simplex first."""
+def _tiles(tree: Tree) -> tuple[int, list[IntPolygon]]:
+    """D and one triangle per weight over D; a convex domain's head
+    simplex comes first."""
     if isinstance(tree, Decomposition):
-        return Polygons(tree.D, _triangles(tree))
-    # the side rows are over the domain's denominator, as is the head
-    D = tree.domain.D
-    b = tree.head.numerator * (D // tree.head.denominator)
-    return Polygons(D, [((0, 0), (0, b), (b, 0))]
-                    + _triangles(tree.left) + _triangles(tree.right))
+        return tree.D, _triangles(tree)
+    b = tree.top
+    return tree.domain.D, [((0, 0), (0, b), (b, 0)), *_triangles(tree.left),
+                           *_triangles(tree.right)]
 
 
-def _axis(offset: Fraction, slope: Fraction, D: int) -> tuple[int, int, int]:
-    """Integers (P, Q, R) that round offset + slope * n/D half up.
-
-    The rounded value is (P + Q*n) // R: with N/M = offset + slope * n/D
-    over the denominator M = R/2 > 0, floor(N/M + 1/2) is
-    (2N + M) // 2M.
-    """
-    on, od = offset.numerator, offset.denominator
-    sn, sd = slope.numerator, slope.denominator
-    return (2 * on * sd + od * sd) * D, 2 * od * sn, 2 * od * sd * D
+def decomposition_polygons(tree: Tree) -> list[tuple[Point, ...]]:
+    """One triangle of Points per weight, a convex domain's head simplex
+    first."""
+    D, tiles = _tiles(tree)
+    return [tuple(Point(Fraction(x, D), Fraction(y, D)) for x, y in tile)
+            for tile in tiles]
 
 
 class _Canvas:
     """Maps integer points over D onto a square canvas, y axis pointing up.
 
-    Canvas coordinates are counted in units of 1e-4: x maps to
-    1e4 * (MARGIN + (x - xmin) * scale), y to
-    1e4 * (SIZE - MARGIN - (y - ymin) * scale), both nonnegative, and
-    each is rounded half up with one integer floor division.
+    Canvas coordinates are counted in units of 1e-4.  With S the larger
+    span of the points and the origin, at least D, and
+    C = 2e4 (SIZE - 2 MARGIN), x maps to 1e4 MARGIN + C (x - xmin) / 2S
+    and y to 1e4 (SIZE - MARGIN) - C (y - ymin) / 2S.  Rounded half up,
+    x is (2e4 MARGIN S - C xmin + S + C x) // 2S, one integer floor
+    division, and y the mirror image.
     """
 
     def __init__(self, points: Iterable[tuple[int, int]], D: int) -> None:
         xs, ys = zip((0, 0), *points)
         xmin, ymin = min(xs), min(ys)
-        span = Fraction(max(max(xs) - xmin, max(ys) - ymin, D), D)
-        scale = Fraction(10000 * (SIZE - 2 * MARGIN)) / span
-        self._x = _axis(10000 * MARGIN - Fraction(xmin, D) * scale, scale, D)
-        self._y = _axis(10000 * (SIZE - MARGIN) + Fraction(ymin, D) * scale,
-                        -scale, D)
+        S = max(max(xs) - xmin, max(ys) - ymin, D)
+        C = 20000 * (SIZE - 2 * MARGIN)
+        self._x = 20000 * MARGIN * S - C * xmin + S, C, 2 * S
+        self._y = 20000 * (SIZE - MARGIN) * S + C * ymin + S, -C, 2 * S
 
     def map(self, x: int, y: int) -> tuple[str, str]:
         (P, Q, R), (S, T, U) = self._x, self._y
@@ -154,16 +126,14 @@ def _axes(canvas: _Canvas, xmax: int, ymax: int) -> list[str]:
             f'<line x1="{ox}" y1="{oy}" x2="{yx}" y2="{yy}" {style} />']
 
 
-def render_decomposition(domain: ToricDomain, polys: Polygons) -> str:
-    """The domain's outline over its decomposition_polygons.
+def render_decomposition(domain: ToricDomain, tree: Tree) -> str:
+    """The domain's outline over its decomposition's triangles.
 
-    Both are drawn from their integers over one common denominator.
+    tree is what expanding domain returned; both are drawn from their
+    integers over the domain's D.
     """
-    D = lcm(domain.D, polys.D)
-    c = D // polys.D
+    D, tris = _tiles(tree)
     outline = _region(D, domain)
-    tris = [tuple((x * c, y * c) for x, y in poly) for poly in polys.ints] \
-        if c > 1 else polys.ints
     corners = list(chain.from_iterable(tris))
     canvas = _Canvas(outline + corners, D)
     xs, ys = zip(*corners)

@@ -33,9 +33,10 @@ once, which raises exactly when charging its cuts one by one would.
 
 The rows are the only decomposition form.  concave_weights and
 convex_weights return the levels, sorted as integers over D, as the
-WeightExpansion and the rows themselves, with D, as a Decomposition:
-the embedding decision and the capacities read the levels, the
-drawings read the integer maps, and the sphere chains and the boundary
+WeightExpansion and the rows themselves, with D, as a Decomposition
+(a ConvexDecomposition adds the head as the integer top): the
+embedding decision and the capacities read the levels, the drawings
+the integer maps and the head, and the sphere chains and the boundary
 approximations walk the rows' child indices.  Nothing is divided by D
 again unless a caller reads a Fraction view.
 
@@ -123,12 +124,17 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class ConvexDecomposition:
-    """Head cut of a convex domain plus the peeled side pieces."""
+    """Head cut of a convex domain, top over the domain's D as the side
+    rows are, plus the peeled side pieces; head is top's Fraction view."""
 
-    head: Fraction
+    top: int
     domain: ToricDomain
     left: Optional[Decomposition]
     right: Optional[Decomposition]
+
+    @cached_property
+    def head(self) -> Fraction:
+        return Fraction(self.top, self.domain.D)
 
 
 def _clip(bd: Sequence[tuple[int, int]], lam: int) -> tuple[list, int]:
@@ -401,8 +407,7 @@ def convex_weights(domain: ToricDomain,
     left, right = (None if side is None else Decomposition(D, side, None)
                    for side in sides)
     exp = WeightExpansion(D, b, _levels(*(s for s in sides if s)))
-    return exp, ConvexDecomposition(head=exp.head, domain=domain, left=left,
-                                    right=right)
+    return exp, ConvexDecomposition(b, domain, left, right)
 
 
 def build_short_concave(values: Sequence[RationalLike]) -> ToricDomain:

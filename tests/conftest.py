@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,14 @@ settings.load_profile("echtoric")
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's least int/str digit limit, for this test only."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(old)

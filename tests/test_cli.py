@@ -350,17 +350,6 @@ def test_non_ascii_digits_are_invalid_input(capsys, tmp_path):
     assert code == 3 and "invalid input" in err
 
 
-@pytest.fixture
-def digit_limit():
-    """CPython's least int/str digit limit, for this test only."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        yield 640
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def test_numerals_past_the_digit_limit(capsys, tmp_path, digit_limit):
     # an input numeral that int() refuses is invalid input, whether it
     # reaches the parser as text or as a JSON number
@@ -380,6 +369,77 @@ def test_numerals_past_the_digit_limit(capsys, tmp_path, digit_limit):
                             "--approximation", "1/12")
     assert code == 4 and out == ""
     assert err.startswith("echtoric: resource guard: ")
+    # so is an area whose numerator outgrows the limit on inputs within it
+    big = "1" + "0" * 400
+    path.write_text(json.dumps({"type": "concave",
+                                "boundary": [["0", big], [big, "0"]]}))
+    code, _, out, err = run(capsys, "weights", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("echtoric: resource guard: ")
+
+
+def test_approx_past_the_float_range_is_a_resource_guard(capsys, tmp_path):
+    # the exact report of a value past the float range prints; its
+    # inexact rendering is a resource guard, and a failed weights
+    # request writes no drawing
+    big = "1" + "0" * 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "concave",
+                                "boundary": [["0", big], [big, "0"]]}))
+    svg = tmp_path / "big.svg"
+    calls = (["weights", str(path), "--svg", str(svg)],
+             ["caps", str(path), "--k", "3"],
+             ["pack", "--target", big, "--balls", "1"])
+    for argv in calls:
+        code, _, out, err = run(capsys, "--approx", *argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("echtoric: resource guard: "), argv
+    assert not svg.exists()
+    for argv in calls:
+        code, rep, _, _ = run(capsys, *argv)
+        assert code == 0 and big in json.dumps(rep), argv
+    assert svg.exists()
+
+
+def test_deeply_nested_json_is_invalid_input(data_dir, capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    omega1, omega2 = str(data_dir / "omega1.json"), str(data_dir / "omega2.json")
+    for argv in (["weights", str(deep)], ["embed", str(deep), omega2],
+                 ["embed", omega1, str(deep)]):
+        code, _, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("echtoric: invalid input: "), argv
+        assert "recursion depth" in err, argv
+
+
+def test_cli_texts_build_no_fractions(data_dir, capsys, tmp_path,
+                                      monkeypatch):
+    # reports and drawings are written from integers over a denominator;
+    # the only Fraction left is what the library returns as one, here
+    # the area of the weights report
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({"type": "convex",
+                                "boundary": [["0", "3"], ["3", "0"]]}))
+    omega1, omega2 = str(data_dir / "omega1.json"), str(data_dir / "omega2.json")
+    svg = str(tmp_path / "out.svg")
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for argv, fractions in ((["caps", omega1, "--k", "20"], 0),
+                            (["caps", omega2, "--k", "20"], 0),
+                            (["caps", str(ball), "--k", "20"], 0),
+                            (["svg", omega1, svg, "--decomposition"], 0),
+                            (["svg", omega2, svg, "--decomposition"], 0),
+                            (["weights", omega1, "--svg", svg], 1),
+                            (["weights", omega2, "--svg", svg], 1)):
+        made.clear()
+        code, _, _, _ = run(capsys, *argv)
+        assert code == 0 and len(made) == fractions, (argv, made)
 
 
 def test_cli_paths_build_no_points(data_dir, capsys, tmp_path, monkeypatch):

@@ -62,6 +62,9 @@ def test_capacity_report_reference():
     assert rep.rows[1].source_value == 2
     assert rep.rows[5].source_value == F(16, 3)
     assert rep.rows[5].target_value == 7
+    # the rows are the Fraction views of the two sequences compared
+    assert [r.source_value for r in rep.rows] == list(rep.source.values)
+    assert [r.target_value for r in rep.rows] == list(rep.target.values)
 
 
 def test_capacity_report_identity():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from echtoric import (DomainError, ToricDomain, canonical_json, digest_bytes,
-                      digest_file, domain_from_json, domain_to_json,
-                      load_domain, rational, read_domain, save_domain)
+from echtoric import (DomainError, LimitError, ToricDomain, canonical_json,
+                      digest_bytes, digest_file, domain_from_json,
+                      domain_to_json, load_domain, rational, read_domain,
+                      save_domain)
+from echtoric.fileio import ratio_text
 
 F = Fraction
 
@@ -128,3 +130,28 @@ def test_digests(tmp_path):
     path = tmp_path / "blob"
     path.write_bytes(b"abc")
     assert digest_file(path) == digest_bytes(b"abc")
+
+
+@given(st.integers(-10 ** 100, 10 ** 100), st.integers(1, 10 ** 90))
+@example(0, 1)
+@example(0, 10 ** 90)
+@example(-6, 4)
+@example(12, 4)
+@example(-7, 1)
+def test_ratio_text_is_str_of_fraction(n, D):
+    assert ratio_text(n, D) == str(Fraction(n, D))
+
+
+def test_texts_past_the_digit_limit_are_a_limit_error(tmp_path, digit_limit):
+    big = 10 ** (digit_limit + 5)
+    assert ratio_text(big, big * 3) == "1/3"  # reduced before printing
+    for n, D in ((big, 1), (1, big), (-big, 7)):
+        with pytest.raises(LimitError):
+            ratio_text(n, D)
+    dom = ToricDomain("concave", 1, ((0, big), (1, 0)))
+    with pytest.raises(LimitError):
+        domain_to_json(dom)
+    path = tmp_path / "big.json"
+    with pytest.raises(LimitError):
+        save_domain(dom, path)
+    assert not path.exists()

@@ -16,6 +16,7 @@ from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
                       intersection, load_domain, optimal_embedding_scale,
                       optimal_scale, packing, pairing, reduce_to_packing,
                       save_domain)
+from echtoric import cli
 from echtoric.cli import main
 
 from echtoric.packing import _integral, _reduce, _slack
@@ -261,20 +262,22 @@ def _strings(obj):
 
 def test_reports_format_each_value_once(tmp_path, capsys, monkeypatch):
     # a report formats each distinct rational once, from one table of
-    # integers over one denominator, however often the value recurs
+    # integers over one denominator, however often the value recurs;
+    # every text goes through the one formatter, fileio.ratio_text
     for name, dom in (("e300", ToricDomain.ellipsoid(1, 300)),
                       ("e3000", ToricDomain.ellipsoid(1, 3000)),
                       ("ball3", BALL3)):
         save_domain(dom, tmp_path / f"{name}.json")
     made = []
-    text = Fraction.__str__
+    text = cli.ratio_text
 
-    def counted(self):
-        made.append(self)
-        return text(self)
-    monkeypatch.setattr(Fraction, "__str__", counted)
+    def counted(n, D):
+        made.append((n, D))
+        return text(n, D)
+    monkeypatch.setattr(cli, "ratio_text", counted)
+    monkeypatch.setattr(Fraction, "__str__", None)  # no text bypasses it
     for argv in (["embed", "e300.json", "ball3.json", "--scale-search",
-                  "1/1000"],
+                  "1/1000", "--report", "40"],
                  ["weights", "e3000.json"]):
         made.clear()
         assert main([str(tmp_path / a) if a.endswith(".json") else a

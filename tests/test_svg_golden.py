@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from echtoric import (DomainError, ToricDomain, concave_weights,
-                      convex_weights, decomposition_polygons,
-                      inner_approximation, outer_approximation,
-                      render_approximation, render_decomposition)
+                      convex_weights, inner_approximation,
+                      outer_approximation, render_approximation,
+                      render_decomposition)
 from echtoric.fileio import load_domain
 
 DATA = Path(__file__).parent / "data"
@@ -51,8 +51,7 @@ def _drawings(name: str, dom: ToricDomain, approximate: bool):
     """(case, svg text) pairs, as `svg --decomposition|--approximation`."""
     expand = concave_weights if dom.kind == "concave" else convex_weights
     tree = expand(dom)[1]
-    yield (f"{name} decomposition",
-           render_decomposition(dom, decomposition_polygons(tree)))
+    yield (f"{name} decomposition", render_decomposition(dom, tree))
     if not approximate:
         return
     for delta in DELTAS:

@@ -18,10 +18,14 @@ OMEGA2 = ToricDomain.convex([(0, 1), (1, 2), (5, 0)])
 F = Fraction
 
 
-def polygons(dom):
-    """decomposition_polygons of the tree that expanding dom gives."""
+def tree(dom):
+    """The decomposition that expanding dom gives."""
     expand = concave_weights if dom.kind == "concave" else convex_weights
-    return decomposition_polygons(expand(dom)[1])
+    return expand(dom)[1]
+
+
+def polygons(dom):
+    return decomposition_polygons(tree(dom))
 
 
 def test_polygon_counts():
@@ -55,7 +59,7 @@ def test_triangles_tile_the_region():
 
 def test_svg_well_formed_and_counts():
     for dom in (OMEGA1, OMEGA2):
-        text = render_decomposition(dom, polygons(dom))
+        text = render_decomposition(dom, tree(dom))
         doc = minidom.parseString(text)
         polys = doc.getElementsByTagName("polygon")
         assert len(polys) == len(polygons(dom))
@@ -63,8 +67,8 @@ def test_svg_well_formed_and_counts():
 
 
 def test_svg_deterministic():
-    assert render_decomposition(OMEGA1, polygons(OMEGA1)) == \
-        render_decomposition(OMEGA1, polygons(OMEGA1))
+    assert render_decomposition(OMEGA1, tree(OMEGA1)) == \
+        render_decomposition(OMEGA1, tree(OMEGA1))
     out = outer_approximation(concave_weights(OMEGA1)[1], F(1, 12))
     a = render_approximation(OMEGA1, out)
     assert a == render_approximation(OMEGA1, out)
@@ -73,7 +77,7 @@ def test_svg_deterministic():
 
 
 def test_coordinates_are_plain_decimals():
-    doc = minidom.parseString(render_decomposition(OMEGA1, polygons(OMEGA1)))
+    doc = minidom.parseString(render_decomposition(OMEGA1, tree(OMEGA1)))
     coord = re.compile(r"^\d+\.\d{4},\d+\.\d{4}$")
     for node in doc.getElementsByTagName("polygon"):
         for pair in node.getAttribute("points").split():
