@@ -66,6 +66,10 @@ def _s(value: Fraction) -> str:
     return ratio_text(value.numerator, value.denominator)
 
 
+def _area(dom: ToricDomain) -> str:
+    return ratio_text(dom.twice_area(), 2 * dom.D * dom.D)
+
+
 def _texts(D: int, rows) -> dict[int, str]:
     """The text of n/D for each distinct integer n in rows, made once."""
     return {n: ratio_text(n, D) for n in set(chain.from_iterable(rows))}
@@ -127,7 +131,7 @@ def cmd_weights(args) -> dict:
         "head": None if top is None else text(top),
         "weights": list(map(text, sizes)),
         "weight_count": len(sizes),
-        "area": _s(dom.area()),
+        "area": _area(dom),
     }
     if args.approx:
         report["approx"] = {
@@ -229,8 +233,8 @@ def cmd_embed(args) -> dict:
             "all_ok": caps.all_ok,
             "first_violation": caps.first_violation(),
             # every capacity the package computes is proved
-            "rows": [[r.k, text[a], text[b], r.ok, True]
-                     for r, a, b in zip(caps.rows, *cols)],
+            "rows": [[k, text[a], text[b], ok, True]
+                     for k, (ok, a, b) in enumerate(zip(caps.oks, *cols))],
         }
     if args.scale_search is not None:
         # optimal_embedding_scale would build the instance a second time
@@ -274,8 +278,8 @@ def cmd_svg(args) -> dict:
         text = _texts(approx.D, approx.ints).__getitem__
         report["approx_boundary"] = [[text(x), text(y)]
                                      for x, y in approx.ints]
-        report["area"] = _s(dom.area())
-        report["approx_area"] = _s(approx.area())
+        report["area"] = _area(dom)
+        report["approx_area"] = _area(approx)
         report["nesting_ok"] = ok
     return report
 

@@ -210,13 +210,16 @@ class ToricDomain:
 
     # -- basic geometry ---------------------------------------------------
 
-    def area(self) -> Fraction:
+    def twice_area(self) -> int:
+        """Twice the area times D squared: the area is this over 2 D^2."""
         # shoelace of the cycle origin, v0, ..., vn; the two axis legs
         # contribute nothing because they head straight at the origin
         pts = self.ints
-        twice = sum(px * qy - py * qx
-                    for (px, py), (qx, qy) in zip(pts, pts[1:]))
-        return Fraction(abs(twice), 2 * self.D * self.D)
+        return abs(sum(px * qy - py * qx
+                       for (px, py), (qx, qy) in zip(pts, pts[1:])))
+
+    def area(self) -> Fraction:
+        return Fraction(self.twice_area(), 2 * self.D * self.D)
 
     def xmax(self) -> Fraction:
         return Fraction(max(x for x, _ in self.ints), self.D)

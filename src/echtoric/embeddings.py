@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -85,29 +86,34 @@ class ReportRow:
 @dataclass(frozen=True)
 class CapacityReport:
     """Pointwise capacity comparison c_k(source) <= c_k(target), with
-    the two sequences compared."""
+    the two sequences compared.
 
-    rows: tuple[ReportRow, ...]
+    oks[k] is the comparison at k, made on the integers; rows, the
+    comparison with its values as Fractions, is a view built when read.
+    """
+
     source: CapacitySeq
     target: CapacitySeq
+    oks: tuple[bool, ...]
+
+    @cached_property
+    def rows(self) -> tuple[ReportRow, ...]:
+        return tuple(map(ReportRow, range(len(self.oks)), self.source.values,
+                         self.target.values, self.oks))
 
     @property
     def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return all(self.oks)
 
     def first_violation(self) -> Optional[int]:
-        for r in self.rows:
-            if not r.ok:
-                return r.k
-        return None
+        return None if self.all_ok else self.oks.index(False)
 
 
 def capacity_report(problem: EmbeddingProblem, K: int) -> CapacityReport:
     src = concave_caps(problem.source_weights, K)
     tgt = convex_caps(problem.target_weights, K)
-    oks = [a * tgt.D <= b * src.D for a, b in zip(src.ints, tgt.ints)]
-    return CapacityReport(tuple(map(ReportRow, range(K + 1), src.values,
-                                    tgt.values, oks)), src, tgt)
+    return CapacityReport(src, tgt, tuple(
+        a * tgt.D <= b * src.D for a, b in zip(src.ints, tgt.ints)))
 
 
 def optimal_embedding_scale(problem: EmbeddingProblem,

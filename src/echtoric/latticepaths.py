@@ -27,10 +27,14 @@ identities across that cut are what the tests lean on.
 oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
 calculus, and returns witness paths.  Its search runs on plain
-integers throughout, set-up included: the region's vertices are the
-domain's own integers, the clockwise step directions are made once per
-search box, and the support of a direction, an integer cross product
-maximum, when a step table of the search first takes it.
+integers throughout, set-up included.  What it walks through is split
+in two.  The geometry of a search, its clockwise step directions, how
+far each may turn, and the step table of each vertex it reaches,
+depends only on (kmax, box); it is built once per process for both
+passes and shared by every domain (_passes).  The region's vertices are
+the domain's own integers, and the support of a direction, an integer
+cross product maximum, is computed per call, when the walk first takes
+that direction.
 It prunes each partial path on a lower bound for all its completions,
 which drops no path the bare functional would have kept (see _search).
 """
@@ -40,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
 from typing import Iterable, Optional
@@ -216,24 +220,81 @@ def _clockwise_directions(box: int) -> list[tuple[int, int]]:
             + [(-x, -y) for x, y in upright])
 
 
+# (kmax, box) geometries a process keeps, the least recently used
+# dropped first: a search meets one per kmax unless its box grows, and
+# the pair for kmax = 20 holds about 4 MB of step tables
+_PASSES_KEPT = 16
+
+
+class _Pass:
+    """The geometry of one search pass, which no domain enters.
+
+    dirs are the steps the pass allows, in clockwise order, up to reach
+    in each coordinate.  turn_end[i] is the first index after i whose
+    direction lies more than 180 degrees clockwise of direction i; so
+    does every later one, and turn_end[-1] = n leaves the first step
+    free.  tables maps each vertex a walk has reached to its step
+    table: the direction indices and the rows (index, dx, dy, fan) of
+    the steps that can leave it, in clockwise order, built the first
+    time any walk of this pass reaches the vertex.  Two walks that
+    build the same table build equal ones, so either may keep its own.
+    """
+
+    __slots__ = ("kmax", "box", "reach", "dirs", "turn_end", "tables")
+
+    def __init__(self, kmax: int, box: int, reach: int) -> None:
+        self.kmax, self.box, self.reach = kmax, box, reach
+        dirs = self.dirs = tuple(_clockwise_directions(reach))
+        n = len(dirs)
+        turn_end: list[int] = []
+        j = 0
+        for i, (pdx, pdy) in enumerate(dirs):
+            j = max(j, i + 1)
+            while j < n and pdx * dirs[j][1] - pdy * dirs[j][0] <= 0:
+                j += 1
+            turn_end.append(j)
+        turn_end.append(n)
+        self.turn_end = tuple(turn_end)
+        self.tables: dict[tuple[int, int],
+                          tuple[list[int], list[tuple[int, ...]]]] = {}
+
+    def table(self, cx: int, cy: int,
+              ) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The step table of (cx, cy), made and kept on first request."""
+        box, fan_max = self.box, 4 * self.kmax
+        rows = [(di, dx, dy, cx * dy - cy * dx)
+                for di, (dx, dy) in enumerate(self.dirs)
+                if 0 <= cx + dx <= box and 0 <= cy + dy <= box
+                and -fan_max <= cx * dy - cy * dx <= fan_max]
+        here = self.tables[cx, cy] = ([row[0] for row in rows], rows)
+        return here
+
+
+@lru_cache(maxsize=_PASSES_KEPT)
+def _passes(kmax: int, box: int) -> tuple[_Pass, _Pass]:
+    """The seeding pass, steps up to 3 in each coordinate, and the full
+    pass of a search box, each built once and shared by every domain."""
+    return _Pass(kmax, box, min(box, 3)), _Pass(kmax, box, box)
+
+
 # best candidate per point-count slot: scaled integer value plus vertices
 _Best = Optional[tuple[int, tuple[tuple[int, int], ...]]]
 
 
-def _search(verts: list[tuple[int, int]], kmax: int, box: int,
-            dirs: list[tuple[int, int]], sup: list[int],
+def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
             initial: Optional[list[_Best]] = None) -> list[_Best]:
     """Branch-and-bound over clockwise paths in a box.
 
     Returns, per point count k = 0..kmax, the least functional value
     among paths whose closed region has k+1 lattice points, with a
     witness.  verts are the region's vertices scaled to integers, and
-    values are scaled by the same factor.  dirs are the allowed steps in
-    clockwise order (a subset makes a cheap seeding pass).  sup[i] is
-    the support of dirs[i], the maximum over verts p of cross(d, p),
-    which is what one step along it adds to the functional, or 0 until
-    a step table first takes dirs[i] and fills it in.  initial
-    primes the incumbent table with known paths.
+    values are scaled by the same factor.  geo is the pass: kmax, the
+    box, and the allowed steps in clockwise order (the seeding pass
+    allows only short ones).  sup[i] is the support of geo.dirs[i],
+    the maximum over verts p of cross(d, p), which is what one step
+    along it adds to the functional, or 0 until the walk first takes
+    geo.dirs[i] and fills it in.  initial primes the incumbent table
+    with known paths.
 
     Ties: the witness is the first least-value path the search meets,
     not the least (value, vertices) pair.  Paths are met start height
@@ -246,15 +307,17 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     prints these witnesses, so this order is part of the output.
 
     The whole walk runs on plain integers.  Each vertex p the walk
-    visits gets, once per call, a table of the directions d whose
-    first step stays in the box and whose fan |cross(p, d)| is at most
-    4 kmax, and the walk tries only those, from the one after its last
-    direction up to the first that turns more than 180 degrees.  It
-    enters every vertex with twice its area at most 2 kmax, so any
-    other direction would fail its first step on the box or area
-    check, before it could change the path or an incumbent; the walk
-    meets the same paths in the same order as one trying every
-    direction.
+    visits has a table of the directions d whose first step stays in
+    the box and whose fan |cross(p, d)| is at most 4 kmax, and the
+    walk tries only those, from the one after its last direction up to
+    the first that turns more than 180 degrees.  It enters every vertex
+    with twice its area at most 2 kmax, so any other direction would
+    fail its first step on the box or area check, before it could
+    change the path or an incumbent; the walk meets the same paths in
+    the same order as one trying every direction.  A table is geometry
+    of (kmax, box) alone, so geo keeps it for every later call of the
+    pass; the supports are the domain's and stay in sup, which belongs
+    to this call.
 
     A partial path is pruned on a lower bound for its completed value,
     ell + y X, where (x, y) is its last vertex and X the region's
@@ -275,25 +338,10 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
     consider therefore meets the same paths in the same order as with
     the bare functional, and values and witnesses do not change.
     """
+    kmax, box, dirs = geo.kmax, geo.box, geo.dirs
+    turn_end, tables, table_at = geo.turn_end, geo.tables, geo.table
     X = max(px for px, py in verts if py == 0)
-    n = len(dirs)
     lim = 2 * kmax
-    fan_max = 2 * lim
-    # turn_end[i]: the first index after i whose direction lies more
-    # than 180 degrees clockwise of direction i; so does every later
-    # one.  turn_end[-1] = n leaves the first step free.
-    turn_end: list[int] = []
-    j = 0
-    for i, (pdx, pdy) in enumerate(dirs):
-        j = max(j, i + 1)
-        while j < n and pdx * dirs[j][1] - pdy * dirs[j][0] <= 0:
-            j += 1
-        turn_end.append(j)
-    turn_end.append(n)
-    # vertex -> (direction indices, rows (index, dx, dy, support, fan))
-    # of the steps the walk can take from it, in clockwise order
-    steps_at: dict[tuple[int, int],
-                   tuple[list[int], list[tuple[int, ...]]]] = {}
 
     best: list[_Best] = ([None] * (kmax + 1) if initial is None
                           else list(initial))
@@ -348,17 +396,11 @@ def _search(verts: list[tuple[int, int]], kmax: int, box: int,
             consider(path, abs(signed2), ell, steps)
             # fall through: an axis run may still extend to the right
         base_kmin = len(onpath) - 1
-        here = steps_at.get((cx, cy))
-        if here is None:
-            table = [(di, dx, dy, sup[di] or support(di), cx * dy - cy * dx)
-                     for di, (dx, dy) in enumerate(dirs)
-                     if 0 <= cx + dx <= box and 0 <= cy + dy <= box
-                     and -fan_max <= cx * dy - cy * dx <= fan_max]
-            here = steps_at[cx, cy] = ([row[0] for row in table], table)
-        keys, table = here
+        keys, table = tables.get((cx, cy)) or table_at(cx, cy)
         lo = bisect_right(keys, last_dir)
         hi = bisect_left(keys, turn_end[last_dir], lo)
-        for di, ddx, ddy, step_ell, fan in table[lo:hi]:
+        for di, ddx, ddy, fan in table[lo:hi]:
+            step_ell = sup[di] or support(di)
             nx, ny = cx, cy
             m = 0
             added: list[tuple[int, int]] = []
@@ -413,12 +455,11 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
     box = 2 * (kmax + 1)
     best: Optional[list[_Best]] = None
     for _ in range(3):
-        dirs = _clockwise_directions(box)
-        seed = [d for d in dirs if max(abs(d[0]), abs(d[1])) <= 3]
-        best = _search(verts, kmax, box, seed, [0] * len(seed), initial=best)
+        seed, full = _passes(kmax, box)
+        best = _search(verts, seed, [0] * len(seed.dirs), initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")
-        best = _search(verts, kmax, box, dirs, [0] * len(dirs), initial=best)
+        best = _search(verts, full, [0] * len(full.dirs), initial=best)
         hits = any(x == box or y == box
                    for b in best for x, y in b[1])  # type: ignore[index]
         if not hits:

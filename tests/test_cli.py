@@ -415,9 +415,10 @@ def test_deeply_nested_json_is_invalid_input(data_dir, capsys, tmp_path):
 
 def test_cli_texts_build_no_fractions(data_dir, capsys, tmp_path,
                                       monkeypatch):
-    # reports and drawings are written from integers over a denominator;
-    # the only Fraction left is what the library returns as one, here
-    # the area of the weights report
+    # reports and drawings are written from integers over a denominator,
+    # the weights report's area too, from twice the area over 2 D^2; an
+    # embed report builds one, the volume slack the library returns as
+    # a Fraction, and its capacity rows add none
     ball = tmp_path / "ball.json"
     ball.write_text(json.dumps({"type": "convex",
                                 "boundary": [["0", "3"], ["3", "0"]]}))
@@ -435,8 +436,9 @@ def test_cli_texts_build_no_fractions(data_dir, capsys, tmp_path,
                             (["caps", str(ball), "--k", "20"], 0),
                             (["svg", omega1, svg, "--decomposition"], 0),
                             (["svg", omega2, svg, "--decomposition"], 0),
-                            (["weights", omega1, "--svg", svg], 1),
-                            (["weights", omega2, "--svg", svg], 1)):
+                            (["weights", omega1, "--svg", svg], 0),
+                            (["weights", omega2, "--svg", svg], 0),
+                            (["embed", omega1, omega2, "--report", "20"], 1)):
         made.clear()
         code, _, _, _ = run(capsys, *argv)
         assert code == 0 and len(made) == fractions, (argv, made)

@@ -294,7 +294,11 @@ def _supports(verts, dirs):
     return [max(dx * py - dy * px for px, py in verts) for dx, dy in dirs]
 
 
-def _search_ref(verts, kmax, box, dirs, sup, initial=None):
+def _search_ref(verts, geo, sup, initial=None):
+    # only the pass's parameters are read: the directions, turn ends and
+    # step tables are built here, not taken from the shared geometry
+    kmax, box = geo.kmax, geo.box
+    dirs = _clockwise_directions(geo.reach)
     sup_i = _supports(verts, dirs)
     assert all(s > 0 for s in sup_i)
     # the oracle hands each pass a table to fill in, 0 where the support
@@ -425,10 +429,12 @@ def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
     search = latticepaths._search
     computed, offered = [], []
 
-    def checked(verts, kmax, box, dirs, sup, initial=None):
-        # the supports the search computes, when a step table first
-        # takes their direction, are the reference's
-        best = search(verts, kmax, box, dirs, sup, initial)
+    def checked(verts, geo, sup, initial=None):
+        # the supports the search computes, when the walk first takes
+        # their direction, are the reference's
+        best = search(verts, geo, sup, initial)
+        dirs = _clockwise_directions(geo.reach)
+        assert len(sup) == len(dirs)
         assert all(s in (0, t) for s, t in zip(sup, _supports(verts, dirs)))
         computed.append(sum(map(bool, sup)))
         offered.append(len(sup))
@@ -447,3 +453,46 @@ def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
             assert got == want, (dom.boundary, kmax)
     # every pass computes some supports, and not all of them
     assert min(computed) > 0 and sum(computed) < sum(offered) / 2
+
+
+def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
+    # the step tables of a (kmax, box) serve every domain searched with
+    # it; a support left in them would carry one domain's values into
+    # the next, so a warm cache met in reverse order must give what a
+    # cold one gave, and every cached row must be geometry alone
+    golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
+    targets = [(load_domain(data_dir / f"{name}.json"), 6, caps)
+               for name, caps in sorted(golden.items())]
+    targets += [(ToricDomain.convex(entry["boundary"]), entry["kmax"],
+                 entry["caps"])
+                for entry in json.loads(
+                    (data_dir / "oracle_golden_k12.json").read_text())]
+    assert len(targets) == 6 + 33
+    passes = {}
+    search = latticepaths._search
+
+    def recorded(verts, geo, sup, initial=None):
+        passes[id(geo)] = geo
+        return search(verts, geo, sup, initial)
+    monkeypatch.setattr(latticepaths, "_search", recorded)
+
+    def caps(dom, kmax):
+        return [[str(value), [list(p) for p in witness.ints]]
+                for value, witness in oracle_convex_caps_upto(dom, kmax)]
+
+    memo = latticepaths._passes
+    memo.cache_clear()
+    cold = [caps(dom, kmax) for dom, kmax, _ in targets]
+    built = memo.cache_info().misses
+    warm = [caps(dom, kmax) for dom, kmax, _ in reversed(targets)]
+    # the second round builds no geometry: it runs on the first's
+    assert memo.cache_info().hits > 0 and memo.cache_info().misses == built
+    assert cold == warm[::-1] == [expected for _, _, expected in targets]
+    for geo in passes.values():
+        dirs = _clockwise_directions(geo.reach)
+        assert geo.dirs == tuple(dirs)
+        for (cx, cy), (keys, rows) in geo.tables.items():
+            # a row is the step and its fan, with no value of a domain
+            steps = [(di, *dirs[di]) for di in keys]
+            assert rows == [(di, dx, dy, cx * dy - cy * dx)
+                            for di, dx, dy in steps]
