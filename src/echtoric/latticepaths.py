@@ -33,10 +33,13 @@ far each may turn, and the step table of each vertex it reaches,
 depends only on (kmax, box); it is built once per process for both
 passes and shared by every domain (_passes).  The region's vertices are
 the domain's own integers, and the support of a direction, an integer
-cross product maximum, is computed per call, when the walk first takes
-that direction.
-It prunes each partial path on a lower bound for all its completions,
-which drops no path the bare functional would have kept (see _search).
+cross product maximum, belongs to one request: the seeding pass and the
+full pass of a box share one support table, indexed by the full pass's
+directions, and a support is computed the first time either walk takes
+its direction.
+It prunes each partial path on a lower bound for all its completions
+and on the lattice points its prefix already encloses, which drops no
+path that could change the result (see _search).
 """
 
 from __future__ import annotations
@@ -238,13 +241,18 @@ class _Pass:
     the steps that can leave it, in clockwise order, built the first
     time any walk of this pass reaches the vertex.  Two walks that
     build the same table build equal ones, so either may keep its own.
+    sup_index[i] is the index of dirs[i] among the directions of the
+    box's full pass, which index the support table both passes share.
     """
 
-    __slots__ = ("kmax", "box", "reach", "dirs", "turn_end", "tables")
+    __slots__ = ("kmax", "box", "reach", "dirs", "turn_end", "tables",
+                 "sup_index")
 
     def __init__(self, kmax: int, box: int, reach: int) -> None:
         self.kmax, self.box, self.reach = kmax, box, reach
         dirs = self.dirs = tuple(_clockwise_directions(reach))
+        at = {d: i for i, d in enumerate(_clockwise_directions(box))}
+        self.sup_index = tuple(at[d] for d in dirs)
         n = len(dirs)
         turn_end: list[int] = []
         j = 0
@@ -290,11 +298,12 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     witness.  verts are the region's vertices scaled to integers, and
     values are scaled by the same factor.  geo is the pass: kmax, the
     box, and the allowed steps in clockwise order (the seeding pass
-    allows only short ones).  sup[i] is the support of geo.dirs[i],
-    the maximum over verts p of cross(d, p), which is what one step
-    along it adds to the functional, or 0 until the walk first takes
-    geo.dirs[i] and fills it in.  initial primes the incumbent table
-    with known paths.
+    allows only short ones).  sup is the support table of the box,
+    indexed by its full pass's directions and shared by both passes:
+    sup[geo.sup_index[i]] is the support of d = geo.dirs[i], the maximum
+    over verts p of cross(d, p), which is what one step along d adds to
+    the functional, or 0 until a walk of either pass first takes d and
+    fills it in.  initial primes the incumbent table with known paths.
 
     Ties: the witness is the first least-value path the search meets,
     not the least (value, vertices) pair.  Paths are met start height
@@ -317,7 +326,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     the same order as one trying every direction.  A table is geometry
     of (kmax, box) alone, so geo keeps it for every later call of the
     pass; the supports are the domain's and stay in sup, which belongs
-    to this call.
+    to this request.
 
     A partial path is pruned on a lower bound for its completed value,
     ell + y X, where (x, y) is its last vertex and X the region's
@@ -337,8 +346,37 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
 
     consider therefore meets the same paths in the same order as with
     the bare functional, and values and witnesses do not change.
+
+    A step to (nx, ny) that survives that check is also pruned on the
+    lattice points its prefix already encloses.  Let y0 be the path's
+    start height and c2 = |s2| + y0 + steps + m + gcd(nx, ny): twice the
+    area plus the boundary points of the fan polygon O, (0, y0), the
+    path so far, (nx, ny), each edge counted by its primitive steps.
+
+    - The fan lies in every completion's region: a completed path and
+      the two axis legs turn clockwise once round, so they bound a
+      convex region (flat pieces walked twice allowed), and the fan's
+      vertices are vertices of that cycle, taken in its order.
+    - Pick's count: for such a cycle twice the area plus the boundary
+      points is 2 (points - 1), which is how consider counts.  So a
+      completion has at least c2 / 2 + 1 points and lands in a slot
+      k >= c2 / 2.
+    - Monotone along an edge: a longer edge's fan contains the shorter
+      one's, so c2 does not decrease as the edge grows, and neither
+      does ell + y X; a break drops only longer edges that would fail
+      as well.
+    - Ties: the step is dropped when c2 > 2 kmax, where every
+      completion lands past kmax, or when ell + y X > suff[c2 // 2].
+      The comparison is strict, so every completion's value would be
+      above the incumbent of its slot, which only falls, and would fail
+      cand < best[k] in consider without changing anything.  With >=, a
+      completion that ties its slot's incumbent with a smaller vertex
+      tuple could be dropped before it replaced the witness.
+
+    The fan check runs after the functional check so that a step that
+    check already drops costs no gcd.
     """
-    kmax, box, dirs = geo.kmax, geo.box, geo.dirs
+    kmax, box, dirs, sup_index = geo.kmax, geo.box, geo.dirs, geo.sup_index
     turn_end, tables, table_at = geo.turn_end, geo.tables, geo.table
     X = max(px for px, py in verts if py == 0)
     lim = 2 * kmax
@@ -348,7 +386,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
 
     def support(di: int) -> int:
         dx, dy = dirs[di]
-        s = sup[di] = max(dx * py - dy * px for px, py in verts)
+        s = sup[sup_index[di]] = max(dx * py - dy * px for px, py in verts)
         assert s > 0
         return s
 
@@ -396,11 +434,13 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
             consider(path, abs(signed2), ell, steps)
             # fall through: an axis run may still extend to the right
         base_kmin = len(onpath) - 1
+        # the fan's boundary points on the y-axis leg and the path so far
+        rim = path[0][1] + steps
         keys, table = tables.get((cx, cy)) or table_at(cx, cy)
         lo = bisect_right(keys, last_dir)
         hi = bisect_left(keys, turn_end[last_dir], lo)
         for di, ddx, ddy, fan in table[lo:hi]:
-            step_ell = sup[di] or support(di)
+            step_ell = sup[sup_index[di]] or support(di)
             nx, ny = cx, cy
             m = 0
             added: list[tuple[int, int]] = []
@@ -416,6 +456,13 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
                 e = ell + step_ell * m
                 low = e + ny * X
                 if pruned(low, base_kmin):
+                    break
+                # pruned has brought suff up to date
+                c2 = abs(s2) + rim + m + gcd(nx, ny)
+                if c2 > lim:
+                    break
+                bound = suff[c2 // 2]
+                if bound is not None and low > bound:
                     break
                 # the path now runs through every point of this edge;
                 # added remembers which of them were new to it
@@ -456,10 +503,11 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
     best: Optional[list[_Best]] = None
     for _ in range(3):
         seed, full = _passes(kmax, box)
-        best = _search(verts, seed, [0] * len(seed.dirs), initial=best)
+        sup = [0] * len(full.dirs)
+        best = _search(verts, seed, sup, initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")
-        best = _search(verts, full, [0] * len(full.dirs), initial=best)
+        best = _search(verts, full, sup, initial=best)
         hits = any(x == box or y == box
                    for b in best for x, y in b[1])  # type: ignore[index]
         if not hits:

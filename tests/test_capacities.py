@@ -145,6 +145,21 @@ def test_complement_rounds_fold_once_per_distinct_size(monkeypatch, folds,
     assert rounds_seen >= 2  # the thin target grows its range
 
 
+def _copies(seq, n, K):
+    """The union of n copies of seq, ball by ball.
+
+    The union is associative (test_kernel_against_brute_force), so the
+    n copies fold by repeated doubling, in O(log n) unions."""
+    out, power = None, seq
+    while n:
+        if n & 1:
+            out = power if out is None else _union([out, power], K)
+        n >>= 1
+        if n:
+            power = _union([power, power], K)
+    return out
+
+
 # nonincreasing sizes with long runs of equal balls
 _size_runs = st.lists(
     st.tuples(st.integers(1, 60), st.integers(1, 3000)),
@@ -160,7 +175,8 @@ def test_concave_caps_of_runs_is_the_ball_by_ball_union(runs, D, K, t):
     sizes = tuple(w for w, n in sorted(runs, reverse=True) for _ in range(n))
     expansion = WeightExpansion(D, None, sizes)
     got = concave_caps(expansion, K).values
-    union = _union([_ball_ints(w, K) for w in sizes], K)
+    union = _union([_copies(_ball_ints(w, K), n, K)
+                    for w, n in sorted(runs, reverse=True)], K)
     assert got == tuple(F(v, D) for v in union)
     scaled = WeightExpansion(D * t.denominator, None,
                              tuple(w * t.numerator for w in sizes))

@@ -216,15 +216,19 @@ def test_oracle_agrees_with_formula_small_k():
 def test_oracle_golden_reference_targets(data_dir):
     # exact values and witnesses; the witnesses pin the tie-breaking
     # that the caps --oracle report prints: the first least-value path
-    # the search meets, not the least (value, vertices) pair
-    golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
-    assert sorted(golden) == ["delta1", "delta2", "e12_convex", "omega2",
-                              "overhang", "square"]
-    for name, expected in golden.items():
-        dom = load_domain(data_dir / f"{name}.json")
-        got = [[str(value), [[int(p.x), int(p.y)] for p in witness.vertices]]
-               for value, witness in oracle_convex_caps_upto(dom, 6)]
-        assert got == expected, name
+    # the search meets, not the least (value, vertices) pair.  The
+    # kmax 20 golden was recorded before the search pruned on the
+    # lattice points a prefix encloses
+    for kmax in (6, 20):
+        golden = json.loads(
+            (data_dir / f"oracle_golden_k{kmax}.json").read_text())
+        assert sorted(golden) == ["delta1", "delta2", "e12_convex", "omega2",
+                                  "overhang", "square"]
+        for name, expected in golden.items():
+            dom = load_domain(data_dir / f"{name}.json")
+            got = [[str(value), [list(p) for p in witness.ints]]
+                   for value, witness in oracle_convex_caps_upto(dom, kmax)]
+            assert got == expected, (name, kmax)
 
 
 def test_oracle_golden_k12(data_dir):
@@ -301,9 +305,11 @@ def _search_ref(verts, geo, sup, initial=None):
     dirs = _clockwise_directions(geo.reach)
     sup_i = _supports(verts, dirs)
     assert all(s > 0 for s in sup_i)
-    # the oracle hands each pass a table to fill in, 0 where the support
-    # is not computed yet
-    assert all(s in (0, t) for s, t in zip(sup, sup_i))
+    # the oracle hands both passes of a box one table to fill in, indexed
+    # by the full pass's directions, 0 where the support is not computed
+    # yet
+    assert all(s in (0, t) for s, t in
+               zip(sup, _supports(verts, _clockwise_directions(box))))
     n = len(dirs)
     lim = 2 * kmax
     fan_max = 2 * lim
@@ -425,18 +431,40 @@ def _caps_and_witnesses(dom, kmax):
             for value, witness in oracle_convex_caps_upto(dom, kmax)]
 
 
+class _Writes(list):
+    """A support table that counts the writes to each entry."""
+
+    def __init__(self, sup):
+        super().__init__(sup)
+        self.writes = [0] * len(sup)
+
+    def __setitem__(self, i, value):
+        self.writes[i] += 1
+        super().__setitem__(i, value)
+
+
 def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
     search = latticepaths._search
-    computed, offered = [], []
+    computed, reused, offered = [], [], []
 
     def checked(verts, geo, sup, initial=None):
-        # the supports the search computes, when the walk first takes
-        # their direction, are the reference's
-        best = search(verts, geo, sup, initial)
-        dirs = _clockwise_directions(geo.reach)
+        # both passes of a box fill one table, indexed by the full
+        # pass's directions, with the reference's supports, each when a
+        # walk first takes its direction: so no support is computed
+        # twice in a box round, and the full pass computes none of those
+        # the seeding pass filled
+        dirs = _clockwise_directions(geo.box)
         assert len(sup) == len(dirs)
+        filled = [i for i, s in enumerate(sup) if s]
+        assert geo.reach == geo.box or not filled
+        counted = _Writes(sup)
+        best = search(verts, geo, counted, initial)
+        sup[:] = counted
         assert all(s in (0, t) for s, t in zip(sup, _supports(verts, dirs)))
-        computed.append(sum(map(bool, sup)))
+        assert max(counted.writes) <= 1
+        assert not any(counted.writes[i] for i in filled)
+        computed.append(sum(counted.writes))
+        reused.append(len(filled))
         offered.append(len(sup))
         return best
 
@@ -451,8 +479,10 @@ def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
                 patch.setattr(latticepaths, "_search", _search_ref)
                 want = _caps_and_witnesses(dom, kmax)
             assert got == want, (dom.boundary, kmax)
-    # every pass computes some supports, and not all of them
-    assert min(computed) > 0 and sum(computed) < sum(offered) / 2
+    # every pass computes some supports, the full passes read some the
+    # seeding passes computed, and not all supports are computed
+    assert min(computed) > 0 and sum(reused) > 0
+    assert sum(computed) < sum(offered) / 2
 
 
 def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
@@ -491,6 +521,9 @@ def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
     for geo in passes.values():
         dirs = _clockwise_directions(geo.reach)
         assert geo.dirs == tuple(dirs)
+        # the support table of both passes is the full pass's
+        full = _clockwise_directions(geo.box)
+        assert [full[i] for i in geo.sup_index] == dirs
         for (cx, cy), (keys, rows) in geo.tables.items():
             # a row is the step and its fan, with no value of a domain
             steps = [(di, *dirs[di]) for di in keys]
