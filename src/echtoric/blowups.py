@@ -34,8 +34,12 @@ vertices, and the interpolated points bring new denominators at every
 level, so each piece carries its own denominator E: its vertices and
 its map's translation are integers over E.  Raising a level and
 cutting inside an edge multiply E, and one gcd per cut divides out
-what the piece no longer needs.  The finished boundary goes to
-ToricDomain as integers over the lcm of those denominators.
+what the piece no longer needs.  A triangle piece, the only kind an
+ellipsoid's walk meets, rises above a raised level on one side at
+most, so its rows are a path, and _grow_path grows the whole path in
+one loop over plain integers, as _euclid writes a triangle's rows.
+The finished boundary goes to ToricDomain as integers over the lcm of
+those denominators.
 """
 
 from __future__ import annotations
@@ -198,17 +202,21 @@ def symplectic_class(source: Decomposition,
 Deltas = Union[RationalLike, Sequence[RationalLike]]
 
 
-def _delta_list(deltas: Deltas, count: int) -> list[Fraction]:
+def _delta_list(deltas: Deltas, count: int) -> list[tuple[int, int]]:
+    """The perturbations in lowest terms as integer pairs (n, q) for n/q,
+    one per row; a scalar is read and checked once."""
     if isinstance(deltas, (list, tuple)):
-        vals = [rational(d) for d in deltas]
+        vals = [ratio(rational(d)) for d in deltas]
         if len(vals) != count:
             raise DomainError(
                 f"need {count} perturbation entries, got {len(vals)}")
-    else:
-        vals = [rational(deltas)] * count
-    if any(d < 0 for d in vals):
+        if any(n < 0 for n, _ in vals):
+            raise DomainError("perturbations must be nonnegative")
+        return vals
+    val = ratio(rational(deltas))
+    if val[0] < 0:
         raise DomainError("perturbations must be nonnegative")
-    return vals
+    return [val] * count
 
 
 def _reduced(piece: list, m: tuple, E: int) -> tuple[list, int, tuple]:
@@ -222,8 +230,87 @@ def _reduced(piece: list, m: tuple, E: int) -> tuple[list, int, tuple]:
     return piece, E, m
 
 
+def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
+               ds: list[tuple[int, int]], order: int,
+               out: list, seams: list) -> int:
+    """Grow the triangle [(0, Y), (X, 0)] over E at row idx in closed
+    form; appends its in-order vertices and seams and returns the next
+    preorder position in ds.
+
+    Cut at lam >= min(X, Y), a triangle rises above lam on one side at
+    most, so its rows are a path.  Each step is what _shear_cut and
+    _reduced give a two-vertex chain: a left side over E k, for k = 1
+    if X = lam and Y - X otherwise, is the piece (0, (Y - lam) k),
+    (X (Y - lam), 0) (X itself when k = 1) with map (ma - mb, mb,
+    mc - md, md, (tx + mb lam) k, (ty + md lam) k); a right side
+    mirrors it.  In in-order, the nodes with only a right child put out
+    their left vertex and their seam in path order, the leaf both
+    vertices around its seam, and the nodes with only a left child
+    their seam and their right vertex in reverse path order.
+    """
+    ma, mb, mc, md, tx, ty = m
+    tail = []
+    while True:
+        n, q = ds[order]
+        order += 1
+        lam = X if X < Y else Y
+        if n:
+            g = gcd(q, E)
+            q //= g
+            lam = lam * q + n * (E // g)
+            if q > 1:
+                X, Y, tx, ty, E = X * q, Y * q, tx * q, ty * q, E * q
+        _, _, lchild, rchild = rows[idx]
+        if Y > lam:
+            if lchild is None:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the left")
+        elif lchild is not None:
+            raise DomainError(
+                "perturbation too large: left part of a cut vanished")
+        if X > lam:
+            if rchild is None:
+                raise DomainError(
+                    "boundary rises above the cut of a leaf on the right")
+        elif rchild is not None:
+            raise DomainError(
+                "perturbation too large: right part of a cut vanished")
+        if Y > lam:
+            tail.append((ma * lam + tx, mc * lam + ty, E, ma - mb, mc - md))
+            if X == lam:
+                k, Y = 1, Y - lam
+            else:
+                k = Y - X
+                X, Y = X * (Y - lam), (Y - lam) * k
+            ma, mc = ma - mb, mc - md
+            tx, ty = (tx + mb * lam) * k, (ty + md * lam) * k
+            idx = lchild
+        else:
+            out.append((mb * lam + tx, md * lam + ty, E))
+            seams.append((ma - mb, mc - md))
+            if X <= lam:
+                out.append((ma * lam + tx, mc * lam + ty, E))
+                break
+            if Y == lam:
+                k, X = 1, X - lam
+            else:
+                k = X - Y
+                X, Y = (X - lam) * k, Y * (X - lam)
+            mb, md = mb - ma, md - mc
+            tx, ty = (tx + ma * lam) * k, (ty + mc * lam) * k
+            idx = rchild
+        E *= k
+        g = gcd(E, tx, ty, X, Y)
+        if g > 1:
+            X, Y, tx, ty, E = X // g, Y // g, tx // g, ty // g, E // g
+    for x, y, e, ux, uy in reversed(tail):
+        seams.append((ux, uy))
+        out.append((x, y, e))
+    return order
+
+
 def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
-          ds: list[Fraction]) -> ToricDomain:
+          ds: list[tuple[int, int]]) -> ToricDomain:
     """Concave piece pts over E with every cut of shape pushed up by its
     delta.
 
@@ -238,7 +325,10 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
     g = gcd(q, E); each side of the cut then comes back over that times
     the side's scale k and is reduced by one gcd.  Each leaf side
     puts out one vertex, (0, lam) or (lam, 0) mapped back, as an integer
-    pair over its E.
+    pair over its E.  A triangle piece has a path of rows below it,
+    which _grow_path grows in closed form, as _euclid writes the rows of
+    a triangle: its nodes are consecutive in preorder and its in-order
+    output comes before anything the walk puts out after reaching it.
     """
     rows = shape.rows
     # (X, Y, E) for the vertex (X/E, Y/E)
@@ -250,48 +340,54 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
     cur: Optional[tuple] = (0, pts, E, (1, 0, 0, 1, 0, 0))
     order = 0
     while stack or cur is not None:
-        while cur is not None:
-            idx, bd, E, m = cur
-            lam = min(x + y for x, y in bd)
-            d = ds[order]
-            order += 1
-            if d:
-                g = gcd(d.denominator, E)
-                q = d.denominator // g
-                lam = lam * q + d.numerator * (E // g)
-                if q > 1:
-                    bd = [(x * q, y * q) for x, y in bd]
-                    m = (*m[:4], m[4] * q, m[5] * q)
-                    E *= q
-            left, right = _shear_cut(bd, lam, m)
-            _, _, lchild, rchild = rows[idx]
-            if lchild is not None:
-                if left is None:
-                    raise DomainError(
-                        "perturbation too large: left part of a cut vanished")
-                piece, lm, k = left
-                left = (lchild, *_reduced(piece, lm, E * k))
-            elif left is not None:
+        if cur is None:
+            lam, E, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
+            if left is None:
+                out.append((mb * lam + tx, md * lam + ty, E))
+            seams.append((ma - mb, mc - md))
+            if right is None:
+                out.append((ma * lam + tx, mc * lam + ty, E))
+            cur = right
+            continue
+        idx, bd, E, m = cur
+        if len(bd) == 2:
+            order = _grow_path(rows, idx, bd[1][0], bd[0][1], E, m, ds,
+                               order, out, seams)
+            cur = None
+            continue
+        lam = min(x + y for x, y in bd)
+        n, q = ds[order]
+        order += 1
+        if n:
+            g = gcd(q, E)
+            q //= g
+            lam = lam * q + n * (E // g)
+            if q > 1:
+                bd = [(x * q, y * q) for x, y in bd]
+                m = (*m[:4], m[4] * q, m[5] * q)
+                E *= q
+        left, right = _shear_cut(bd, lam, m)
+        _, _, lchild, rchild = rows[idx]
+        if lchild is not None:
+            if left is None:
                 raise DomainError(
-                    "boundary rises above the cut of a leaf on the left")
-            if rchild is not None:
-                if right is None:
-                    raise DomainError(
-                        "perturbation too large: right part of a cut vanished")
-                piece, rm, k = right
-                right = (rchild, *_reduced(piece, rm, E * k))
-            elif right is not None:
+                    "perturbation too large: left part of a cut vanished")
+            piece, lm, k = left
+            left = (lchild, *_reduced(piece, lm, E * k))
+        elif left is not None:
+            raise DomainError(
+                "boundary rises above the cut of a leaf on the left")
+        if rchild is not None:
+            if right is None:
                 raise DomainError(
-                    "boundary rises above the cut of a leaf on the right")
-            stack.append((lam, E, m, left, right))
-            cur = left
-        lam, E, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
-        if left is None:
-            out.append((mb * lam + tx, md * lam + ty, E))
-        seams.append((ma - mb, mc - md))
-        if right is None:
-            out.append((ma * lam + tx, mc * lam + ty, E))
-        cur = right
+                    "perturbation too large: right part of a cut vanished")
+            piece, rm, k = right
+            right = (rchild, *_reduced(piece, rm, E * k))
+        elif right is not None:
+            raise DomainError(
+                "boundary rises above the cut of a leaf on the right")
+        stack.append((lam, E, m, left, right))
+        cur = left
     # both ends of a node's gap sit on its cut line, whose direction
     # maps to (ux, uy); the gap edge must still run down-right, which is
     # forward along that direction: (b/eb - a/ea) . u >= 0, times ea eb
@@ -347,7 +443,7 @@ def inner_approximation(decomp: ConvexDecomposition,
     n_left = node_count(decomp.left)
     total = 1 + n_left + node_count(decomp.right)
     ds = _delta_list(deltas, total)
-    dom, (p, q) = decomp.domain, ratio(ds[0])
+    dom, (p, q) = decomp.domain, ds[0]
     D = lcm(dom.D, q)
     s = D // dom.D
     level = decomp.top * s - p * (D // q)  # the lowered head times D

@@ -260,6 +260,9 @@ def cmd_svg(args) -> dict:
         "output": args.out,
     }
     delta = None if args.decomposition else rational(args.approximation)
+    # refuse a negative delta before the expansion runs
+    if delta is not None and delta < 0:
+        raise DomainError("perturbations must be nonnegative")
     exp, dec = _expand(dom, mn)
     if args.decomposition:
         _write_text(args.out, render_decomposition(dom, dec))

@@ -520,3 +520,54 @@ def test_inner_matches_the_fraction_reference():
                 (dom, deltas)
             outcomes.add(type(want))
     assert outcomes == {tuple, str}
+    # every scalar delta fails on the thin targets; the preorder schedule
+    # 10^-(i+1) grows their triangle flanks into boundaries
+    for n in (4, 5, 10, 20, 60):
+        decomp = tgt_decomp(ToricDomain.convex([(0, 1), (1, 1), (n, 0)]))
+        total = 1 + node_count(decomp.left) + node_count(decomp.right)
+        deltas = [F(1, 10 ** (i + 1)) for i in range(total)]
+        want = _outcome(_inner_ref, decomp, deltas)
+        assert isinstance(want, tuple), n
+        assert _outcome(inner_approximation, decomp, deltas) == want, n
+
+
+def test_triangle_pieces_grow_without_the_general_cut(monkeypatch):
+    # a triangle piece's path of rows is grown in closed form: the
+    # general cut runs only at pieces of three or more vertices
+    import echtoric.blowups as blowups
+    cuts = []
+    shear_cut = blowups._shear_cut
+
+    def counted(bd, lam, m):
+        cuts.append(len(bd))
+        return shear_cut(bd, lam, m)
+
+    def refused(bd, lam, m):
+        raise AssertionError("a triangle piece reached _shear_cut")
+
+    monkeypatch.setattr(blowups, "_shear_cut", refused)
+    doms = [ToricDomain.ellipsoid(1, 300)]
+    doms += [ToricDomain.ellipsoid(_fib(k), _fib(k + 1)) for k in (5, 12, 30)]
+    for dom in doms:
+        tree = src_tree(dom)
+        for deltas in (F(1, 12), F(1, 1000), [F(1, 7)] * node_count(tree)):
+            assert _outcome(outer_approximation, tree, deltas) == \
+                _outcome(_outer_ref, tree, deltas), (dom, deltas)
+    monkeypatch.setattr(blowups, "_shear_cut", counted)
+    # OMEGA1's root piece has four vertices, its four other pieces are
+    # triangles
+    for deltas in (0, F(1, 12), [F(1, 10), 0, 0, 0, 0]):
+        cuts.clear()
+        assert _outcome(outer_approximation, src_tree(), deltas) == \
+            _outcome(_outer_ref, src_tree(), deltas)
+        assert cuts == [4]
+    # the root's left piece shrinks to a triangle above a row with two
+    # children, so the closed form reports the vanished right part
+    tree = src_tree(ToricDomain.concave([(0, "73/9"), (1, "10/9"),
+                                         ("5/3", 0)]))
+    assert tree.rows[1][2:] == [2, 7]
+    cuts.clear()
+    want = "perturbation too large: right part of a cut vanished"
+    assert _outcome(outer_approximation, tree, F(1, 2)) == want
+    assert _outcome(_outer_ref, tree, F(1, 2)) == want
+    assert cuts == [3]

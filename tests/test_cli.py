@@ -188,6 +188,18 @@ def test_embed_refuses_zero_precision_before_the_work(data_dir, capsys,
         assert "precision must be positive" in err
 
 
+def test_svg_refuses_a_negative_delta_before_the_expansion(capsys, tmp_path):
+    # E(1, 2*10^6) would exceed the node limit in the expansion; the
+    # sign of the delta is refused first, with the approximations' message
+    path = tmp_path / "long.json"
+    save_domain(ToricDomain.ellipsoid(1, 2_000_000), path)
+    code, _, out, err = run(capsys, "svg", str(path), str(tmp_path / "a.svg"),
+                            "--approximation=-1/12")
+    assert code == 3 and out == ""
+    assert "perturbations must be nonnegative" in err
+    assert not (tmp_path / "a.svg").exists()
+
+
 @pytest.fixture
 def kernel(monkeypatch):
     """Pieces handed to the row kernel of the weight recursion.
