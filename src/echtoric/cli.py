@@ -6,20 +6,24 @@ such as a report value with more digits than the interpreter prints or
 an --approx one past the float range.  All rationals in reports are
 strings, by fileio.ratio_text; decimal renderings only appear under an
 "approx" key when --approx asks for them, marked inexact.
+
+The command line is read against one table, COMMANDS: each subcommand's
+handler, positionals and options.  Parser.parse_args gives its grammar.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
+import re
 import sys
 import time
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .blowups import inner_approximation, outer_approximation
 from .capacities import concave_caps, convex_caps
@@ -40,13 +44,6 @@ ORACLE_K_MAX = 20
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad arguments; the contract here is 1
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _max_nodes() -> int:
@@ -287,73 +284,295 @@ def cmd_svg(args) -> dict:
     return report
 
 
-# -- wiring -----------------------------------------------------------------
+# -- the command table -------------------------------------------------------
+
+FLAG, INT, TEXT, HELP = "flag", "int", "text", "help"
+
+
+class Option(NamedTuple):
+    kind: str  # FLAG, INT or TEXT; HELP for -h and --help
+    help: str
+    metavar: str = ""
+
+
+class Command(NamedTuple):
+    handler: Optional[Callable[[SimpleNamespace], dict]]
+    help: str
+    positionals: tuple[str, ...]
+    options: dict[str, Option]
+    required: tuple[str, ...] = ()  # options that must be given
+    one_of: tuple[str, ...] = ()  # options of which exactly one is given
+
+
+# the global flags, read before the subcommand
+TOP = Command(None, "Exact embedding, packing and capacity computations "
+                    "for toric domains.", (), {
+    "--timing": Option(FLAG, "add wall clock seconds to the report "
+                             "(breaks byte determinism)"),
+    "--approx": Option(FLAG, "add inexact decimal renderings of rationals"),
+})
+
+COMMANDS = {
+    "weights": Command(cmd_weights, "weight expansion of a domain file",
+                       ("file",), {
+        "--svg": Option(TEXT, "also draw the decomposition to PATH", "PATH"),
+    }),
+    "caps": Command(cmd_caps, "capacity sequence of a domain file",
+                    ("file",), {
+        "--k": Option(INT, "largest index to compute", "K"),
+        "--oracle": Option(FLAG, "cross check against the exhaustive path "
+                                 f"search (convex only, k capped at "
+                                 f"{ORACLE_K_MAX}) with witness paths"),
+    }, required=("--k",)),
+    "pack": Command(cmd_pack, "decide a ball packing instance", (), {
+        "--target": Option(TEXT, "target ball size, a rational like 5 or "
+                                 "10/3", "B"),
+        "--balls": Option(TEXT, "comma separated ball sizes, e.g. 3,2,2/3",
+                          "LIST"),
+        "--trace": Option(TEXT, "write the reduction certificate to PATH",
+                          "PATH"),
+    }, required=("--target", "--balls")),
+    "embed": Command(cmd_embed, "decide embedding of a concave domain file "
+                                "into a convex one", ("source", "target"), {
+        "--report": Option(INT, "add a capacity comparison up to index K",
+                           "K"),
+        "--scale-search": Option(TEXT, "bracket the optimal scale factor to "
+                                       "this precision", "PRECISION"),
+    }),
+    "svg": Command(cmd_svg, "draw a domain file", ("file", "out"), {
+        "--decomposition": Option(FLAG, "one polygon per weight"),
+        "--approximation": Option(TEXT, "overlay the delta approximation",
+                                  "DELTA"),
+    }, one_of=("--decomposition", "--approximation")),
+}
+
+_HELP = Option(HELP, "show this help message and exit")
+
+# a token that reads as a negative number is a value, never an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+class ArgvError(UsageError):
+    """A command line the table refuses, with the subcommand it names
+    (None before one is read)."""
+
+    def __init__(self, message: str, command: Optional[str]) -> None:
+        super().__init__(message)
+        self.command = command
+
+
+class HelpRequest(Exception):
+    """-h or --help, for the global flags (None) or a subcommand."""
+
+    def __init__(self, command: Optional[str]) -> None:
+        super().__init__(command)
+        self.command = command
+
+
+class Parser:
+    """The command table, read in one pass over argv.
+
+    Global flags come before the subcommand; the subcommand's positionals
+    and options follow in any order.  An option is named in full or by a
+    unique prefix, and takes its value as the next token or after "=";
+    a repeated option keeps its last value.  A token that reads as a
+    negative number (_NEGATIVE) is a value, and after "--" every token is
+    a positional.  -h or --help asks for help at either level.  A bad
+    subcommand, an ambiguous option, a missing or non-integer value, a
+    value given to a flag and a second one_of option are refused where
+    they stand; unknown options, extra or missing positionals and missing
+    options once argv is read.
+    """
+
+    def __init__(self, top: Command, commands: dict[str, Command]) -> None:
+        self.levels = {None: top, **commands}
+        self.commands = commands
+        # every level's options by name, -h and --help first
+        self.options = {name: {"-h": _HELP, "--help": _HELP, **c.options}
+                        for name, c in self.levels.items()}
+        self.dests = {name: name[2:].replace("-", "_")
+                      for c in self.levels.values() for name in c.options}
+        # each level's fields before argv is read
+        self.defaults = {
+            name: {self.dests[o]: False if option.kind == FLAG else None
+                   for o, option in c.options.items()}
+            for name, c in self.levels.items()}
+        for name, c in commands.items():
+            self.defaults[name].update(subcommand=name, func=c.handler)
+
+    def _find(self, command: Optional[str],
+              token: str) -> Optional[tuple[str, Optional[str]]]:
+        """The option a token names and the value glued to it, or None for
+        a positional.  An unknown option is a name the level lacks."""
+        options = self.options[command]
+        if token in options:
+            return token, None
+        if token[:1] != "-" or token in ("-", "--"):
+            return None
+        name, eq, glued = token.partition("=")
+        if eq and name in options:
+            return name, glued
+        if token[1] == "-":  # a prefix of a long option
+            hits = [o for o in options if o.startswith(name)]
+            if len(hits) > 1:
+                raise ArgvError(f"ambiguous option: {token} could match "
+                                f"{', '.join(hits)}", command)
+            if hits:
+                return hits[0], glued if eq else None
+        elif token[:2] in options:  # a short option with text glued on
+            return token[:2], token[2:]
+        if _NEGATIVE(token) or " " in token:
+            return None
+        return token, None
+
+    def parse_args(self, argv: Sequence[str]) -> SimpleNamespace:
+        """The fields the handlers read; an ArgvError or a HelpRequest."""
+        command, spec = None, self.levels[None]
+        options = self.options[None]
+        fields = dict(self.defaults[None])
+        given: set[str] = set()
+        unknown: list[str] = []
+        placed = 0
+        ended = False  # after "--" every token is a positional
+        i, n = 0, len(argv)
+        while i < n:
+            token = argv[i]
+            i += 1
+            if ended:
+                found = None
+            elif token == "--" and command is not None:
+                ended = True
+                continue
+            else:
+                found = self._find(command, token)
+            if found is None:
+                if command is None:
+                    if token not in self.commands:
+                        raise ArgvError(
+                            f"invalid choice: {token!r} (choose from "
+                            f"{', '.join(self.commands)})", None)
+                    command, spec = token, self.commands[token]
+                    options = self.options[token]
+                    fields.update(self.defaults[token])
+                elif placed < len(spec.positionals):
+                    fields[spec.positionals[placed]] = token
+                    placed += 1
+                else:
+                    unknown.append(token)
+                continue
+            name, glued = found
+            option = options.get(name)
+            if option is None:
+                unknown.append(token)
+                continue
+            if option.kind in (FLAG, HELP):
+                if glued is not None:
+                    raise ArgvError(f"argument {name}: ignored explicit "
+                                    f"argument {glued!r}", command)
+                if option.kind == HELP:
+                    # an ambiguous option further on is still refused
+                    for token in argv[i:]:
+                        if token == "--":
+                            break
+                        self._find(command, token)
+                    raise HelpRequest(command)
+                value = True
+            else:
+                if glued is None:
+                    if (i == n or argv[i] == "--"
+                            or self._find(command, argv[i]) is not None):
+                        raise ArgvError(f"argument {name}: expected one "
+                                        "argument", command)
+                    glued = argv[i]
+                    i += 1
+                value = glued
+                if option.kind == INT:
+                    try:
+                        value = int(glued)
+                    except ValueError:
+                        raise ArgvError(f"argument {name}: invalid int "
+                                        f"value: {glued!r}", command) from None
+            if name in spec.one_of:
+                for other in given.intersection(spec.one_of) - {name}:
+                    raise ArgvError(f"argument {name}: not allowed with "
+                                    f"argument {other}", command)
+            given.add(name)
+            fields[self.dests[name]] = value
+        if command is None:
+            raise ArgvError("the following arguments are required: "
+                            "subcommand", None)
+        missing = [*spec.positionals[placed:],
+                   *(o for o in spec.required if o not in given)]
+        if missing:
+            raise ArgvError("the following arguments are required: "
+                            f"{', '.join(missing)}", command)
+        if spec.one_of and given.isdisjoint(spec.one_of):
+            raise ArgvError(f"one of the arguments {' '.join(spec.one_of)} "
+                            "is required", command)
+        if unknown:
+            raise ArgvError(f"unrecognized arguments: {' '.join(unknown)}",
+                            command)
+        return SimpleNamespace(**fields)
+
+    def usage(self, command: Optional[str]) -> str:
+        spec = self.levels[command]
+
+        def word(name: str) -> str:
+            option = spec.options[name]
+            return name if option.kind == FLAG else f"{name} {option.metavar}"
+
+        words = ["usage: echtoric", *([command] if command else []), "[-h]"]
+        for name in spec.options:
+            if name not in spec.one_of:
+                words.append(word(name) if name in spec.required
+                             else f"[{word(name)}]")
+            elif name == spec.one_of[0]:
+                words.append(f"({' | '.join(map(word, spec.one_of))})")
+        if command is None:
+            words.append(f"{{{','.join(self.commands)}}} ...")
+        return " ".join([*words, *spec.positionals])
+
+    def help(self, command: Optional[str]) -> str:
+        spec = self.levels[command]
+        sections = []
+        if command is None:
+            sections.append(("commands", [(name, c.help) for name, c
+                                          in self.commands.items()]))
+        if spec.positionals:
+            sections.append(("positional arguments",
+                             [(name, "") for name in spec.positionals]))
+        sections.append(("options", [("-h, --help", _HELP.help)] + [
+            (name if o.kind == FLAG else f"{name} {o.metavar}", o.help)
+            for name, o in spec.options.items()]))
+        width = max(len(label) for _, rows in sections for label, _ in rows)
+        lines = [self.usage(command), ""]
+        if command is None:
+            lines += [spec.help, ""]
+        for title, rows in sections:
+            lines.append(f"{title}:")
+            lines += [f"  {label:<{width}}  {text}".rstrip()
+                      for label, text in rows]
+            lines.append("")
+        return "\n".join(lines)
+
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as is."""
-    parser = _Parser(
-        prog="echtoric",
-        description="Exact embedding, packing and capacity computations "
-                    "for toric domains.")
-    parser.add_argument("--timing", action="store_true",
-                        help="add wall clock seconds to the report "
-                             "(breaks byte determinism)")
-    parser.add_argument("--approx", action="store_true",
-                        help="add inexact decimal renderings of rationals")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("weights", help="weight expansion of a domain file")
-    p.add_argument("file")
-    p.add_argument("--svg", metavar="PATH",
-                   help="also draw the decomposition to PATH")
-    p.set_defaults(func=cmd_weights)
-
-    p = sub.add_parser("caps", help="capacity sequence of a domain file")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True, metavar="K",
-                   help="largest index to compute")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross check against the exhaustive path search "
-                        f"(convex only, k capped at {ORACLE_K_MAX}) with "
-                        "witness paths")
-    p.set_defaults(func=cmd_caps)
-
-    p = sub.add_parser("pack", help="decide a ball packing instance")
-    p.add_argument("--target", required=True, metavar="B",
-                   help="target ball size, a rational like 5 or 10/3")
-    p.add_argument("--balls", required=True, metavar="LIST",
-                   help="comma separated ball sizes, e.g. 3,2,2/3")
-    p.add_argument("--trace", metavar="PATH",
-                   help="write the reduction certificate to PATH")
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("embed",
-                       help="decide embedding of a concave domain file "
-                            "into a convex one")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--report", type=int, metavar="K",
-                   help="add a capacity comparison up to index K")
-    p.add_argument("--scale-search", metavar="PRECISION",
-                   help="bracket the optimal scale factor to this precision")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("svg", help="draw a domain file")
-    p.add_argument("file")
-    p.add_argument("out")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--decomposition", action="store_true",
-                      help="one polygon per weight")
-    mode.add_argument("--approximation", metavar="DELTA",
-                      help="overlay the delta approximation")
-    p.set_defaults(func=cmd_svg)
-    return parser
+def build_parser() -> Parser:
+    """The table parser, built once per process: parsing leaves it as is."""
+    return Parser(TOP, COMMANDS)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    except HelpRequest as request:
+        sys.stdout.write(parser.help(request.command))
+        return 0
+    except ArgvError as exc:
+        sys.stderr.write(f"{parser.usage(exc.command)}\n"
+                         f"echtoric: error: {exc}\n")
+        return 1
     start = time.perf_counter()
     try:
         report = args.func(args)

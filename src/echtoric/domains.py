@@ -61,8 +61,9 @@ def _collapse(pts: Sequence[tuple[int, int]]) -> list[int]:
         if keep and p == pts[keep[-1]]:
             continue
         keep.append(i)
+        cx, cy = p
         while len(keep) >= 3:
-            (ax, ay), (bx, by), (cx, cy) = (pts[j] for j in keep[-3:])
+            (ax, ay), (bx, by) = pts[keep[-3]], pts[keep[-2]]
             ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
             if ux * vy == uy * vx and ux * vx + uy * vy > 0:
                 del keep[-2]
@@ -128,7 +129,7 @@ class ToricDomain:
         D = self.D
         if D <= 0:
             raise DomainError("boundary denominator must be positive")
-        ints = [(x, y) for x, y in self.ints]
+        ints = self.ints
         keep = _collapse(ints)
         if len(keep) < len(ints):
             ints = [ints[i] for i in keep]

@@ -65,7 +65,8 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
     UTF-8 are a DomainError, and so are JSON numbers and nesting past the
     interpreter's digit and recursion limits.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -115,16 +116,26 @@ def _write(obj: object, out: list[str], nl: str) -> None:
             sep = ","
         out.append(nl + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
         inner, sep = nl + "  ", "["
-        try:  # a list of strings is one join
-            out.append(f"[{inner}" + f",{inner}".join(map(_quote, obj))
-                       + f"{nl}]" if obj else "[]")
-        except TypeError:
-            for item in obj:
-                out.append(sep + inner)
-                _write(item, out, inner)
-                sep = ","
-            out.append(nl + "]")
+        head = type(obj[0])
+        # a list of strings is one join, and so is a list of ints (a bool
+        # is not one: it prints as true or false)
+        if head is str or head is int and all(type(x) is int for x in obj):
+            try:
+                out.append(f"[{inner}" + f",{inner}".join(
+                    map(_quote if head is str else int.__repr__, obj))
+                    + f"{nl}]")
+                return
+            except TypeError:  # a string first, then something else
+                pass
+        for item in obj:
+            out.append(sep + inner)
+            _write(item, out, inner)
+            sep = ","
+        out.append(nl + "]")
     elif obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):

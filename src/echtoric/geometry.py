@@ -25,20 +25,22 @@ def ratio(value: RationalLike) -> tuple[int, int]:
     optional minus sign: decimals, exponents, spaces, a plus sign, other
     digits (Arabic-Indic, full-width) and numerals too long to read are
     refused, and so are floats."""
+    if isinstance(value, str):  # every numeral of a file comes here
+        if _RATIONAL.fullmatch(value):
+            num, _, den = value.partition("/")
+            try:
+                n, d = int(num), int(den or 1)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise GeometryError(f"numeral of {len(value)} characters "
+                                    "is too long to read") from None
+            if d:
+                return n, d
+        raise GeometryError(f"not a rational value: {value!r}")
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, int) and not isinstance(value, bool):
         return value, 1
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        num, _, den = value.partition("/")
-        try:
-            n, d = int(num), int(den or 1)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise GeometryError(f"numeral of {len(value)} characters is "
-                                "too long to read") from None
-        if d:
-            return n, d
-    if isinstance(value, (str, bool)):
+    if isinstance(value, bool):
         raise GeometryError(f"not a rational value: {value!r}")
     raise GeometryError(f"not a rational value: {value!r} (floats are not accepted)")
 

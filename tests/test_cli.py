@@ -1,14 +1,19 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, strategies as st
 
-from echtoric import (Point, ToricDomain, concave_weights, convex_weights,
-                      load_domain, save_domain)
+from echtoric import (Point, ToricDomain, cli, concave_weights,
+                      convex_weights, load_domain, save_domain)
 from echtoric.cli import build_parser, main
 
 F = Fraction
@@ -16,12 +21,9 @@ F = Fraction
 
 def run(capsys, *argv):
     """Exit code, parsed stdout report (if any), raw stdout, stderr."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse-level usage errors
-        code = exc.code
+    code = main(list(argv))
     out, err = capsys.readouterr()
-    report = json.loads(out) if code == 0 and out else None
+    report = json.loads(out) if code == 0 and out.startswith("{") else None
     return code, report, out, err
 
 
@@ -484,13 +486,6 @@ def test_cli_paths_build_no_points(data_dir, capsys, tmp_path, monkeypatch):
     assert ToricDomain.ball(1).boundary and len(made) == 2
 
 
-def test_argparse_usage_is_exit_one(capsys):
-    code, _, _, _ = run(capsys, "frobnicate")
-    assert code == 1
-    code, _, _, _ = run(capsys)
-    assert code == 1
-
-
 def test_node_budget_env(data_dir, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TDE_MAX_NODES", "2")
     omega1 = str(data_dir / "omega1.json")
@@ -594,3 +589,251 @@ def test_round_trip_with_library(data_dir, capsys, tmp_path):
     assert rep["area"] == str(dom.area())
     assert rep["approx_boundary"] == [["0", "11/12"], ["1", "23/12"],
                                       ["13/12", "23/12"], ["59/12", "0"]]
+
+
+# -- the command table -------------------------------------------------------
+
+USAGE_ERRORS = [
+    # argv, and the argument stderr must name
+    ([], "subcommand"),
+    (["frobnicate", "f.json"], "frobnicate"),
+    (["--timing", "--", "weights", "f.json"], "'--'"),
+    (["caps", "f.json", "--k", "3", "--bogus"], "--bogus"),
+    (["--bogus", "caps", "f.json", "--k", "3"], "--bogus"),
+    (["pack", "--t", "1", "--balls", "1"], "--t"),
+    (["caps", "f.json", "--k"], "--k"),
+    (["svg", "f.json", "o.svg", "--approximation", "-1/12"],
+     "--approximation"),
+    (["caps", "f.json"], "--k"),
+    (["pack", "--balls", "1"], "--target"),
+    (["pack", "--target", "1"], "--balls"),
+    (["svg", "f.json", "o.svg"], "--decomposition"),
+    (["svg", "f.json", "o.svg", "--decomposition", "--approximation", "1/12"],
+     "--approximation"),
+    (["caps", "f.json", "--k", "three"], "three"),
+    (["embed", "a.json", "b.json", "--report", "1.5"], "1.5"),
+    (["caps", "f.json", "--k", "3", "--oracle=yes"], "--oracle"),
+    (["weights", "f.json", "extra.json"], "extra.json"),
+    (["embed", "a.json"], "target"),
+    (["weights", "f.json", "--timing"], "--timing"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
+def test_usage_errors_exit_one(capsys, argv, named):
+    # refused before any file is read: none of these files exists
+    code, _, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: echtoric") and named in err
+
+
+def test_help_exits_zero_at_both_levels(capsys):
+    for argv, usage in ((["-h"], "usage: echtoric [-h] [--timing]"),
+                        (["--timing", "--help"], "usage: echtoric [-h]"),
+                        (["caps", "-h"], "usage: echtoric caps [-h] --k K"),
+                        (["svg", "f.json", "--he", "--bogus"],
+                         "usage: echtoric svg [-h] (--decomposition |")):
+        code, _, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith(usage), argv
+    # help names every subcommand and every option
+    code, _, out, _ = run(capsys, "--help")
+    for word in ("weights", "caps", "pack", "embed", "svg", "--approx"):
+        assert word in out
+    code, _, out, _ = run(capsys, "embed", "--help")
+    assert "--report K" in out and "--scale-search PRECISION" in out
+
+
+def test_cli_imports_no_argparse():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c",
+                    "import sys, echtoric.cli; "
+                    "assert 'argparse' not in sys.modules"],
+                   env={**os.environ, "PYTHONPATH": src}, check=True,
+                   timeout=60)
+
+
+def reference_parser():
+    """The argparse parser the command table replaced, kept as the
+    reference for its grammar."""
+    parser = argparse.ArgumentParser(prog="echtoric")
+    parser.add_argument("--timing", action="store_true")
+    parser.add_argument("--approx", action="store_true")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    p = sub.add_parser("weights")
+    p.add_argument("file")
+    p.add_argument("--svg", metavar="PATH")
+    p.set_defaults(func=cli.cmd_weights)
+    p = sub.add_parser("caps")
+    p.add_argument("file")
+    p.add_argument("--k", type=int, required=True, metavar="K")
+    p.add_argument("--oracle", action="store_true")
+    p.set_defaults(func=cli.cmd_caps)
+    p = sub.add_parser("pack")
+    p.add_argument("--target", required=True, metavar="B")
+    p.add_argument("--balls", required=True, metavar="LIST")
+    p.add_argument("--trace", metavar="PATH")
+    p.set_defaults(func=cli.cmd_pack)
+    p = sub.add_parser("embed")
+    p.add_argument("source")
+    p.add_argument("target")
+    p.add_argument("--report", type=int, metavar="K")
+    p.add_argument("--scale-search", metavar="PRECISION")
+    p.set_defaults(func=cli.cmd_embed)
+    p = sub.add_parser("svg")
+    p.add_argument("file")
+    p.add_argument("out")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--decomposition", action="store_true")
+    mode.add_argument("--approximation", metavar="DELTA")
+    p.set_defaults(func=cli.cmd_svg)
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def outcome(parse, argv):
+    """("read", fields), ("help", first words of the usage) or
+    ("refused",) for one parser and argv."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            fields = vars(parse(list(argv)))
+    except SystemExit as exc:  # argparse
+        if exc.code:
+            return ("refused",)
+        return ("help", out.getvalue().split()[:3])
+    except cli.HelpRequest as request:
+        return ("help", build_parser().help(request.command).split()[:3])
+    except cli.ArgvError:
+        return ("refused",)
+    return ("read", fields)
+
+
+# every argv shape of the tests, README, CI and the benchmark workloads,
+# and the corners of the grammar
+CORPUS = [
+    ["weights", "omega1.json"],
+    ["weights", "omega2.json", "--svg", "decomposition.svg"],
+    ["--approx", "weights", "omega1.json"],
+    ["--timing", "weights", "omega1.json"],
+    ["caps", "square.json", "--k", "10"],
+    ["caps", "omega2.json", "--k", "6", "--oracle"],
+    ["caps", "square.json", "--oracle", "--k", "20"],
+    ["caps", "omega1.json", "--k", "-2"],
+    ["--approx", "caps", "delta2.json", "--k", "8", "--oracle"],
+    ["pack", "--target", "5", "--balls", "3,2,2,1,2/3,2/3,1/3,1/3",
+     "--trace", "cert.json"],
+    ["pack", "--target", "1", "--balls", ""],
+    ["--approx", "pack", "--target", "1", "--balls", "1,1/2"],
+    ["embed", "omega1.json", "omega2.json", "--report", "12",
+     "--scale-search", "1/100"],
+    ["embed", "d001.json", "d002.json", "--scale-search", "1/1000"],
+    ["embed", "omega1.json", "omega2.json", "--report", "8",
+     "--scale-search=0"],
+    ["embed", "omega1.json", "omega2.json", "--report", "-1",
+     "--scale-search", "0.001"],
+    ["--approx", "embed", "e1_300.json", "ball3.json"],
+    ["svg", "omega1.json", "fig.svg", "--decomposition"],
+    ["svg", "omega1.json", "fig.svg", "--approximation", "1/12"],
+    ["svg", "long.json", "a.svg", "--approximation=-1/12"],
+    ["embed", "a", "b", "--scale", "1/10"],
+    ["caps", "f", "--k=3"],
+    ["--tim", "weights", "f"],
+    ["svg", "f", "o", "--approx", "1/12"],
+    ["embed", "a", "b", "--report", "-1"],
+    ["svg", "f", "o", "--approximation", "-1/12"],
+    ["embed", "a", "--", "b"],
+    ["embed", "--", "a", "b"],
+    ["weights", "--", "--svg"],
+    ["caps", "f", "--k", "3", "--k", "4"],
+    ["caps", "--k", "3", "f", "--oracle"],
+    ["caps", "f", "--k", " 3"],
+    ["weights", "-1"],
+    ["weights", "f", "--svg", "-.5"],
+    ["weights", "f", "--svg="],
+    ["weights", "-"],
+    ["weights", ""],
+    ["weights", "a b"],
+    ["weights", "-x y"],
+    [], ["frobnicate"], ["--", "weights", "f"], ["--timing=1", "weights", "f"],
+    ["-h"], ["-h", "frobnicate"], ["frobnicate", "-h"], ["caps", "-h"],
+    ["caps", "f", "--k", "x", "-h"], ["caps", "-h", "--k", "x"],
+    ["pack", "-h", "--t", "1"], ["-h", "weights", "--=x"],
+    ["-hx"], ["--help=1"], ["weights", "f", "--s", "o.svg"],
+]
+
+
+@pytest.mark.parametrize("argv", CORPUS)
+def test_table_reads_the_corpus_as_argparse_did(argv):
+    assert outcome(build_parser().parse_args, argv) == \
+        outcome(REFERENCE.parse_args, argv)
+
+
+VALUES = ["a.json", "b", "3", "0", "-1", "-2.5", "-.5", "1/12", ""]
+ODD = ["-h", "--help", "--he", "--timing", "--tim", "--approx", "--bogus",
+       "-x", "-1/12", "-", "a b", "-1 2", "--=x"]
+OPTIONS = {
+    "weights": ["--svg", "--sv", "--svg=o.svg", "--svg=", "--s"],
+    "caps": ["--k", "--k=3", "--k=x", "--oracle", "--o", "--oracle=1"],
+    "pack": ["--target", "--ta", "--t", "--target=1", "--balls", "--b",
+             "--trace", "--tr"],
+    "embed": ["--report", "--rep", "--report=-1", "--scale-search",
+              "--scale", "--s=1/8"],
+    "svg": ["--decomposition", "--d", "--approximation", "--approx",
+            "--a", "--approximation=-1/12", "--decomposition=1"],
+}
+# well-formed pieces of each subcommand's calls
+CHUNKS = {
+    "weights": [["--svg", "o.svg"], ["--svg=-1/12"], ["--sv", "-1"]],
+    "caps": [["--k", "3"], ["--k=-2"], ["--k", " 4"], ["--oracle"], ["--o"]],
+    "pack": [["--target", "5"], ["--ta=1"], ["--balls", "1,1/2"],
+             ["--b", ""], ["--trace", "c.json"], ["--tr=-1"]],
+    "embed": [["--report", "-1"], ["--rep=12"], ["--scale-search", "1/100"],
+              ["--scale", "-.5"], ["--s=0"]],
+    "svg": [["--decomposition"], ["--d"], ["--approximation", "1/12"],
+            ["--approx", "-1"], ["--a=-1/12"]],
+}
+
+
+def _argv(parts):
+    """Global flags, a subcommand and its tokens, with one "--" put in
+    at index cut, or -cut tokens after the subcommand when cut is
+    negative, unless that makes it the last token: how argparse reads a second or a trailing
+    "--" depends on the tokens before it, and changed between Python
+    versions."""
+    head, command, rest, cut = parts
+    argv = [*head, command, *rest]
+    if cut < 0:
+        cut = len(head) + 1 - cut
+    if cut < len(argv):
+        argv.insert(cut, "--")
+    return argv
+
+
+_FLAGS = ["--timing", "--tim", "--approx", "--app"]
+_flags = st.lists(st.sampled_from(_FLAGS + ["--timing=1", "--bogus", "-h"]),
+                  max_size=2)
+# options and values of a subcommand with odd tokens among them
+_mixed = st.sampled_from([*OPTIONS, "frob", "-1", ""]).flatmap(
+    lambda command: st.tuples(_flags, st.just(command), st.lists(
+        st.sampled_from(2 * (OPTIONS.get(command, []) + VALUES) + ODD),
+        max_size=7), st.integers(0, 10))).map(_argv)
+# a subcommand's positionals and well-formed options in any order
+_calls = st.sampled_from(list(CHUNKS)).flatmap(lambda command: st.tuples(
+    st.lists(st.sampled_from(_FLAGS), max_size=2),
+    st.just(command),
+    st.tuples(st.lists(st.sampled_from(CHUNKS[command]), max_size=3),
+              st.lists(st.sampled_from(VALUES[:4]).map(lambda v: [v]),
+                       min_size=len(cli.COMMANDS[command].positionals),
+                       max_size=len(cli.COMMANDS[command].positionals)))
+    .flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    .map(lambda chunks: [t for chunk in chunks for t in chunk]),
+    st.integers(-10, -1))).map(_argv)
+
+
+@given(_mixed | _calls)
+def test_table_reads_token_sequences_as_argparse_did(argv):
+    assert outcome(build_parser().parse_args, argv) == \
+        outcome(REFERENCE.parse_args, argv), argv

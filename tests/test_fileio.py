@@ -101,8 +101,15 @@ _leaves = (_texts | st.integers() | st.integers(2 ** 64, 2 ** 300)
            | st.floats() | st.sampled_from([-0.0, 1e300, -1e-300,
                                             float("nan"), float("inf"),
                                             -float("inf")]))
+# lists the writer joins in one go, and lists that only start like them:
+# ints, bools among ints, strings then other items
+_runs = (st.lists(st.integers(), min_size=1)
+         | st.lists(st.integers() | st.booleans(), min_size=1)
+         | st.lists(st.integers(-9, 9), min_size=2, max_size=2)
+         | st.tuples(st.integers(), _leaves)
+         | st.tuples(_texts, _leaves))
 _trees = st.recursive(
-    _leaves,
+    _leaves | _runs,
     lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
                   | st.dictionaries(_texts, kids)),
     max_leaves=24)
@@ -112,6 +119,8 @@ _trees = st.recursive(
 @example({})
 @example([[], {}, ()])
 @example({"a": ["1/2", "-3"], "b": {"": None}, "c": [True, False, -0.0]})
+@example({"witnesses": [[[0, 0], [1, 1], [2, 0]], [[0, 0]]]})
+@example([[1, True, 0, False], [1, "a", None, 2.5], ["a", 1], (3, 4)])
 def test_canonical_json_is_json_dumps(obj):
     assert canonical_json(obj) == json.dumps(obj, sort_keys=True,
                                              indent=2) + "\n"
