@@ -286,19 +286,21 @@ def _complement(expansion: WeightExpansion, K: int
     proves lies past R, R grows to H, but at most fourfold a round: a
     min over a short range can be far above the final one on a thin
     domain, and H shrinks as the min falls.  Each round computes only
-    the union entries and the terms l past the previous R.
+    the union entries and the terms l past the previous R, and H, a
+    function of the min, b and ws, only when the min has moved.
     """
     (b, *ws), g = _sizes((expansion.top, *expansion.sizes))
     runs = _runs(ws)
     parts: list[list[int]] = [[] for _ in runs]
-    out, done, R = None, 0, 2 * K + 2
+    out, H, done, R = None, 0, 0, 2 * K + 2
     while True:
         _guard(len(ws) + 1, K + R)
         s = _ball_ints(b, K + R)
         t = _grow(parts, [_ball_ints(w, R, n) for w, n in runs], R)
-        out = _lower(s[:K + 1] if out is None else out, s, t,  # l = 0 first
+        low = _lower(s[:K + 1] if out is None else out, s, t,  # l = 0 first
                      (l for l in range(done + 1, R + 1) if t[l] != t[l - 1]))
-        H = _horizon(out, b, ws)
+        if low != out:
+            out, H = low, _horizon(low, b, ws)
         if H <= R:
             return CapacitySeq(expansion.D, [v * g for v in out]), H
         done, R = R, min(H, 4 * R)

@@ -28,15 +28,17 @@ oracle_convex_caps_upto recovers capacity values of a convex domain by
 raw minimisation over all admissible paths, independently of any weight
 calculus, and returns witness paths.  Its search runs on plain
 integers throughout, set-up included.  What it walks through is split
-in two.  The geometry of a search, its clockwise step directions, how
-far each may turn, and the step table of each vertex it reaches,
-depends only on (kmax, box); it is built once per process for both
-passes and shared by every domain (_passes).  The region's vertices are
-the domain's own integers, and the support of a direction, an integer
-cross product maximum, belongs to one request: the seeding pass and the
-full pass of a box share one support table, indexed by the full pass's
-directions, and a support is computed the first time either walk takes
-its direction.
+in two.  The geometry of a search depends only on (kmax, box): its
+clockwise step directions, how far each may turn, the step table of
+each vertex, and a memo of the path prefixes walks have reached, with
+the steps that leave each inside the box and the area and point count
+bounds.  A process builds it once per (kmax, box) for both passes, a
+prefix when a walk first reaches it, bounded by _NODES_KEPT prefixes a
+pass, and shares it with every domain (_passes).  The region's vertices
+and the support of a direction, an integer cross product maximum,
+belong to one request: the seeding pass and the full pass of a box
+share one support table, indexed by the full pass's directions, and a
+support is computed the first time either walk takes its direction.
 It prunes each partial path on a lower bound for all its completions
 and on the lattice points its prefix already encloses, which drops no
 path that could change the result (see _search).
@@ -50,6 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import index
+from threading import Lock
 from typing import Iterable, Optional
 
 from .domains import PointLike, ToricDomain, _cleared, _edge_zone
@@ -228,6 +231,46 @@ def _clockwise_directions(box: int) -> list[tuple[int, int]]:
 # the pair for kmax = 20 holds about 4 MB of step tables
 _PASSES_KEPT = 16
 
+# prefix nodes one pass keeps, under 0.5 KB each: making one more drops
+# the pass's memo, which walks then build again as they go
+_NODES_KEPT = 1 << 15
+
+# the bound of a slot that is still open
+_OPEN = float("inf")
+
+# A node of a pass's memo is a path prefix, as the tuple (ny, half,
+# kmin, path, slot, s2, rim, rows, runs) of geometry alone.  The first
+# three are its entry: end height, c2 // 2 (see _search) and lattice
+# points less one; a bare entry is a prefix no walk has entered.  slot
+# is the point-count slot of a path that stops there, or None, s2 twice
+# the signed area of its fan and rim the fan's boundary points on the
+# leg and the path.  runs[i] holds the entries one edge along rows[i]
+# longer, by length from 1: the first alone until a walk passes its
+# checks, then a list of them, with None at the end until a geometric
+# break.  Most runs are never passed, and keep no list.
+_Node = tuple
+
+
+def _returns(path: tuple[tuple[int, int], ...], dx: int, dy: int,
+             x: int, y: int) -> bool:
+    """Whether (x, y), reached along (dx, dy) from the end of path, is
+    already on path or on its y-axis leg.
+
+    Off the leg, (x, y) is on path only if (dx, dy) is at least 180
+    degrees clockwise of the first edge d_1, cross(d_1, d) >= 0: were
+    it on edge j, that edge from there, the edges after it and the new
+    one would close up, a vanishing positive combination of directions
+    turning clockwise from d_j to d, which no sector of less than 180
+    degrees holds.
+    """
+    if x == 0 and y <= path[0][1]:
+        return True
+    if len(path) < 2 or path[1][0] * dy < (path[1][1] - path[0][1]) * dx:
+        return False
+    return any((qx - px) * (y - py) == (qy - py) * (x - px)
+               and (x - px) * (x - qx) + (y - py) * (y - qy) <= 0
+               for (px, py), (qx, qy) in zip(path, path[1:]))
+
 
 class _Pass:
     """The geometry of one search pass, which no domain enters.
@@ -236,17 +279,18 @@ class _Pass:
     in each coordinate.  turn_end[i] is the first index after i whose
     direction lies more than 180 degrees clockwise of direction i; so
     does every later one, and turn_end[-1] = n leaves the first step
-    free.  tables maps each vertex a walk has reached to its step
+    free.  tables maps each vertex a prefix has ended on to its step
     table: the direction indices and the rows (index, dx, dy, fan) of
-    the steps that can leave it, in clockwise order, built the first
-    time any walk of this pass reaches the vertex.  Two walks that
-    build the same table build equal ones, so either may keep its own.
-    sup_index[i] is the index of dirs[i] among the directions of the
-    box's full pass, which index the support table both passes share.
+    the steps that can leave it, in clockwise order.  roots are the
+    prefixes (0, y0), y0 = 0..kmax, of the memo, and size counts the
+    nodes made since it was last dropped.  Walks grow the memo in place,
+    so a search holds its lock while it walks.  sup_index[i] is the index of
+    dirs[i] among the directions of the box's full pass, which index
+    the support table both passes share.
     """
 
     __slots__ = ("kmax", "box", "reach", "dirs", "turn_end", "tables",
-                 "sup_index")
+                 "sup_index", "roots", "size", "lock")
 
     def __init__(self, kmax: int, box: int, reach: int) -> None:
         self.kmax, self.box, self.reach = kmax, box, reach
@@ -265,6 +309,14 @@ class _Pass:
         self.turn_end = tuple(turn_end)
         self.tables: dict[tuple[int, int],
                           tuple[list[int], list[tuple[int, ...]]]] = {}
+        self.lock = Lock()
+        self.drop()
+
+    def drop(self) -> None:
+        """Start the memo again from its roots."""
+        self.size = 0
+        self.roots = [self.node((y0, 0, y0), ((0, y0),), -1, 0, y0)
+                      for y0 in range(self.kmax + 1)]
 
     def table(self, cx: int, cy: int,
               ) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -276,6 +328,52 @@ class _Pass:
                 and -fan_max <= cx * dy - cy * dx <= fan_max]
         here = self.tables[cx, cy] = ([row[0] for row in rows], rows)
         return here
+
+    def node(self, entry: tuple[int, ...], path: tuple[tuple[int, int], ...],
+             last: int, s2: int, rim: int) -> _Node:
+        """The node of entry, whose path's last edge runs along
+        dirs[last], with the first entry of each of its runs."""
+        if self.size >= _NODES_KEPT:
+            self.drop()
+        self.size += 1
+        cx, cy = path[-1]
+        lim = 2 * self.kmax
+        # on the x-axis: twice the area plus the boundary, both axis legs
+        # and the path edges counted by their primitive steps
+        twice = abs(s2) + rim + cx
+        assert cy or twice % 2 == 0
+        slot = twice // 2 if cy == 0 and twice <= lim else None
+        keys, table = self.tables.get((cx, cy)) or self.table(cx, cy)
+        lo = bisect_right(keys, last)
+        hi = bisect_left(keys, self.turn_end[last], lo)
+        rows, runs = [], []
+        for row in table[lo:hi]:
+            # grow's area check, which a third of the rows fail, first
+            if -lim <= s2 + row[3] <= lim:
+                first = self.grow(path, s2, rim, entry[2], row, 1)
+                if first:
+                    rows.append(row)
+                    runs.append(first)
+        # a node without runs holds nothing the garbage collector traces
+        return entry + (path, slot, s2, rim, tuple(rows), runs or ())
+
+    def grow(self, path: tuple[tuple[int, int], ...], s2: int, rim: int,
+             kmin: int, row: tuple[int, ...], m: int,
+             ) -> Optional[tuple[int, ...]]:
+        """The entry m steps along row from the prefix path, or None
+        where the run breaks; kmin is that of m - 1 steps, and of the
+        edge's points only its end can be on path already."""
+        _, dx, dy, fan = row
+        cx, cy = path[-1]
+        x, y = cx + m * dx, cy + m * dy
+        s2 += fan * m
+        box, lim = self.box, 2 * self.kmax
+        if 0 <= x <= box and 0 <= y <= box and -lim <= s2 <= lim:
+            kmin += not _returns(path, dx, dy, x, y)
+            c2 = abs(s2) + rim + m + gcd(x, y)
+            if kmin <= self.kmax and c2 <= lim:
+                return (y, c2 // 2, kmin)
+        return None
 
 
 @lru_cache(maxsize=_PASSES_KEPT)
@@ -297,13 +395,14 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     among paths whose closed region has k+1 lattice points, with a
     witness.  verts are the region's vertices scaled to integers, and
     values are scaled by the same factor.  geo is the pass: kmax, the
-    box, and the allowed steps in clockwise order (the seeding pass
-    allows only short ones).  sup is the support table of the box,
-    indexed by its full pass's directions and shared by both passes:
-    sup[geo.sup_index[i]] is the support of d = geo.dirs[i], the maximum
-    over verts p of cross(d, p), which is what one step along d adds to
-    the functional, or 0 until a walk of either pass first takes d and
-    fills it in.  initial primes the incumbent table with known paths.
+    box, the allowed steps in clockwise order (the seeding pass allows
+    only short ones) and its memo of prefixes.  sup is the support
+    table of the box, indexed by its full pass's directions and shared
+    by both passes: sup[geo.sup_index[i]] is the support of
+    d = geo.dirs[i], the maximum over verts p of cross(d, p), which is
+    what one step along d adds to the functional, or 0 until a walk of
+    either pass first takes d and fills it in.  initial primes the
+    incumbent table with known paths.
 
     Ties: the witness is the first least-value path the search meets,
     not the least (value, vertices) pair.  Paths are met start height
@@ -315,18 +414,24 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     does, the smaller vertex tuple wins.  The caps --oracle report
     prints these witnesses, so this order is part of the output.
 
-    The whole walk runs on plain integers.  Each vertex p the walk
-    visits has a table of the directions d whose first step stays in
-    the box and whose fan |cross(p, d)| is at most 4 kmax, and the
-    walk tries only those, from the one after its last direction up to
-    the first that turns more than 180 degrees.  It enters every vertex
-    with twice its area at most 2 kmax, so any other direction would
-    fail its first step on the box or area check, before it could
-    change the path or an incumbent; the walk meets the same paths in
-    the same order as one trying every direction.  A table is geometry
-    of (kmax, box) alone, so geo keeps it for every later call of the
-    pass; the supports are the domain's and stay in sup, which belongs
-    to this request.
+    The walk runs on plain integers, and on geo's memo for all that no
+    domain enters.  A vertex p tries only the directions d of its step
+    table, whose first step stays in the box and whose fan
+    |cross(p, d)| is at most 4 kmax, from the one after its last
+    direction up to the first that turns more than 180 degrees; the
+    walk enters p with twice its area at most 2 kmax, so any other d
+    would fail its first step on the box or area check.  A node's run
+    along d holds the edge lengths m up to the first that fails the
+    box, the area, c2 <= 2 kmax or kmin <= kmax below, each with its
+    height ny, c2 // 2 and kmin.  The walk adds the domain's
+    e = ell + sup(d) m and low = e + ny X, and breaks at the run's end,
+    at low > suff[c2 // 2] or at low >= suff[kmin]: where a walk that
+    computes each step breaks, as that walk's check on the prefix's
+    own kmin is implied by the last (kmin grows along a path, suff does
+    not increase in its index).  Entries and nodes are made when a walk
+    first reaches them; the supports stay in sup, this request's.  A
+    prefix with a slot is considered: its (value, path) replaces the
+    slot's incumbent if it is smaller.
 
     A partial path is pruned on a lower bound for its completed value,
     ell + y X, where (x, y) is its last vertex and X the region's
@@ -342,7 +447,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     - it never prunes a path that would reach consider: the pruned
       prefix's bound already reaches suff[kmin], incumbents only fall
       and suff does not increase in its index, so every completion
-      would fail the last pruned check before consider.
+      would be pruned on its own kmin before consider.
 
     consider therefore meets the same paths in the same order as with
     the bare functional, and values and witnesses do not change.
@@ -372,114 +477,80 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
       cand < best[k] in consider without changing anything.  With >=, a
       completion that ties its slot's incumbent with a smaller vertex
       tuple could be dropped before it replaced the witness.
-
-    The fan check runs after the functional check so that a step that
-    check already drops costs no gcd.
     """
-    kmax, box, dirs, sup_index = geo.kmax, geo.box, geo.dirs, geo.sup_index
-    turn_end, tables, table_at = geo.turn_end, geo.tables, geo.table
+    kmax, dirs, sup_index = geo.kmax, geo.dirs, geo.sup_index
     X = max(px for px, py in verts if py == 0)
-    lim = 2 * kmax
 
     best: list[_Best] = ([None] * (kmax + 1) if initial is None
                           else list(initial))
 
     def support(di: int) -> int:
         dx, dy = dirs[di]
-        s = sup[sup_index[di]] = max(dx * py - dy * px for px, py in verts)
+        s = sup[sup_index[di]] = max([dx * py - dy * px
+                                      for px, py in verts])
         assert s > 0
         return s
 
-    # suff[j] = worst incumbent over slots >= j, None while one is open;
-    # a partial path with p points on it can only ever land in slots
-    # >= p - 1, so reaching suff[p - 1] with its value already there
-    # means no strict improvement can come out of it
-    suff: list[Optional[int]] = [None] * (kmax + 2)
-    dirty = [True]
+    # suff[j] = worst incumbent over slots >= j, _OPEN while one is
+    # open, and suff[kmax + 1] = -1; a partial path with p points on it
+    # can only ever land in slots >= p - 1, so reaching suff[p - 1] with
+    # its value already there means no strict improvement can come out
+    # of it
+    suff: list[float] = [_OPEN] * (kmax + 1) + [-1]
 
-    def pruned(value: int, kmin: int) -> bool:
-        if kmin > kmax:
-            return True
-        if dirty[0]:
-            run: Optional[int] = -1
-            for j in range(kmax, -1, -1):
-                b = best[j]
-                if b is None or run is None:
-                    run = None
-                elif b[0] > run:
-                    run = b[0]
-                suff[j] = run
-            dirty[0] = False
-        bound = suff[kmin]
-        return bound is not None and value >= bound
+    def settle(top: int) -> None:
+        """Bring suff up to date after slot top changed."""
+        run = suff[top + 1]
+        for j in range(top, -1, -1):
+            b = best[j]
+            run = suff[j] = _OPEN if b is None else max(run, b[0])
 
-    def consider(path: list[tuple[int, int]], twice_area: int, ell: int,
-                 steps: int) -> None:
-        # boundary of the closed cycle: both axis legs plus the path
-        # edges, whose primitive steps were counted with multiplicity
-        boundary = path[0][1] + path[-1][0] + steps
-        assert (twice_area + boundary) % 2 == 0
-        k = (twice_area + boundary) // 2
-        if k > kmax:
-            return
-        cand = (ell, tuple(path))
-        if best[k] is None or cand < best[k]:
-            best[k] = cand
-            dirty[0] = True
+    settle(kmax)
 
-    def walk(path: list[tuple[int, int]], onpath: set[tuple[int, int]],
-             last_dir: int, signed2: int, ell: int, steps: int) -> None:
-        cx, cy = path[-1]
-        if cy == 0:
-            consider(path, abs(signed2), ell, steps)
+    def walk(node: _Node, ell: int) -> None:
+        _, _, _, path, slot, s2, rim, rows, runs = node
+        if slot is not None:
+            cand = (ell, path)
+            b = best[slot]
+            if b is None or cand < b:
+                best[slot] = cand
+                settle(slot)
             # fall through: an axis run may still extend to the right
-        base_kmin = len(onpath) - 1
-        # the fan's boundary points on the y-axis leg and the path so far
-        rim = path[0][1] + steps
-        keys, table = tables.get((cx, cy)) or table_at(cx, cy)
-        lo = bisect_right(keys, last_dir)
-        hi = bisect_left(keys, turn_end[last_dir], lo)
-        for di, ddx, ddy, fan in table[lo:hi]:
+        for i, entries in enumerate(runs):
+            row = rows[i]
+            di = row[0]
             step_ell = sup[sup_index[di]] or support(di)
-            nx, ny = cx, cy
+            if entries.__class__ is tuple:  # the run's first entry alone
+                low = ell + step_ell + entries[0] * X
+                if low > suff[entries[1]] or low >= suff[entries[2]]:
+                    continue
+                entries = runs[i] = [entries, None]
             m = 0
-            added: list[tuple[int, int]] = []
-            while True:
+            # entries grows while the loop runs, up to a geometric break
+            for entry in entries:
                 m += 1
-                nx += ddx
-                ny += ddy
-                if nx < 0 or ny < 0 or nx > box or ny > box:
-                    break
-                s2 = signed2 + fan * m
-                if not -lim <= s2 <= lim:
-                    break
+                if entry is None:
+                    entry = entries[-1] = geo.grow(path, s2, rim,
+                                                   entries[-2][2], row, m)
+                    if entry is None:
+                        entries.pop()
+                        break
+                    entries.append(None)
                 e = ell + step_ell * m
-                low = e + ny * X
-                if pruned(low, base_kmin):
+                low = e + entry[0] * X
+                if low > suff[entry[1]] or low >= suff[entry[2]]:
                     break
-                # pruned has brought suff up to date
-                c2 = abs(s2) + rim + m + gcd(nx, ny)
-                if c2 > lim:
-                    break
-                bound = suff[c2 // 2]
-                if bound is not None and low > bound:
-                    break
-                # the path now runs through every point of this edge;
-                # added remembers which of them were new to it
-                if (nx, ny) not in onpath:
-                    onpath.add((nx, ny))
-                    added.append((nx, ny))
-                if pruned(low, len(onpath) - 1):
-                    break
-                path.append((nx, ny))
-                walk(path, onpath, di, s2, e, steps + m)
-                path.pop()
-            if added:
-                onpath.difference_update(added)
+                if len(entry) == 3:  # a prefix no walk has entered yet
+                    _, dx, dy, fan = row
+                    cx, cy = path[-1]
+                    entry = entries[m - 1] = geo.node(
+                        entry, path + ((cx + m * dx, cy + m * dy),), di,
+                        s2 + fan * m, rim + m)
+                walk(entry, e)
 
-    for y0 in range(kmax + 1):
-        onpath = {(0, t) for t in range(y0 + 1)}
-        walk([(0, y0)], onpath, -1, 0, 0, 0)
+    with geo.lock:
+        for y0 in range(kmax + 1):
+            walk(geo.roots[y0], 0)
     return best
 
 

@@ -390,6 +390,29 @@ def test_convex_horizon_is_a_proof(data_dir):
             assert convex_horizon(convex_weights(dom.scale(lam))[0], K) == H
 
 
+def test_complement_proves_each_min_once(monkeypatch):
+    # H is a function of the min, the head and the weights, so a round
+    # that leaves the min as it was reuses H: head 3 with weights 2, 1, 1
+    # at K = 3 takes two rounds on the min 0, 1, 2, 3 and proves H = 31
+    # once
+    rounds, horizons = [], []
+    lower, horizon = capacities._lower, capacities._horizon
+
+    def counted_lower(out, s, t, starts):
+        rounds.append(list(out))
+        return lower(out, s, t, starts)
+
+    def counted_horizon(out, b, ws):
+        horizons.append(list(out))
+        return horizon(out, b, ws)
+    monkeypatch.setattr(capacities, "_lower", counted_lower)
+    monkeypatch.setattr(capacities, "_horizon", counted_horizon)
+    expansion = WeightExpansion(1, 3, (2, 1, 1))
+    assert convex_horizon(expansion, 3) == 31
+    assert len(rounds) == 2 and horizons == [[0, 1, 2, 3]]
+    assert convex_caps(expansion, 3).ints == (0, 1, 2, 3)
+
+
 def test_caps_golden(data_dir):
     # values and certified flags recorded before the integer kernel
     golden = json.loads((data_dir / "caps_golden.json").read_text())

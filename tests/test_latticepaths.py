@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
@@ -472,24 +474,120 @@ def test_bounded_search_matches_the_unbounded_reference(monkeypatch):
     doms = [random_convex(rng) for _ in range(30)] + list(_thin_targets())
     for dom in doms:
         for kmax in (3, 5, 7):
+            # once right after the memo is cleared, once on the memo
+            # that first search built
             with monkeypatch.context() as patch:
                 patch.setattr(latticepaths, "_search", checked)
-                got = _caps_and_witnesses(dom, kmax)
+                latticepaths._passes.cache_clear()
+                cold = _caps_and_witnesses(dom, kmax)
+                warm = _caps_and_witnesses(dom, kmax)
             with monkeypatch.context() as patch:
                 patch.setattr(latticepaths, "_search", _search_ref)
                 want = _caps_and_witnesses(dom, kmax)
-            assert got == want, (dom.boundary, kmax)
+            assert cold == warm == want, (dom.boundary, kmax)
     # every pass computes some supports, the full passes read some the
     # seeding passes computed, and not all supports are computed
     assert min(computed) > 0 and sum(reused) > 0
     assert sum(computed) < sum(offered) / 2
 
 
+def _lattice_points(path):
+    """The lattice points of path and of its y-axis leg, enumerated."""
+    pts = {(0, t) for t in range(path[0][1] + 1)}
+    for (px, py), (qx, qy) in zip(path, path[1:]):
+        n = gcd(qx - px, qy - py)
+        pts.update((px + (qx - px) // n * i, py + (qy - py) // n * i)
+                   for i in range(n + 1))
+    return pts
+
+
+def _fan(path):
+    """Twice the signed area of the fan of path from the origin, and
+    its boundary points on the y-axis leg and the path."""
+    edges = list(zip(path, path[1:]))
+    return (sum(px * qy - py * qx for (px, py), (qx, qy) in edges),
+            path[0][1] + sum(gcd(qx - px, qy - py)
+                             for (px, py), (qx, qy) in edges))
+
+
+def _entry(geo, path, d, m):
+    """(ny, c2 // 2, kmin) of the prefix m steps along d from path, from
+    scratch, or None if some edge length up to m breaks the geometry."""
+    (cx, cy), (dx, dy) = path[-1], d
+    lim = 2 * geo.kmax
+    for j in range(1, m + 1):
+        x, y = cx + j * dx, cy + j * dy
+        longer = path + ((x, y),)
+        s2, rim = _fan(longer)
+        c2 = abs(s2) + rim + gcd(x, y)
+        kmin = len(_lattice_points(longer)) - 1
+        if not (0 <= x <= geo.box and 0 <= y <= geo.box and abs(s2) <= lim
+                and c2 <= lim and kmin <= geo.kmax):
+            return None
+    return (y, c2 // 2, kmin)
+
+
+def _check_memo(geo):
+    """Check every node of the pass's memo against its path alone, and
+    return how many there are."""
+    dirs = _clockwise_directions(geo.reach)
+    kmax, lim = geo.kmax, 2 * geo.kmax
+
+    def turn_end(i):
+        # the first direction more than 180 degrees on; the first step
+        # is free
+        return next((j for j in range(i + 1, len(dirs))
+                     if i >= 0
+                     and dirs[i][0] * dirs[j][1] > dirs[i][1] * dirs[j][0]),
+                    len(dirs))
+
+    assert [root[3] for root in geo.roots] == [((0, y0),)
+                                               for y0 in range(kmax + 1)]
+    stack = [(root, -1) for root in geo.roots]
+    seen = 0
+    while stack:
+        node, last = stack.pop()
+        seen += 1
+        ny, half, kmin, path, slot, s2, rim, rows, runs = node
+        (cx, cy), (fan_s2, fan_rim) = path[-1], _fan(path)
+        assert (ny, kmin, s2, rim) == (cy, len(_lattice_points(path)) - 1,
+                                       fan_s2, fan_rim)
+        if cy == 0:
+            points = count_convex(LatticePath("convex", path)) - 1
+            assert slot == (points if points <= kmax else None)
+        else:
+            assert slot is None
+        # the directions within the turn whose first step keeps to the
+        # box, the area, the fan count and kmax, and nothing else
+        within = [di for di in range(last + 1, turn_end(last))
+                  if 0 <= cx + dirs[di][0] <= geo.box
+                  and 0 <= cy + dirs[di][1] <= geo.box
+                  and abs(s2 + cx * dirs[di][1] - cy * dirs[di][0]) <= lim
+                  and _entry(geo, path, dirs[di], 1)]
+        assert [row[0] for row in rows] == within
+        for (di, dx, dy, fan), entries in zip(rows, runs):
+            assert (dx, dy) == dirs[di] and fan == cx * dy - cy * dx
+            if isinstance(entries, tuple):  # its first entry alone
+                entries = [entries, None]
+            grown = entries[:-1] if entries[-1] is None else entries
+            assert grown and None not in grown
+            for m, entry in enumerate(grown, 1):
+                assert entry[:3] == _entry(geo, path, (dx, dy), m)
+                if len(entry) > 3:
+                    assert entry[3] == path + ((cx + m * dx, cy + m * dy),)
+                    stack.append((entry, di))
+            # a run ends only where the geometry breaks
+            if grown is entries:
+                assert _entry(geo, path, (dx, dy), len(entries) + 1) is None
+    return seen
+
+
 def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
-    # the step tables of a (kmax, box) serve every domain searched with
-    # it; a support left in them would carry one domain's values into
-    # the next, so a warm cache met in reverse order must give what a
-    # cold one gave, and every cached row must be geometry alone
+    # the memo of a (kmax, box) serves every domain searched with it; a
+    # support, value or incumbent left in it would carry one domain's
+    # search into the next, so a warm memo met in reverse order must
+    # give what a cold one gave, and every node must be its path's
+    # geometry alone
     golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
     targets = [(load_domain(data_dir / f"{name}.json"), 6, caps)
                for name, caps in sorted(golden.items())]
@@ -518,6 +616,7 @@ def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
     # the second round builds no geometry: it runs on the first's
     assert memo.cache_info().hits > 0 and memo.cache_info().misses == built
     assert cold == warm[::-1] == [expected for _, _, expected in targets]
+    nodes = 0
     for geo in passes.values():
         dirs = _clockwise_directions(geo.reach)
         assert geo.dirs == tuple(dirs)
@@ -529,3 +628,106 @@ def test_shared_search_geometry_holds_no_domain_data(data_dir, monkeypatch):
             steps = [(di, *dirs[di]) for di in keys]
             assert rows == [(di, dx, dy, cx * dy - cy * dx)
                             for di, dx, dy in steps]
+        assert _check_memo(geo) <= geo.size
+        nodes += geo.size
+    assert nodes > 1000
+
+
+def test_memo_budget_drops_and_rebuilds(data_dir, monkeypatch):
+    # a pass about to make more prefix nodes than _NODES_KEPT drops its
+    # memo and builds it again as walks go on: the values and witnesses
+    # stay, and no pass keeps more nodes than the budget
+    budget = 300
+    monkeypatch.setattr(latticepaths, "_NODES_KEPT", budget)
+    drops = []
+    drop = latticepaths._Pass.drop
+
+    def counted(geo):
+        drops.append(geo)
+        drop(geo)
+    monkeypatch.setattr(latticepaths._Pass, "drop", counted)
+    latticepaths._passes.cache_clear()
+    golden = json.loads((data_dir / "oracle_golden_k12.json").read_text())
+    for entry in golden:
+        dom = ToricDomain.convex(entry["boundary"])
+        got = [[str(value), [list(p) for p in witness.ints]]
+               for value, witness in oracle_convex_caps_upto(dom,
+                                                             entry["kmax"])]
+        assert got == entry["caps"], entry["name"]
+        assert all(geo.size <= budget for geo in drops)
+    # each pass drops once as it is built; some dropped again
+    assert len(drops) > len(set(drops))
+    assert all(_check_memo(geo) <= budget for geo in set(drops))
+    latticepaths._passes.cache_clear()
+
+
+def test_threads_share_the_memo(data_dir):
+    # walks grow the memo in place: searches from more threads than
+    # cores, switching as often as the interpreter allows, must still
+    # give the goldens and leave a memo of geometry alone
+    golden = json.loads((data_dir / "oracle_golden_k6.json").read_text())
+    targets = [(load_domain(data_dir / f"{name}.json"), caps)
+               for name, caps in sorted(golden.items())]
+    latticepaths._passes.cache_clear()
+    agree, errors = [], []
+
+    def search(i):
+        try:
+            for j in range(len(targets)):
+                dom, caps = targets[(i + j) % len(targets)]
+                agree.append(caps == [
+                    [str(value), [list(p) for p in witness.ints]]
+                    for value, witness in oracle_convex_caps_upto(dom, 6)])
+        except Exception as exc:  # raised in a worker, reported below
+            errors.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and agree == [True] * 4 * len(targets)
+    for geo in latticepaths._passes(6, 14):
+        _check_memo(geo)
+
+
+def test_a_search_waits_for_the_walk_growing_the_memo(data_dir, monkeypatch):
+    # a first search paused halfway through growing a run must find the
+    # memo as it left it: a second search of the same pass waits for it
+    dom = load_domain(data_dir / "square.json")
+    latticepaths._passes.cache_clear()
+    want = _caps_and_witnesses(dom, 8)
+    latticepaths._passes.cache_clear()
+    grow, paused, resume = latticepaths._Pass.grow, threading.Event(), \
+        threading.Event()
+
+    def pausing(geo, *args):
+        # a second edge length is only ever grown by a walk
+        if (threading.current_thread() is first and args[-1] > 1
+                and not paused.is_set()):
+            paused.set()
+            resume.wait(timeout=10)
+        return grow(geo, *args)
+    monkeypatch.setattr(latticepaths._Pass, "grow", pausing)
+    got = {}
+    first, second = (threading.Thread(
+        target=lambda name=name: got.setdefault(
+            name, _caps_and_witnesses(dom, 8))) for name in ("first", "second"))
+    first.start()
+    assert paused.wait(timeout=10)
+    second.start()
+    second.join(timeout=0.3)
+    waited = second.is_alive()
+    resume.set()
+    first.join(timeout=10)
+    second.join(timeout=10)
+    assert waited and not first.is_alive() and not second.is_alive()
+    assert got == {"first": want, "second": want}
+    for geo in latticepaths._passes(8, 18):
+        _check_memo(geo)
