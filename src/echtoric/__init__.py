@@ -17,20 +17,19 @@ from .blowups import (HomologyClass, SphereChain, SymplecticClass, c1,
 from .capacities import (CapacitySeq, ball_caps, concave_caps, convex_caps,
                          convex_horizon)
 from .domains import ToricDomain, contains
-from .embeddings import (CapacityReport, EmbeddingProblem, ReportRow,
-                         capacity_report, decide_embedding,
-                         optimal_embedding_scale, reduce_to_packing)
+from .embeddings import (CapacityReport, EmbeddingProblem, capacity_report,
+                         decide_embedding, optimal_embedding_scale,
+                         reduce_to_packing)
 from .errors import DomainError, GeometryError, LimitError
 from .fileio import (canonical_json, digest_bytes, digest_file,
                      domain_from_json, domain_to_json, load_domain,
                      read_domain, save_domain)
 from .geometry import Point, rational
 from .latticepaths import (LatticePath, count_concave, count_convex,
-                           ell_concave, ell_convex, oracle_convex_cap,
-                           oracle_convex_caps_upto, split_path)
+                           ell_concave, ell_convex, oracle_convex_caps_upto,
+                           split_path)
 from .packing import (PackingInstance, Verdict, capacity_obstruction,
-                      cremona_reduce, cremona_step, decide_packing, defect,
-                      optimal_scale)
+                      cremona_step, decide_packing, defect, optimal_scale)
 from .svgout import (decomposition_polygons, render_approximation,
                      render_decomposition)
 from .weights import (DEFAULT_MAX_NODES, ConvexDecomposition, Decomposition,

@@ -222,12 +222,6 @@ class ToricDomain:
     def area(self) -> Fraction:
         return Fraction(self.twice_area(), 2 * self.D * self.D)
 
-    def xmax(self) -> Fraction:
-        return Fraction(max(x for x, _ in self.ints), self.D)
-
-    def ymax(self) -> Fraction:
-        return Fraction(max(y for _, y in self.ints), self.D)
-
     def scale(self, factor: RationalLike) -> "ToricDomain":
         p, q = ratio(factor)
         if p <= 0:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -74,32 +73,17 @@ def decide_embedding(problem: EmbeddingProblem) -> Verdict:
 
 
 @dataclass(frozen=True)
-class ReportRow:
-    """One index of a capacity report."""
-
-    k: int
-    source_value: Fraction
-    target_value: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     """Pointwise capacity comparison c_k(source) <= c_k(target), with
     the two sequences compared.
 
-    oks[k] is the comparison at k, made on the integers; rows, the
-    comparison with its values as Fractions, is a view built when read.
+    oks[k] is the comparison at k, made on the integers; the values
+    compared are source.values[k] and target.values[k].
     """
 
     source: CapacitySeq
     target: CapacitySeq
     oks: tuple[bool, ...]
-
-    @cached_property
-    def rows(self) -> tuple[ReportRow, ...]:
-        return tuple(map(ReportRow, range(len(self.oks)), self.source.values,
-                         self.target.values, self.oks))
 
     @property
     def all_ok(self) -> bool:

@@ -1,7 +1,7 @@
 """Lattice paths, their point counts and their support functionals.
 
 A path is its kind and its lattice vertices as integer pairs, which
-everything below reads; vertices is their view as Points.
+everything below reads.
 
 A convex path runs from the y-axis to the x-axis turning (weakly)
 clockwise; together with the axes it closes up a convex lattice region
@@ -49,15 +49,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from operator import index
 from threading import Lock
-from typing import Iterable, Optional
+from typing import Optional
 
-from .domains import PointLike, ToricDomain, _cleared, _edge_zone
+from .domains import ToricDomain, _edge_zone
 from .errors import DomainError, LimitError
-from .geometry import Point, rational
+from .geometry import rational
 from .weights import _fold
 
 @dataclass(frozen=True)
@@ -99,32 +99,10 @@ class LatticePath:
                 if ux * vy - uy * vx > 0:
                     raise DomainError("convex paths turn clockwise")
 
-    @cached_property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(Point(x, y) for x, y in self.ints)
-
     def edges(self) -> list[tuple[int, int]]:
         pts = self.ints
         return [(qx - px, qy - py)
                 for (px, py), (qx, qy) in zip(pts, pts[1:])]
-
-    @classmethod
-    def of(cls, kind: str, points: Iterable[PointLike]) -> "LatticePath":
-        """The path through rational vertices that are lattice points."""
-        D, pts = _cleared(points)
-        for x, y in pts:
-            if x % D or y % D:
-                vertex = Point(Fraction(x, D), Fraction(y, D))
-                raise DomainError(f"path vertex {vertex} is not a lattice point")
-        return cls(kind, tuple((x // D, y // D) for x, y in pts))
-
-    @classmethod
-    def convex(cls, points: Iterable[PointLike]) -> "LatticePath":
-        return cls.of("convex", points)
-
-    @classmethod
-    def concave(cls, points: Iterable[PointLike]) -> "LatticePath":
-        return cls.of("concave", points)
 
 
 def _steps(path: LatticePath) -> int:
@@ -227,12 +205,14 @@ def _clockwise_directions(box: int) -> list[tuple[int, int]]:
 
 
 # (kmax, box) geometries a process keeps, the least recently used
-# dropped first: a search meets one per kmax unless its box grows, and
-# the pair for kmax = 20 holds about 4 MB of step tables
+# dropped first: a search meets one per kmax unless its box grows.  After
+# the six reference targets at kmax = 20 the pair holds about 4 MB of
+# step tables and about 14 MB of memos (6.7 MB seeding, 7.1 MB full);
+# each memo is bounded by _NODES_KEPT nodes
 _PASSES_KEPT = 16
 
-# prefix nodes one pass keeps, under 0.5 KB each: making one more drops
-# the pass's memo, which walks then build again as they go
+# prefix nodes one pass keeps, 0.4-0.6 KB each at kmax = 20: making one
+# more drops the pass's memo, which walks then build again as they go
 _NODES_KEPT = 1 << 15
 
 # the bound of a slot that is still open
@@ -586,8 +566,3 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
                     for value, path in best]  # type: ignore[misc]
         box *= 2
     raise LimitError("optimal paths keep touching the search box")
-
-
-def oracle_convex_cap(domain: ToricDomain, k: int,
-                      ) -> tuple[Fraction, LatticePath]:
-    return oracle_convex_caps_upto(domain, k)[k]

@@ -16,11 +16,11 @@ trace so a reduction can be replayed and audited step by step.
 A PackingInstance is a WeightExpansion with the head required, its
 sizes sorted integers over one D, as reduce_to_packing merges them or
 PackingInstance.of clears them from rationals.  One kernel, _reduce,
-runs the moves on such integers for decide_packing, cremona_reduce and
-every probe of optimal_scale.  Once a move is due, it packs each size
-with its ball's label into one integer, so its body sorted by (size,
-label) is the sorted vector, read off as trace rows when asked, and
-ties break alike in every caller.  A reduction that ends on a negative
+runs the moves on such integers for decide_packing and every probe of
+optimal_scale.  Once a move is due, it packs each size with its ball's
+label into one integer, so its body sorted by (size, label) is the
+sorted vector, read off as trace rows when asked, and ties break alike
+in every caller.  A reduction that ends on a negative
 entry returns that entry's class C = d L - sum m_i E_i, pulled back
 through the moves, each the reflection in L - E_i - E_j - E_k: an
 exceptional class, or the line class's image if the head went negative,
@@ -91,13 +91,6 @@ class PackingInstance(WeightExpansion):
             raise DomainError("ball sizes must be nonnegative")
         D, (top, *ints) = _integral([head, *sizes])
         return cls(D, top, tuple(sorted(filter(None, ints), reverse=True)))
-
-    target = property(lambda self: self.head)
-    balls = property(lambda self: self.weights)
-
-    def vector(self) -> Vector:
-        return ((self.head,) + self.weights
-                + (Fraction(0),) * (3 - len(self.sizes)))
 
 
 @dataclass(frozen=True)
@@ -222,15 +215,6 @@ def _integral(vec: Sequence[Fraction]) -> tuple[int, list[int]]:
 def _fraction_rows(rows: Sequence, D: int) -> tuple[Vector, ...]:
     frac = _fractions(D, chain.from_iterable(rows))
     return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
-
-
-def cremona_reduce(vec: Sequence[RationalLike]) -> tuple[Vector, ...]:
-    """Trace of vectors from the input down to a terminal one: reduced
-    (defect <= 0) or containing a negative entry."""
-    D, (head, *balls) = _integral(_canonical(vec))
-    rows = []
-    _reduce(head, balls, rows)
-    return _fraction_rows(rows, D)
 
 
 def decide_packing(instance: PackingInstance) -> Verdict:

@@ -100,9 +100,6 @@ class WeightExpansion:
         frac = _fractions(self.D, self.sizes)
         return tuple(map(frac.__getitem__, self.sizes))
 
-    def weight_squares(self) -> Fraction:
-        return Fraction(sum(a * a for a in self.sizes), self.D * self.D)
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -85,7 +85,7 @@ def random_convex_path(rng: random.Random, max_edges: int = 4) -> LatticePath:
         x += m * d[0]
         y += m * d[1]
         vertices.append((x, y))
-    return LatticePath.convex(vertices)
+    return LatticePath("convex", vertices)
 
 
 def random_instance(rng: random.Random, max_balls: int = 8) -> PackingInstance:

@@ -99,7 +99,7 @@ def test_criterion_5_capacity_formula_matches_path_oracle(data_dir):
             assert seq[k] == value
             assert count_convex(witness) == k + 1
             assert ell_convex(dom, witness) == value
-            assert ([[int(p.x), int(p.y)] for p in witness.vertices]
+            assert ([list(p) for p in witness.ints]
                     == golden[name][k][1]), (name, k)
     # values at full size, k up to 20, on every reference target
     reference = json.loads((data_dir / "oracle_golden_k6.json").read_text())
@@ -142,29 +142,38 @@ def test_criterion_8_sphere_chain_goldens_and_invariants():
     start = time.perf_counter()
     _, tree = concave_weights(OMEGA1)
     _, decomp = convex_weights(OMEGA2)
-    assert [c.E for c in sphere_chain_concave(tree).classes] == [
+    source, target = sphere_chain_concave(tree), sphere_chain_convex(decomp)
+    assert [c.E for c in source.classes] == [
         (1, 0, 0, 0, 0), (-1, 1, 0, 0, 0), (0, -1, 1, -1, -1),
         (0, 0, 0, 1, 0), (0, 0, 0, -1, 1)]
-    assert [(c.L, c.Ehat) for c in sphere_chain_convex(decomp).classes] == [
+    assert [(c.L, c.Ehat) for c in target.classes] == [
         (0, (1, 0, 0)), (0, (-1, 1, -1)), (0, (0, 0, 1)), (1, (0, -1, -1))]
     omega = symplectic_class(tree, decomp, 1)
     assert omega.ell == 5
     assert omega.e == (F(-2, 3), F(-2, 3), -2, F(-1, 3), F(-1, 3))
     assert omega.ehat == (-1, -3, -2)
-    for c in (sphere_chain_concave(tree).classes
-              + sphere_chain_convex(decomp).classes):
+    for c in source.classes + target.classes:
         assert pairing(omega, c) >= 0
+    # the chain invariants on both reference chains and on 15 concave
+    # and 15 convex random domains
     rng = random.Random(8)
-    chains = [sphere_chain_concave(concave_weights(random_concave(rng))[1])
-              for _ in range(10)]
+    chains = [source, target]
+    chains += [sphere_chain_concave(concave_weights(random_concave(rng))[1])
+               for _ in range(15)]
     chains += [sphere_chain_convex(convex_weights(random_convex(rng))[1])
-               for _ in range(10)]
+               for _ in range(15)]
     for chain in chains:
         cs = chain.classes
+        assert len(cs) == len(chain.weights)
         for i, a in enumerate(cs):
+            assert intersection(a, a) <= -1
             assert c1(a) == intersection(a, a) + 2
             for j in range(i + 1, len(cs)):
                 assert intersection(a, cs[j]) == (1 if j == i + 1 else 0)
+        if chain.line_index is not None:
+            assert [a.L for a in cs] == [int(i == chain.line_index)
+                                         for i in range(len(cs))]
+            assert chain.weights[chain.line_index] == chain.head
     assert time.perf_counter() - start < 1
 
 

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from echtoric import (DomainError, HomologyClass, SymplecticClass,
-                      ToricDomain, c1, chain_classes_concave,
-                      chain_classes_convex, concave_weights, contains,
+                      ToricDomain, c1, concave_weights, contains,
                       convex_weights, inner_approximation, intersection,
                       node_count, outer_approximation, pairing,
                       sphere_chain_concave, sphere_chain_convex,
@@ -68,28 +67,6 @@ def test_convex_chain_small_cases():
     assert [(c.L, c.Ehat) for c in chain.classes] == [
         (0, (1, 0)), (1, (-1, -1)), (0, (0, 1))]
     assert chain.weights == (1, 2, 1) and chain.line_index == 1
-
-
-def test_chain_pattern_invariants():
-    rng = random.Random(5)
-    chains = [sphere_chain_concave(src_tree(random_concave(rng)))
-              for _ in range(15)]
-    chains += [sphere_chain_convex(tgt_decomp(random_convex(rng)))
-               for _ in range(15)]
-    chains += [sphere_chain_concave(src_tree()),
-               sphere_chain_convex(tgt_decomp())]
-    for chain in chains:
-        cs = chain.classes
-        assert len(cs) == len(chain.weights)
-        for i, a in enumerate(cs):
-            assert intersection(a, a) <= -1
-            assert c1(a) == intersection(a, a) + 2
-            for j in range(i + 1, len(cs)):
-                assert intersection(a, cs[j]) == (1 if j == i + 1 else 0)
-        if chain.line_index is not None:
-            for i, a in enumerate(cs):
-                assert a.L == (1 if i == chain.line_index else 0)
-            assert chain.weights[chain.line_index] == chain.head
 
 
 def test_intersection_and_c1():

@@ -343,9 +343,10 @@ def test_capacity_paths_compare_no_fractions(monkeypatch):
     assert len(calls) == 0, calls
     assert seqs[1].values == OMEGA2_VALUES
     assert [r.first_violation() for r in reports] == [None, 1]
-    row = reports[1].rows[1]  # the report keeps its Fraction fields
-    assert dataclasses.astuple(row) == (1, 4, 2, False)
-    assert isinstance(row.source_value, Fraction)
+    rep = reports[1]  # its sequences' Fraction views compare exactly
+    assert (rep.source.values[1], rep.target.values[1], rep.oks[1]) == (
+        4, 2, False)
+    assert isinstance(rep.source.values[1], Fraction)
     assert hits == [None, 2]
 
 

@@ -27,18 +27,18 @@ def test_problem_kind_validation():
 
 def test_reduction_reference():
     inst = reduce_to_packing(EmbeddingProblem(OMEGA1, OMEGA2))
-    assert inst.target == 5
-    assert inst.vector() == (5, 3, 2, 2, 1, F(2, 3), F(2, 3), F(1, 3),
-                             F(1, 3))
+    assert inst.head == 5
+    assert (inst.head, *inst.weights) == (5, 3, 2, 2, 1, F(2, 3), F(2, 3),
+                                          F(1, 3), F(1, 3))
 
 
 def test_reduction_simplices():
     ball = ToricDomain.ball
     inst = reduce_to_packing(EmbeddingProblem(ball(1), ball(1, kind="convex")))
-    assert inst.vector() == (1, 1, 0, 0)
+    assert (inst.head, *inst.weights) == (1, 1)
     inst = reduce_to_packing(EmbeddingProblem(
         ToricDomain.ellipsoid(1, 2), SQUARE))
-    assert inst.vector() == (2, 1, 1, 1, 1)
+    assert (inst.head, *inst.weights) == (2, 1, 1, 1, 1)
 
 
 def test_decide_reference_pair():
@@ -58,21 +58,20 @@ def test_decide_infeasible_by_size():
 def test_capacity_report_reference():
     rep = capacity_report(EmbeddingProblem(OMEGA1, OMEGA2), 5)
     assert rep.all_ok and rep.first_violation() is None
-    assert rep.rows[0].source_value == 0 and rep.rows[0].target_value == 0
-    assert rep.rows[1].source_value == 2
-    assert rep.rows[5].source_value == F(16, 3)
-    assert rep.rows[5].target_value == 7
-    # the rows are the Fraction views of the two sequences compared
-    assert [r.source_value for r in rep.rows] == list(rep.source.values)
-    assert [r.target_value for r in rep.rows] == list(rep.target.values)
+    src, tgt = rep.source.values, rep.target.values
+    assert src[0] == 0 and tgt[0] == 0
+    assert src[1] == 2
+    assert src[5] == F(16, 3)
+    assert tgt[5] == 7
+    assert rep.oks == (True,) * 6
 
 
 def test_capacity_report_identity():
     prob = EmbeddingProblem(ToricDomain.ball(1),
                             ToricDomain.ball(1, kind="convex"))
     rep = capacity_report(prob, 6)
-    for r in rep.rows:
-        assert r.source_value == r.target_value and r.ok
+    assert rep.source.values == rep.target.values
+    assert all(rep.oks)
 
 
 def test_capacity_report_violation():
@@ -81,7 +80,8 @@ def test_capacity_report_violation():
     rep = capacity_report(prob, 4)
     assert not rep.all_ok
     assert rep.first_violation() == 1
-    assert rep.rows[1].source_value == 2 and rep.rows[1].target_value == 1
+    assert rep.source.values[1] == 2 and rep.target.values[1] == 1
+    assert not rep.oks[1]
 
 
 def test_square_and_wide_triangle_agree():

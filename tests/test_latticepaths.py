@@ -12,7 +12,7 @@ import pytest
 from echtoric import (DomainError, LatticePath, Point, ToricDomain,
                       convex_caps, convex_weights, count_concave,
                       count_convex, ell_concave, ell_convex,
-                      oracle_convex_cap, oracle_convex_caps_upto, split_path)
+                      oracle_convex_caps_upto, split_path)
 from echtoric import latticepaths
 from echtoric.domains import _edge_zone
 from echtoric.fileio import load_domain
@@ -27,9 +27,9 @@ F = Fraction
 # -- naive lattice point counting over the cut-off region -------------------
 
 def _region_points(path):
-    poly = [Point(0, 0)] + list(path.vertices) + [Point(0, 0)]
-    xs = [int(p.x) for p in path.vertices]
-    ys = [int(p.y) for p in path.vertices]
+    poly = [Point(0, 0)] + [Point(*v) for v in path.ints] + [Point(0, 0)]
+    xs = [x for x, _ in path.ints]
+    ys = [y for _, y in path.ints]
     pts = []
     for x in range(0, max(xs) + 1):
         for y in range(0, max(ys) + 1):
@@ -40,10 +40,11 @@ def _region_points(path):
 
 
 def _on_path(path, p):
-    for a, b in zip(path.vertices, path.vertices[1:]):
+    verts = [Point(*v) for v in path.ints]
+    for a, b in zip(verts, verts[1:]):
         if cross(a, b, p) == 0 and 0 <= dot(a, b, p) <= dot(a, b, b):
             return True
-    return p == path.vertices[0]
+    return p == verts[0]
 
 
 def dot(o, u, v):
@@ -53,23 +54,21 @@ def dot(o, u, v):
 
 def test_path_validation():
     with pytest.raises(DomainError):
-        LatticePath.convex([(0, F(1, 2)), (1, 0)])  # not a lattice point
+        LatticePath("convex", [(1, 1), (2, 0)])  # starts off the y-axis
     with pytest.raises(DomainError):
-        LatticePath.convex([(1, 1), (2, 0)])  # starts off the y-axis
+        LatticePath("convex", [(0, 1), (1, 1), (2, 2)])  # ends off the x-axis
     with pytest.raises(DomainError):
-        LatticePath.convex([(0, 1), (1, 1), (2, 2)])  # ends off the x-axis
+        LatticePath("convex", [(0, 2), (1, 0), (2, 0), (2, 2), (3, 0)])
     with pytest.raises(DomainError):
-        LatticePath.convex([(0, 2), (1, 0), (2, 0), (2, 2), (3, 0)])
-    with pytest.raises(DomainError):
-        LatticePath.concave([(0, 2), (1, 2), (2, 0)])  # flat edge not allowed
+        LatticePath("concave", [(0, 2), (1, 2), (2, 0)])  # a flat edge
 
 
 def test_count_reference_values():
-    empty = LatticePath.convex([(0, 0)])
+    empty = LatticePath("convex", [(0, 0)])
     assert count_convex(empty) == 1
-    diag = LatticePath.convex([(0, 1), (1, 0)])
+    diag = LatticePath("convex", [(0, 1), (1, 0)])
     assert count_convex(diag) == 3
-    assert count_concave(LatticePath.concave([(0, 1), (1, 0)])) == 1
+    assert count_concave(LatticePath("concave", [(0, 1), (1, 0)])) == 1
 
 
 def test_counts_against_enumeration():
@@ -81,7 +80,7 @@ def test_counts_against_enumeration():
     for _ in range(40):
         path = random_convex_path(rng)
         try:
-            cpath = LatticePath.concave(path.vertices)
+            cpath = LatticePath("concave", path.ints)
         except DomainError:
             continue  # staircase had flat or vertical edges
         region = _region_points(cpath)
@@ -92,14 +91,14 @@ def test_counts_against_enumeration():
 def test_ell_reference_values():
     square = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
     delta1 = ToricDomain.convex([(0, 1), (1, 0)])
-    diag = LatticePath.convex([(0, 1), (1, 0)])
+    diag = LatticePath("convex", [(0, 1), (1, 0)])
     assert ell_convex(square, diag) == 2
     assert ell_convex(delta1, diag) == 1
-    assert ell_convex(square, LatticePath.convex([(0, 0)])) == 0
-    cdiag = LatticePath.concave([(0, 1), (1, 0)])
+    assert ell_convex(square, LatticePath("convex", [(0, 0)])) == 0
+    cdiag = LatticePath("concave", [(0, 1), (1, 0)])
     cdom = ToricDomain.ball(1)
     assert ell_concave(cdom, cdiag) == 1
-    assert ell_concave(cdom, LatticePath.concave([(0, 2), (2, 0)])) == 2
+    assert ell_concave(cdom, LatticePath("concave", [(0, 2), (2, 0)])) == 2
     # cross((1, -1), p) is 2 at (0, 2) and 1 at (1, 0): the minimum counts
     assert ell_concave(ToricDomain.ellipsoid(1, 2), cdiag) == 1
     assert ell_concave(None, cdiag) == 0
@@ -109,33 +108,33 @@ def test_ell_reference_values():
 
 def test_ell_subdivision_invariance():
     dom = ToricDomain.convex([(0, 2), (2, 2), (3, 1), (2, 0)])
-    whole = LatticePath.convex([(0, 2), (2, 0)])
-    split = LatticePath.convex([(0, 2), (1, 1), (2, 0)])
+    whole = LatticePath("convex", [(0, 2), (2, 0)])
+    split = LatticePath("convex", [(0, 2), (1, 1), (2, 0)])
     assert ell_convex(dom, whole) == ell_convex(dom, split)
 
 
 def test_split_path_reference_cases():
-    sp = split_path(LatticePath.convex([(0, 1), (1, 0)]))
+    sp = split_path(LatticePath("convex", [(0, 1), (1, 0)]))
     assert sp.level == 1
-    assert sp.head.vertices == (Point(0, 1), Point(1, 0))
-    assert len(sp.left.vertices) == 1 and len(sp.right.vertices) == 1
+    assert sp.head.ints == ((0, 1), (1, 0))
+    assert len(sp.left.ints) == 1 and len(sp.right.ints) == 1
 
-    corner = LatticePath.convex([(0, 1), (1, 1), (1, 0)])
+    corner = LatticePath("convex", [(0, 1), (1, 1), (1, 0)])
     sp = split_path(corner, level=2)
     assert sp.level == 2
-    assert sp.left.vertices == (Point(0, 1), Point(1, 0))
-    assert sp.right.vertices == (Point(0, 1), Point(1, 0))
+    assert sp.left.ints == ((0, 1), (1, 0))
+    assert sp.right.ints == ((0, 1), (1, 0))
 
-    sp = split_path(LatticePath.convex([(0, 0)]))
+    sp = split_path(LatticePath("convex", [(0, 0)]))
     assert sp.level == 0
-    assert len(sp.head.vertices) == 1
+    assert len(sp.head.ints) == 1
 
     # three vertices sit on the peak diagonal x + y = 3
-    peak = LatticePath.convex([(0, 1), (1, 2), (2, 1), (3, 0)])
+    peak = LatticePath("convex", [(0, 1), (1, 2), (2, 1), (3, 0)])
     sp = split_path(peak)
-    assert sp.head.vertices == (Point(0, 3), Point(3, 0))
-    assert sp.left.vertices == (Point(0, 1), Point(2, 0))
-    assert sp.right.vertices == (Point(0, 0),)
+    assert sp.head.ints == ((0, 3), (3, 0))
+    assert sp.left.ints == ((0, 1), (2, 0))
+    assert sp.right.ints == ((0, 0),)
     assert count_convex(sp.head) == (count_convex(peak)
                                      + count_concave(sp.left)
                                      + count_concave(sp.right))
@@ -143,7 +142,7 @@ def test_split_path_reference_cases():
     with pytest.raises(DomainError):
         split_path(corner, level=3)
     with pytest.raises(DomainError):
-        split_path(LatticePath.concave([(0, 1), (1, 0)]))
+        split_path(LatticePath("concave", [(0, 1), (1, 0)]))
 
 
 def test_split_count_identity_random():
@@ -181,16 +180,16 @@ def test_split_ell_identity_random():
 def test_oracle_reference_values():
     delta1 = ToricDomain.convex([(0, 1), (1, 0)])
     square = ToricDomain.convex([(0, 1), (1, 1), (1, 0)])
-    v0, w0 = oracle_convex_cap(square, 0)
-    assert v0 == 0 and len(w0.vertices) == 1
-    v1, w1 = oracle_convex_cap(delta1, 1)
+    v0, w0 = oracle_convex_caps_upto(square, 0)[0]
+    assert v0 == 0 and len(w0.ints) == 1
+    v1, w1 = oracle_convex_caps_upto(delta1, 1)[1]
     assert v1 == 1 and count_convex(w1) == 2 and ell_convex(delta1, w1) == 1
-    v2, w2 = oracle_convex_cap(square, 2)
+    v2, w2 = oracle_convex_caps_upto(square, 2)[2]
     assert v2 == 2 and count_convex(w2) == 3 and ell_convex(square, w2) == 2
-    again = oracle_convex_cap(square, 2)
+    again = oracle_convex_caps_upto(square, 2)[2]
     assert again == (v2, w2)  # ties broken deterministically
     with pytest.raises(DomainError):
-        oracle_convex_cap(ToricDomain.ball(1), 1)
+        oracle_convex_caps_upto(ToricDomain.ball(1), 1)
     with pytest.raises(DomainError):
         oracle_convex_caps_upto(delta1, -1)
 
@@ -241,7 +240,7 @@ def test_oracle_golden_k12(data_dir):
     assert len(golden) == 33
     for entry in golden:
         dom = ToricDomain.convex(entry["boundary"])
-        got = [[str(value), [[int(p.x), int(p.y)] for p in witness.vertices]]
+        got = [[str(value), [list(p) for p in witness.ints]]
                for value, witness in oracle_convex_caps_upto(dom,
                                                              entry["kmax"])]
         assert got == entry["caps"], entry["name"]
@@ -260,9 +259,9 @@ def test_oracle_witness_is_not_the_least_vertex_tuple():
     for dom, k, value, witness, least in cases:
         got, path = oracle_convex_caps_upto(dom, k)[k]
         assert got == value
-        assert [(int(p.x), int(p.y)) for p in path.vertices] == witness
+        assert list(path.ints) == witness
         assert least < witness
-        other = LatticePath.convex(least)
+        other = LatticePath("convex", least)
         assert count_convex(other) == k + 1 and ell_convex(dom, other) == value
 
 
@@ -429,7 +428,7 @@ def _thin_targets():
 
 
 def _caps_and_witnesses(dom, kmax):
-    return [(value, tuple((int(p.x), int(p.y)) for p in witness.vertices))
+    return [(value, witness.ints)
             for value, witness in oracle_convex_caps_upto(dom, kmax)]
 
 

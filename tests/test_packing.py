@@ -12,10 +12,9 @@ from hypothesis import example, given, strategies as st
 from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
                       LimitError, PackingInstance, SymplecticClass,
                       ToricDomain, c1, capacities, capacity_obstruction,
-                      cremona_reduce, cremona_step, decide_packing, defect,
-                      intersection, load_domain, optimal_embedding_scale,
-                      optimal_scale, packing, pairing, reduce_to_packing,
-                      save_domain)
+                      cremona_step, decide_packing, defect, intersection,
+                      load_domain, optimal_embedding_scale, optimal_scale,
+                      packing, pairing, reduce_to_packing, save_domain)
 from echtoric import cli
 from echtoric.cli import main
 
@@ -42,12 +41,10 @@ def test_instance_validation():
     inst = PackingInstance.of(3, (F(1, 2), 0, 2, 0, 1))
     assert (inst.D, inst.top, inst.sizes) == (2, 6, (4, 2, 1))
     assert inst == PackingInstance(2, 6, (4, 2, 1))
-    assert inst.target == 3 and inst.balls == (2, 1, F(1, 2))
-    assert inst.vector() == (3, 2, 1, F(1, 2))
-    # the vector pads with zeros so three body entries exist
-    assert PackingInstance.of(1, ()).vector() == (1, 0, 0, 0)
-    assert PackingInstance.of(1, (1,)).vector() == (1, 1, 0, 0)
-    assert PackingInstance(3, 3, (1,)).vector() == (1, F(1, 3), 0, 0)
+    assert inst.head == 3 and inst.weights == (2, 1, F(1, 2))
+    assert PackingInstance.of(1, ()).weights == ()
+    assert (PackingInstance(3, 3, (1,)).head,
+            PackingInstance(3, 3, (1,)).weights) == (1, (F(1, 3),))
     # the integer form: a head, D > 0 and positive nonincreasing sizes
     for D, top, sizes in ((1, None, (1,)), (0, 1, (1,)), (-1, 1, (1,)),
                           (1, 0, (1,)), (1, 2, (1, 0)), (1, 2, (1, -1)),
@@ -75,14 +72,16 @@ def test_step_hand_traces():
     with pytest.raises(DomainError):
         cremona_step((2, 1, 1))  # defect 0, nothing to do
     # a negative head is a negative entry: the trace ends at once
-    assert cremona_reduce((-1, 1, 1, 1)) == ((-1, 1, 1, 1),)
+    rows = []
+    assert _reduce(-1, [1, 1, 1], rows) == HomologyClass(1, (0, 0, 0))
+    assert rows == [(-1, 1, 1, 1)]
 
 
 def test_step_conserves_volume_slack():
     rng = random.Random(11)
     for _ in range(100):
         inst = random_instance(rng)
-        vec = inst.vector()
+        vec = (inst.head, *inst.weights)
         if defect(vec) <= 0:
             continue
         nxt = cremona_step(vec)
@@ -145,17 +144,17 @@ def test_verdict_invariances():
         inst = random_instance(rng)
         v = decide_packing(inst)
         # order of the balls is irrelevant
-        shuffled = list(inst.balls)
+        shuffled = list(inst.weights)
         rng.shuffle(shuffled)
-        w = decide_packing(PackingInstance.of(inst.target, tuple(shuffled)))
+        w = decide_packing(PackingInstance.of(inst.head, tuple(shuffled)))
         assert w == v
         # shrinking one ball never breaks a feasible packing
-        if v.feasible and inst.balls:
-            i = rng.randrange(len(inst.balls))
-            smaller = list(inst.balls)
+        if v.feasible and inst.weights:
+            i = rng.randrange(len(inst.weights))
+            smaller = list(inst.weights)
             smaller[i] = smaller[i] * F(1, 2)
             assert decide_packing(
-                PackingInstance.of(inst.target, tuple(smaller))).feasible
+                PackingInstance.of(inst.head, tuple(smaller))).feasible
 
 
 # -- the capacity cross-check ------------------------------------------------
@@ -214,15 +213,15 @@ def test_optimal_scale_bracket_is_sharp():
     rng = random.Random(59)
     for _ in range(10):
         inst = random_instance(rng)
-        if not inst.balls or not decide_packing(inst).feasible:
+        if not inst.weights or not decide_packing(inst).feasible:
             continue
-        lo, hi = optimal_scale(inst, inst.balls[:1], F(1, 32))
+        lo, hi = optimal_scale(inst, inst.weights[:1], F(1, 32))
         assert hi - lo <= F(1, 32)
-        scaled_lo = (lo * inst.balls[0],) + inst.balls[1:]
-        scaled_hi = (hi * inst.balls[0],) + inst.balls[1:]
-        assert decide_packing(PackingInstance.of(inst.target,
+        scaled_lo = (lo * inst.weights[0],) + inst.weights[1:]
+        scaled_hi = (hi * inst.weights[0],) + inst.weights[1:]
+        assert decide_packing(PackingInstance.of(inst.head,
                                                  scaled_lo)).feasible
-        assert not decide_packing(PackingInstance.of(inst.target,
+        assert not decide_packing(PackingInstance.of(inst.head,
                                                      scaled_hi)).feasible
 
 
@@ -400,7 +399,8 @@ def test_packing_golden(data_dir):
 
 def _fraction_feasible(target, balls):
     """Reduction on Fractions by single moves, as a reference."""
-    vec = PackingInstance.of(target, balls).vector()
+    inst = PackingInstance.of(target, balls)
+    vec = (inst.head, *inst.weights)
     slack = vec[0] ** 2 - sum(a * a for a in vec[1:])
     while min(vec) >= 0 and defect(vec) > 0:
         vec = cremona_step(vec)
@@ -467,20 +467,20 @@ def test_scale_probe_matches_fraction_decisions():
     seen = set()
     for _ in range(400):
         inst = random_instance(rng, max_balls=rng.choice((2, 4, 9)))
-        cut = rng.randint(1, len(inst.balls))
-        scaled, fixed = inst.balls[:cut], inst.balls[cut:]
-        _, ints = _integral((inst.target,) + scaled + fixed)
+        cut = rng.randint(1, len(inst.weights))
+        scaled, fixed = inst.weights[:cut], inst.weights[cut:]
+        _, ints = _integral((inst.head,) + scaled + fixed)
         n = 1 + len(scaled)
         for t in (F(0), F(1), F(rng.randint(0, 40), rng.randint(1, 24))):
             balls = tuple(t * a for a in scaled) + fixed
-            ref = decide_packing(PackingInstance.of(inst.target, balls))
+            ref = decide_packing(PackingInstance.of(inst.head, balls))
             p, q = t.numerator, t.denominator
             head, sizes = q * ints[0], ([p * a for a in ints[1:n]]
                                         + [q * a for a in ints[n:]])
             got = (_slack([head] + sizes) >= 0
                    and _reduce(head, sizes) is None)
             assert got == ref.feasible == _fraction_feasible(
-                inst.target, balls) == _scaled_feasible(
+                inst.head, balls) == _scaled_feasible(
                     ints[0], ints[1:n], ints[n:], t)
             seen.add((t == 0, len(ref.trace[0]) - 1 - len(balls) > 0,
                       "negative-entry" in ref.failures))
@@ -509,7 +509,7 @@ def _random_searches():
     rng = random.Random(71)
     for _ in range(600):
         inst = random_instance(rng, max_balls=rng.choice((2, 4, 9)))
-        scaled = inst.balls[:rng.randint(1, len(inst.balls))]
+        scaled = inst.weights[:rng.randint(1, len(inst.weights))]
         for precision in (F(1, 16), F(1, 1000), F(1, 10 ** 6)):
             yield inst, scaled, precision
 

@@ -74,11 +74,15 @@ def test_area_identity_random_domains():
     for _ in range(30):
         dom = random_concave(rng)
         exp, _ = concave_weights(dom)
-        assert exp.weight_squares() == 2 * dom.area()
+        # the expansion is over the domain's D, so the rule is in integers
+        assert exp.D == dom.D
+        assert sum(a * a for a in exp.sizes) == dom.twice_area()
     for _ in range(30):
         dom = random_convex(rng)
         exp, _ = convex_weights(dom)
-        assert exp.head ** 2 - exp.weight_squares() == 2 * dom.area()
+        assert exp.D == dom.D
+        assert exp.top ** 2 - sum(a * a for a in exp.sizes) == \
+            dom.twice_area()
 
 
 def test_scaling_equivariance_random():
@@ -103,7 +107,7 @@ def test_long_euclid_run_stays_iterative():
     exp, tree = concave_weights(dom, DEFAULT_MAX_NODES)
     assert node_count(tree) == 5000
     assert set(exp.weights) == {1}
-    assert exp.weight_squares() == 2 * dom.area()
+    assert sum(a * a for a in exp.sizes) == dom.twice_area()
 
 
 def test_piece_check_matches_domain_rules():
