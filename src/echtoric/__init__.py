@@ -3,19 +3,17 @@
 Everything runs over the rationals: weight expansions of concave and
 convex domains, the reduction of embedding questions to ball packings,
 the Cremona reduction that decides them, capacity sequences with an
-exhaustive lattice path oracle, sphere chains with their homology
-classes, and inner and outer polygonal approximations.
+exhaustive lattice path oracle, homology classes with their area form,
+sphere chains, and inner and outer polygonal approximations.
 """
 
 import types as _types
 
-from .blowups import (HomologyClass, SphereChain, SymplecticClass, c1,
-                      chain_classes_concave, chain_classes_convex,
-                      inner_approximation, intersection, outer_approximation,
-                      pairing, sphere_chain_concave, sphere_chain_convex,
-                      symplectic_class)
+from .blowups import (SphereChain, inner_approximation, outer_approximation,
+                      sphere_chain_concave, sphere_chain_convex)
 from .capacities import (CapacitySeq, ball_caps, concave_caps, convex_caps,
                          convex_horizon)
+from .classes import HomologyClass, area, c1, intersection
 from .domains import ToricDomain, contains
 from .embeddings import (CapacityReport, EmbeddingProblem, capacity_report,
                          decide_embedding, optimal_embedding_scale,

@@ -1,4 +1,4 @@
-"""Sphere chains, homology bookkeeping and boundary approximations.
+"""Sphere chains and boundary approximations.
 
 Every cut in a weight decomposition leaves a sphere behind; reading the
 decomposition's rows in-order lists those spheres left to right along
@@ -9,13 +9,12 @@ the left-spine of its right subtree, followed through the rows' child
 indices.  For a convex domain the two side pieces are read in reversed
 order (folding a piece into standard position flips it) around one
 extra sphere coming from the cut line itself, whose class starts from
-the line class instead.
-
-Homology classes live in the blowup of the plane at points indexed by
-the source spheres (E) and the target spheres (Ehat); the intersection
-form is diagonal (+1, -1, ..., -1).  A symplectic class stores the
-signed coefficients of the form, so pairing it against a sphere class
-returns the symplectic area of that sphere.
+the line class instead.  The classes are those of classes.py, a
+concave chain's in the E_i and a convex chain's in L and the Ehat_j.
+Entry i of a chain carries the size label of its own exceptional
+class, so the weights in chain order are the form that classes.area
+reads: a source chain's weights are its sizes, and a target chain's
+head and its weights without the line sphere's are its head and hats.
 
 The boundary approximations perturb a decomposition: pushing every cut
 level up by a small amount produces a slightly larger concave domain
@@ -50,49 +49,12 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
+from .classes import HomologyClass
 from .domains import ToricDomain, _check_concave
 from .errors import DomainError
 from .geometry import RationalLike, ratio, rational
 from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
                       inorder, node_count, tree_values)
-
-
-@dataclass(frozen=True)
-class HomologyClass:
-    """Integer class a*L + sum b_i E_i + sum c_j Ehat_j."""
-
-    L: int
-    E: tuple[int, ...] = ()
-    Ehat: tuple[int, ...] = ()
-
-
-def _dot(u: Sequence, v: Sequence) -> Fraction:
-    total = 0
-    for a, b in zip(u, v):  # absent coordinates count as zero
-        total += a * b
-    return total
-
-
-def intersection(A: HomologyClass, B: HomologyClass) -> int:
-    return A.L * B.L - _dot(A.E, B.E) - _dot(A.Ehat, B.Ehat)
-
-
-def c1(A: HomologyClass) -> int:
-    return 3 * A.L + sum(A.E) + sum(A.Ehat)
-
-
-@dataclass(frozen=True)
-class SymplecticClass:
-    """Signed coefficients of the symplectic form on a blowup."""
-
-    ell: Fraction
-    e: tuple[Fraction, ...]
-    ehat: tuple[Fraction, ...]
-
-
-def pairing(omega: SymplecticClass, A: HomologyClass) -> Fraction:
-    return (omega.ell * A.L - _dot(omega.e, A.E)
-            - _dot(omega.ehat, A.Ehat))
 
 
 @dataclass(frozen=True)
@@ -144,16 +106,13 @@ def _class_rows(dec: Decomposition, order: list[int], start: int,
     return out, pos
 
 
-def chain_classes_concave(dec: Decomposition) -> list[HomologyClass]:
-    rows, _ = _class_rows(dec, list(inorder(dec)), 0, node_count(dec))
-    return [HomologyClass(0, row, ()) for row in rows]
-
-
 def sphere_chain_concave(dec: Decomposition) -> SphereChain:
-    return SphereChain(tuple(chain_classes_concave(dec)), tree_values(dec))
+    rows, _ = _class_rows(dec, list(inorder(dec)), 0, node_count(dec))
+    return SphereChain(tuple(HomologyClass(0, row, ()) for row in rows),
+                       tree_values(dec))
 
 
-def chain_classes_convex(decomp: ConvexDecomposition) -> list[HomologyClass]:
+def sphere_chain_convex(decomp: ConvexDecomposition) -> SphereChain:
     n_left = node_count(decomp.left)
     width = n_left + node_count(decomp.right)
     classes: list[HomologyClass] = []
@@ -168,32 +127,10 @@ def chain_classes_convex(decomp: ConvexDecomposition) -> list[HomologyClass]:
             for j in _spine(dec.rows, pos, 0, side):
                 line[j] -= 1
     classes.insert(n_left, HomologyClass(1, (), tuple(line)))
-    return classes
-
-
-def sphere_chain_convex(decomp: ConvexDecomposition) -> SphereChain:
-    left_vals = tree_values(decomp.left)[::-1]
-    right_vals = tree_values(decomp.right)[::-1]
-    weights = left_vals + (decomp.head,) + right_vals
-    return SphereChain(tuple(chain_classes_convex(decomp)), weights,
-                       head=decomp.head, line_index=len(left_vals))
-
-
-def symplectic_class(source: Decomposition,
-                     target_decomp: ConvexDecomposition,
-                     r: RationalLike = 1) -> SymplecticClass:
-    """Form class for packing an r-scaled source into the target.
-
-    e coefficients follow the source chain order, ehat the target chain
-    order with the line sphere skipped.
-    """
-    scale = rational(r)
-    if scale <= 0:
-        raise DomainError("scale must be positive")
-    e = tuple(-scale * v for v in tree_values(source))
-    ehat = tuple(-v for v in tree_values(target_decomp.left)[::-1]
-                 + tree_values(target_decomp.right)[::-1])
-    return SymplecticClass(target_decomp.head, e, ehat)
+    weights = (tree_values(decomp.left)[::-1] + (decomp.head,)
+               + tree_values(decomp.right)[::-1])
+    return SphereChain(tuple(classes), weights, head=decomp.head,
+                       line_index=n_left)
 
 
 # -- boundary approximations -----------------------------------------------

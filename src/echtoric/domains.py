@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
@@ -126,10 +127,14 @@ class ToricDomain:
     def __post_init__(self) -> None:
         if self.kind not in ("concave", "convex"):
             raise DomainError(f"unknown domain kind {self.kind!r}")
-        D = self.D
+        try:
+            D = index(self.D)
+            ints = tuple([(index(x), index(y)) for x, y in self.ints])
+        except TypeError:
+            raise DomainError(
+                "boundary denominator and vertices must be integers") from None
         if D <= 0:
             raise DomainError("boundary denominator must be positive")
-        ints = self.ints
         keep = _collapse(ints)
         if len(keep) < len(ints):
             ints = [ints[i] for i in keep]

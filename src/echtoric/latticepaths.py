@@ -70,7 +70,10 @@ class LatticePath:
     def __post_init__(self) -> None:
         if self.kind not in ("convex", "concave"):
             raise DomainError(f"unknown path kind {self.kind!r}")
-        pts = tuple((index(x), index(y)) for x, y in self.ints)
+        try:
+            pts = tuple([(index(x), index(y)) for x, y in self.ints])
+        except TypeError:
+            raise DomainError("path vertices must be integers") from None
         object.__setattr__(self, "ints", pts)
         if not pts:
             raise DomainError("a path needs at least one vertex")
@@ -409,9 +412,9 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     computes each step breaks, as that walk's check on the prefix's
     own kmin is implied by the last (kmin grows along a path, suff does
     not increase in its index).  Entries and nodes are made when a walk
-    first reaches them; the supports stay in sup, this request's.  A
-    prefix with a slot is considered: its (value, path) replaces the
-    slot's incumbent if it is smaller.
+    first reaches them; the supports stay in sup, this request's.  At
+    the top of walk, a prefix with a slot updates it: its (value, path)
+    replaces the slot's incumbent if it is smaller.
 
     A partial path is pruned on a lower bound for its completed value,
     ell + y X, where (x, y) is its last vertex and X the region's
@@ -424,13 +427,14 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     - it is monotone along an edge: h(d) >= -dy X, so ell + y X never
       decreases as the edge grows, and each break still only drops
       longer edges that would be pruned as well;
-    - it never prunes a path that would reach consider: the pruned
-      prefix's bound already reaches suff[kmin], incumbents only fall
-      and suff does not increase in its index, so every completion
-      would be pruned on its own kmin before consider.
+    - it never prunes a path that would reach its slot update at the
+      top of walk: the pruned prefix's bound already reaches
+      suff[kmin], incumbents only fall and suff does not increase in
+      its index, so every completion would be pruned on its own kmin
+      before it.
 
-    consider therefore meets the same paths in the same order as with
-    the bare functional, and values and witnesses do not change.
+    The slot updates therefore meet the same paths in the same order as
+    with the bare functional, and values and witnesses do not change.
 
     A step to (nx, ny) that survives that check is also pruned on the
     lattice points its prefix already encloses.  Let y0 be the path's
@@ -443,7 +447,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
       convex region (flat pieces walked twice allowed), and the fan's
       vertices are vertices of that cycle, taken in its order.
     - Pick's count: for such a cycle twice the area plus the boundary
-      points is 2 (points - 1), which is how consider counts.  So a
+      points is 2 (points - 1), which is how walk counts its slots.  So a
       completion has at least c2 / 2 + 1 points and lands in a slot
       k >= c2 / 2.
     - Monotone along an edge: a longer edge's fan contains the shorter
@@ -454,7 +458,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
       completion lands past kmax, or when ell + y X > suff[c2 // 2].
       The comparison is strict, so every completion's value would be
       above the incumbent of its slot, which only falls, and would fail
-      cand < best[k] in consider without changing anything.  With >=, a
+      cand < b in its slot update without changing anything.  With >=, a
       completion that ties its slot's incumbent with a smaller vertex
       tuple could be dropped before it replaced the witness.
     """

@@ -13,21 +13,21 @@ The packing exists exactly when the reduction ends nonnegative and the
 squared sizes fit into the head square.  Each verdict carries the whole
 trace so a reduction can be replayed and audited step by step.
 
-A PackingInstance is a WeightExpansion with the head required, its
-sizes sorted integers over one D, as reduce_to_packing merges them or
+A PackingInstance is a WeightExpansion with the head required, its sizes
+sorted integers over one D, as reduce_to_packing merges them or
 PackingInstance.of clears them from rationals.  One kernel, _reduce,
 runs the moves on such integers for decide_packing and every probe of
 optimal_scale.  Once a move is due, it packs each size with its ball's
 label into one integer, so its body sorted by (size, label) is the
 sorted vector, read off as trace rows when asked, and ties break alike
-in every caller.  A reduction that ends on a negative
-entry returns that entry's class C = d L - sum m_i E_i, pulled back
-through the moves, each the reflection in L - E_i - E_j - E_k: an
-exceptional class, or the line class's image if the head went negative,
-whose pairing with the input is the negative entry.  A Verdict keeps
-the integer rows; its Fraction trace is built only when read.  defect
-and cremona_step stay a single move on Fractions that shares no code
-with the kernel, so a replay with them checks its traces.
+in every caller.  A reduction that ends on a negative entry returns that
+entry's class C = d L - sum m_i E_i of classes.py, pulled back through
+the moves, each the reflection in L - E_i - E_j - E_k: an exceptional
+class, or the line class's image if the head went negative, whose area
+on the input, classes.area(C, head, balls), is the negative entry.  A
+Verdict keeps the integer rows; its Fraction trace is built only when
+read.  defect and cremona_step stay a single move on Fractions that
+shares no code with the kernel, so a replay with them checks its traces.
 
 optimal_scale brackets the supremal factor t at which the scaled balls
 still pack.  A probe at t = p/q reads the same integers (q*b; p*a_i for
@@ -62,8 +62,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .blowups import HomologyClass
 from .capacities import _ball_ints, concave_caps
+from .classes import HomologyClass
 from .errors import DomainError
 from .geometry import RationalLike, rational
 from .weights import WeightExpansion, _fractions
@@ -159,10 +159,10 @@ def _reduce(head: int, balls: Sequence[int],
     the least size), pulled back to the input's basis.
 
     balls are in any order, padded with zeros to three, and ball t
-    stands for E_t: C = c_0 L + sum c_t E_t pairs with the input as
-    head c_0 + sum balls[t] c_t, the negative entry.  rows, if a list,
-    gets each row (head, *sizes descending), the input's first.  Once
-    a move is due, the body keeps a << shift | t ascending, so the three
+    stands for E_t: C = c_0 L + sum c_t E_t has area head c_0 + sum
+    balls[t] c_t on the input, the negative entry.  rows, if a list,
+    gets each row (head, *sizes descending), the input's first.  Once a
+    move is due, the body keeps a << shift | t ascending, so the three
     largest sit at the end, where a move re-inserts them by bisection;
     the walk back adds (C.R) R per move, R = L - E_i - E_j - E_k.  The
     head drops by at least one per move and a negative head is a
@@ -311,7 +311,8 @@ def optimal_scale(instance: PackingInstance,
         C = _reduce(q * b, [p * x for x in a] + [q * x for x in f])
         if C is None:
             return False
-        # w_t(C) = const + t lin, negative at t = p/q
+        # classes.area of C at scale t is const + t lin, negative at
+        # t = p/q; the two parts stay apart for the cap
         const = b * C.L + sum(x * e for x, e in zip(f, C.E[len(a):]))
         lin = sum(x * e for x, e in zip(a, C.E))
         assert q * const + p * lin < 0

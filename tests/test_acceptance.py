@@ -9,14 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from echtoric import (PackingInstance, EmbeddingProblem, ToricDomain, c1,
-                      capacity_obstruction, concave_caps, concave_weights,
-                      convex_caps, convex_weights, count_convex,
-                      cremona_step, decide_embedding, decide_packing,
-                      ell_convex, intersection, load_domain,
+from echtoric import (PackingInstance, EmbeddingProblem, ToricDomain, area,
+                      c1, capacity_obstruction, concave_caps,
+                      concave_weights, convex_caps, convex_weights,
+                      count_convex, cremona_step, decide_embedding,
+                      decide_packing, ell_convex, intersection, load_domain,
                       optimal_embedding_scale, oracle_convex_caps_upto,
-                      pairing, sphere_chain_concave, sphere_chain_convex,
-                      symplectic_class)
+                      sphere_chain_concave, sphere_chain_convex)
 
 from generators import random_concave, random_convex, random_instance
 
@@ -148,12 +147,15 @@ def test_criterion_8_sphere_chain_goldens_and_invariants():
         (0, 0, 0, 1, 0), (0, 0, 0, -1, 1)]
     assert [(c.L, c.Ehat) for c in target.classes] == [
         (0, (1, 0, 0)), (0, (-1, 1, -1)), (0, (0, 0, 1)), (1, (0, -1, -1))]
-    omega = symplectic_class(tree, decomp, 1)
-    assert omega.ell == 5
-    assert omega.e == (F(-2, 3), F(-2, 3), -2, F(-1, 3), F(-1, 3))
-    assert omega.ehat == (-1, -3, -2)
-    for c in source.classes + target.classes:
-        assert pairing(omega, c) >= 0
+    # the form: the target's head on L, the source's weights on E and
+    # the target's other weights on Ehat, each in chain order
+    i = target.line_index
+    head, hats = target.head, target.weights[:i] + target.weights[i + 1:]
+    assert (head, source.weights, hats) == (
+        5, (F(2, 3), F(2, 3), 2, F(1, 3), F(1, 3)), (1, 3, 2))
+    assert [area(c, head, source.weights, hats)
+            for c in source.classes + target.classes] == [
+        F(2, 3), 0, F(2, 3), F(1, 3), 0, 1, 0, 2, 0]
     # the chain invariants on both reference chains and on 15 concave
     # and 15 convex random domains
     rng = random.Random(8)

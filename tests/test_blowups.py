@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from echtoric import (DomainError, HomologyClass, SymplecticClass,
-                      ToricDomain, c1, concave_weights, contains,
-                      convex_weights, inner_approximation, intersection,
-                      node_count, outer_approximation, pairing,
-                      sphere_chain_concave, sphere_chain_convex,
-                      symplectic_class, tree_values)
+from echtoric import (DomainError, HomologyClass, ToricDomain, area, c1,
+                      concave_weights, contains, convex_weights,
+                      inner_approximation, intersection, node_count,
+                      outer_approximation, sphere_chain_concave,
+                      sphere_chain_convex)
 from echtoric.domains import _check_concave
 
 from generators import random_concave, random_convex
@@ -79,45 +78,33 @@ def test_intersection_and_c1():
     assert c1(hard) == -2 and intersection(hard, hard) == -4
     # mixed-length vectors pad with zeros
     assert intersection(HomologyClass(0, (1,)), HomologyClass(0, (1, 5))) == -1
+    # the area form: head on L, sizes on E, hats on Ehat
+    line = HomologyClass(1, (-1, -1), (-1,))
+    assert area(line, 5, (1, 2), (F(1, 2),)) == F(3, 2)
+    assert area(HomologyClass(2), 3) == 6
+    assert area(HomologyClass(0, (1, 1)), 0, (7,)) == 7
 
 
-# -- the form class and its areas ---------------------------------------------
+# -- the form the chains carry and its areas ---------------------------------
 
-def test_symplectic_class_reference():
-    omega = symplectic_class(src_tree(), tgt_decomp(), 1)
-    assert omega.ell == 5
-    assert omega.e == (F(-2, 3), F(-2, 3), -2, F(-1, 3), F(-1, 3))
-    assert omega.ehat == (-1, -3, -2)
-
-
-def test_symplectic_class_simplices():
-    omega = symplectic_class(src_tree(ToricDomain.ball(1)),
-                             tgt_decomp(ToricDomain.ball(1, kind="convex")), 1)
-    assert omega == SymplecticClass(1, (-1,), ())
-    # a plain simplex target leaves only the source blowup terms
-    omega = symplectic_class(src_tree(), tgt_decomp(
-        ToricDomain.ball(7, kind="convex")), F(1, 2))
-    assert omega.ell == 7 and omega.ehat == ()
-    assert omega.e == tuple(-F(1, 2) * v for v in tree_values(src_tree()))
+def target_form(target):
+    """A convex chain's head and its weights off the line sphere."""
+    i = target.line_index
+    return target.head, target.weights[:i] + target.weights[i + 1:]
 
 
-def test_symplectic_class_scale_behavior():
-    base = symplectic_class(src_tree(), tgt_decomp(), 1)
-    tiny = symplectic_class(src_tree(), tgt_decomp(), F(1, 1000))
-    assert tiny.ell == base.ell and tiny.ehat == base.ehat
-    assert tiny.e == tuple(F(1, 1000) * v for v in base.e)
-    with pytest.raises(DomainError):
-        symplectic_class(src_tree(), tgt_decomp(), 0)
-    with pytest.raises(DomainError):
-        symplectic_class(src_tree(), tgt_decomp(), -1)
+def chain_areas(source, target):
+    """Areas of both chains' classes for the form their weights give:
+    the target's head on L, the source's weights on E and the target's
+    other weights on Ehat."""
+    head, hats = target_form(target)
+    return [[area(c, head, source.weights, hats) for c in ch.classes]
+            for ch in (source, target)]
 
 
 def test_area_pairings_reference():
-    omega = symplectic_class(src_tree(), tgt_decomp(), 1)
-    src_areas = [pairing(omega, c)
-                 for c in sphere_chain_concave(src_tree()).classes]
-    tgt_areas = [pairing(omega, c)
-                 for c in sphere_chain_convex(tgt_decomp()).classes]
+    src_areas, tgt_areas = chain_areas(sphere_chain_concave(src_tree()),
+                                       sphere_chain_convex(tgt_decomp()))
     assert src_areas == [F(2, 3), 0, F(2, 3), F(1, 3), 0]
     assert tgt_areas == [1, 0, 2, 0]
     assert all(a >= 0 for a in src_areas + tgt_areas)
@@ -126,13 +113,10 @@ def test_area_pairings_reference():
 def test_area_pairings_nonnegative_random():
     rng = random.Random(17)
     for _ in range(20):
-        tree = src_tree(random_concave(rng))
-        decomp = tgt_decomp(random_convex(rng))
-        omega = symplectic_class(tree, decomp, 1)
-        for c in sphere_chain_concave(tree).classes:
-            assert pairing(omega, c) >= 0
-        for c in sphere_chain_convex(decomp).classes:
-            assert pairing(omega, c) >= 0
+        source = sphere_chain_concave(src_tree(random_concave(rng)))
+        target = sphere_chain_convex(tgt_decomp(random_convex(rng)))
+        for areas in chain_areas(source, target):
+            assert all(a >= 0 for a in areas)
 
 
 # -- outer approximation -------------------------------------------------------
@@ -283,17 +267,14 @@ def test_inner_rejections():
 # -- strict positivity under perturbation --------------------------------------
 
 def concave_gap_areas(dom):
-    exp, tree = concave_weights(dom)
-    omega = SymplecticClass(0, tuple(-v for v in tree_values(tree)), ())
-    return [pairing(omega, c) for c in sphere_chain_concave(tree).classes]
+    chain = sphere_chain_concave(concave_weights(dom)[1])
+    return [area(c, 0, chain.weights) for c in chain.classes]
 
 
 def convex_gap_areas(dom):
-    exp, decomp = convex_weights(dom)
-    ehat = tuple(-v for v in tree_values(decomp.left)[::-1]
-                 + tree_values(decomp.right)[::-1])
-    omega = SymplecticClass(decomp.head, (), ehat)
-    return [pairing(omega, c) for c in sphere_chain_convex(decomp).classes]
+    chain = sphere_chain_convex(convex_weights(dom)[1])
+    head, hats = target_form(chain)
+    return [area(c, head, (), hats) for c in chain.classes]
 
 
 def test_outer_makes_source_areas_strict():

@@ -5,9 +5,9 @@ from itertools import chain
 
 import pytest
 
-from echtoric import (DomainError, Point, ToricDomain, concave_weights,
-                      contains, convex_weights, domain_from_json,
-                      domain_to_json, inner_approximation,
+from echtoric import (DomainError, LatticePath, Point, ToricDomain,
+                      concave_weights, contains, convex_weights,
+                      domain_from_json, domain_to_json, inner_approximation,
                       outer_approximation)
 
 from generators import cross, random_concave, random_convex
@@ -333,6 +333,23 @@ def test_collapse_keeps_the_canonical_tuple():
     assert dom.D == 6
     assert all((F(x, dom.D), F(y, dom.D)) == (p.x, p.y)
                for (x, y), p in zip(dom.ints, dom.boundary))
+
+
+def test_integer_constructors_take_any_integer_pairs():
+    # list pairs are stored as tuples, so the domains are equal and hash
+    dom = ToricDomain("concave", 1, [[0, 2], [2, 0]])
+    assert dom == ToricDomain("concave", 1, ((0, 2), (2, 0)))
+    assert hash(dom) == hash(ToricDomain.ball(2))
+    assert dom.ints == ((0, 2), (2, 0))
+    assert LatticePath("convex", [[0, 1], [1, 0]]).ints == ((0, 1), (1, 0))
+    # a coordinate that is no integer is a domain error, not a TypeError
+    for build in (lambda: ToricDomain("concave", 1, [(0, 2.0), (2, 0)]),
+                  lambda: ToricDomain("concave", 1, [(0, Fraction(2)),
+                                                     (2, 0)]),
+                  lambda: ToricDomain("convex", 1.0, [(0, 1), (1, 0)]),
+                  lambda: LatticePath("concave", [(0, 1), (1.0, 0)])):
+        with pytest.raises(DomainError, match="must be integers"):
+            build()
 
 
 def _approximations():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.util
 import io
@@ -9,6 +10,7 @@ import echtoric
 import echtoric.cli
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "echtoric"
 SPANS = ROOT / "bench" / "spans.py"
 CI = ROOT / ".github" / "workflows" / "tests.yml"
 
@@ -43,26 +45,29 @@ ROLES = {
     "split_path": "reference",
     # criterion 9: the capacity test never contradicts a Cremona verdict
     "capacity_obstruction": "reference",
-    # criterion 8, the approximation-strictness tests and the one home
-    # for exceptional classes
+    # the class forms criterion 8 and the kernel-class tests check
+    # classes with, and the sphere chains whose areas the
+    # approximation-strictness tests hold the approximations against
     **dict.fromkeys((
-        "HomologyClass", "SphereChain", "SymplecticClass", "c1",
-        "chain_classes_concave", "chain_classes_convex", "intersection",
-        "pairing", "sphere_chain_concave", "sphere_chain_convex",
-        "symplectic_class"), "roadmap item 14"),
+        "area", "c1", "intersection", "sphere_chain_concave",
+        "sphere_chain_convex"), "reference"),
     # packing numbers: a source whose weights are given balls
     "build_short_concave": "roadmap item 11",
     **dict.fromkeys((
         "CapacityReport", "CapacitySeq", "ConvexDecomposition",
-        "Decomposition", "GeometryError", "LatticePath", "Point",
-        "WeightExpansion", "ball_caps", "convex_horizon", "decide_embedding",
-        "digest_bytes", "domain_from_json", "domain_to_json", "inorder",
-        "node_count", "tree_values"), "library"),
+        "Decomposition", "GeometryError", "HomologyClass", "LatticePath",
+        "Point", "SphereChain", "WeightExpansion", "ball_caps",
+        "convex_horizon", "decide_embedding", "digest_bytes",
+        "domain_from_json", "domain_to_json", "inorder", "node_count",
+        "tree_values"), "library"),
 }
 
 # names this package no longer has, each with where it lived
 GONE = {"oracle_convex_cap": "latticepaths", "cremona_reduce": "packing",
-        "ReportRow": "embeddings"}
+        "ReportRow": "embeddings",
+        **dict.fromkeys(("SymplecticClass", "pairing", "symplectic_class",
+                         "chain_classes_concave", "chain_classes_convex"),
+                        "blowups")}
 GONE_ATTRS = {"PackingInstance": ("vector", "target", "balls"),
               "WeightExpansion": ("weight_squares",),
               "CapacityReport": ("rows",),
@@ -123,3 +128,41 @@ def test_readme_library_example():
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected == [
         "True", "True", "(Fraction(1, 1), Fraction(129, 128))"]
+
+
+def _imports(path):
+    """(level, module, names) of every import statement in the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield 0, alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            yield (node.level, node.module or "",
+                   tuple(alias.name for alias in node.names))
+
+
+def _top_level_defs(path):
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_class_arithmetic_layering():
+    # classes.py stands on the standard library alone, packing reads its
+    # classes from there and not through the approximations module, and
+    # blowups.py defines none of the class arithmetic
+    imports = list(_imports(SRC / "classes.py"))
+    assert imports
+    for level, module, _ in imports:
+        assert level == 0, module
+        assert module.split(".")[0] in sys.stdlib_module_names, module
+    reached = set()  # every module an import in packing.py can bind
+    for level, module, names in _imports(SRC / "packing.py"):
+        if level:
+            module = ".".join(filter(None, ("echtoric", module)))
+        reached.add(module)
+        reached.update(f"{module}.{name}" for name in names)
+    assert "echtoric.classes" in reached
+    assert "echtoric.blowups" not in reached
+    gone = {name for name, module in GONE.items() if module == "blowups"}
+    assert not _top_level_defs(SRC / "blowups.py") & (
+        _top_level_defs(SRC / "classes.py") | gone)

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
-                      LimitError, PackingInstance, SymplecticClass,
-                      ToricDomain, c1, capacities, capacity_obstruction,
-                      cremona_step, decide_packing, defect, intersection,
-                      load_domain, optimal_embedding_scale, optimal_scale,
-                      packing, pairing, reduce_to_packing, save_domain)
+                      LimitError, PackingInstance, ToricDomain, area, c1,
+                      capacities, capacity_obstruction, cremona_step,
+                      decide_packing, defect, intersection, load_domain,
+                      optimal_embedding_scale, optimal_scale, packing,
+                      reduce_to_packing, save_domain)
 from echtoric import cli
 from echtoric.cli import main
 
@@ -575,7 +575,7 @@ def test_obstruction_hand_classes():
 def test_kernel_class_agrees_with_golden_traces(data_dir):
     # on every decide entry of packing_golden.json the kernel's rows are
     # the recorded trace, and its class is None exactly when the terminal
-    # row is nonnegative; else the class pairs with the input to the
+    # row is nonnegative; else the class's area on the input is the
     # terminal's negative entry: the head if it is negative, else the
     # last size
     golden = json.loads((data_dir / "packing_golden.json").read_text())
@@ -592,8 +592,8 @@ def test_kernel_class_agrees_with_golden_traces(data_dir):
             assert C is None
             continue
         negative += 1
-        area = inst.top * C.L + sum(a * e for a, e in zip(inst.sizes, C.E))
-        assert area == (terminal[0] if terminal[0] < 0 else terminal[-1])
+        assert area(C, inst.top, inst.sizes) == (
+            terminal[0] if terminal[0] < 0 else terminal[-1])
     assert negative == 52
 
 
@@ -655,8 +655,8 @@ def test_kernel_classes_and_rows(vec):
     assert len(C.E) == len(padded) and C.Ehat == ()
     assert (intersection(C, C), c1(C)) in ((-1, 1), (1, 3)), C
     assert C.L >= 0 and max(C.E) <= 0
-    area = head * C.L + sum(a * e for a, e in zip(padded, C.E))
-    assert area == (terminal[0] if terminal[0] < 0 else terminal[-1]) < 0
+    assert area(C, head, balls) == (
+        terminal[0] if terminal[0] < 0 else terminal[-1]) < 0
 
 
 def test_scale_search_reads_valid_classes(monkeypatch):
@@ -684,8 +684,7 @@ def test_scale_search_reads_valid_classes(monkeypatch):
         kind = (intersection(C, C), c1(C))
         assert kind in ((-1, 1), (1, 3)), C
         assert C.L >= 0 and max(C.E) <= 0
-        omega = SymplecticClass(head, tuple(-a for a in balls), ())
-        assert pairing(omega, C) < 0
+        assert area(C, head, balls) < 0
         kinds[kind] += 1
     assert kinds[-1, 1] > 1000, kinds
 
