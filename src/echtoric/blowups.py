@@ -28,17 +28,16 @@ composes the piece's map back to the input coordinates; every leaf
 side then puts out one vertex, so the result is assembled without
 re-mapping any child boundary.  The cut at a raised level and the
 fold at a lowered head are the weight recursion's own _shear_cut and
-_fold, on integers as there.  A raised level cuts edges between
+_fold, on integers as there, and the walk checks only what a
+perturbation can break (see _grow).  A raised level cuts edges between
 vertices, and the interpolated points bring new denominators at every
 level, so each piece carries its own denominator E: its vertices and
 its map's translation are integers over E.  Raising a level and
 cutting inside an edge multiply E, and one gcd per cut divides out
 what the piece no longer needs.  A triangle piece, the only kind an
-ellipsoid's walk meets, rises above a raised level on one side at
-most, so its rows are a path, and _grow_path grows the whole path in
-one loop over plain integers, as _euclid writes a triangle's rows.
-The finished boundary goes to ToricDomain as integers over the lcm of
-those denominators.
+ellipsoid's walk meets, has a path of rows, which _grow_path grows in
+one loop over plain integers.  The finished boundary goes to
+ToricDomain as integers over the lcm of those denominators.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .classes import HomologyClass
-from .domains import ToricDomain, _check_concave
+from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, ratio, rational
 from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
@@ -168,11 +167,10 @@ def _reduced(piece: list, m: tuple, E: int) -> tuple[list, int, tuple]:
 
 
 def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
-               ds: list[tuple[int, int]], order: int,
-               out: list, seams: list) -> int:
+               ds: list[tuple[int, int]], order: int, out: list) -> int:
     """Grow the triangle [(0, Y), (X, 0)] over E at row idx in closed
-    form; appends its in-order vertices and seams and returns the next
-    preorder position in ds.
+    form; appends its in-order vertices and returns the next preorder
+    position in ds.
 
     Cut at lam >= min(X, Y), a triangle rises above lam on one side at
     most, so its rows are a path.  Each step is what _shear_cut and
@@ -181,9 +179,9 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
     (X (Y - lam), 0) (X itself when k = 1) with map (ma - mb, mb,
     mc - md, md, (tx + mb lam) k, (ty + md lam) k); a right side
     mirrors it.  In in-order, the nodes with only a right child put out
-    their left vertex and their seam in path order, the leaf both
-    vertices around its seam, and the nodes with only a left child
-    their seam and their right vertex in reverse path order.
+    their left vertex in path order, the leaf both its vertices, and
+    the nodes with only a left child their right vertex in reverse path
+    order.  As in _grow, only a part that vanished is checked.
     """
     ma, mb, mc, md, tx, ty = m
     tail = []
@@ -198,22 +196,14 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
             if q > 1:
                 X, Y, tx, ty, E = X * q, Y * q, tx * q, ty * q, E * q
         _, _, lchild, rchild = rows[idx]
-        if Y > lam:
-            if lchild is None:
-                raise DomainError(
-                    "boundary rises above the cut of a leaf on the left")
-        elif lchild is not None:
+        if Y <= lam and lchild is not None:
             raise DomainError(
                 "perturbation too large: left part of a cut vanished")
-        if X > lam:
-            if rchild is None:
-                raise DomainError(
-                    "boundary rises above the cut of a leaf on the right")
-        elif rchild is not None:
+        if X <= lam and rchild is not None:
             raise DomainError(
                 "perturbation too large: right part of a cut vanished")
         if Y > lam:
-            tail.append((ma * lam + tx, mc * lam + ty, E, ma - mb, mc - md))
+            tail.append((ma * lam + tx, mc * lam + ty, E))
             if X == lam:
                 k, Y = 1, Y - lam
             else:
@@ -224,7 +214,6 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
             idx = lchild
         else:
             out.append((mb * lam + tx, md * lam + ty, E))
-            seams.append((ma - mb, mc - md))
             if X <= lam:
                 out.append((ma * lam + tx, mc * lam + ty, E))
                 break
@@ -240,9 +229,7 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
         g = gcd(E, tx, ty, X, Y)
         if g > 1:
             X, Y, tx, ty, E = X // g, Y // g, tx // g, ty // g, E // g
-    for x, y, e, ux, uy in reversed(tail):
-        seams.append((ux, uy))
-        out.append((x, y, e))
+    out.extend(reversed(tail))
     return order
 
 
@@ -255,24 +242,35 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
     One in-order walk: a row is cut when it is first reached (so ds is
     consumed in preorder) by the weight recursion's _shear_cut, which
     gives its pieces in standard position with their maps back to the
-    coordinates of pts.  A piece is integer vertices and a map with
-    integer translation, all over its own denominator E.  Its level
+    coordinates of pts, over their own denominators E.  Its level
     low/E + n/q, for low its minimum of x + y and n/q its delta, is the
     integer low q/g + n E/g once the piece is taken over E q/g, for
     g = gcd(q, E); each side of the cut then comes back over that times
-    the side's scale k and is reduced by one gcd.  Each leaf side
-    puts out one vertex, (0, lam) or (lam, 0) mapped back, as an integer
-    pair over its E.  A triangle piece has a path of rows below it,
-    which _grow_path grows in closed form, as _euclid writes the rows of
-    a triangle: its nodes are consecutive in preorder and its in-order
+    the side's scale k and is reduced by one gcd.  Each leaf side puts
+    out one vertex, (0, lam) or (lam, 0) mapped back, as an integer pair
+    over its E.  A triangle piece has a path of rows below it, which
+    _grow_path grows in closed form, as _euclid writes the rows of a
+    triangle: its nodes are consecutive in preorder and its in-order
     output comes before anything the walk puts out after reaching it.
+
+    Only two things are checked.  A side with a child row must keep a
+    part; a side without one has none.  Raising a cut, or lowering the
+    head above a flank, shortens the parts beyond it from the cut's side
+    only, so the piece at a row is a translate of a sub-chain of the
+    exact one.  If x + y does not fall along the exact piece's first
+    edge (no left child), it falls along no edge of the sub-chain, whose
+    slopes are no smaller, so a level at or above its minimum leaves no
+    left part; the right side mirrors this.  And child pieces must not
+    overlap across a cut: each side multiplies the linear part M of a
+    map that starts from the identity by L = (1 0; -1 1) or
+    R = (1 -1; 0 1), which both map the cone x > 0 > y into itself, so
+    each cut direction u = M (1, -1) has ux > 0.  The vertices a and b
+    on either side of a cut lie on its line, so b - a = t u, and t >= 0
+    exactly when bx ea >= ax eb.
     """
     rows = shape.rows
     # (X, Y, E) for the vertex (X/E, Y/E)
     out: list[tuple[int, int, int]] = []
-    # M (1, -1) of every node in in-order, which is the order of the gaps
-    # between consecutive output vertices
-    seams: list[tuple[int, int]] = []
     stack: list[tuple] = []
     cur: Optional[tuple] = (0, pts, E, (1, 0, 0, 1, 0, 0))
     order = 0
@@ -281,7 +279,6 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
             lam, E, (ma, mb, mc, md, tx, ty), left, right = stack.pop()
             if left is None:
                 out.append((mb * lam + tx, md * lam + ty, E))
-            seams.append((ma - mb, mc - md))
             if right is None:
                 out.append((ma * lam + tx, mc * lam + ty, E))
             cur = right
@@ -289,7 +286,7 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
         idx, bd, E, m = cur
         if len(bd) == 2:
             order = _grow_path(rows, idx, bd[1][0], bd[0][1], E, m, ds,
-                               order, out, seams)
+                               order, out)
             cur = None
             continue
         lam = min(x + y for x, y in bd)
@@ -311,25 +308,16 @@ def _grow(shape: Decomposition, pts: Sequence[tuple[int, int]], E: int,
                     "perturbation too large: left part of a cut vanished")
             piece, lm, k = left
             left = (lchild, *_reduced(piece, lm, E * k))
-        elif left is not None:
-            raise DomainError(
-                "boundary rises above the cut of a leaf on the left")
         if rchild is not None:
             if right is None:
                 raise DomainError(
                     "perturbation too large: right part of a cut vanished")
             piece, rm, k = right
             right = (rchild, *_reduced(piece, rm, E * k))
-        elif right is not None:
-            raise DomainError(
-                "boundary rises above the cut of a leaf on the right")
         stack.append((lam, E, m, left, right))
         cur = left
-    # both ends of a node's gap sit on its cut line, whose direction
-    # maps to (ux, uy); the gap edge must still run down-right, which is
-    # forward along that direction: (b/eb - a/ea) . u >= 0, times ea eb
-    for (ux, uy), (ax, ay, ea), (bx, by, eb) in zip(seams, out, out[1:]):
-        if (bx * ux + by * uy) * ea < (ax * ux + ay * uy) * eb:
+    for (ax, _, ea), (bx, _, eb) in zip(out, out[1:]):
+        if bx * ea < ax * eb:
             raise DomainError(
                 "perturbation too large: child pieces overlap across a cut")
     D = lcm(*(e for _, _, e in out))
@@ -375,7 +363,7 @@ def inner_approximation(decomp: ConvexDecomposition,
     approximations, so the remainder shrinks.  The boundary is taken
     over the common denominator D of its own and of the first
     perturbation, which the lowered head is over too, so the fold and
-    the grown pieces run on integers.
+    the grown pieces run on integers.  Its flanks are valid (see _fold).
     """
     n_left = node_count(decomp.left)
     total = 1 + n_left + node_count(decomp.right)
@@ -393,14 +381,12 @@ def inner_approximation(decomp: ConvexDecomposition,
             raise DomainError(
                 "perturbation too large: left piece reaches the y-axis")
         flank, k = lpiece
-        _check_concave(flank)
         left = _grow(decomp.left, flank, D * k, ds[1:1 + n_left])
     if decomp.right is not None:
         if rpiece is None:
             raise DomainError(
                 "perturbation too large: right piece reaches the x-axis")
         flank, k = rpiece
-        _check_concave(flank)
         right = _grow(decomp.right, flank, D * k, ds[1 + n_left:])
     # the boundary goes out over one common denominator F
     F = lcm(D, *(grown.D for grown in (left, right) if grown))

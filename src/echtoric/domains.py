@@ -96,8 +96,8 @@ def _edge_zone(dx: int, dy: int, D: int = 1) -> int:
 def _check_concave(pts: Sequence[tuple]) -> None:
     """The concave-boundary rules, on (x, y) pairs over any denominator.
 
-    They check ToricDomain's concave boundaries and the folded flanks of
-    inner approximations, both on integers.
+    They check ToricDomain's concave boundaries on integers, and in the
+    tests the cut pieces and folded flanks that weights proves valid.
     """
     (x0, y0), (xn, yn) = pts[0], pts[-1]
     if x0 != 0 or y0 <= 0:

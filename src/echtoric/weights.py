@@ -43,7 +43,8 @@ again unless a caller reads a Fraction view.
 The cut and the fold are written once, on integer chains and integer
 levels: _shear_cut gives the sheared pieces beyond a level with their
 maps back, _fold the folded flanks of a convex chain, and both find
-where the level meets the boundary with _clip.  A level inside an edge
+where the level meets the boundary with _clip.  Their docstrings prove
+that what they give are valid concave chains.  A level inside an edge
 meets it at a point with a new denominator k, the edge's; _clip then
 returns the prefix times k with k, and the pieces and maps come back
 over k times the input's denominator.  The weight recursion cuts at a
@@ -67,7 +68,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .domains import ToricDomain, _check_concave
+from .domains import ToricDomain
 from .errors import DomainError, LimitError
 from .geometry import RationalLike, ratio
 
@@ -215,6 +216,17 @@ def _fold(bd: Sequence[tuple[int, int]], lam: int) -> tuple:
     each.  Each side is (flank, k), the flank times the scale k that
     _clip gave it, and k is 1 at a level on a vertex, such as the head.
     A flank whose end does not sink below lam gives None.
+
+    A valid convex chain folded from its head down gives valid concave
+    flanks, which are not checked again.  Its edges point up-right to
+    down-left and turn strictly clockwise, so x + y strictly rises,
+    stays level along at most one edge, then strictly falls; a rising
+    edge (dx, dy) has dx > 0 and a falling one dy < 0.  The left flank
+    is a prefix of the rising run, the right one a suffix of the falling
+    run.  Read backwards through a fold of determinant 1, each turns
+    strictly counterclockwise, its edges (dx + dy, -dx) or
+    (-dy, dx + dy) point strictly down-right, and its ends land on the
+    positive axes.
     """
     left = right = None
     if sum(bd[0]) < lam:
@@ -323,7 +335,7 @@ def _convex_rows(domain: ToricDomain,
 
     The head level is a vertex of the boundary, so folding the boundary
     times D, as the domain keeps it, interpolates nothing and the flanks
-    stay integral.
+    stay integral, and valid (see _fold).
     """
     if domain.kind != "convex":
         raise DomainError("convex_weights needs a convex domain")
@@ -331,16 +343,11 @@ def _convex_rows(domain: ToricDomain,
     b = max(x + y for x, y in pts)
     budget = _Budget(max_nodes)
     budget.charge()  # the head takes one slot
-    sides = []
     # (x, y) -> (y, b - x - y) undoes the left fold, (x, y) ->
     # (b - x - y, x) the right one
-    for flank, back in zip(_fold(pts, b),
-                           ((0, 1, -1, -1, 0, b), (-1, -1, 1, 0, b, 0))):
-        if flank is None:
-            sides.append(None)
-            continue
-        _check_concave(flank[0])
-        sides.append(_rows(flank[0], back, budget))
+    backs = ((0, 1, -1, -1, 0, b), (-1, -1, 1, 0, b, 0))
+    sides = [None if flank is None else _rows(flank[0], back, budget)
+             for flank, back in zip(_fold(pts, b), backs)]
     return D, b, sides
 
 

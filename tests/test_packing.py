@@ -661,13 +661,18 @@ def test_kernel_classes_and_rows(vec):
 
 def test_scale_search_reads_valid_classes(monkeypatch):
     # every class the search reads is exceptional (E.E = -1, c1 = 1) or
-    # a line class (+1, 3), with m_i >= 0 and negative area at its probe
+    # a line class (+1, 3), with m_i >= 0, and its area at its probe is
+    # the terminal's negative entry: the head if it is negative, else
+    # the least size
     found = []
 
     def recorded(head, balls, rows=None):
-        C = _reduce(head, balls, rows)
+        own = []
+        C = _reduce(head, balls, own)
+        if rows is not None:
+            rows += own
         if C is not None:
-            found.append((head, balls, C))
+            found.append((head, balls, C, own[-1]))
         return C
 
     monkeypatch.setattr(packing, "_reduce", recorded)
@@ -678,13 +683,14 @@ def test_scale_search_reads_valid_classes(monkeypatch):
         except DomainError:
             pass
     kinds = Counter()
-    for head, balls, C in found:
+    for head, balls, C, terminal in found:
         assert isinstance(C, HomologyClass)
         assert len(C.E) == max(3, len(balls)) and C.Ehat == ()
         kind = (intersection(C, C), c1(C))
         assert kind in ((-1, 1), (1, 3)), C
         assert C.L >= 0 and max(C.E) <= 0
-        assert area(C, head, balls) < 0
+        assert area(C, head, balls) == (
+            terminal[0] if terminal[0] < 0 else terminal[-1]) < 0
         kinds[kind] += 1
     assert kinds[-1, 1] > 1000, kinds
 

@@ -153,6 +153,55 @@ def test_shear_cut_pieces_stay_concave():
     assert min(seen) > 100
 
 
+def test_fold_flanks_stay_concave():
+    # _fold checks no flank: folded at the head, as the weight recursion
+    # does, or at a lowered head, as the inner approximations do, a
+    # valid convex chain gives valid concave flanks.  The chains are five
+    # times the boundary over its denominator, so the lowered levels
+    # head - (head - low) i/5, down to the higher end low, are integers
+    # too.
+    rng = random.Random(59)
+    doms = [random_convex(rng) for _ in range(400)]
+    doms += [ToricDomain.convex([(0, 1), (1, 1), (n, 0)])
+             for n in (4, 20, 300)]
+    seen = [0, 0]
+    for dom in doms:
+        bd = [(5 * x, 5 * y) for x, y in dom.ints]
+        head = max(x + y for x, y in bd)
+        low = max(bd[0][1], bd[-1][0])
+        levels = {x + y for x, y in bd if low < x + y}
+        levels |= {head - (head - low) // 5 * i for i in range(5)}
+        for lam in sorted(levels):
+            for j, side in enumerate(_fold(bd, lam)):
+                if side is not None:
+                    flank, k = side
+                    assert all(type(v) is int for p in flank for v in p)
+                    _check_concave(flank)
+                    seen[j] += 1
+                    if lam == head:
+                        assert k == 1
+    assert min(seen) > 1000, seen
+
+
+def test_row_maps_keep_the_cut_cone():
+    # each row map is the identity times left shears (1 0; -1 1) and
+    # right shears (1 -1; 0 1), which both keep the cone x > 0 > y: so
+    # every cut line runs down-right along M (1, -1), which the overlap
+    # check of the approximation walk relies on
+    rng = random.Random(61)
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    doms = [random_concave(rng) for _ in range(200)]
+    doms += [ToricDomain.ellipsoid(a, b) for a, b in zip(fib, fib[1:])]
+    rows = 0
+    for dom in doms:
+        for _, (a, b, c, d, _, _), _, _ in concave_weights(dom)[1].rows:
+            assert a - b > 0 > c - d
+            rows += 1
+    assert rows > 1000, rows
+
+
 def _over(side, D):
     """A cut side's piece, or a fold's flank, as values: its
     coordinates are integers over D times its scale."""
