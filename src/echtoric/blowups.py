@@ -42,7 +42,6 @@ ToricDomain as integers over the lcm of those denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -52,12 +51,12 @@ from .classes import HomologyClass
 from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike, ratio, rational
+from .records import Record
 from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
                       inorder, node_count, tree_values)
 
 
-@dataclass(frozen=True)
-class SphereChain:
+class SphereChain(Record):
     """Sphere classes in boundary order with their size labels.
 
     head and line_index are set for chains of convex domains, where one
@@ -66,8 +65,18 @@ class SphereChain:
 
     classes: tuple[HomologyClass, ...]
     weights: tuple[Fraction, ...]
-    head: Optional[Fraction] = None
-    line_index: Optional[int] = None
+    head: Optional[Fraction]
+    line_index: Optional[int]
+
+    def __init__(self, classes: tuple[HomologyClass, ...],
+                 weights: tuple[Fraction, ...],
+                 head: Optional[Fraction] = None,
+                 line_index: Optional[int] = None) -> None:
+        d = self.__dict__
+        d["classes"] = classes
+        d["weights"] = weights
+        d["head"] = head
+        d["line_index"] = line_index
 
 
 def _spine(rows: list, pos: list[int], idx: Optional[int],
@@ -397,4 +406,12 @@ def inner_approximation(decomp: ConvexDecomposition,
     if left_chain[-1][0] > right_chain[0][0]:
         raise DomainError(
             "perturbation too large: grown side pieces overlap")
+    # a flank grown as far as the head's other end would start or end
+    # the boundary at the origin
+    if left_chain[0][1] <= 0:
+        raise DomainError(
+            "perturbation too large: grown left piece reaches the origin")
+    if right_chain[-1][0] <= 0:
+        raise DomainError(
+            "perturbation too large: grown right piece reaches the origin")
     return ToricDomain("convex", F, tuple(left_chain + right_chain))

@@ -77,7 +77,6 @@ union computes only its new entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -85,6 +84,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, LimitError
 from .geometry import RationalLike, ratio
+from .records import Record
 from .weights import WeightExpansion, _fractions
 
 # Ball staircase entries one ball_caps, concave_caps or convex_caps call
@@ -100,8 +100,7 @@ def _guard(balls: int, horizon: int) -> None:
             f"{MAX_STAIRCASE_CELLS} entries")
 
 
-@dataclass(frozen=True)
-class CapacitySeq:
+class CapacitySeq(Record):
     """Values c_0..c_K times D, checked once, when built, and proved.
 
     values, which seq[k] reads, is their Fraction view, built when first
@@ -114,13 +113,15 @@ class CapacitySeq:
     ints: tuple[int, ...]
     certified = True
 
-    def __post_init__(self) -> None:
-        ints = tuple(self.ints)
-        if self.D <= 0 or ints[:1] != (0,):
+    def __init__(self, D: int, ints: Sequence[int]) -> None:
+        ints = tuple(ints)
+        d = self.__dict__
+        d["D"] = D
+        d["ints"] = ints
+        if D <= 0 or ints[:1] != (0,):
             raise DomainError("capacity sequences start at 0, over D > 0")
         if list(ints) != sorted(ints):
             raise DomainError("capacity sequences are nondecreasing")
-        object.__setattr__(self, "ints", ints)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:

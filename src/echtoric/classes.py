@@ -9,17 +9,46 @@ L, sizes on the E_i and hats on the Ehat_j, in coefficient order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
 class HomologyClass:
-    """Integer class a*L + sum b_i E_i + sum c_j Ehat_j."""
+    """Integer class a*L + sum b_i E_i + sum c_j Ehat_j.
+
+    A frozen value, written out here because this module imports only
+    the standard library: equal within the class, hashed and shown by
+    its fields (L, E, Ehat), and never assigned to after __init__.
+    """
 
     L: int
-    E: tuple[int, ...] = ()
-    Ehat: tuple[int, ...] = ()
+    E: tuple[int, ...]
+    Ehat: tuple[int, ...]
+
+    def __init__(self, L: int, E: tuple[int, ...] = (),
+                 Ehat: tuple[int, ...] = ()) -> None:
+        d = self.__dict__
+        d["L"] = L
+        d["E"] = E
+        d["Ehat"] = Ehat
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.L, self.E, self.Ehat)
+                    == (other.L, other.E, other.Ehat))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.L, self.E, self.Ehat))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(L={self.L!r}, E={self.E!r}, "
+                f"Ehat={self.Ehat!r})")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _dot(u: Sequence, v: Sequence):

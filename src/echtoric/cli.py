@@ -23,7 +23,7 @@ from itertools import chain
 from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .blowups import inner_approximation, outer_approximation
 from .capacities import concave_caps, convex_caps
@@ -289,19 +289,29 @@ def cmd_svg(args) -> dict:
 FLAG, INT, TEXT, HELP = "flag", "int", "text", "help"
 
 
-class Option(NamedTuple):
-    kind: str  # FLAG, INT or TEXT; HELP for -h and --help
-    help: str
-    metavar: str = ""
+class Option:
+    __slots__ = ("kind", "help", "metavar")
+
+    def __init__(self, kind: str, help: str, metavar: str = "") -> None:
+        self.kind = kind  # FLAG, INT or TEXT; HELP for -h and --help
+        self.help = help
+        self.metavar = metavar
 
 
-class Command(NamedTuple):
-    handler: Optional[Callable[[SimpleNamespace], dict]]
-    help: str
-    positionals: tuple[str, ...]
-    options: dict[str, Option]
-    required: tuple[str, ...] = ()  # options that must be given
-    one_of: tuple[str, ...] = ()  # options of which exactly one is given
+class Command:
+    __slots__ = ("handler", "help", "positionals", "options", "required",
+                 "one_of")
+
+    def __init__(self, handler: Optional[Callable[[SimpleNamespace], dict]],
+                 help: str, positionals: tuple[str, ...],
+                 options: dict[str, Option], required: tuple[str, ...] = (),
+                 one_of: tuple[str, ...] = ()) -> None:
+        self.handler = handler
+        self.help = help
+        self.positionals = positionals
+        self.options = options
+        self.required = required  # options that must be given
+        self.one_of = one_of  # options of which exactly one is given
 
 
 # the global flags, read before the subcommand

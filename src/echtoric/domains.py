@@ -24,7 +24,6 @@ is in canonical form and equality of domains is equality of tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -34,6 +33,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
 from .geometry import Point, RationalLike, ratio
+from .records import Record
 
 PointLike = Union[Point, Sequence[RationalLike]]
 
@@ -115,8 +115,7 @@ def _check_concave(pts: Sequence[tuple]) -> None:
         pdx, pdy = dx, dy
 
 
-@dataclass(frozen=True)
-class ToricDomain:
+class ToricDomain(Record):
     """A domain through its boundary: kind, a positive denominator D and
     the boundary times D, as integer pairs."""
 
@@ -124,12 +123,19 @@ class ToricDomain:
     D: int
     ints: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("concave", "convex"):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
+    def __init__(self, kind: str, D: int,
+                 ints: Iterable[tuple[int, int]]) -> None:
+        self.__post_init__(kind, D, ints)
+
+    def __post_init__(self, kind: str, D: int,
+                      ints: Iterable[tuple[int, int]]) -> None:
+        """Canonicalise, set and validate the fields, for __init__.
+        bench/spans.py times the domains layer by wrapping it by name."""
+        if kind not in ("concave", "convex"):
+            raise DomainError(f"unknown domain kind {kind!r}")
         try:
-            D = index(self.D)
-            ints = tuple([(index(x), index(y)) for x, y in self.ints])
+            D = index(D)
+            ints = tuple([(index(x), index(y)) for x, y in ints])
         except TypeError:
             raise DomainError(
                 "boundary denominator and vertices must be integers") from None
@@ -143,8 +149,10 @@ class ToricDomain:
         if g > 1:
             D, ints = D // g, [(x // g, y // g) for x, y in ints]
         pts = tuple(ints)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "ints", pts)
+        d = self.__dict__
+        d["kind"] = kind
+        d["D"] = D
+        d["ints"] = pts
         if len(pts) < 2:
             raise DomainError("boundary needs at least two vertices")
         (x0, y0), (xn, yn) = pts[0], pts[-1]
@@ -158,12 +166,12 @@ class ToricDomain:
             if pts[i][0] <= 0 or pts[i][1] <= 0:
                 raise DomainError(f"interior boundary vertex {self._point(i)} "
                                   "touches an axis")
-        if self.kind == "concave":
+        if kind == "concave":
             _check_concave(pts)
         else:
             edges = [(qx - px, qy - py)
                      for (px, py), (qx, qy) in zip(pts, pts[1:])]
-            zones = [_edge_zone(dx, dy, self.D) for dx, dy in edges]
+            zones = [_edge_zone(dx, dy, D) for dx, dy in edges]
             for z1, z2 in zip(zones, zones[1:]):
                 if z2 < z1:
                     raise DomainError("convex boundary direction must rotate clockwise")

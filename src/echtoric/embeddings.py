@@ -14,7 +14,6 @@ over the lcm of the denominators into the packing instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -24,12 +23,12 @@ from .domains import ToricDomain
 from .errors import DomainError
 from .geometry import RationalLike
 from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
+from .records import Record
 from .weights import (DEFAULT_MAX_NODES, WeightExpansion, concave_weights,
                       convex_weights)
 
 
-@dataclass(frozen=True)
-class EmbeddingProblem:
+class EmbeddingProblem(Record):
     """A concave source and a convex target, each with its expansion.
 
     max_nodes caps each expansion's count of cuts; LimitError is raised
@@ -38,19 +37,22 @@ class EmbeddingProblem:
 
     source: ToricDomain
     target: ToricDomain
-    max_nodes: int = DEFAULT_MAX_NODES
-    source_weights: WeightExpansion = field(init=False)
-    target_weights: WeightExpansion = field(init=False)
+    max_nodes: int
+    source_weights: WeightExpansion
+    target_weights: WeightExpansion
 
-    def __post_init__(self) -> None:
-        if self.source.kind != "concave":
+    def __init__(self, source: ToricDomain, target: ToricDomain,
+                 max_nodes: int = DEFAULT_MAX_NODES) -> None:
+        if source.kind != "concave":
             raise DomainError("embedding sources must be concave domains")
-        if self.target.kind != "convex":
+        if target.kind != "convex":
             raise DomainError("embedding targets must be convex domains")
-        object.__setattr__(self, "source_weights",
-                           concave_weights(self.source, self.max_nodes)[0])
-        object.__setattr__(self, "target_weights",
-                           convex_weights(self.target, self.max_nodes)[0])
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["max_nodes"] = max_nodes
+        d["source_weights"] = concave_weights(source, max_nodes)[0]
+        d["target_weights"] = convex_weights(target, max_nodes)[0]
 
 
 def reduce_to_packing(problem: EmbeddingProblem) -> PackingInstance:
@@ -72,8 +74,7 @@ def decide_embedding(problem: EmbeddingProblem) -> Verdict:
     return decide_packing(reduce_to_packing(problem))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(Record):
     """Pointwise capacity comparison c_k(source) <= c_k(target), with
     the two sequences compared.
 
@@ -84,6 +85,13 @@ class CapacityReport:
     source: CapacitySeq
     target: CapacitySeq
     oks: tuple[bool, ...]
+
+    def __init__(self, source: CapacitySeq, target: CapacitySeq,
+                 oks: tuple[bool, ...]) -> None:
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["oks"] = oks
 
     @property
     def all_ok(self) -> bool:

@@ -8,11 +8,11 @@ vertices reads as Fractions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import GeometryError
+from .records import Record
 
 RationalLike = Union[int, str, Fraction]
 
@@ -50,11 +50,11 @@ def rational(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*ratio(value))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     x: Fraction
     y: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", rational(self.x))
-        object.__setattr__(self, "y", rational(self.y))
+    def __init__(self, x: RationalLike, y: RationalLike) -> None:
+        d = self.__dict__
+        d["x"] = rational(x)
+        d["y"] = rational(y)

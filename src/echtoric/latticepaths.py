@@ -37,8 +37,9 @@ prefix when a walk first reaches it, bounded by _NODES_KEPT prefixes a
 pass, and shares it with every domain (_passes).  The region's vertices
 and the support of a direction, an integer cross product maximum,
 belong to one request: the seeding pass and the full pass of a box
-share one support table, indexed by the full pass's directions, and a
-support is computed the first time either walk takes its direction.
+share one support table, indexed by the full pass's directions and
+filled by one clockwise sweep round the region before either walks
+(_supports).
 It prunes each partial path on a lower bound for all its completions
 and on the lattice points its prefix already encloses, which drops no
 path that could change the result (see _search).
@@ -47,34 +48,36 @@ path that could change the result (see _search).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import index
 from threading import Lock
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .domains import ToricDomain, _edge_zone
 from .errors import DomainError, LimitError
 from .geometry import rational
+from .records import Record
 from .weights import _fold
 
-@dataclass(frozen=True)
-class LatticePath:
+
+class LatticePath(Record):
     """A path through its lattice vertices, as integer pairs."""
 
     kind: str
     ints: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("convex", "concave"):
-            raise DomainError(f"unknown path kind {self.kind!r}")
+    def __init__(self, kind: str, ints: Iterable[tuple[int, int]]) -> None:
+        if kind not in ("convex", "concave"):
+            raise DomainError(f"unknown path kind {kind!r}")
         try:
-            pts = tuple([(index(x), index(y)) for x, y in self.ints])
+            pts = tuple([(index(x), index(y)) for x, y in ints])
         except TypeError:
             raise DomainError("path vertices must be integers") from None
-        object.__setattr__(self, "ints", pts)
+        d = self.__dict__
+        d["kind"] = kind
+        d["ints"] = pts
         if not pts:
             raise DomainError("a path needs at least one vertex")
         if any(x < 0 or y < 0 for x, y in pts):
@@ -86,7 +89,7 @@ class LatticePath:
         edges = self.edges()
         if any(dx == 0 and dy == 0 for dx, dy in edges):
             raise DomainError("zero-length path edge")
-        if self.kind == "concave":
+        if kind == "concave":
             for dx, dy in edges:
                 if not (dx > 0 and dy < 0):
                     raise DomainError("concave path edges go strictly down-right")
@@ -154,8 +157,7 @@ def ell_concave(domain: Optional[ToricDomain], path: LatticePath) -> Fraction:
                         for dx, dy in path.edges()), domain.D)
 
 
-@dataclass(frozen=True)
-class PathSplit:
+class PathSplit(Record):
     """A convex path cut at its own diagonal x + y = level.
 
     head is the straight diagonal path of that level, left and right are
@@ -167,6 +169,14 @@ class PathSplit:
     head: LatticePath
     left: LatticePath
     right: LatticePath
+
+    def __init__(self, level: int, head: LatticePath, left: LatticePath,
+                 right: LatticePath) -> None:
+        d = self.__dict__
+        d["level"] = level
+        d["head"] = head
+        d["left"] = left
+        d["right"] = right
 
 
 def split_path(path: LatticePath, level=None) -> PathSplit:
@@ -205,6 +215,37 @@ def _clockwise_directions(box: int) -> list[tuple[int, int]]:
     return (upright + [(1, 0)]
             + [(y, -x) for x, y in upright] + [(0, -1)]
             + [(-x, -y) for x, y in upright])
+
+
+def _supports(verts: list[tuple[int, int]],
+              dirs: Sequence[tuple[int, int]]) -> list[int]:
+    """The support h(d) = max over verts p of cross(d, p) of each of
+    dirs, in one sweep.
+
+    verts is the region's polygon (0, 0), v0, ..., vn, strictly convex
+    and clockwise, and dirs turn clockwise from just right of up to
+    just above left, as _clockwise_directions lists them.  cross(d, p)
+    is n . p for n = (-dy, dx), d turned a quarter counterclockwise, so
+    the vertex attaining h(d) moves forward along verts as d turns: a
+    pointer walks verts once, stepping on while the next vertex is no
+    lower.  Every n here has a positive y part, where n . v0 > 0, or a
+    positive x part, where n . vn > 0, so every support is positive and
+    the pointer leaves the origin for good at the first direction.
+    """
+    out = []
+    j, last = 0, len(verts) - 1
+    for dx, dy in dirs:
+        px, py = verts[j]
+        h = dx * py - dy * px
+        while j < last:
+            qx, qy = verts[j + 1]
+            g = dx * qy - dy * qx
+            if g < h:
+                break
+            j, h = j + 1, g
+        assert h > 0
+        out.append(h)
+    return out
 
 
 # (kmax, box) geometries a process keeps, the least recently used
@@ -383,8 +424,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     table of the box, indexed by its full pass's directions and shared
     by both passes: sup[geo.sup_index[i]] is the support of
     d = geo.dirs[i], the maximum over verts p of cross(d, p), which is
-    what one step along d adds to the functional, or 0 until a walk of
-    either pass first takes d and fills it in.  initial primes the
+    what one step along d adds to the functional.  initial primes the
     incumbent table with known paths.
 
     Ties: the witness is the first least-value path the search meets,
@@ -412,7 +452,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
     computes each step breaks, as that walk's check on the prefix's
     own kmin is implied by the last (kmin grows along a path, suff does
     not increase in its index).  Entries and nodes are made when a walk
-    first reaches them; the supports stay in sup, this request's.  At
+    first reaches them; the supports are read from sup, this request's.  At
     the top of walk, a prefix with a slot updates it: its (value, path)
     replaces the slot's incumbent if it is smaller.
 
@@ -462,18 +502,11 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
       completion that ties its slot's incumbent with a smaller vertex
       tuple could be dropped before it replaced the witness.
     """
-    kmax, dirs, sup_index = geo.kmax, geo.dirs, geo.sup_index
+    kmax, sup_index = geo.kmax, geo.sup_index
     X = max(px for px, py in verts if py == 0)
 
     best: list[_Best] = ([None] * (kmax + 1) if initial is None
                           else list(initial))
-
-    def support(di: int) -> int:
-        dx, dy = dirs[di]
-        s = sup[sup_index[di]] = max([dx * py - dy * px
-                                      for px, py in verts])
-        assert s > 0
-        return s
 
     # suff[j] = worst incumbent over slots >= j, _OPEN while one is
     # open, and suff[kmax + 1] = -1; a partial path with p points on it
@@ -503,7 +536,7 @@ def _search(verts: list[tuple[int, int]], geo: _Pass, sup: list[int],
         for i, entries in enumerate(runs):
             row = rows[i]
             di = row[0]
-            step_ell = sup[sup_index[di]] or support(di)
+            step_ell = sup[sup_index[di]]
             if entries.__class__ is tuple:  # the run's first entry alone
                 low = ell + step_ell + entries[0] * X
                 if low > suff[entries[1]] or low >= suff[entries[2]]:
@@ -558,7 +591,7 @@ def oracle_convex_caps_upto(domain: ToricDomain, kmax: int,
     best: Optional[list[_Best]] = None
     for _ in range(3):
         seed, full = _passes(kmax, box)
-        sup = [0] * len(full.dirs)
+        sup = _supports(verts, full.dirs)
         best = _search(verts, seed, sup, initial=best)
         if any(b is None for b in best):
             raise LimitError("path search box too small to close any path")

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -66,19 +65,19 @@ from .capacities import _ball_ints, concave_caps
 from .classes import HomologyClass
 from .errors import DomainError
 from .geometry import RationalLike, rational
+from .records import Record
 from .weights import WeightExpansion, _fractions
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class PackingInstance(WeightExpansion):
     """Open balls of sizes/D, to pack into an open ball of size top/D."""
 
-    def __post_init__(self) -> None:
-        if self.top is None:
+    def __init__(self, D: int, top: int, sizes: tuple[int, ...]) -> None:
+        if top is None:
             raise DomainError("a packing instance needs a target ball")
-        super().__post_init__()
+        super().__init__(D, top, sizes)
 
     @classmethod
     def of(cls, target: RationalLike,
@@ -93,8 +92,7 @@ class PackingInstance(WeightExpansion):
         return cls(D, top, tuple(sorted(filter(None, ints), reverse=True)))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a reduction, with the full trace for replay.
 
     rows is the kernel's trace over the least denominator D, as
@@ -111,6 +109,14 @@ class Verdict:
     failures: tuple[str, ...]
     D: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, feasible: bool, failures: tuple[str, ...], D: int,
+                 rows: tuple[tuple[int, ...], ...]) -> None:
+        d = self.__dict__
+        d["feasible"] = feasible
+        d["failures"] = failures
+        d["D"] = D
+        d["rows"] = rows
 
     @cached_property
     def trace(self) -> tuple[Vector, ...]:

@@ -62,7 +62,6 @@ minus the weight squares does.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -71,12 +70,12 @@ from typing import Iterator, Optional, Sequence
 from .domains import ToricDomain
 from .errors import DomainError, LimitError
 from .geometry import RationalLike, ratio
+from .records import Record
 
 DEFAULT_MAX_NODES = 10_000
 
 
-@dataclass(frozen=True)
-class WeightExpansion:
+class WeightExpansion(Record):
     """Head and weights times the common denominator D: top is None for
     a concave domain, sizes a nonincreasing tuple.  head and weights are
     their Fraction views, built when first read."""
@@ -85,11 +84,16 @@ class WeightExpansion:
     top: Optional[int]
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.D <= 0 or self.top is not None and self.top <= 0:
+    def __init__(self, D: int, top: Optional[int],
+                 sizes: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["D"] = D
+        d["top"] = top
+        d["sizes"] = sizes
+        if D <= 0 or top is not None and top <= 0:
             raise DomainError("denominator and head must be positive")
         # nonincreasing down to a last size of at least 1
-        if not all(map(operator.ge, self.sizes, self.sizes[1:] + (1,))):
+        if not all(map(operator.ge, sizes, sizes[1:] + (1,))):
             raise DomainError("weights must be positive and nonincreasing")
 
     @cached_property
@@ -102,8 +106,7 @@ class WeightExpansion:
         return tuple(map(frac.__getitem__, self.sizes))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The cuts of one concave piece, as the kernel's integer rows.
 
     Each row is [level, map, left, right] in preorder, as _rows puts
@@ -119,9 +122,15 @@ class Decomposition:
     rows: list
     domain: Optional[ToricDomain]
 
+    def __init__(self, D: int, rows: list,
+                 domain: Optional[ToricDomain]) -> None:
+        d = self.__dict__
+        d["D"] = D
+        d["rows"] = rows
+        d["domain"] = domain
 
-@dataclass(frozen=True)
-class ConvexDecomposition:
+
+class ConvexDecomposition(Record):
     """Head cut of a convex domain, top over the domain's D as the side
     rows are, plus the peeled side pieces; head is top's Fraction view."""
 
@@ -129,6 +138,15 @@ class ConvexDecomposition:
     domain: ToricDomain
     left: Optional[Decomposition]
     right: Optional[Decomposition]
+
+    def __init__(self, top: int, domain: ToricDomain,
+                 left: Optional[Decomposition],
+                 right: Optional[Decomposition]) -> None:
+        d = self.__dict__
+        d["top"] = top
+        d["domain"] = domain
+        d["left"] = left
+        d["right"] = right
 
     @cached_property
     def head(self) -> Fraction:

@@ -262,6 +262,13 @@ def test_inner_rejections():
         inner_approximation(tgt_decomp(ToricDomain.ball(1, kind="convex")), 2)
     with pytest.raises(DomainError):
         inner_approximation(tgt_decomp(), [F(1, 12)] * 3)
+    # a left flank grown as far as the head's other end: the boundary
+    # would start at the origin
+    with pytest.raises(DomainError, match="perturbation too large: grown "
+                                          "left piece reaches the origin"):
+        inner_approximation(
+            tgt_decomp(ToricDomain.convex([(0, 2), (1, 2), (3, 0)])),
+            [F(1, 100), 2])
 
 
 # -- strict positivity under perturbation --------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -250,7 +249,8 @@ def test_capacity_seq_container_behaviour():
     assert seq.values == (0, 1, F(5, 2))
     assert CapacitySeq(2, [0, 2, 5]) == seq  # a kernel list is kept as a tuple
     # certified is a constant every sequence reads, not a field to set
-    assert [f.name for f in dataclasses.fields(CapacitySeq)] == ["D", "ints"]
+    assert seq == CapacitySeq(D=2, ints=(0, 2, 5))
+    assert repr(seq) == "CapacitySeq(D=2, ints=(0, 2, 5))"
     assert seq.certified is True
     with pytest.raises(TypeError):
         CapacitySeq(1, (0, 1), False)

@@ -466,12 +466,12 @@ def test_cli_paths_build_no_points(data_dir, capsys, tmp_path, monkeypatch):
         ellipsoids[n] = str(tmp_path / f"e{n}.json")
         save_domain(ToricDomain.ellipsoid(1, n), ellipsoids[n])
     made = []
-    init = Point.__post_init__
+    init = Point.__init__
 
-    def counted(self):
+    def counted(self, x, y):
         made.append(self)
-        init(self)
-    monkeypatch.setattr(Point, "__post_init__", counted)
+        init(self, x, y)
+    monkeypatch.setattr(Point, "__init__", counted)
     out = str(tmp_path / "out.svg")
     for argv in (["svg", ellipsoids[200], out, "--approximation", "1/12"],
                  ["svg", str(data_dir / "omega2.json"), out,
@@ -648,6 +648,17 @@ def test_cli_imports_no_argparse():
     subprocess.run([sys.executable, "-c",
                     "import sys, echtoric.cli; "
                     "assert 'argparse' not in sys.modules"],
+                   env={**os.environ, "PYTHONPATH": src}, check=True,
+                   timeout=60)
+
+
+def test_cli_imports_no_dataclasses():
+    # the value classes are written out, so importing the CLI generates
+    # no code and loads neither dataclasses nor the inspect it pulls in
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c",
+                    "import sys, echtoric.cli; "
+                    "assert not {'dataclasses', 'inspect'} & set(sys.modules)"],
                    env={**os.environ, "PYTHONPATH": src}, check=True,
                    timeout=60)
 

@@ -4,10 +4,18 @@ import importlib.util
 import io
 import sys
 import types
+from fractions import Fraction as F
 from pathlib import Path
+
+import pytest
 
 import echtoric
 import echtoric.cli
+from echtoric import (DEFAULT_MAX_NODES, CapacityReport, CapacitySeq,
+                      ConvexDecomposition, Decomposition, EmbeddingProblem,
+                      HomologyClass, LatticePath, PackingInstance, Point,
+                      SphereChain, ToricDomain, Verdict, WeightExpansion)
+from echtoric.latticepaths import PathSplit
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "echtoric"
@@ -166,3 +174,95 @@ def test_class_arithmetic_layering():
     gone = {name for name, module in GONE.items() if module == "blowups"}
     assert not _top_level_defs(SRC / "blowups.py") & (
         _top_level_defs(SRC / "classes.py") | gone)
+
+
+def _records():
+    """(class, its fields as keyword arguments of __init__, fields set
+    by __init__ itself, repr) for each frozen value class."""
+    ball = ToricDomain.ball(2)
+    disk = ToricDomain.ball(3, "convex")
+    seq = CapacitySeq(1, (0, 1))
+    step = LatticePath("concave", ((0, 0),))
+    return [
+        (Point, {"x": 0, "y": "1/2"}, (),
+         "Point(x=Fraction(0, 1), y=Fraction(1, 2))"),
+        (ToricDomain, {"kind": "concave", "D": 2, "ints": ((0, 4), (4, 0))},
+         (), "ToricDomain(kind='concave', D=1, ints=((0, 2), (2, 0)))"),
+        (HomologyClass, {"L": 1, "E": (1, 0), "Ehat": (2,)}, (),
+         "HomologyClass(L=1, E=(1, 0), Ehat=(2,))"),
+        (WeightExpansion, {"D": 2, "top": None, "sizes": (2, 1)}, (),
+         "WeightExpansion(D=2, top=None, sizes=(2, 1))"),
+        (PackingInstance, {"D": 1, "top": 3, "sizes": (1, 1)}, (),
+         "PackingInstance(D=1, top=3, sizes=(1, 1))"),
+        (Verdict, {"feasible": True, "failures": (), "D": 1,
+                   "rows": ((3, 1, 1, 0),)}, (),
+         "Verdict(feasible=True, failures=(), D=1, rows=((3, 1, 1, 0),))"),
+        (Decomposition, {"D": 1, "rows": [[2, (1, 0, 0, 1, 0, 0), None,
+                                           None]], "domain": None}, (),
+         "Decomposition(D=1, rows=[[2, (1, 0, 0, 1, 0, 0), None, None]], "
+         "domain=None)"),
+        (ConvexDecomposition, {"top": 3, "domain": disk, "left": None,
+                               "right": None}, (),
+         f"ConvexDecomposition(top=3, domain={disk!r}, left=None, "
+         "right=None)"),
+        (CapacitySeq, {"D": 1, "ints": (0, 1)}, (),
+         "CapacitySeq(D=1, ints=(0, 1))"),
+        (EmbeddingProblem, {"source": ball, "target": disk, "max_nodes": 5},
+         ("source_weights", "target_weights"),
+         f"EmbeddingProblem(source={ball!r}, target={disk!r}, max_nodes=5, "
+         "source_weights=WeightExpansion(D=1, top=None, sizes=(2,)), "
+         "target_weights=WeightExpansion(D=1, top=3, sizes=()))"),
+        (CapacityReport, {"source": seq, "target": seq, "oks": (True, True)},
+         (), f"CapacityReport(source={seq!r}, target={seq!r}, "
+             "oks=(True, True))"),
+        (LatticePath, {"kind": "convex", "ints": ((0, 1), (1, 0))}, (),
+         "LatticePath(kind='convex', ints=((0, 1), (1, 0)))"),
+        (PathSplit, {"level": 0, "head": step, "left": step, "right": step},
+         (), f"PathSplit(level=0, head={step!r}, left={step!r}, "
+             f"right={step!r})"),
+        (SphereChain, {"classes": (HomologyClass(0, (1,)),),
+                       "weights": (1,), "head": 2, "line_index": 0}, (),
+         "SphereChain(classes=(HomologyClass(L=0, E=(1,), Ehat=()),), "
+         "weights=(1,), head=2, line_index=0)"),
+    ]
+
+
+@pytest.mark.parametrize("cls, kwargs, derived, text", _records(),
+                         ids=lambda v: v.__name__ if isinstance(v, type)
+                         else "")
+def test_value_classes_behave_as_frozen_dataclasses(cls, kwargs, derived,
+                                                    text):
+    by_name = cls(**kwargs)
+    value = cls(*kwargs.values())
+    assert repr(value) == repr(by_name) == text
+    assert value == by_name and not value != by_name
+    fields = tuple(getattr(value, name) for name in (*kwargs, *derived))
+    try:
+        assert hash(value) == hash(by_name) == hash(fields)
+    except TypeError:  # a field is a list, as dataclass hashes refuse too
+        with pytest.raises(TypeError):
+            hash(fields)
+    # equal only within one class
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    for name in (*kwargs, *derived, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in (*kwargs, *derived):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == getattr(by_name, name)
+
+
+def test_value_class_defaults_subclasses_and_views():
+    assert HomologyClass(1) == HomologyClass(1, (), ())
+    assert SphereChain((), ()) == SphereChain((), (), None, None)
+    ball, disk = ToricDomain.ball(2), ToricDomain.ball(3, "convex")
+    assert EmbeddingProblem(ball, disk).max_nodes == DEFAULT_MAX_NODES
+    expansion = WeightExpansion(1, 3, (1, 1))
+    packing = PackingInstance(1, 3, (1, 1))
+    assert expansion != packing and packing != expansion
+    # cached_property views are computed once and kept
+    seq = CapacitySeq(2, (0, 2, 5))
+    assert seq.values is seq.values and seq[2] == F(5, 2)
+    assert ball.boundary is ball.boundary == (Point(0, 2), Point(2, 0))
+    assert packing.head == 3 and packing.weights == (1, 1)
