@@ -21,20 +21,18 @@ import time
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .blowups import inner_approximation, outer_approximation
+# what every data command reads; a handler imports the modules only it
+# needs where it runs.  capacities stays here for caps, and because the
+# benchmark's traced mode (bench/run.py) reads it from sys.modules before
+# any request runs
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
-from .embeddings import EmbeddingProblem, capacity_report, reduce_to_packing
 from .errors import DomainError, LimitError
 from .fileio import canonical_json, ratio_text, read_domain
 from .geometry import rational
-from .latticepaths import oracle_convex_caps_upto
-from .packing import PackingInstance, Verdict, decide_packing, optimal_scale
-from .svgout import render_approximation, render_decomposition
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
 
@@ -91,7 +89,7 @@ def _expand(dom: ToricDomain, mn: int):
             else convex_weights)(dom, mn)
 
 
-def _verdict_payload(verdict: Verdict, balls: int) -> dict:
+def _verdict_payload(verdict, balls: int) -> dict:
     # one table of texts: trace[0] is the instance, zero-padded past balls
     text = _texts(verdict.D, verdict.rows).__getitem__
     trace = [list(map(text, row)) for row in verdict.rows]
@@ -106,7 +104,8 @@ def _verdict_payload(verdict: Verdict, balls: int) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -117,7 +116,10 @@ def cmd_weights(args) -> dict:
     exp, dec = _expand(dom, mn)
     # only a drawing reads the rows, one per cut; draw them and drop
     # them before the report is built
-    svg = render_decomposition(dom, dec) if args.svg else None
+    svg = None
+    if args.svg:
+        from .svgout import render_decomposition
+        svg = render_decomposition(dom, dec)
     del dec
     D, top, sizes = exp.D, exp.top, exp.sizes
     text = _texts(D, [sizes, [top] if top else []]).__getitem__
@@ -164,6 +166,7 @@ def cmd_caps(args) -> dict:
         "certified": seq.certified,
     }
     if args.oracle:
+        from .latticepaths import oracle_convex_caps_upto
         kk = min(args.k, ORACLE_K_MAX)
         pairs = oracle_convex_caps_upto(dom, kk)
         report["oracle"] = {
@@ -181,6 +184,7 @@ def cmd_caps(args) -> dict:
 
 
 def cmd_pack(args) -> dict:
+    from .packing import PackingInstance, decide_packing
     instance = PackingInstance.of(rational(args.target),
                                   _parse_balls(args.balls))
     verdict = decide_packing(instance)
@@ -200,6 +204,9 @@ def cmd_pack(args) -> dict:
 
 
 def cmd_embed(args) -> dict:
+    from .embeddings import (EmbeddingProblem, capacity_report,
+                             reduce_to_packing)
+    from .packing import decide_packing, optimal_scale
     mn = _max_nodes()
     source, source_record = _load(args.source)
     target, target_record = _load(args.target)
@@ -248,6 +255,7 @@ def cmd_embed(args) -> dict:
 
 
 def cmd_svg(args) -> dict:
+    from .svgout import render_approximation, render_decomposition
     mn = _max_nodes()
     dom, record = _load(args.file)
     report = {
@@ -266,6 +274,7 @@ def cmd_svg(args) -> dict:
         report["mode"] = "decomposition"
         report["polygons"] = len(exp.sizes) + (exp.top is not None)
     else:
+        from .blowups import inner_approximation, outer_approximation
         if dom.kind == "concave":
             approx = outer_approximation(dec, delta)
             ok = contains(approx, dom)

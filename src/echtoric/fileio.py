@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from math import gcd, isfinite
-from pathlib import Path
 from typing import Union
 
 from .domains import ToricDomain
@@ -57,7 +57,8 @@ def domain_from_json(obj: object) -> ToricDomain:
     return ToricDomain.of(kind, boundary)
 
 
-def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
+def read_domain(path: Union[str, os.PathLike]
+                ) -> tuple[ToricDomain, str]:
     """The domain in a file and the sha256 of the bytes it was read from.
 
     The file is opened once.  Its bytes are decoded as a text-mode read
@@ -81,13 +82,17 @@ def read_domain(path: Union[str, Path]) -> tuple[ToricDomain, str]:
     return domain_from_json(obj), digest_bytes(data)
 
 
-def load_domain(path: Union[str, Path]) -> ToricDomain:
+def load_domain(path: Union[str, os.PathLike]) -> ToricDomain:
     return read_domain(path)[0]
 
 
-def save_domain(domain: ToricDomain, path: Union[str, Path]) -> None:
-    Path(path).write_text(canonical_json(domain_to_json(domain)),
-                          encoding="utf-8")
+def save_domain(domain: ToricDomain,
+                path: Union[str, os.PathLike]) -> None:
+    # the text is built before the file is opened, so a domain that
+    # cannot be written leaves no file behind
+    text = canonical_json(domain_to_json(domain))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -151,5 +156,6 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_file(path: Union[str, Path]) -> str:
-    return digest_bytes(Path(path).read_bytes())
+def digest_file(path: Union[str, os.PathLike]) -> str:
+    with open(path, "rb") as f:
+        return digest_bytes(f.read())

@@ -162,7 +162,7 @@ def test_embed_checks_options_before_the_work(data_dir, capsys,
     # the packing decision run, --report first
     def unreached(*args):
         raise AssertionError("decide_packing ran before the options")
-    monkeypatch.setattr("echtoric.cli.decide_packing", unreached)
+    monkeypatch.setattr("echtoric.packing.decide_packing", unreached)
     embed = ("embed", str(data_dir / "omega1.json"),
              str(data_dir / "omega2.json"))
     code, _, out, err = run(capsys, *embed, "--scale-search", "0.001")
@@ -180,7 +180,7 @@ def test_embed_refuses_zero_precision_before_the_work(data_dir, capsys,
     # optimal_scale gives, before the instance is built
     def unreached(*args):
         raise AssertionError("reduce_to_packing ran before the precision")
-    monkeypatch.setattr("echtoric.cli.reduce_to_packing", unreached)
+    monkeypatch.setattr("echtoric.embeddings.reduce_to_packing", unreached)
     for precision in ("0", "0/3", "-1/8"):
         code, _, out, err = run(capsys, "embed",
                                 str(data_dir / "omega1.json"),
@@ -661,6 +661,50 @@ def test_cli_imports_no_dataclasses():
                     "assert not {'dataclasses', 'inspect'} & set(sys.modules)"],
                    env={**os.environ, "PYTHONPATH": src}, check=True,
                    timeout=60)
+
+
+# the modules a command loads only when its handler runs
+HANDLER_MODULES = {f"echtoric.{name}" for name in (
+    "blowups", "latticepaths", "svgout", "packing", "embeddings", "classes")}
+
+
+def _fresh_modules(*argv, flags=()):
+    """The modules a fresh interpreter holds after importing echtoric.cli
+    and, given argv, running main(argv) to exit code 0."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = f"assert echtoric.cli.main({list(argv)!r}) == 0\n" if argv else ""
+    code = f"import sys, echtoric.cli\n{run}print(*sys.modules)"
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=60, capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_imports_only_what_every_command_reads():
+    loaded = _fresh_modules()
+    assert not HANDLER_MODULES & loaded
+    # caps reads it, and bench/run.py's traced mode finds it in
+    # sys.modules before any request runs
+    assert "echtoric.capacities" in loaded
+
+
+def test_one_shot_commands_load_only_their_handlers_modules(data_dir):
+    square, omega1 = (str(data_dir / f"{name}.json")
+                      for name in ("square", "omega1"))
+    assert not HANDLER_MODULES & _fresh_modules("caps", square, "--k", "5")
+    embed = _fresh_modules("embed", omega1, square)
+    assert {"echtoric.packing", "echtoric.embeddings"} <= embed
+    assert not {"echtoric.blowups", "echtoric.latticepaths",
+                "echtoric.svgout"} & embed
+    # a positive control: the oracle loads when caps --oracle asks for it
+    assert "echtoric.latticepaths" in _fresh_modules(
+        "caps", square, "--k", "5", "--oracle")
+
+
+def test_cli_imports_no_pathlib():
+    # without site (which may import pathlib itself) nothing the CLI
+    # imports pulls in pathlib
+    assert "pathlib" not in _fresh_modules(flags=("-S",))
 
 
 def reference_parser():

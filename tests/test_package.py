@@ -2,6 +2,8 @@ import ast
 import contextlib
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 import types
 from fractions import Fraction as F
@@ -10,7 +12,19 @@ from pathlib import Path
 import pytest
 
 import echtoric
+# the package imports a module on first use; load every layer
+# bench/spans.py traces, as the benchmark's warm-up pass does before it
+# installs the tracer
+import echtoric.blowups
+import echtoric.capacities
 import echtoric.cli
+import echtoric.domains
+import echtoric.embeddings
+import echtoric.fileio
+import echtoric.latticepaths
+import echtoric.packing
+import echtoric.svgout
+import echtoric.weights
 from echtoric import (DEFAULT_MAX_NODES, CapacityReport, CapacitySeq,
                       ConvexDecomposition, Decomposition, EmbeddingProblem,
                       HomologyClass, LatticePath, PackingInstance, Point,
@@ -22,16 +36,17 @@ SRC = ROOT / "src" / "echtoric"
 SPANS = ROOT / "bench" / "spans.py"
 CI = ROOT / ".github" / "workflows" / "tests.yml"
 
-# Every public name and why it is public.  "cli": echtoric.cli imports
-# it.  "bench entry point": bench/spans.py wraps it.  "ci": a CI step
-# calls it.  "reference": an independent check the tests hold a kernel
-# against.  "roadmap item N": kept for that ROADMAP item.  "library": a
-# type, error or reader of what the entry points return, or the README
-# library example.  A name takes the first role that fits, in that order.
+# Every public name and why it is public.  "cli": cli.py imports it, at
+# its top or in the handler that uses it.  "bench entry point":
+# bench/spans.py wraps it.  "ci": a CI step calls it.  "reference": an
+# independent check the tests hold a kernel against.  "roadmap item N":
+# kept for that ROADMAP item.  "library": a type, error or reader of what
+# the entry points return, or the README library example.  A name takes
+# the first role that fits, in that order.
 ROLES = {
     **dict.fromkeys((
         "DEFAULT_MAX_NODES", "DomainError", "EmbeddingProblem", "LimitError",
-        "PackingInstance", "ToricDomain", "Verdict", "canonical_json",
+        "PackingInstance", "ToricDomain", "canonical_json",
         "capacity_report", "concave_caps", "concave_weights", "contains",
         "convex_caps", "convex_weights", "decide_packing",
         "inner_approximation", "optimal_scale", "oracle_convex_caps_upto",
@@ -64,7 +79,7 @@ ROLES = {
     **dict.fromkeys((
         "CapacityReport", "CapacitySeq", "ConvexDecomposition",
         "Decomposition", "GeometryError", "HomologyClass", "LatticePath",
-        "Point", "SphereChain", "WeightExpansion", "ball_caps",
+        "Point", "SphereChain", "Verdict", "WeightExpansion", "ball_caps",
         "convex_horizon", "decide_embedding", "digest_bytes",
         "domain_from_json", "domain_to_json", "inorder", "node_count",
         "tree_values"), "library"),
@@ -87,8 +102,11 @@ def test_all_lists_no_submodule():
     assert echtoric.__all__ == sorted(ROLES)
     for name in echtoric.__all__:
         assert not isinstance(getattr(echtoric, name), types.ModuleType), name
-    cli = {name for name in echtoric.__all__
-           if vars(echtoric.cli).get(name) is getattr(echtoric, name)}
+    # every package name cli.py imports, at its top or in a handler
+    cli = {name for level, module, names in _imports(SRC / "cli.py")
+           if level for name in names if name in echtoric.__all__
+           and getattr(getattr(echtoric, module), name)
+           is getattr(echtoric, name)}
     assert cli == {name for name, role in ROLES.items() if role == "cli"}
     spans, ci = SPANS.read_text(), CI.read_text()
     for name, role in ROLES.items():
@@ -117,6 +135,37 @@ def test_tracer_finds_every_entry_point(monkeypatch):
         assert undo
     finally:
         spans.uninstall(undo)
+
+
+def test_names_resolve_in_their_home_modules():
+    namespace = {}
+    exec("from echtoric import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == echtoric.__all__
+    assert set(echtoric.__all__) <= set(dir(echtoric))
+    for name, home in echtoric._HOME.items():
+        module = getattr(echtoric, home)
+        assert getattr(echtoric, name) is vars(module)[name], name
+        # the module that defines it, not one that imports it
+        assert getattr(namespace[name], "__module__",
+                       module.__name__) == module.__name__, name
+    for name in ("no_such_name", *GONE):
+        assert name not in dir(echtoric)
+        with pytest.raises(AttributeError, match="^module 'echtoric' has no "
+                                                 f"attribute '{name}'$"):
+            getattr(echtoric, name)
+
+
+def test_package_import_loads_no_module():
+    # a home module named as an attribute is imported on first use too
+    code = ("import sys, echtoric\n"
+            "assert [m for m in sys.modules if 'echtoric' in m] == "
+            "['echtoric']\n"
+            "paths = echtoric.latticepaths\n"
+            "assert paths is sys.modules['echtoric.latticepaths']\n"
+            "assert echtoric.LatticePath is paths.LatticePath")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(SRC.parent)})
 
 
 def test_readme_library_example():
