@@ -36,7 +36,8 @@ its map's translation are integers over E.  Raising a level and
 cutting inside an edge multiply E, and one gcd per cut divides out
 what the piece no longer needs.  A triangle piece, the only kind an
 ellipsoid's walk meets, has a path of rows, which _grow_path grows in
-one loop over plain integers.  The finished boundary goes to
+one loop over plain integers, each step dividing before it multiplies
+(_side_state).  The finished boundary goes to
 ToricDomain as integers over the lcm of those denominators.
 """
 
@@ -175,6 +176,30 @@ def _reduced(piece: list, m: tuple, E: int) -> tuple[list, int, tuple]:
     return piece, E, m
 
 
+def _side_state(s: int, u: int, k: int, A: int, B: int,
+                E: int) -> tuple[int, int, int, int, int]:
+    """One side of a cut in _grow_path, reduced: (s u, u k, A k, B k, E k)
+    divided by its greatest common divisor, or for k = 1 the unscaled
+    (s, u, A, B, E).
+
+    For k > 1 no product is formed before the division.  With
+    h = gcd(E, A, B, u), g1 = gcd(s, k) and g2 = gcd(k/g1, u/h), the
+    divisor is gcd(k h, s u) = h gcd(k, s u/h) = h g1 gcd(k/g1, (s/g1)(u/h))
+    = h g1 g2, as gcd(k/g1, s/g1) = 1.  So the reduced state is
+    ((s/g1)(u/h/g2), (u/h) c, (A/h) c, (B/h) c, (E/h) c) for
+    c = k/g1/g2, a product of factors that are each already divided.
+    """
+    if k == 1:
+        g = gcd(E, A, B, s, u)
+        return s // g, u // g, A // g, B // g, E // g
+    h = gcd(E, A, B, u)
+    g1 = gcd(s, k)
+    u //= h
+    g2 = gcd(k // g1, u)
+    c = k // g1 // g2
+    return s // g1 * (u // g2), u * c, A // h * c, B // h * c, E // h * c
+
+
 def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
                ds: list[tuple[int, int]], order: int, out: list) -> int:
     """Grow the triangle [(0, Y), (X, 0)] over E at row idx in closed
@@ -187,10 +212,12 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
     if X = lam and Y - X otherwise, is the piece (0, (Y - lam) k),
     (X (Y - lam), 0) (X itself when k = 1) with map (ma - mb, mb,
     mc - md, md, (tx + mb lam) k, (ty + md lam) k); a right side
-    mirrors it.  In in-order, the nodes with only a right child put out
-    their left vertex in path order, the leaf both its vertices, and
-    the nodes with only a left child their right vertex in reverse path
-    order.  As in _grow, only a part that vanished is checked.
+    mirrors it.  _side_state reduces that state without forming its
+    products, so each step stays at the size of the reduced numbers.
+    In in-order, the nodes with only a right child put out their left
+    vertex in path order, the leaf both its vertices, and the nodes
+    with only a left child their right vertex in reverse path order.
+    As in _grow, only a part that vanished is checked.
     """
     ma, mb, mc, md, tx, ty = m
     tail = []
@@ -213,31 +240,21 @@ def _grow_path(rows: list, idx: int, X: int, Y: int, E: int, m: tuple,
                 "perturbation too large: right part of a cut vanished")
         if Y > lam:
             tail.append((ma * lam + tx, mc * lam + ty, E))
-            if X == lam:
-                k, Y = 1, Y - lam
-            else:
-                k = Y - X
-                X, Y = X * (Y - lam), (Y - lam) * k
+            X, Y, tx, ty, E = _side_state(
+                X, Y - lam, 1 if X == lam else Y - X,
+                tx + mb * lam, ty + md * lam, E)
             ma, mc = ma - mb, mc - md
-            tx, ty = (tx + mb * lam) * k, (ty + md * lam) * k
             idx = lchild
         else:
             out.append((mb * lam + tx, md * lam + ty, E))
             if X <= lam:
                 out.append((ma * lam + tx, mc * lam + ty, E))
                 break
-            if Y == lam:
-                k, X = 1, X - lam
-            else:
-                k = X - Y
-                X, Y = (X - lam) * k, Y * (X - lam)
+            Y, X, tx, ty, E = _side_state(
+                Y, X - lam, 1 if Y == lam else X - Y,
+                tx + ma * lam, ty + mc * lam, E)
             mb, md = mb - ma, md - mc
-            tx, ty = (tx + ma * lam) * k, (ty + mc * lam) * k
             idx = rchild
-        E *= k
-        g = gcd(E, tx, ty, X, Y)
-        if g > 1:
-            X, Y, tx, ty, E = X // g, Y // g, tx // g, ty // g, E // g
     out.extend(reversed(tail))
     return order
 

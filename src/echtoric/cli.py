@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
 from .errors import DomainError, LimitError
-from .fileio import canonical_json, ratio_text, read_domain
+from .fileio import _overwrite, canonical_json, ratio_text, read_domain
 from .geometry import rational
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
@@ -103,11 +103,6 @@ def _verdict_payload(verdict, balls: int) -> dict:
     }
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 # -- subcommands ------------------------------------------------------------
 
 def cmd_weights(args) -> dict:
@@ -140,7 +135,7 @@ def cmd_weights(args) -> dict:
         }
     # the file is written only once the whole report is built
     if svg is not None:
-        _write_text(args.svg, svg)
+        _overwrite(args.svg, svg)
         # one triangle per weight, and the head of a convex domain
         report["svg"] = {"path": args.svg,
                          "polygons": len(sizes) + (top is not None)}
@@ -192,14 +187,15 @@ def cmd_pack(args) -> dict:
         "command": "pack",
         **_verdict_payload(verdict, len(instance.sizes)),
     }
-    if args.trace:
-        certificate = {key: report[key] for key in (
-            "instance", "feasible", "failures", "trace", "terminal")}
-        _write_text(args.trace, canonical_json(certificate))
-        report["trace_file"] = args.trace
     if args.approx:
         report["approx"] = {"inexact": True,
                             "volume_slack": float(verdict.volume_slack)}
+    # the file is written only once the whole report is built
+    if args.trace:
+        certificate = {key: report[key] for key in (
+            "instance", "feasible", "failures", "trace", "terminal")}
+        _overwrite(args.trace, canonical_json(certificate))
+        report["trace_file"] = args.trace
     return report
 
 
@@ -270,7 +266,7 @@ def cmd_svg(args) -> dict:
         raise DomainError("perturbations must be nonnegative")
     exp, dec = _expand(dom, mn)
     if args.decomposition:
-        _write_text(args.out, render_decomposition(dom, dec))
+        svg = render_decomposition(dom, dec)
         report["mode"] = "decomposition"
         report["polygons"] = len(exp.sizes) + (exp.top is not None)
     else:
@@ -281,7 +277,7 @@ def cmd_svg(args) -> dict:
         else:
             approx = inner_approximation(dec, delta)
             ok = contains(dom, approx)
-        _write_text(args.out, render_approximation(dom, approx))
+        svg = render_approximation(dom, approx)
         report["mode"] = "approximation"
         report["delta"] = _s(delta)
         text = _texts(approx.D, approx.ints).__getitem__
@@ -290,6 +286,8 @@ def cmd_svg(args) -> dict:
         report["area"] = _area(dom)
         report["approx_area"] = _area(approx)
         report["nesting_ok"] = ok
+    # the file is written only once the whole report is built
+    _overwrite(args.out, svg)
     return report
 
 

@@ -14,8 +14,9 @@ approximation overlay takes both boundaries over the common multiple
 of their denominators.
 Documents are built by string assembly, no markup library.  Each
 drawing fixes its canvas map once, as integers (P, Q, R) per axis, and
-then quantises every coordinate n/D to four decimals, rounded half up,
-as (P + Q n) // R, so the output bytes depend only on the input.
+then quantises each distinct coordinate n/D once, to four decimals,
+rounded half up, as (P + Q n) // R, so the output bytes depend only on
+the input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 from .domains import ToricDomain
 from .geometry import Point
@@ -93,14 +94,19 @@ class _Canvas:
         self._x = 20000 * MARGIN * S - C * xmin + S, C, 2 * S
         self._y = 20000 * (SIZE - MARGIN) * S + C * ymin + S, -C, 2 * S
 
-    def map(self, x: int, y: int) -> tuple[str, str]:
+    def texts(self, points: Collection[tuple[int, int]]
+              ) -> dict[tuple[int, int], str]:
+        """Each point's canvas text "x,y"; every distinct x and every
+        distinct y among the points is quantised once."""
         (P, Q, R), (S, T, U) = self._x, self._y
-        i, j = (P + Q * x) // R, (S + T * y) // U
-        return (f"{i // 10000}.{i % 10000:04d}",
-                f"{j // 10000}.{j % 10000:04d}")
+        xs = {x: _decimal((P + Q * x) // R) for x in {x for x, _ in points}}
+        ys = {y: _decimal((S + T * y) // U) for y in {y for _, y in points}}
+        return {p: f"{xs[p[0]]},{ys[p[1]]}" for p in points}
 
-    def points_attr(self, poly: Iterable[tuple[int, int]]) -> str:
-        return " ".join("%s,%s" % self.map(x, y) for x, y in poly)
+
+def _decimal(i: int) -> str:
+    """i / 1e4 with four decimals."""
+    return f"{i // 10000}.{i % 10000:04d}"
 
 
 def _region(D: int, domain: ToricDomain) -> list[tuple[int, int]]:
@@ -117,13 +123,19 @@ def _document(body: list[str]) -> str:
     return "\n".join([head] + body + ["</svg>", ""])
 
 
-def _axes(canvas: _Canvas, xmax: int, ymax: int) -> list[str]:
-    ox, oy = canvas.map(0, 0)
-    xx, xy = canvas.map(xmax, 0)
-    yx, yy = canvas.map(0, ymax)
+def _axes(at: dict[tuple[int, int], str], xmax: int, ymax: int) -> list[str]:
+    """The axes from the origin to (xmax, 0) and (0, ymax); at holds
+    the canvas texts of those three points."""
+    (ox, oy), (xx, xy), (yx, yy) = (
+        at[p].split(",") for p in ((0, 0), (xmax, 0), (0, ymax)))
     style = 'stroke="#888888" stroke-width="1"'
     return [f'<line x1="{ox}" y1="{oy}" x2="{xx}" y2="{xy}" {style} />',
             f'<line x1="{ox}" y1="{oy}" x2="{yx}" y2="{yy}" {style} />']
+
+
+def _points(at: dict[tuple[int, int], str],
+            poly: Iterable[tuple[int, int]]) -> str:
+    return " ".join(map(at.__getitem__, poly))
 
 
 def render_decomposition(domain: ToricDomain, tree: Tree) -> str:
@@ -135,21 +147,24 @@ def render_decomposition(domain: ToricDomain, tree: Tree) -> str:
     D, tris = _tiles(tree)
     outline = _region(D, domain)
     corners = list(chain.from_iterable(tris))
-    canvas = _Canvas(outline + corners, D)
     xs, ys = zip(*corners)
-    body = _axes(canvas, max(xs), max(ys))
+    xmax, ymax = max(xs), max(ys)
+    # the axes' ends lie inside the span of the corners and the origin
+    points = {*outline, *corners, (xmax, 0), (0, ymax)}
+    at = _Canvas(points, D).texts(points)
+    body = _axes(at, xmax, ymax)
     offset = 0
     if domain.kind == "convex":
-        body.append(f'<polygon points="{canvas.points_attr(tris[0])}" '
+        body.append(f'<polygon points="{_points(at, tris[0])}" '
                     f'fill="{_HEAD_FILL}" fill-opacity="0.9" '
                     f'stroke="#555555" stroke-width="1" />')
         offset = 1
     for i, poly in enumerate(tris[offset:]):
         color = _PALETTE[i % len(_PALETTE)]
-        body.append(f'<polygon points="{canvas.points_attr(poly)}" '
+        body.append(f'<polygon points="{_points(at, poly)}" '
                     f'fill="{color}" fill-opacity="0.8" '
                     f'stroke="#333333" stroke-width="1" />')
-    body.append(f'<polyline points="{canvas.points_attr(outline)}" '
+    body.append(f'<polyline points="{_points(at, outline)}" '
                 f'fill="none" stroke="#000000" stroke-width="2" />')
     return _document(body)
 
@@ -158,13 +173,15 @@ def render_approximation(domain: ToricDomain, approx: ToricDomain) -> str:
     """The domain filled solid with the approximating domain drawn over it."""
     D = lcm(domain.D, approx.D)
     region, approx_region = _region(D, domain), _region(D, approx)
-    canvas = _Canvas(region + approx_region, D)
     xs, ys = zip(*region, *approx_region)
-    body = _axes(canvas, max(xs), max(ys))
-    body.append(f'<polygon points="{canvas.points_attr(region)}" '
+    xmax, ymax = max(xs), max(ys)
+    points = {*region, *approx_region, (xmax, 0), (0, ymax)}
+    at = _Canvas(points, D).texts(points)
+    body = _axes(at, xmax, ymax)
+    body.append(f'<polygon points="{_points(at, region)}" '
                 f'fill="{_PALETTE[0]}" fill-opacity="0.55" '
                 f'stroke="#333333" stroke-width="1" />')
-    body.append(f'<polygon points="{canvas.points_attr(approx_region)}" '
+    body.append(f'<polygon points="{_points(at, approx_region)}" '
                 f'fill="{_PALETTE[1]}" fill-opacity="0.35" '
                 f'stroke="#b3541e" stroke-width="2" stroke-dasharray="6 3" />')
     return _document(body)

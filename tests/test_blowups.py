@@ -2,14 +2,17 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from echtoric import (DomainError, HomologyClass, ToricDomain, area, c1,
                       concave_weights, contains, convex_weights,
                       inner_approximation, intersection, node_count,
                       outer_approximation, sphere_chain_concave,
                       sphere_chain_convex)
+from echtoric.blowups import _side_state
 from echtoric.domains import _check_concave
 
 from generators import random_concave, random_convex
@@ -536,3 +539,33 @@ def test_triangle_pieces_grow_without_the_general_cut(monkeypatch):
     assert _outcome(outer_approximation, tree, F(1, 2)) == want
     assert _outcome(_outer_ref, tree, F(1, 2)) == want
     assert cuts == [3]
+
+
+_BIG = 10 ** 90
+
+
+@given(st.integers(1, _BIG), st.integers(1, _BIG),
+       st.one_of(st.just(1), st.integers(2, _BIG)),
+       st.integers(-_BIG, _BIG), st.integers(-_BIG, _BIG),
+       st.integers(1, _BIG), st.integers(1, 10 ** 6))
+@example(6, 10, 4, 12, -18, 30, 1)
+@example(3, 7, 1, 0, 0, 21, 1)
+def test_side_state_divides_by_the_whole_gcd(s, u, k, A, B, E, f):
+    # the factored reduction of a grow step is the five-way gcd division
+    # of the scaled state; f plants a common factor in every part
+    s, u, A, B, E = (v * f for v in (s, u, A, B, E))
+    if k > 1:
+        k *= f
+    state = (s * u, u * k, A * k, B * k, E * k) if k > 1 else (s, u, A, B, E)
+    g = gcd(*state)
+    assert _side_state(s, u, k, A, B, E) == tuple(v // g for v in state)
+
+
+def test_long_outer_approximation_is_pinned():
+    # E(1,1000) grows past the sizes the Fraction reference runs at; its
+    # 1/12 outer approximation is pinned from the five-way gcd step
+    out = outer_approximation(src_tree(ToricDomain.ellipsoid(1, 1000)),
+                              F(1, 12))
+    assert len(out.ints) == 1001
+    assert hashlib.sha256(repr((out.D, out.ints)).encode()).hexdigest() == \
+        "4e09f9f5f1a6c402146685f4d731eca54fd0c6804a302635d8a5606d0132a374"

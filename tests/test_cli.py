@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from xml.dom import minidom
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from echtoric import (Point, ToricDomain, cli, concave_weights,
-                      convex_weights, load_domain, save_domain)
+                      convex_weights, load_domain, render_decomposition,
+                      save_domain)
 from echtoric.cli import build_parser, main
 
 F = Fraction
@@ -321,6 +323,29 @@ def test_svg_decomposition(data_dir, capsys, tmp_path):
     assert len(doc.getElementsByTagName("polygon")) == 5
 
 
+def test_svg_writes_over_devices_and_fifos(data_dir, capsys, tmp_path):
+    # a drawing goes to any writable path; only a regular file is cut to
+    # the length of the new text
+    omega1 = str(data_dir / "omega1.json")
+    code, rep, _, _ = run(capsys, "svg", omega1, os.devnull, "--decomposition")
+    assert code == 0 and rep["output"] == os.devnull
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        code, _, _, _ = run(capsys, "svg", omega1, str(fifo), "--decomposition")
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    want = render_decomposition(load_domain(omega1),
+                                concave_weights(load_domain(omega1))[1])
+    assert got == [want.encode()]
+
+
 def test_svg_approximation(data_dir, capsys, tmp_path):
     out_path = tmp_path / "fig.svg"
     code, rep, _, _ = run(capsys, "svg", str(data_dir / "omega1.json"),
@@ -383,6 +408,8 @@ def test_numerals_past_the_digit_limit(capsys, tmp_path, digit_limit):
                             "--approximation", "1/12")
     assert code == 4 and out == ""
     assert err.startswith("echtoric: resource guard: ")
+    # and, as for weights --svg, a failed request writes no drawing
+    assert not (tmp_path / "a.svg").exists()
     # so is an area whose numerator outgrows the limit on inputs within it
     big = "1" + "0" * 400
     path.write_text(json.dumps({"type": "concave",
@@ -394,25 +421,26 @@ def test_numerals_past_the_digit_limit(capsys, tmp_path, digit_limit):
 
 def test_approx_past_the_float_range_is_a_resource_guard(capsys, tmp_path):
     # the exact report of a value past the float range prints; its
-    # inexact rendering is a resource guard, and a failed weights
-    # request writes no drawing
+    # inexact rendering is a resource guard, and a failed weights or
+    # pack request writes no drawing and no certificate
     big = "1" + "0" * 400
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"type": "concave",
                                 "boundary": [["0", big], [big, "0"]]}))
     svg = tmp_path / "big.svg"
+    cert = tmp_path / "cert.json"
     calls = (["weights", str(path), "--svg", str(svg)],
              ["caps", str(path), "--k", "3"],
-             ["pack", "--target", big, "--balls", "1"])
+             ["pack", "--target", big, "--balls", "1", "--trace", str(cert)])
     for argv in calls:
         code, _, out, err = run(capsys, "--approx", *argv)
         assert code == 4 and out == "", argv
         assert err.startswith("echtoric: resource guard: "), argv
-    assert not svg.exists()
+    assert not svg.exists() and not cert.exists()
     for argv in calls:
         code, rep, _, _ = run(capsys, *argv)
         assert code == 0 and big in json.dumps(rep), argv
-    assert svg.exists()
+    assert svg.exists() and cert.exists()
 
 
 def test_deeply_nested_json_is_invalid_input(data_dir, capsys, tmp_path):

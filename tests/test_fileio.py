@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from echtoric import (DomainError, LimitError, ToricDomain, canonical_json,
                       digest_bytes, digest_file, domain_from_json,
                       domain_to_json, load_domain, rational, read_domain,
                       save_domain)
-from echtoric.fileio import ratio_text
+from echtoric.fileio import _overwrite, ratio_text
 
 F = Fraction
 
@@ -60,6 +62,62 @@ def test_save_and_load(tmp_path):
     first = path.read_bytes()
     save_domain(dom, path)
     assert path.read_bytes() == first
+
+
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
+    # written in place over a longer file, the rest of the old bytes is cut
+    path = tmp_path / "out.svg"
+    path.write_bytes(b"x" * 5000)
+    _overwrite(path, "<svg>\u00e9</svg>\n")
+    assert path.read_bytes() == "<svg>\u00e9</svg>\n".encode("utf-8")
+    _overwrite(str(path), "")
+    assert path.read_bytes() == b""
+
+
+def test_overwrite_makes_a_file_as_open_does(tmp_path):
+    # a new file gets mode 0o666 less the umask, as open(path, "w") gives
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open", "w"):
+            pass
+        _overwrite(tmp_path / "by_overwrite", "text")
+    finally:
+        os.umask(old)
+    modes = [os.stat(tmp_path / name).st_mode
+             for name in ("by_open", "by_overwrite")]
+    assert modes[0] == modes[1] and modes[1] & 0o777 == 0o640
+
+
+def test_overwrite_touches_nothing_it_cannot_encode(tmp_path):
+    path = tmp_path / "out.svg"
+    path.write_text("old drawing")
+    before = os.stat(path)
+    with pytest.raises(UnicodeEncodeError):
+        _overwrite(path, "\ud800")
+    after = os.stat(path)
+    assert path.read_text() == "old drawing"
+    assert after.st_mtime_ns == before.st_mtime_ns
+    with pytest.raises(UnicodeEncodeError):
+        _overwrite(tmp_path / "new.svg", "\ud800")
+    assert not (tmp_path / "new.svg").exists()
+
+
+def test_overwrite_cut_short_keeps_the_prefix_it_wrote(tmp_path, monkeypatch):
+    # a write that fails part way leaves the new bytes it wrote and
+    # nothing of the old text after them
+    path = tmp_path / "out.svg"
+    path.write_text("o" * 100)
+    write = os.write
+
+    def full_disk(fd, data):
+        if len(data) <= 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data[:4])
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(OSError):
+        _overwrite(path, "new text")
+    monkeypatch.undo()
+    assert path.read_text() == "new "
 
 
 def test_bad_files_rejected(tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 from xml.dom import minidom
 
+from hypothesis import given, strategies as st
+
 from echtoric import (ToricDomain, concave_weights, convex_weights,
                       decomposition_polygons, outer_approximation,
                       render_approximation, render_decomposition)
@@ -107,8 +109,8 @@ def _integer_map(points):
     D = lcm(*(v.denominator for p in points for v in (p.x, p.y)))
     ints = [(p.x.numerator * (D // p.x.denominator),
              p.y.numerator * (D // p.y.denominator)) for p in points]
-    canvas = _Canvas(ints, D)
-    return [canvas.map(x, y) for x, y in ints]
+    at = _Canvas(ints, D).texts(ints)
+    return [tuple(at[p].split(",")) for p in ints]
 
 
 def test_canvas_quantisation_matches_fraction_formula():
@@ -139,3 +141,34 @@ def test_canvas_quantisation_ties_round_half_up():
     assert _integer_map(small) == _fraction_map(small)
     assert _integer_map([Point(F(1, 3), F(1, 7))]) == \
         _fraction_map([Point(F(1, 3), F(1, 7))])
+
+
+def _per_corner(dom):
+    """The polygons, outline and axes of dom's decomposition drawing,
+    each corner put on the canvas on its own by the Fraction formula."""
+    tris = polygons(dom)
+    outline = [Point(0, 0), *dom.boundary]
+    corners = [p for tri in tris for p in tri]
+    xmax, ymax = max(p.x for p in corners), max(p.y for p in corners)
+    ends = [Point(xmax, 0), Point(0, ymax)]
+    texts = [",".join(pair) for pair in _fraction_map(outline + corners + ends)]
+    at = dict(zip(outline + corners + ends, texts))
+    return ([" ".join(at[p] for p in tri) for tri in tris],
+            " ".join(at[p] for p in outline),
+            [at[p].split(",") for p in (Point(0, 0), *ends)])
+
+
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_decomposition_drawing_matches_a_per_corner_rendering(seed, concave):
+    # each distinct canvas value is quantised once; the drawing is the
+    # one that maps every corner of every triangle by itself
+    rng = random.Random(seed)
+    dom = random_concave(rng) if concave else random_convex(rng)
+    want_polys, want_outline, (o, x, y) = _per_corner(dom)
+    doc = minidom.parseString(render_decomposition(dom, tree(dom)))
+    assert [node.getAttribute("points")
+            for node in doc.getElementsByTagName("polygon")] == want_polys
+    [line] = doc.getElementsByTagName("polyline")
+    assert line.getAttribute("points") == want_outline
+    assert [[node.getAttribute(a) for a in ("x1", "y1", "x2", "y2")]
+            for node in doc.getElementsByTagName("line")] == [o + x, o + y]
