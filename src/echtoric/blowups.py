@@ -51,7 +51,7 @@ from typing import Optional, Sequence, Union
 from .classes import HomologyClass
 from .domains import ToricDomain
 from .errors import DomainError
-from .geometry import RationalLike, ratio, rational
+from .geometry import RationalLike, ratio
 from .records import Record
 from .weights import (ConvexDecomposition, Decomposition, _fold, _shear_cut,
                       inorder, node_count, tree_values)
@@ -148,18 +148,25 @@ def sphere_chain_convex(decomp: ConvexDecomposition) -> SphereChain:
 Deltas = Union[RationalLike, Sequence[RationalLike]]
 
 
+def _lowest(value: RationalLike) -> tuple[int, int]:
+    """ratio(value) divided by its gcd, as Fraction(*ratio(value)) has it."""
+    n, q = ratio(value)
+    g = gcd(n, q)
+    return n // g, q // g
+
+
 def _delta_list(deltas: Deltas, count: int) -> list[tuple[int, int]]:
     """The perturbations in lowest terms as integer pairs (n, q) for n/q,
     one per row; a scalar is read and checked once."""
     if isinstance(deltas, (list, tuple)):
-        vals = [ratio(rational(d)) for d in deltas]
+        vals = list(map(_lowest, deltas))
         if len(vals) != count:
             raise DomainError(
                 f"need {count} perturbation entries, got {len(vals)}")
         if any(n < 0 for n, _ in vals):
             raise DomainError("perturbations must be nonnegative")
         return vals
-    val = ratio(rational(deltas))
+    val = _lowest(deltas)
     if val[0] < 0:
         raise DomainError("perturbations must be nonnegative")
     return [val] * count

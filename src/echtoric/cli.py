@@ -32,7 +32,7 @@ from .capacities import concave_caps, convex_caps
 from .domains import ToricDomain, contains
 from .errors import DomainError, LimitError
 from .fileio import _overwrite, canonical_json, ratio_text, read_domain
-from .geometry import rational
+from .geometry import ratio, rational
 from .weights import DEFAULT_MAX_NODES, concave_weights, convex_weights
 
 
@@ -91,14 +91,18 @@ def _expand(dom: ToricDomain, mn: int):
 
 def _verdict_payload(verdict, balls: int) -> dict:
     # one table of texts: trace[0] is the instance, zero-padded past balls
-    text = _texts(verdict.D, verdict.rows).__getitem__
-    trace = [list(map(text, row)) for row in verdict.rows]
+    D, rows = verdict.D, verdict.rows
+    text = _texts(D, rows).__getitem__
+    trace = [list(map(text, row)) for row in rows]
+    # Verdict.volume_slack from integers: b^2 - sum a^2 over D^2
+    head, *sizes = rows[0]
+    slack = head * head - sum(a * a for a in sizes)
     return {
         "instance": {"target": trace[0][0], "balls": trace[0][1:balls + 1]},
         "feasible": verdict.feasible,
         "failures": list(verdict.failures),
         "terminal": trace[-1],
-        "volume_slack": _s(verdict.volume_slack),
+        "volume_slack": ratio_text(slack, D * D),
         "trace": trace,
     }
 
@@ -202,7 +206,7 @@ def cmd_pack(args) -> dict:
 def cmd_embed(args) -> dict:
     from .embeddings import (EmbeddingProblem, capacity_report,
                              reduce_to_packing)
-    from .packing import decide_packing, optimal_scale
+    from .packing import _scale_bracket, decide_packing
     mn = _max_nodes()
     source, source_record = _load(args.source)
     target, target_record = _load(args.target)
@@ -210,8 +214,8 @@ def cmd_embed(args) -> dict:
     if args.report is not None and args.report < 0:
         raise UsageError("--report must be nonnegative")
     if args.scale_search is not None:
-        precision = rational(args.scale_search)
-        if precision <= 0:
+        precision = ratio(args.scale_search)
+        if precision[0] <= 0:
             raise DomainError("precision must be positive")
     problem = EmbeddingProblem(source, target, mn)
     instance = reduce_to_packing(problem)
@@ -237,16 +241,19 @@ def cmd_embed(args) -> dict:
                      for k, (ok, a, b) in enumerate(zip(caps.oks, *cols))],
         }
     if args.scale_search is not None:
+        # optimal_scale's integer core, over 2^e: the Fraction wrapper
         # optimal_embedding_scale would build the instance a second time
-        lo, hi = optimal_scale(instance, problem.source_weights, precision)
+        lo, hi, e = _scale_bracket(instance, problem.source_weights,
+                                   *precision)
         report["scale"] = {
-            "precision": _s(precision),
-            "feasible_at": _s(lo),
-            "infeasible_at": _s(hi),
+            "precision": ratio_text(*precision),
+            "feasible_at": ratio_text(lo, 1 << e),
+            "infeasible_at": ratio_text(hi, 1 << e),
         }
         if args.approx:
             report.setdefault("approx", {"inexact": True})
-            report["approx"]["scale"] = [float(lo), float(hi)]
+            # correctly rounded, as float(Fraction(lo, 2^e)) is
+            report["approx"]["scale"] = [lo / (1 << e), hi / (1 << e)]
     return report
 
 
@@ -260,9 +267,9 @@ def cmd_svg(args) -> dict:
         "domain_type": dom.kind,
         "output": args.out,
     }
-    delta = None if args.decomposition else rational(args.approximation)
+    delta = None if args.decomposition else ratio(args.approximation)
     # refuse a negative delta before the expansion runs
-    if delta is not None and delta < 0:
+    if delta is not None and delta[0] < 0:
         raise DomainError("perturbations must be nonnegative")
     exp, dec = _expand(dom, mn)
     if args.decomposition:
@@ -271,15 +278,16 @@ def cmd_svg(args) -> dict:
         report["polygons"] = len(exp.sizes) + (exp.top is not None)
     else:
         from .blowups import inner_approximation, outer_approximation
+        # each approximation reads the same numeral, in lowest terms
         if dom.kind == "concave":
-            approx = outer_approximation(dec, delta)
+            approx = outer_approximation(dec, args.approximation)
             ok = contains(approx, dom)
         else:
-            approx = inner_approximation(dec, delta)
+            approx = inner_approximation(dec, args.approximation)
             ok = contains(dom, approx)
         svg = render_approximation(dom, approx)
         report["mode"] = "approximation"
-        report["delta"] = _s(delta)
+        report["delta"] = ratio_text(*delta)
         text = _texts(approx.D, approx.ints).__getitem__
         report["approx_boundary"] = [[text(x), text(y)]
                                      for x, y in approx.ints]

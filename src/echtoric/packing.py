@@ -33,8 +33,10 @@ optimal_scale brackets the supremal factor t at which the scaled balls
 still pack.  A probe at t = p/q reads the same integers (q*b; p*a_i for
 the scaled balls, q*f_j for the fixed ones): a positive factor changes
 neither the sign of a defect, nor which entries are negative, nor the
-sign of the slack.  The search bisects on dyadic integers and builds
-its two Fractions only on return.  It answers most probes without a
+sign of the slack.  The search, _scale_bracket, bisects on dyadic
+integers and returns them, the fixed balls taken out of the sorted
+sizes by one merge walk; optimal_scale builds its two Fractions from
+them, and the CLI builds none.  It answers most probes without a
 reduction:
 - Volume: the slack at p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2, two
   sums taken once per search, so the volume test is O(1).
@@ -54,7 +56,6 @@ packing), so every t up to a feasible threshold is feasible.
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -293,12 +294,34 @@ def optimal_scale(instance: PackingInstance,
     prec = rational(precision)
     if prec <= 0:
         raise DomainError("precision must be positive")
+    lo, hi, e = _scale_bracket(instance, scaled, prec.numerator,
+                               prec.denominator)
+    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+
+
+def _without(sizes: Sequence[int], drop: Sequence[int]) -> Optional[list]:
+    """sizes less the multiset drop, both nonincreasing, by one merge
+    walk; None when drop is not within sizes."""
+    rest, i, n = [], 0, len(drop)
+    for x in sizes:
+        if i < n and drop[i] == x:
+            i += 1
+        else:
+            rest.append(x)
+    # a size of drop the walk passed by is one sizes lacks
+    return rest if i == n else None
+
+
+def _scale_bracket(instance: PackingInstance,
+                   scaled: Union[WeightExpansion, Sequence[RationalLike]],
+                   num: int, den: int) -> tuple[int, int, int]:
+    """optimal_scale's bracket as integers (lo, hi, e), for lo/2^e and
+    hi/2^e, to the precision num/den > 0."""
     a = _scaled_ints(instance, scaled)
-    rest = Counter(instance.sizes)
-    rest.subtract(a)
-    if any(c < 0 for c in rest.values()):
+    f = _without(instance.sizes, sorted(a, reverse=True))
+    if f is None:
         raise DomainError("scaled sizes are not among the instance's balls")
-    b, f = instance.top, list(rest.elements())
+    b = instance.top
     # the slack at t = p/q is q^2 (b^2 - sum f^2) - p^2 sum a^2
     fixed_slack = b * b - sum(x * x for x in f)
     scaled_squares = sum(x * x for x in a)
@@ -351,11 +374,11 @@ def optimal_scale(instance: PackingInstance,
             lo, hi = hi, 2 * hi  # the volume bound ends this doubling
     else:
         lo, hi = 0, 1
-    num, den, e = prec.numerator, prec.denominator, 0
+    e = 0
     while (hi - lo) * den > num << e:
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
         if feasible(mid, 1 << e):
             lo = mid
         else:
             hi = mid
-    return Fraction(lo, 1 << e), Fraction(hi, 1 << e)
+    return lo, hi, e

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -156,6 +157,55 @@ def test_embed_full_report(data_dir, capsys):
     # byte determinism across runs
     code, _, out2, _ = run(capsys, *args)
     assert code == 0 and out2 == out1
+
+
+def test_read_errors_read_as_open_reports_them(tmp_path, capsys):
+    # exit code 3 and the text the open()-based reader gave: open's
+    # OSError, a decode error, and JSON errors placed by line and column
+    # after universal newlines
+    missing, folder = tmp_path / "missing.json", tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"type": "concave", "boundary": [["0", "1\xe9"]]}')
+    crlf, cr = tmp_path / "crlf.json", tmp_path / "cr.json"
+    crlf.write_bytes(b'{"type": "concave",\r\n "boundary": [["0", "1"],\r\n]}')
+    cr.write_bytes(b'{"type": "concave",\r "boundary":\r [["0" "1"]]}')
+
+    def reason(path) -> str:
+        try:
+            with open(path, encoding="utf-8") as f:
+                json.loads(f.read())
+        except OSError as exc:
+            return str(exc)
+        except json.JSONDecodeError as exc:
+            return f"{path}: not valid JSON ({exc})"
+        raise AssertionError(path)
+
+    def undecodable(path) -> str:
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{path}: not UTF-8 text ({exc})"
+        raise AssertionError(path)
+
+    want = {missing: reason(missing), folder: reason(folder),
+            crlf: reason(crlf), cr: reason(cr), latin: undecodable(latin)}
+    assert want[folder] == f"[Errno 21] Is a directory: '{folder}'"
+    assert "line 3 column 1" in want[crlf] and "line 3" in want[cr]
+    for path, text in want.items():
+        for argv in (["caps", str(path), "--k", "3"],
+                     ["embed", str(path), str(path)]):
+            code, _, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err == f"echtoric: invalid input: {text}\n", argv
+    # a CRLF file that parses reads as its LF form, digested as written
+    good = tmp_path / "good.json"
+    good.write_bytes(b'{"type": "convex",\r\n "boundary": [["0", "3"], '
+                     b'["3", "0"]]}\r\n')
+    code, rep, _, _ = run(capsys, "caps", str(good), "--k", "3")
+    assert code == 0 and rep["values"] == ["0", "3", "3", "6"]
+    assert rep["input"]["sha256"] == hashlib.sha256(
+        good.read_bytes()).hexdigest()
 
 
 def test_embed_checks_options_before_the_work(data_dir, capsys,
@@ -457,10 +507,11 @@ def test_deeply_nested_json_is_invalid_input(data_dir, capsys, tmp_path):
 
 def test_cli_texts_build_no_fractions(data_dir, capsys, tmp_path,
                                       monkeypatch):
-    # reports and drawings are written from integers over a denominator,
-    # the weights report's area too, from twice the area over 2 D^2; an
-    # embed report builds one, the volume slack the library returns as
-    # a Fraction, and its capacity rows add none
+    # reports and drawings are written from integers over a denominator:
+    # the weights report's area from twice the area over 2 D^2, an embed
+    # report's volume slack from the instance row over D^2, its scale
+    # bracket from integers over 2^e, and an approximation's delta from
+    # the numeral as written
     ball = tmp_path / "ball.json"
     ball.write_text(json.dumps({"type": "convex",
                                 "boundary": [["0", "3"], ["3", "0"]]}))
@@ -480,7 +531,13 @@ def test_cli_texts_build_no_fractions(data_dir, capsys, tmp_path,
                             (["svg", omega2, svg, "--decomposition"], 0),
                             (["weights", omega1, "--svg", svg], 0),
                             (["weights", omega2, "--svg", svg], 0),
-                            (["embed", omega1, omega2, "--report", "20"], 1)):
+                            (["embed", omega1, omega2, "--report", "20"], 0),
+                            (["--approx", "embed", omega1, omega2,
+                              "--scale-search", "1/100"], 0),
+                            (["svg", omega1, svg, "--approximation", "1/12"],
+                             0),
+                            (["svg", omega2, svg, "--approximation", "2/24"],
+                             0)):
         made.clear()
         code, _, _, _ = run(capsys, *argv)
         assert code == 0 and len(made) == fractions, (argv, made)
@@ -733,6 +790,67 @@ def test_cli_imports_no_pathlib():
     # without site (which may import pathlib itself) nothing the CLI
     # imports pulls in pathlib
     assert "pathlib" not in _fresh_modules(flags=("-S",))
+
+
+def test_cli_digests_without_openssl(data_dir):
+    # the input digest is the interpreter's built-in SHA-256: importing
+    # the CLI and running a command load neither hashlib nor OpenSSL
+    assert not {"hashlib", "_hashlib"} & _fresh_modules(flags=("-S",))
+    assert not {"hashlib", "_hashlib"} & _fresh_modules(
+        "caps", str(data_dir / "omega1.json"), "--k", "3", flags=("-S",))
+
+
+def _allowed_code() -> set:
+    """The Python code outside the package that a request may run:
+    json's decoder, the os.environ lookup of TDE_MAX_NODES, and the
+    ModuleSpec.parent a handler's relative import reads."""
+    from importlib.machinery import ModuleSpec
+    environ = type(os.environ)
+    return {f.__code__ for f in (
+        json.loads, json.JSONDecoder.decode, json.JSONDecoder.raw_decode,
+        environ.get, environ.__getitem__, os.environ.encodekey,
+        ModuleSpec.parent.fget)}
+
+
+def test_request_path_stays_in_the_package(data_dir, tmp_path):
+    # a request reads, digests, parses, decides and writes without
+    # Python-level code from fractions, collections, functools, abc or
+    # hashlib; pack and caps --oracle return Fractions by API
+    allowed = _allowed_code()
+    package = os.path.dirname(cli.__file__)
+    omega1, omega2 = str(data_dir / "omega1.json"), str(data_dir / "omega2.json")
+    svg = str(tmp_path / "out.svg")
+    for argv in (["caps", omega1, "--k", "20"],
+                 ["caps", omega2, "--k", "20"],
+                 ["weights", omega2, "--svg", svg],
+                 ["svg", omega1, svg, "--decomposition"],
+                 ["svg", omega1, svg, "--approximation", "1/12"],
+                 ["svg", omega2, svg, "--approximation", "2/24"],
+                 ["embed", omega1, omega2],
+                 ["embed", omega1, omega2, "--report", "12"],
+                 ["--approx", "embed", omega1, omega2,
+                  "--scale-search", "1/100"]):
+        outside = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code not in allowed
+                    and not code.co_filename.startswith(package)):
+                outside.add(f"{code.co_filename}:{code.co_name}")
+        for profiled in (False, True):  # the first run loads the modules
+            # a collection would finalise other code's generators
+            gc.collect()
+            gc.disable()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if profiled:
+                    sys.setprofile(profile)
+                try:
+                    code = main(argv)
+                finally:
+                    sys.setprofile(None)
+                    gc.enable()
+            assert code == 0, argv
+        assert not outside, (argv, outside)
 
 
 def reference_parser():

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -10,7 +11,7 @@ from echtoric import (DomainError, LimitError, ToricDomain, canonical_json,
                       digest_bytes, digest_file, domain_from_json,
                       domain_to_json, load_domain, rational, read_domain,
                       save_domain)
-from echtoric.fileio import _overwrite, ratio_text
+from echtoric.fileio import _overwrite, _read_bytes, ratio_text
 
 F = Fraction
 
@@ -197,6 +198,61 @@ def test_digests(tmp_path):
     path = tmp_path / "blob"
     path.write_bytes(b"abc")
     assert digest_file(path) == digest_bytes(b"abc")
+
+
+def test_digests_are_hashlibs(data_dir):
+    # the built-in SHA-256 gives what OpenSSL's gives
+    files = sorted(data_dir.iterdir())
+    assert len(files) > 10
+    for path in files:
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest_file(path) == want, path.name
+        if "golden" not in path.name:  # a domain file
+            assert read_domain(path)[1] == want, path.name
+
+
+@given(st.binary(max_size=300))
+def test_digest_bytes_is_hashlibs(data):
+    assert digest_bytes(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_byte_reader_reads_what_open_reads(data_dir, tmp_path):
+    # every size, an empty file and one past the reader's 64 KiB chunk
+    for path in sorted(data_dir.iterdir()):
+        with open(path, "rb") as f:
+            assert _read_bytes(path) == f.read(), path.name
+    sizes = {"empty": 0, "chunk": 1 << 16, "chunks": 3 * (1 << 16) + 5}
+    for name, size in sizes.items():
+        path = tmp_path / name
+        path.write_bytes(bytes(range(256)) * (size // 256)
+                         + b"x" * (size % 256))
+        assert _read_bytes(path) == path.read_bytes()
+        assert _read_bytes(str(path)) == _read_bytes(os.fsencode(path))
+        assert digest_file(path) == hashlib.sha256(
+            path.read_bytes()).hexdigest()
+
+
+def _open_error(path) -> OSError:
+    try:
+        open(path, "rb").close()
+    except OSError as exc:
+        return exc
+    raise AssertionError(f"{path} opened")
+
+
+def test_byte_reader_raises_what_open_raises(tmp_path):
+    # the same class, errno, text and filename, for str, bytes and Path
+    for path in (tmp_path / "missing.json", tmp_path):
+        for given_as in (path, str(path), os.fsencode(path)):
+            want = _open_error(given_as)
+            for read in (_read_bytes, digest_file, read_domain):
+                with pytest.raises(OSError) as got:
+                    read(given_as)
+                assert type(got.value) is type(want), (read, given_as)
+                assert got.value.args == want.args
+                assert got.value.filename == want.filename
+                assert str(got.value) == str(want)
+    assert _open_error(tmp_path).errno == errno.EISDIR
 
 
 @given(st.integers(-10 ** 100, 10 ** 100), st.integers(1, 10 ** 90))

@@ -49,13 +49,13 @@ ROLES = {
         "PackingInstance", "ToricDomain", "canonical_json",
         "capacity_report", "concave_caps", "concave_weights", "contains",
         "convex_caps", "convex_weights", "decide_packing",
-        "inner_approximation", "optimal_scale", "oracle_convex_caps_upto",
+        "inner_approximation", "oracle_convex_caps_upto",
         "outer_approximation", "rational", "read_domain",
         "reduce_to_packing", "render_approximation",
         "render_decomposition"), "cli"),
     **dict.fromkeys((
         "decomposition_polygons", "digest_file", "load_domain",
-        "optimal_embedding_scale"), "bench entry point"),
+        "optimal_embedding_scale", "optimal_scale"), "bench entry point"),
     "save_domain": "ci",
     # the Fraction replay of a Cremona trace
     "cremona_step": "reference",

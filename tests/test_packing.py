@@ -18,7 +18,7 @@ from echtoric import (DomainError, EmbeddingProblem, HomologyClass,
 from echtoric import cli
 from echtoric.cli import main
 
-from echtoric.packing import _integral, _reduce, _slack
+from echtoric.packing import _integral, _reduce, _slack, _without
 
 from generators import random_instance
 
@@ -358,6 +358,31 @@ def test_scale_search_takes_expansion_integers(monkeypatch):
     with pytest.raises(DomainError):
         optimal_scale(PackingInstance.of(2, (1, 1)),
                       PackingInstance.of(1, (F(1, 2),)), F(1, 16))
+
+
+@given(st.lists(st.integers(1, 6), max_size=8),
+       st.lists(st.integers(1, 6), max_size=5))
+def test_scaled_balls_leave_the_sizes_as_a_multiset(sizes, drop):
+    # the merge walk is Counter subtraction on nonincreasing runs
+    sizes, drop = sorted(sizes, reverse=True), sorted(drop, reverse=True)
+    rest = _without(sizes, drop)
+    if Counter(drop) - Counter(sizes):
+        assert rest is None
+    else:
+        assert rest == sorted((Counter(sizes) - Counter(drop)).elements(),
+                              reverse=True)
+
+
+def test_scaled_balls_in_any_order():
+    # scaled balls given as rationals are found whatever their order
+    inst = PackingInstance.of(5, (3, 2, 2, 1, F(1, 2)))
+    want = optimal_scale(inst, (3, 2, F(1, 2)), F(1, 64))
+    for order in ((F(1, 2), 2, 3), (2, F(1, 2), 3), ("1/2", "3", "2")):
+        assert optimal_scale(inst, order, F(1, 64)) == want
+    # a ball the instance lacks, between and above its sizes
+    for missing in ((F(3, 2),), (4,), (2, 2, 2)):
+        with pytest.raises(DomainError, match="not among"):
+            optimal_scale(inst, missing, F(1, 64))
 
 
 def test_optimal_scale_rejections():
